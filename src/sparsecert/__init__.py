@@ -75,5 +75,4 @@ from .lemmas import (
     is_admissible_map,
     star_image_singletons,
 )
-
-__version__ = "0.1.0"
+from .serialize import TOOLKIT_VERSION as __version__

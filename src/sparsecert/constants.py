@@ -39,13 +39,14 @@ def compute_C2(dictionary, hypergraph, rank_tol=geometry.DEFAULT_RANK_TOL,
     n_groups = math.comb(len(hypergraph.edges), r + 1)
     if n_groups > group_cap:
         raise CapExceededError(f"{n_groups} edge groups exceed cap {group_cap}")
-    spans = {e: geometry.column_span(mat, e, rank_tol) for e in hypergraph.edges}
     worst = 0.0
-    for group in itertools.combinations(hypergraph.edges, r + 1):
-        value = geometry.xi([spans[e] for e in group], rank_tol,
-                            ordering_cap=max(geometry.DEFAULT_ORDERING_CAP, r + 1))
-        if value > worst:
-            worst = value
+    if n_groups:
+        spans = [geometry.column_span(mat, e, rank_tol) for e in hypergraph.edges]
+        best = geometry._sine_products(spans, r + 1, rank_tol)
+        # xi is non-increasing in the product: the worst group has the smallest
+        lowest = min(best[frozenset(group)] for group in
+                     itertools.combinations(range(len(spans)), r + 1))
+        worst = geometry._xi_from_product(lowest)
     denominator = 1.0 - worst
     if denominator <= 0.0:
         raise HypothesisError(
@@ -53,6 +54,25 @@ def compute_C2(dictionary, hypergraph, rank_tol=geometry.DEFAULT_RANK_TOL,
         )
     max_column = float(np.max(np.linalg.norm(mat, axis=0)))
     return (r + 1) * max_column / denominator
+
+
+def _code_bound(mat, codes, hypergraph, index_sets):
+    """Worst per-support code bound: the C1 denominator of compute_C1."""
+    k = hypergraph.k
+    denominator = math.inf
+    for edge in hypergraph.edges:
+        ids = index_sets[edge]
+        if not ids:
+            raise HypothesisError(f"no codes supported in {edge}")
+        if len(ids) < k:
+            raise HypothesisError(f"fewer than {k} codes supported in {edge}")
+        stacked = mat @ codes.codes[:, ids]
+        denominator = min(denominator, geometry.lower_bound_k(stacked, k))
+    if denominator <= C1_DENOM_TOL:
+        raise HypothesisError(
+            "per-support code bound vanished (codes not in general linear position)"
+        )
+    return denominator
 
 
 def compute_C1(dictionary, codes, hypergraph, rank_tol=geometry.DEFAULT_RANK_TOL,
@@ -67,23 +87,9 @@ def compute_C1(dictionary, codes, hypergraph, rank_tol=geometry.DEFAULT_RANK_TOL
     mat = geometry.as_matrix(dictionary, "dictionary")
     if hypergraph.k is None:
         raise HypothesisError("hypergraph must be uniform")
-    k = hypergraph.k
     index_sets = support_index_sets(codes, hypergraph)
     c2 = compute_C2(mat, hypergraph, rank_tol, group_cap)
-    denominator = math.inf
-    for edge in hypergraph.edges:
-        ids = index_sets[edge]
-        if not ids:
-            raise HypothesisError(f"no codes supported in {edge}")
-        if len(ids) < k:
-            raise HypothesisError(f"fewer than {k} codes supported in {edge}")
-        stacked = mat @ codes.codes[:, ids]
-        denominator = min(denominator, geometry.lower_bound_k(stacked, k))
-    if denominator <= C1_DENOM_TOL:
-        raise HypothesisError(
-            "per-support code bound vanished (codes not in general linear position)"
-        )
-    return c2 / denominator
+    return c2 / _code_bound(mat, codes, hypergraph, index_sets)
 
 
 def epsilon_for(delta1, delta2, c1, l2k, max_l1):
@@ -160,9 +166,13 @@ class StabilityCertificate:
 
     @property
     def hypotheses_ok(self):
-        """Dictionary-recovery hypotheses; the spark flag only gates the code tier."""
+        """Dictionary-recovery hypotheses hold and ``C1`` was computed.
+
+        A certificate without ``C1`` has no recovery threshold, so it is not
+        ok even when every flag is. The spark flag only gates the code tier.
+        """
         return (self.sip_ok and self.regular_ok and self.lower_bound_ok
-                and self.glp_ok and self.counts_ok)
+                and self.glp_ok and self.counts_ok and self.C1 is not None)
 
 
 def build_certificate(dictionary, codes, hypergraph,
@@ -213,7 +223,7 @@ def build_certificate(dictionary, codes, hypergraph,
     c2 = c1 = None
     try:
         c2 = compute_C2(mat, hypergraph, rank_tol)
-        c1 = compute_C1(mat, codes, hypergraph, rank_tol)
+        c1 = c2 / _code_bound(mat, codes, hypergraph, index_sets)
     except HypothesisError:
         pass
 

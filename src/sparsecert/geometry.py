@@ -239,6 +239,52 @@ def friedrichs_angle(u, w, rank_tol=DEFAULT_RANK_TOL):
     return math.acos(min(max(cosine, 0.0), 1.0))
 
 
+def _sine_products(spaces, max_size, rank_tol):
+    """The product P of ``xi`` for every index subset of at most ``max_size`` spaces.
+
+    Maps frozenset(ids) to the maximum over orderings of those spaces of the
+    product of sin^2 Friedrichs angles, by dynamic programming over subsets.
+    Meets are intersected in sorted index order and cached by subset, so one
+    call serves every sub-collection with the arithmetic of a separate call.
+    """
+    n = spaces[0].ambient
+    if any(s.ambient != n for s in spaces):
+        raise ValueError("ambient dimensions differ")
+    if any(s.dim == 0 for s in spaces):
+        raise ValueError("collection contains the zero subspace")
+
+    inter_cache = {}
+
+    def meet(ids):
+        if len(ids) == 1:
+            return spaces[next(iter(ids))]
+        if ids not in inter_cache:
+            inter_cache[ids] = intersect([spaces[i] for i in sorted(ids)], rank_tol)
+        return inter_cache[ids]
+
+    best = {}
+    for size in range(1, max_size + 1):
+        for ids in itertools.combinations(range(len(spaces)), size):
+            group = frozenset(ids)
+            if size == 1:
+                best[group] = 1.0
+                continue
+            top = 0.0
+            for a in ids:
+                rest = group - {a}
+                angle = friedrichs_angle(spaces[a], meet(rest), rank_tol)
+                value = math.sin(angle) ** 2 * best[rest]
+                if value > top:
+                    top = value
+            best[group] = top
+    return best
+
+
+def _xi_from_product(product):
+    """sqrt(1 - P), clamped to [0, 1] against floating-point overshoot."""
+    return math.sqrt(min(max(1.0 - product, 0.0), 1.0))
+
+
 def xi(subspaces, rank_tol=DEFAULT_RANK_TOL, ordering_cap=DEFAULT_ORDERING_CAP):
     """Ordering-maximized sine-product aggregate of a subspace collection.
 
@@ -255,40 +301,8 @@ def xi(subspaces, rank_tol=DEFAULT_RANK_TOL, ordering_cap=DEFAULT_ORDERING_CAP):
         raise CapExceededError(
             f"{len(spaces)} subspaces exceed ordering cap {ordering_cap}"
         )
-    n = spaces[0].ambient
-    if any(s.ambient != n for s in spaces):
-        raise ValueError("ambient dimensions differ")
-    if any(s.dim == 0 for s in spaces):
-        raise ValueError("collection contains the zero subspace")
-    if len(spaces) == 1:
-        return 0.0
-
-    inter_cache = {}
-
-    def meet(ids):
-        if len(ids) == 1:
-            return spaces[next(iter(ids))]
-        if ids not in inter_cache:
-            inter_cache[ids] = intersect([spaces[i] for i in sorted(ids)], rank_tol)
-        return inter_cache[ids]
-
-    best = {}
-    for size in range(1, len(spaces) + 1):
-        for ids in itertools.combinations(range(len(spaces)), size):
-            group = frozenset(ids)
-            if size == 1:
-                best[group] = 1.0
-                continue
-            top = 0.0
-            for a in ids:
-                rest = group - {a}
-                angle = friedrichs_angle(spaces[a], meet(rest), rank_tol)
-                value = math.sin(angle) ** 2 * best[rest]
-                if value > top:
-                    top = value
-            best[group] = top
-    xi_sq = 1.0 - best[frozenset(range(len(spaces)))]
-    return math.sqrt(min(max(xi_sq, 0.0), 1.0))
+    best = _sine_products(spaces, len(spaces), rank_tol)
+    return _xi_from_product(best[frozenset(range(len(spaces)))])
 
 
 def distance_to_subspace(x, space):

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from sparsecert.cli import main
-from sparsecert import serialize
+from sparsecert import HypothesisError, constants, serialize
 
 
 @pytest.fixture()
@@ -54,6 +54,23 @@ def test_certify_good_instance(instance_dir, tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["flags"]["sip_ok"]
     assert payload["C1"] > 0
+
+
+def test_certify_without_c1_exits_1(instance_dir, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise HypothesisError("degenerate")
+
+    monkeypatch.setattr(constants, "compute_C2", refuse)
+    code = main([
+        "certify",
+        "--dict", str(instance_dir / "dictionary.json"),
+        "--codes", str(instance_dir / "codes.json"),
+        "--hypergraph", str(instance_dir / "hypergraph.json"),
+    ])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["C1"] is None
+    assert all(payload["flags"].values())
 
 
 def test_certify_missing_codes_exits_1(instance_dir, tmp_path, capsys):

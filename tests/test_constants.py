@@ -1,5 +1,6 @@
 """Stability constants, thresholds, sample sizes, and certificate assembly."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from sparsecert import (
     HypothesisError,
+    column_span,
     build_certificate,
     build_complete,
     build_cyclic,
@@ -19,8 +21,10 @@ from sparsecert import (
     sample_size_cor1,
     sample_size_thm2,
     vandermonde_codes,
+    xi,
 )
-from sparsecert.hypergraph import Hypergraph
+from sparsecert import constants
+from sparsecert.hypergraph import Hypergraph, regularity
 
 
 def singleton_codes(coefficients):
@@ -48,6 +52,25 @@ def test_c2_scales_linearly():
 
 def test_c2_identity_grid():
     assert compute_C2(np.eye(9), build_grid(9)) == pytest.approx(3.0, abs=1e-12)
+
+
+def per_group_c2(mat, hypergraph):
+    """Reference C2: a separate xi for every group of r + 1 edge spans."""
+    r = regularity(hypergraph)
+    worst = 0.0
+    for group in itertools.combinations(hypergraph.edges, r + 1):
+        worst = max(worst, xi([column_span(mat, e) for e in group]))
+    return (r + 1) * float(np.max(np.linalg.norm(mat, axis=0))) / (1.0 - worst)
+
+
+@pytest.mark.parametrize("hypergraph", [
+    build_cyclic(8, 2), build_complete(4, 2), build_complete(5, 2),
+    build_grid(9), build_cyclic(6, 3),
+], ids=["cyclic8k2", "complete4k2", "complete5k2", "grid9", "cyclic6k3"])
+def test_c2_shared_dp_matches_per_group_xi_bitwise(hypergraph):
+    mat = np.random.default_rng(hypergraph.m).standard_normal(
+        (hypergraph.m, hypergraph.m))
+    assert compute_C2(mat, hypergraph) == per_group_c2(mat, hypergraph)
 
 
 def test_c2_requires_regular():
@@ -187,6 +210,36 @@ def test_certificate_on_verified_instance():
     assert cert.eps_max_codes == pytest.approx(cert.L2k / cert.C1)
     assert cert.eps_max_codes <= cert.eps_max_dictionary + 1e-18
     assert cert.L2 >= cert.L2H >= cert.L2k >= 0
+
+
+def test_certificate_computes_c2_once(monkeypatch):
+    calls = []
+    original = constants.compute_C2
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(constants, "compute_C2", counted)
+    h = build_cyclic(4, 2)
+    mat, codes = generate_instance(4, 4, 2, h, 7, seed=1)
+    cert = build_certificate(mat, codes, h)
+    assert len(calls) == 1
+    assert cert.C1 == compute_C1(mat, codes, h)
+
+
+def test_certificate_without_c1_is_not_ok(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise HypothesisError("degenerate")
+
+    monkeypatch.setattr(constants, "compute_C2", refuse)
+    h = build_cyclic(4, 2)
+    mat, codes = generate_instance(4, 4, 2, h, 7, seed=1)
+    cert = build_certificate(mat, codes, h)
+    assert cert.C1 is None and cert.C2 is None
+    assert (cert.sip_ok and cert.regular_ok and cert.lower_bound_ok
+            and cert.glp_ok and cert.counts_ok)
+    assert not cert.hypotheses_ok
 
 
 def test_certificate_permutation_invariance():

@@ -1,13 +1,24 @@
 """Round-trip and schema tests for the file formats."""
 
 import json
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import sparsecert
 from sparsecert import build_cyclic, generate_instance
 from sparsecert.constants import build_certificate
 from sparsecert.experiment import ExperimentRecord
 from sparsecert import serialize
+
+
+def test_one_version_string():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        version = tomllib.load(fh)["project"]["version"]
+    assert version == serialize.TOOLKIT_VERSION
+    assert sparsecert.__version__ is serialize.TOOLKIT_VERSION
 
 
 def test_matrix_json_bit_exact_round_trip():
