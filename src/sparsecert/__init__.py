@@ -5,7 +5,6 @@ bounds, subspace-geometry constants, and recovery-error thresholds, and
 verifies the resulting guarantees numerically at desk scale.
 """
 
-from ._kernels import BACKEND as kernel_backend
 from .alignment import (
     AlignmentResult,
     TheoremReport,
@@ -76,3 +75,6 @@ from .lemmas import (
     star_image_singletons,
 )
 from .serialize import TOOLKIT_VERSION as __version__
+
+# The one restricted-singular-value kernel: numpy's batched LAPACK SVD.
+kernel_backend = "python"

@@ -1,44 +1,29 @@
-"""Smallest-singular-value kernel with a compiled core and a numpy fallback.
-
-The compiled extension is optional: when it fails to import (no compiler at
-install time) the numpy backend is used transparently. Set
-``SPARSECERT_PURE_PYTHON=1`` to force the fallback even when the extension is
-available, e.g. for benchmarking.
-"""
-
-import os
+"""Smallest-singular-value kernel: batched LAPACK SVD grouped by edge width."""
 
 import numpy as np
-
-if os.environ.get("SPARSECERT_PURE_PYTHON", "").strip() not in ("", "0"):
-    from .pysv import edge_min_singular_values as _backend
-
-    BACKEND = "python"
-else:
-    try:
-        from ._minsv import edge_min_singular_values as _backend
-
-        BACKEND = "cython"
-    except ImportError:
-        from .pysv import edge_min_singular_values as _backend
-
-        BACKEND = "python"
-
-HAVE_COMPILED = BACKEND == "cython"
 
 
 def edge_min_singular_values(mat, edges):
     """Smallest singular value of ``mat[:, edge]`` for every edge.
 
-    ``edges`` is a sequence of 0-based column index sequences.
+    ``edges`` is a sequence of 0-based column index sequences. Empty edges
+    and edges wider than the row count are rank deficient by shape and
+    return zero.
     """
     mat = np.ascontiguousarray(mat, dtype=np.float64)
-    lengths = np.fromiter((len(e) for e in edges), dtype=np.int64, count=len(edges))
-    offsets = np.zeros(len(edges) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    flat = np.fromiter(
-        (j for e in edges for j in e), dtype=np.int64, count=int(offsets[-1])
-    )
-    if flat.size and (flat.min() < 0 or flat.max() >= mat.shape[1]):
+    n_rows, n_cols = mat.shape
+    by_width = {}
+    for index, edge in enumerate(edges):
+        by_width.setdefault(len(edge), []).append(index)
+    groups = [(np.array(group, dtype=np.intp),
+               np.array([edges[e] for e in group], dtype=np.intp))
+              for group in by_width.values()]
+    if any(cols.size and (cols.min() < 0 or cols.max() >= n_cols)
+           for _, cols in groups):
         raise ValueError("edge index out of range for the given matrix")
-    return _backend(mat, flat, offsets)
+    out = np.zeros(len(edges))
+    for group, cols in groups:
+        if 0 < cols.shape[1] <= n_rows:
+            stacked = np.moveaxis(mat[:, cols], 1, 0)
+            out[group] = np.linalg.svd(stacked, compute_uv=False)[:, -1]
+    return out

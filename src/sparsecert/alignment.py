@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import geometry
 from .errors import HypothesisError, ThresholdError
@@ -65,11 +64,30 @@ def _pair_costs(a_mat, b_mat):
     return costs, scales, usable
 
 
+def _max_matching(allowed):
+    """Size of a maximum matching between the rows and columns of a boolean matrix.
+
+    Kuhn's augmenting paths: each row in turn claims a free allowed column or
+    re-routes the row holding one. The recursion depth is at most the row count.
+    """
+    adjacency = [np.flatnonzero(row).tolist() for row in allowed]
+    owner = [-1] * allowed.shape[1]
+
+    def augment(row, seen):
+        for col in adjacency[row]:
+            if not seen[col]:
+                seen[col] = True
+                if owner[col] < 0 or augment(owner[col], seen):
+                    owner[col] = row
+                    return True
+        return False
+
+    return sum(augment(row, [False] * len(owner)) for row in range(len(adjacency)))
+
+
 def _matching_deficit(costs, threshold):
     """Number of pairs a max matching leaves above the threshold (0 = feasible)."""
-    blocked = (costs > threshold).astype(float)
-    rows, cols = linear_sum_assignment(blocked)
-    return int(blocked[rows, cols].sum())
+    return min(costs.shape) - _max_matching(costs <= threshold)
 
 
 def align_dictionaries(dictionary, candidate):
@@ -134,9 +152,7 @@ def _submatching_ok(costs, rows, cols, threshold, needed):
     if not rows or not cols:
         return False
     sub = costs[np.ix_(rows, cols)]
-    blocked = (sub > threshold).astype(float)
-    r, c = linear_sum_assignment(blocked)
-    return int((blocked[r, c] == 0.0).sum()) >= needed
+    return _max_matching(sub <= threshold) >= needed
 
 
 def code_alignment_error(x, xbar, alignment, subset=None):

@@ -3,7 +3,7 @@ spark polynomial, subspace distance, Friedrichs angles, the ordering-maximized
 sine-product aggregate, and numerical subspace intersection.
 
 Every restricted-singular-value quantity funnels through the `_kernels`
-backend (compiled when available, numpy otherwise).
+function (numpy's batched LAPACK SVD, grouped by edge width).
 """
 
 from __future__ import annotations

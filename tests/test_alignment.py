@@ -18,6 +18,7 @@ from sparsecert import (
     vandermonde_codes,
     verify_theorem1,
 )
+from sparsecert.alignment import _max_matching
 from sparsecert.constants import build_certificate
 
 
@@ -83,6 +84,31 @@ def test_matches_brute_force_small():
         res = align_dictionaries(a_mat, b_mat)
         assert abs(res.max_column_error
                    - brute_force_max_error(a_mat, b_mat)) <= 1e-12
+
+
+def brute_force_matching(allowed):
+    """Largest set of allowed cells with no two in one row or one column."""
+    n_rows, n_cols = allowed.shape
+    best = 0
+    for size in range(1, min(n_rows, n_cols) + 1):
+        if any(all(allowed[r, c] for r, c in zip(rows, cols))
+               for rows in itertools.combinations(range(n_rows), size)
+               for cols in itertools.permutations(range(n_cols), size)):
+            best = size
+    return best
+
+
+def test_max_matching_matches_brute_force():
+    rng = np.random.default_rng(5)
+    shapes = [(r, c) for r in range(1, 7) for c in range(1, 8)]
+    for n_rows, n_cols in shapes:
+        for density in (0.2, 0.5, 0.8):
+            allowed = rng.random((n_rows, n_cols)) < density
+            allowed[rng.integers(n_rows)] = False
+            allowed[:, rng.integers(n_cols)] = False
+            assert _max_matching(allowed) == brute_force_matching(allowed)
+    assert _max_matching(np.ones((6, 7), dtype=bool)) == 6
+    assert _max_matching(np.zeros((4, 3), dtype=bool)) == 0
 
 
 def test_tie_breaking_deterministic_and_lexicographic():

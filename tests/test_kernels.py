@@ -1,30 +1,12 @@
-"""Backend equivalence: compiled Jacobi kernel versus batched-LAPACK fallback."""
+"""The restricted-singular-value kernel against per-edge LAPACK calls."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from sparsecert._kernels import BACKEND, edge_min_singular_values
-from sparsecert._kernels import pysv
-
-try:
-    from sparsecert._kernels import _minsv
-except ImportError:
-    _minsv = None
-
-backends = [pytest.param(pysv, id="python")]
-if _minsv is not None:
-    backends.append(pytest.param(_minsv, id="cython"))
-
-
-def run_backend(impl, mat, edges):
-    mat = np.ascontiguousarray(mat, dtype=np.float64)
-    lengths = np.array([len(e) for e in edges], dtype=np.int64)
-    offsets = np.zeros(len(edges) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    flat = np.array([j for e in edges for j in e], dtype=np.int64)
-    return impl.edge_min_singular_values(mat, flat, offsets)
+import sparsecert
+from sparsecert._kernels import edge_min_singular_values
 
 
 def reference(mat, edges):
@@ -38,74 +20,57 @@ def reference(mat, edges):
     return np.array(out)
 
 
-@pytest.mark.parametrize("impl", backends)
-def test_identity_subsets_exact(impl):
+def test_identity_subsets_exact():
     mat = np.eye(6)
     edges = list(itertools.combinations(range(6), 3))
-    got = run_backend(impl, mat, edges)
+    got = edge_min_singular_values(mat, edges)
     assert np.all(got == 1.0)
 
 
-@pytest.mark.parametrize("impl", backends)
-def test_random_matches_lapack(impl):
+def test_random_matches_lapack():
     rng = np.random.default_rng(7)
     mat = rng.standard_normal((8, 10))
     edges = [tuple(sorted(rng.choice(10, size=s, replace=False)))
              for s in (1, 2, 3, 4, 5) for _ in range(20)]
-    got = run_backend(impl, mat, edges)
+    got = edge_min_singular_values(mat, edges)
     want = reference(mat, edges)
     assert np.max(np.abs(got - want)) < 1e-10
 
 
-@pytest.mark.parametrize("impl", backends)
-def test_duplicate_columns_give_zero(impl):
+def test_duplicate_columns_give_zero():
     rng = np.random.default_rng(3)
     mat = rng.standard_normal((5, 4))
     mat[:, 3] = mat[:, 1]
-    got = run_backend(impl, mat, [(1, 3), (0, 2)])
+    got = edge_min_singular_values(mat, [(1, 3), (0, 2)])
     assert got[0] < 1e-12
     assert got[1] > 0.1
 
 
-@pytest.mark.parametrize("impl", backends)
-def test_wide_edge_is_rank_deficient(impl):
+def test_wide_edge_is_rank_deficient():
     rng = np.random.default_rng(11)
     mat = rng.standard_normal((2, 5))
-    got = run_backend(impl, mat, [(0, 1, 2, 3)])
+    got = edge_min_singular_values(mat, [(0, 1, 2, 3)])
     assert got[0] < 1e-12
 
 
-@pytest.mark.parametrize("impl", backends)
-def test_singleton_edge_is_column_norm(impl):
+def test_singleton_edge_is_column_norm():
     mat = np.array([[3.0, 0.0], [4.0, 2.0]])
-    got = run_backend(impl, mat, [(0,), (1,)])
+    got = edge_min_singular_values(mat, [(0,), (1,)])
     assert got[0] == pytest.approx(5.0, abs=1e-14)
     assert got[1] == pytest.approx(2.0, abs=1e-14)
 
 
-@pytest.mark.parametrize("impl", backends)
-def test_zero_column(impl):
+def test_zero_column():
     mat = np.zeros((4, 2))
     mat[:, 0] = [1, 0, 0, 0]
-    got = run_backend(impl, mat, [(0, 1), (1,)])
+    got = edge_min_singular_values(mat, [(0, 1), (1,)])
     assert got[0] == 0.0
     assert got[1] == 0.0
 
 
-def test_backends_agree_everywhere():
-    if _minsv is None:
-        pytest.skip("compiled kernel not built")
-    rng = np.random.default_rng(19)
-    for trial in range(20):
-        n = int(rng.integers(2, 9))
-        m = int(rng.integers(2, 9))
-        mat = rng.standard_normal((n, m))
-        edges = [tuple(sorted(rng.choice(m, size=int(rng.integers(1, m + 1)),
-                                         replace=False)))
-                 for _ in range(15)]
-        a = run_backend(_minsv, mat, edges)
-        b = run_backend(pysv, mat, edges)
-        assert np.max(np.abs(a - b)) < 1e-10
+def test_empty_edge_is_zero_in_place():
+    got = edge_min_singular_values(np.eye(3), [(0,), (), (1, 2)])
+    assert got.tolist() == [1.0, 0.0, 1.0]
 
 
 def test_wrapper_validates_indices():
@@ -114,4 +79,4 @@ def test_wrapper_validates_indices():
 
 
 def test_backend_name_exported():
-    assert BACKEND in ("cython", "python")
+    assert sparsecert.kernel_backend == "python"
