@@ -2,7 +2,10 @@
 
 The distance-to-intersection inequality is probed on random subspace
 collections; the injective-map counting statement is checked exhaustively
-over all admissible edge maps at desk scale.
+over all admissible edge maps at desk scale. That enumeration assigns edge
+images one edge at a time and finds each edge's admissible images by ANDing
+precomputed bitmasks over all 2^m_bar candidate images, instead of testing
+the candidates one by one.
 """
 
 from __future__ import annotations
@@ -154,7 +157,18 @@ def check_lemma4(hypergraph, m_bar):
     each admissible map, m_bar >= m must hold and (when (r-1) m_bar < m r)
     the vertices whose star images intersect in a single element must cover
     at least m_bar - r(m_bar - m) distinct elements.
+
+    Images are bitmasks over [m_bar] and are assigned edge by edge, in edge
+    order. The candidates for the next edge form one bitmask over the 2^m_bar
+    possible images: the images large enough for the size condition still to
+    be reachable, ANDed with one precomputed mask per group that ends at this
+    edge (the images c with |meet & c| <= cap, for the meet of the group's
+    earlier images). Candidates are walked in increasing order, so maps are
+    visited in lexicographic order; at the last edge the admissible maps are
+    counted by popcount and each one is checked against the guarantee.
     """
+    if m_bar < 1:
+        raise ValueError("m_bar must be a positive integer")
     r = regularity(hypergraph)
     if r is None:
         raise HypothesisError("hypergraph is not regular")
@@ -169,16 +183,28 @@ def check_lemma4(hypergraph, m_bar):
     n_edges = len(edges)
     edge_masks = [sum(1 << (v - 1) for v in e) for e in edges]
     required_total = sum(len(e) for e in edges)
-    universe = list(range(1 << m_bar))
+    images = range(1 << m_bar)
+    full = (1 << m_bar) - 1
 
-    # group constraints indexed by the highest edge they involve
+    # at_least[p]: the images with at least p elements (p > m_bar: none)
+    at_least = [sum(1 << c for c in images if c.bit_count() >= p)
+                for p in range(m_bar + 2)]
+    # allowed[cap][meet]: the images c with |meet & c| <= cap
+    allowed = {}
+    # group constraints indexed by the highest edge they involve, each as
+    # (the group's other edges, its row of allowed)
     group_checks = [[] for _ in range(n_edges)]
     for size in (r, r + 1):
         if size > n_edges:
             continue
         for group in itertools.combinations(range(n_edges), size):
             cap = _intersection_size(edge_masks, group)
-            group_checks[max(group)].append((group, cap))
+            if cap not in allowed:
+                allowed[cap] = [
+                    sum(1 << c for c in images if (meet & c).bit_count() <= cap)
+                    for meet in images
+                ]
+            group_checks[group[-1]].append((group[:-1], allowed[cap]))
 
     stars = [
         [idx for idx, e in enumerate(edges) if i in e]
@@ -186,35 +212,39 @@ def check_lemma4(hypergraph, m_bar):
     ]
     guaranteed = m_bar - r * (m_bar - m)
     proviso = (r - 1) * m_bar < m * r
+    always_verified = m_bar >= m and (not proviso or guaranteed <= 0)
 
     admissible = verified = 0
     counterexamples = []
     assignment = [0] * n_edges
+    last = n_edges - 1
 
     def descend(level, assigned_sum):
         nonlocal admissible, verified
-        if assigned_sum + (n_edges - level) * m_bar < required_total:
-            return
-        if level == n_edges:
-            admissible += 1
-            if _verify_assignment(assignment, stars, m, m_bar, guaranteed,
-                                  proviso):
+        need = required_total - assigned_sum - (last - level) * m_bar
+        cands = at_least[min(max(need, 0), m_bar + 1)]
+        for others, row in group_checks[level]:
+            meet = full
+            for idx in others:
+                meet &= assignment[idx]
+            cands &= row[meet]
+        if level == last:
+            admissible += cands.bit_count()
+            if always_verified:
+                verified += cands.bit_count()
+                return
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            candidate = low.bit_length() - 1
+            assignment[level] = candidate
+            if level < last:
+                descend(level + 1, assigned_sum + candidate.bit_count())
+            elif _verify_assignment(assignment, stars, m, m_bar, guaranteed,
+                                    proviso):
                 verified += 1
             else:
                 counterexamples.append(list(assignment))
-            return
-        for candidate in universe:
-            assignment[level] = candidate
-            ok = True
-            for group, cap in group_checks[level]:
-                meet = candidate
-                for idx in group:
-                    meet &= assignment[idx]
-                if meet.bit_count() > cap:
-                    ok = False
-                    break
-            if ok:
-                descend(level + 1, assigned_sum + candidate.bit_count())
 
     descend(0, 0)
     return Lemma4Report(m, m_bar, r, guaranteed, admissible, verified,

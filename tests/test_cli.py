@@ -198,3 +198,14 @@ def test_check_lemmas_exit_zero(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["distance_to_intersection"]["violations"] == 0
     assert payload["injective_map_counting"]["counterexamples"] == []
+
+
+def test_check_lemmas_bad_m_bar_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "lemmas.json"
+    cfg.write_text(json.dumps({
+        "lemma3": {"trials": 5, "ambient_dim": 6, "max_subspaces": 3, "seed": 4},
+        "lemma4": {"hypergraph": "cyclic", "m": 3, "k": 2, "m_bar": -1},
+    }))
+    code = main(["check-lemmas", "--config", str(cfg)])
+    assert code == 2
+    assert "m_bar must be a positive integer" in capsys.readouterr().err
