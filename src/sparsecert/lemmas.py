@@ -212,7 +212,6 @@ def check_lemma4(hypergraph, m_bar):
     ]
     guaranteed = m_bar - r * (m_bar - m)
     proviso = (r - 1) * m_bar < m * r
-    always_verified = m_bar >= m and (not proviso or guaranteed <= 0)
 
     admissible = verified = 0
     counterexamples = []
@@ -230,9 +229,6 @@ def check_lemma4(hypergraph, m_bar):
             cands &= row[meet]
         if level == last:
             admissible += cands.bit_count()
-            if always_verified:
-                verified += cands.bit_count()
-                return
         while cands:
             low = cands & -cands
             cands ^= low

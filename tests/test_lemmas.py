@@ -188,9 +188,7 @@ ORACLE_CASES = (
        for m_bar in (4, 5)]
     + [pytest.param(build_grid(4), m_bar, id=f"grid4-mbar{m_bar}")
        for m_bar in (4, 5)]
-    # r=3 and m_bar >= m + m/(r-1): every admissible map is verified without
-    # looking at it (complete(4, 3) at m_bar=6 is another, but the reference
-    # descent takes about 15 s there)
+    # a non-uniform hypergraph with r=3
     + [pytest.param(Hypergraph(3, [(1, 2), (1, 3), (2, 3), (1, 2, 3)]), 5,
                     id="mixed3-mbar5")]
 )
@@ -204,8 +202,8 @@ def test_lemma4_matches_reference_descent(hypergraph, m_bar):
 
 def test_lemma4_counterexamples_keep_reference_order(monkeypatch):
     # real inputs never fail the guarantee, so force failures to compare the
-    # order of the counterexample list; m_bar=5 is not trivially verified
-    # (the proviso holds and the guaranteed size is 3)
+    # order of the counterexample list; at m_bar=5 the proviso holds and the
+    # guaranteed size is 3, so each map's singletons are counted
     verify = lemmas._verify_assignment
 
     def odd_first_image_fails(assignment, *args):
