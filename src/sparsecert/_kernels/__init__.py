@@ -1,29 +1,21 @@
-"""Smallest-singular-value kernel: batched LAPACK SVD grouped by edge width."""
+"""Smallest-singular-value kernel: one batched LAPACK SVD per index array."""
 
 import numpy as np
 
 
 def edge_min_singular_values(mat, edges):
-    """Smallest singular value of ``mat[:, edge]`` for every edge.
+    """Smallest singular value of ``mat[:, edge]`` for every row of ``edges``.
 
-    ``edges`` is a sequence of 0-based column index sequences. Empty edges
-    and edges wider than the row count are rank deficient by shape and
-    return zero.
+    ``edges`` is an (E, w) array of 0-based column indices. Width zero and
+    widths above the row count are rank deficient by shape and give zeros.
     """
     mat = np.ascontiguousarray(mat, dtype=np.float64)
+    edges = np.asarray(edges, dtype=np.intp)
+    if edges.ndim != 2:
+        raise ValueError("edges must be an (E, w) index array")
     n_rows, n_cols = mat.shape
-    by_width = {}
-    for index, edge in enumerate(edges):
-        by_width.setdefault(len(edge), []).append(index)
-    groups = [(np.array(group, dtype=np.intp),
-               np.array([edges[e] for e in group], dtype=np.intp))
-              for group in by_width.values()]
-    if any(cols.size and (cols.min() < 0 or cols.max() >= n_cols)
-           for _, cols in groups):
+    if edges.size and (edges.min() < 0 or edges.max() >= n_cols):
         raise ValueError("edge index out of range for the given matrix")
-    out = np.zeros(len(edges))
-    for group, cols in groups:
-        if 0 < cols.shape[1] <= n_rows:
-            stacked = np.moveaxis(mat[:, cols], 1, 0)
-            out[group] = np.linalg.svd(stacked, compute_uv=False)[:, -1]
-    return out
+    if not 0 < edges.shape[1] <= n_rows:
+        return np.zeros(len(edges))
+    return np.linalg.svd(np.moveaxis(mat[:, edges], 1, 0), compute_uv=False)[:, -1]

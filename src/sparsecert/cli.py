@@ -17,7 +17,7 @@ from .constants import build_certificate
 from .errors import SparseCertError
 from .experiment import hypergraph_from_config, run_experiment
 from .geometry import DEFAULT_RANK_TOL, spark_polynomial
-from .lemmas import check_lemma3, check_lemma4
+from .lemmas import check_lemma3, check_lemma4, validate_lemma4
 
 
 def _load_json(path):
@@ -116,6 +116,13 @@ def cmd_experiment(args):
 
 def cmd_check_lemmas(args):
     config = _load_json(args.config) if args.config else {}
+    # the Lemma-4 input is rejected before any Lemma-3 sampling is paid for
+    l4_cfg = config.get("lemma4", {})
+    m = int(l4_cfg.get("m", 4))
+    k = int(l4_cfg.get("k", 2))
+    hypergraph = hypergraph_from_config(l4_cfg.get("hypergraph", "cyclic"), m, k)
+    m_bar = int(l4_cfg.get("m_bar", m + 1))
+    validate_lemma4(hypergraph, m_bar)
     l3_cfg = config.get("lemma3", {})
     report3 = check_lemma3(
         trials=int(l3_cfg.get("trials", 200)),
@@ -123,11 +130,7 @@ def cmd_check_lemmas(args):
         max_subspaces=int(l3_cfg.get("max_subspaces", 4)),
         seed=args.seed if args.seed is not None else l3_cfg.get("seed"),
     )
-    l4_cfg = config.get("lemma4", {})
-    m = int(l4_cfg.get("m", 4))
-    k = int(l4_cfg.get("k", 2))
-    hypergraph = hypergraph_from_config(l4_cfg.get("hypergraph", "cyclic"), m, k)
-    report4 = check_lemma4(hypergraph, int(l4_cfg.get("m_bar", m + 1)))
+    report4 = check_lemma4(hypergraph, m_bar)
     payload = {
         "distance_to_intersection": {
             "trials": report3.trials,

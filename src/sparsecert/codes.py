@@ -7,20 +7,16 @@ shared support with any k of them linearly independent.
 
 from __future__ import annotations
 
-import itertools
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels, geometry
-from .errors import CapExceededError, GenerationError, HypothesisError
-from .hypergraph import has_sip, normalize_support, pairwise_unions, regularity
+from .errors import GenerationError, HypothesisError
+from .hypergraph import (DEFAULT_EDGE_CAP, has_sip, normalize_support,
+                         pairwise_unions, regularity)
 
-logger = logging.getLogger(__name__)
-
-DEFAULT_SUBSET_CAP = 200_000
 GENERATE_MAX_RETRIES = 10
 
 
@@ -105,14 +101,13 @@ def vandermonde_codes(support, count, gammas, m=None):
 
 
 def general_linear_position(vectors, k, rank_tol=geometry.DEFAULT_RANK_TOL,
-                            subset_cap=DEFAULT_SUBSET_CAP, samples=None, rng=None):
+                            subset_cap=DEFAULT_EDGE_CAP):
     """True iff every k of the vectors are linearly independent.
 
-    Exhaustive over all k-subsets when their number is within ``subset_cap``;
-    beyond that, ``samples`` random subsets are checked instead (requires
-    ``samples``; the coverage fraction is logged). Independence is judged by
-    the subset's smallest singular value clearing rank_tol times the largest
-    singular value of the whole stack.
+    Exhaustive over all k-subsets; more than ``subset_cap`` of them raise
+    CapExceededError. Independence is judged by the subset's smallest
+    singular value clearing rank_tol times the largest singular value of the
+    whole stack.
     """
     mat = np.asarray(vectors, dtype=float)
     if mat.ndim == 1:
@@ -124,25 +119,16 @@ def general_linear_position(vectors, k, rank_tol=geometry.DEFAULT_RANK_TOL,
         raise ValueError("k must be positive")
     if count < k:
         return True
+    return subsets_independent(mat, geometry.k_subsets(count, k, subset_cap), rank_tol)
+
+
+def subsets_independent(mat, subsets, rank_tol=geometry.DEFAULT_RANK_TOL):
+    """True iff every column subset of ``mat`` is linearly independent.
+
+    ``subsets`` is an (E, k) index array; each subset's smallest singular
+    value must clear rank_tol times the largest singular value of ``mat``.
+    """
     smax = float(np.linalg.svd(mat, compute_uv=False)[0])
-    if smax == 0.0:
-        return False
-    n_subsets = math.comb(count, k)
-    if n_subsets <= subset_cap:
-        subsets = list(itertools.combinations(range(count), k))
-    else:
-        if samples is None:
-            raise CapExceededError(
-                f"{n_subsets} subsets exceed cap {subset_cap}; pass samples= to sample"
-            )
-        if rng is None:
-            rng = np.random.default_rng()
-        subsets = [tuple(sorted(rng.choice(count, size=k, replace=False)))
-                   for _ in range(samples)]
-        logger.info(
-            "general linear position sampled %d of %d subsets (coverage %.2e)",
-            len(subsets), n_subsets, len(subsets) / n_subsets,
-        )
     sv = _kernels.edge_min_singular_values(mat, subsets)
     return bool(np.min(sv) > rank_tol * smax)
 
@@ -253,13 +239,6 @@ def _instance_verified(mat, codes, hypergraph, unions, per_support_count, k,
         return False
     if not geometry.spark_condition(mat, k, rank_tol):
         return False
-    index_sets = support_index_sets(codes, hypergraph)
-    for edge in hypergraph.edges:
-        ids = index_sets[edge]
-        if len(ids) < per_support_count:
-            return False
-        if not general_linear_position(codes.codes[:, ids], k, rank_tol,
-                                       samples=20_000,
-                                       rng=np.random.default_rng(len(ids))):
-            return False
-    return True
+    return all(len(ids) >= per_support_count
+               and general_linear_position(codes.codes[:, ids], k, rank_tol)
+               for ids in support_index_sets(codes, hypergraph).values())

@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import geometry
-from .codes import DEFAULT_SUBSET_CAP, general_linear_position, support_index_sets
+from .codes import subsets_independent, support_index_sets
 from .errors import CapExceededError, HypothesisError
 from .hypergraph import has_sip, pairwise_unions, regularity
 
@@ -56,23 +56,31 @@ def compute_C2(dictionary, hypergraph, rank_tol=geometry.DEFAULT_RANK_TOL,
     return (r + 1) * max_column / denominator
 
 
-def _code_bound(mat, codes, hypergraph, index_sets):
-    """Worst per-support code bound: the C1 denominator of compute_C1."""
+def _code_checks(mat, codes, hypergraph, index_sets, rank_tol):
+    """(glp_ok, C1 denominator) from one k-subset index array per support.
+
+    On each edge S the k-subsets T of its codes serve both checks: X_T
+    independent against the top singular value of X_S, and the restricted
+    lower bound of A X_T. A support with fewer than k codes fails both.
+    """
     k = hypergraph.k
-    denominator = math.inf
+    glp_ok, denominator = True, math.inf
     for edge in hypergraph.edges:
         ids = index_sets[edge]
-        if not ids:
-            raise HypothesisError(f"no codes supported in {edge}")
         if len(ids) < k:
-            raise HypothesisError(f"fewer than {k} codes supported in {edge}")
-        stacked = mat @ codes.codes[:, ids]
-        denominator = min(denominator, geometry.lower_bound_k(stacked, k))
+            return False, 0.0
+        x = codes.codes[:, ids]
+        subsets = geometry.k_subsets(len(ids), k)
+        glp_ok = subsets_independent(x, subsets, rank_tol) and glp_ok
+        denominator = min(denominator, geometry.subset_lower_bound(mat @ x, subsets))
+    return glp_ok, denominator
+
+
+def _c1(c2, denominator):
     if denominator <= C1_DENOM_TOL:
-        raise HypothesisError(
-            "per-support code bound vanished (codes not in general linear position)"
-        )
-    return denominator
+        raise HypothesisError("per-support code bound vanished (fewer than k codes "
+                              "on a support, or codes not in general linear position)")
+    return c2 / denominator
 
 
 def compute_C1(dictionary, codes, hypergraph, rank_tol=geometry.DEFAULT_RANK_TOL,
@@ -87,9 +95,9 @@ def compute_C1(dictionary, codes, hypergraph, rank_tol=geometry.DEFAULT_RANK_TOL
     mat = geometry.as_matrix(dictionary, "dictionary")
     if hypergraph.k is None:
         raise HypothesisError("hypergraph must be uniform")
-    index_sets = support_index_sets(codes, hypergraph)
     c2 = compute_C2(mat, hypergraph, rank_tol, group_cap)
-    return c2 / _code_bound(mat, codes, hypergraph, index_sets)
+    index_sets = support_index_sets(codes, hypergraph)
+    return _c1(c2, _code_checks(mat, codes, hypergraph, index_sets, rank_tol)[1])
 
 
 def epsilon_for(delta1, delta2, c1, l2k, max_l1):
@@ -176,15 +184,14 @@ class StabilityCertificate:
 
 
 def build_certificate(dictionary, codes, hypergraph,
-                      rank_tol=geometry.DEFAULT_RANK_TOL, m_bar=None,
-                      glp_subset_cap=DEFAULT_SUBSET_CAP, glp_samples=20_000):
+                      rank_tol=geometry.DEFAULT_RANK_TOL, m_bar=None):
     """Run every hypothesis check and assemble the stability certificate.
 
     Never raises on failed hypotheses: flags record what failed and the
     constants that remain computable are still reported (C1/C2 are None when
-    their own preconditions break). Per-support position checks fall back to
-    ``glp_samples`` deterministic random subsets when the exhaustive subset
-    count exceeds ``glp_subset_cap``.
+    their own preconditions break). GLP and the C1 denominator share one
+    exhaustive k-subset enumeration per support; a support with more than
+    1M k-subsets raises CapExceededError.
     """
     mat = geometry.as_matrix(dictionary, "dictionary")
     n, m = mat.shape
@@ -204,26 +211,18 @@ def build_certificate(dictionary, codes, hypergraph,
     l2k = geometry.lower_bound_k(mat, min(2 * k, m))
     l2h = geometry.restricted_lower_bound(mat, pairwise_unions(hypergraph))
     lower_bound_ok = l2h > rank_tol * smax
-    spark_ok = geometry.spark_condition(mat, k, rank_tol)
+    spark_ok = geometry.spark_from_bound(l2k, min(2 * k, m), smax, rank_tol)
 
     index_sets = support_index_sets(codes, hypergraph)
     support_counts = {edge: len(ids) for edge, ids in index_sets.items()}
     required = (k - 1) * math.comb(m, k) + 1
     counts_ok = all(count >= required for count in support_counts.values())
-    glp_ok = True
-    for edge in hypergraph.edges:
-        ids = index_sets[edge]
-        if len(ids) < k or not general_linear_position(
-                codes.codes[:, ids], k, rank_tol,
-                subset_cap=glp_subset_cap, samples=glp_samples,
-                rng=np.random.default_rng(len(ids))):
-            glp_ok = False
-            break
+    glp_ok, denominator = _code_checks(mat, codes, hypergraph, index_sets, rank_tol)
 
     c2 = c1 = None
     try:
         c2 = compute_C2(mat, hypergraph, rank_tol)
-        c1 = c2 / _code_bound(mat, codes, hypergraph, index_sets)
+        c1 = _c1(c2, denominator)
     except HypothesisError:
         pass
 

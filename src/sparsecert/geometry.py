@@ -3,7 +3,7 @@ spark polynomial, subspace distance, Friedrichs angles, the ordering-maximized
 sine-product aggregate, and numerical subspace intersection.
 
 Every restricted-singular-value quantity funnels through the `_kernels`
-function (numpy's batched LAPACK SVD, grouped by edge width).
+function (numpy's batched LAPACK SVD over one (E, w) column-index array).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import CapExceededError
-from .hypergraph import DEFAULT_EDGE_CAP, build_complete
+from .hypergraph import DEFAULT_EDGE_CAP
 
 # Relative rank tolerance: double-precision SVD noise floor with safety margin.
 DEFAULT_RANK_TOL = 1e-9
@@ -95,12 +95,29 @@ def column_span(mat, support, rank_tol=DEFAULT_RANK_TOL):
     return orthonormal_basis(mat[:, cols], rank_tol)
 
 
+def k_subsets(count, k, cap=DEFAULT_EDGE_CAP):
+    """All k-subsets of range(count), in lexicographic order, as an (E, k) array."""
+    if not 1 <= k <= count:
+        raise ValueError(f"need 1 <= k <= count, got k={k}, count={count}")
+    n_subsets = math.comb(count, k)
+    if n_subsets > cap:
+        raise CapExceededError(f"{n_subsets} {k}-subsets exceed cap {cap}")
+    flat = itertools.chain.from_iterable(itertools.combinations(range(count), k))
+    return np.fromiter(flat, dtype=np.intp, count=n_subsets * k).reshape(n_subsets, k)
+
+
+def subset_lower_bound(mat, subsets):
+    """Least smallest singular value over the (E, w) column subsets, over sqrt(w)."""
+    sv = _kernels.edge_min_singular_values(mat, subsets)
+    return float(np.min(sv / np.sqrt(subsets.shape[1])))
+
+
 def restricted_lower_bound(mat, hypergraph):
     """Worst-case restricted lower bound of the matrix over the hypergraph.
 
     For each edge S the smallest singular value of the column submatrix is
-    scaled by 1/sqrt(|S|); the minimum over edges is returned. Empty edges
-    are rejected (their submatrix is the zero map).
+    scaled by 1/sqrt(|S|); the minimum over edges is returned, one kernel call
+    per edge size. Empty edges are rejected (their submatrix is the zero map).
     """
     mat = as_matrix(mat, "dictionary")
     if hypergraph.m != mat.shape[1]:
@@ -112,16 +129,21 @@ def restricted_lower_bound(mat, hypergraph):
         raise ValueError("empty hypergraph")
     if any(len(e) == 0 for e in hypergraph.edges):
         raise ValueError("empty support set in hypergraph")
-    edges0 = [[v - 1 for v in e] for e in hypergraph.edges]
-    sv = _kernels.edge_min_singular_values(mat, edges0)
-    sizes = np.array([len(e) for e in hypergraph.edges], dtype=float)
-    return float(np.min(sv / np.sqrt(sizes)))
+    by_width = {}
+    for edge in hypergraph.edges:
+        by_width.setdefault(len(edge), []).append([v - 1 for v in edge])
+    return min(subset_lower_bound(mat, np.array(g)) for g in by_width.values())
 
 
 def lower_bound_k(mat, k, cap=DEFAULT_EDGE_CAP):
     """Restricted lower bound over all size-k column subsets."""
     mat = as_matrix(mat, "dictionary")
-    return restricted_lower_bound(mat, build_complete(mat.shape[1], k, cap))
+    return subset_lower_bound(mat, k_subsets(mat.shape[1], k, cap))
+
+
+def spark_from_bound(bound, width, smax, rank_tol=DEFAULT_RANK_TOL):
+    """Spark verdict from the lower bound over all ``width``-column subsets."""
+    return bound * math.sqrt(width) > rank_tol * smax
 
 
 def spark_condition(mat, k, rank_tol=DEFAULT_RANK_TOL, cap=DEFAULT_EDGE_CAP):
@@ -135,8 +157,7 @@ def spark_condition(mat, k, rank_tol=DEFAULT_RANK_TOL, cap=DEFAULT_EDGE_CAP):
         raise ValueError("sparsity level must be positive")
     width = min(2 * k, mat.shape[1])
     smax = float(np.linalg.svd(mat, compute_uv=False)[0])
-    bound = lower_bound_k(mat, width, cap)
-    return bound * math.sqrt(width) > rank_tol * smax
+    return spark_from_bound(lower_bound_k(mat, width, cap), width, smax, rank_tol)
 
 
 def spark_polynomial(mat, k, minor_cap=DEFAULT_MINOR_CAP):

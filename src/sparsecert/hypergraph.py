@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .errors import CapExceededError
 
-# Guardrail for build_complete / pairwise_unions blowing up at CLI level.
+# Guardrail on every enumeration of edges or of k-subsets.
 DEFAULT_EDGE_CAP = 1_000_000
 
 

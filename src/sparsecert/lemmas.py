@@ -148,6 +148,22 @@ def star_image_singletons(hypergraph, m_bar, images):
     return result
 
 
+def validate_lemma4(hypergraph, m_bar):
+    """Reject a Lemma-4 input before any enumeration; returns the regularity r."""
+    if m_bar < 1:
+        raise ValueError("m_bar must be a positive integer")
+    r = regularity(hypergraph)
+    if r is None:
+        raise HypothesisError("hypergraph is not regular")
+    if not has_sip(hypergraph):
+        raise HypothesisError("hypergraph lacks the singleton intersection property")
+    if hypergraph.m > LEMMA4_MAX_M or m_bar > hypergraph.m + LEMMA4_MAX_EXTRA:
+        raise CapExceededError(
+            f"sizes (m={hypergraph.m}, m_bar={m_bar}) above the exhaustive-check cap"
+        )
+    return r
+
+
 def check_lemma4(hypergraph, m_bar):
     """Exhaustively verify the injective-map guarantee over admissible edge maps.
 
@@ -167,18 +183,8 @@ def check_lemma4(hypergraph, m_bar):
     visited in lexicographic order; at the last edge the admissible maps are
     counted by popcount and each one is checked against the guarantee.
     """
-    if m_bar < 1:
-        raise ValueError("m_bar must be a positive integer")
-    r = regularity(hypergraph)
-    if r is None:
-        raise HypothesisError("hypergraph is not regular")
-    if not has_sip(hypergraph):
-        raise HypothesisError("hypergraph lacks the singleton intersection property")
+    r = validate_lemma4(hypergraph, m_bar)
     m = hypergraph.m
-    if m > LEMMA4_MAX_M or m_bar > m + LEMMA4_MAX_EXTRA:
-        raise CapExceededError(
-            f"sizes (m={m}, m_bar={m_bar}) above the exhaustive-check cap"
-        )
     edges = hypergraph.edges
     n_edges = len(edges)
     edge_masks = [sum(1 << (v - 1) for v in e) for e in edges]

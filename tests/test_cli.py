@@ -4,8 +4,8 @@ import json
 
 import pytest
 
+from sparsecert import HypothesisError, cli, constants, serialize
 from sparsecert.cli import main
-from sparsecert import HypothesisError, constants, serialize
 
 
 @pytest.fixture()
@@ -209,3 +209,14 @@ def test_check_lemmas_bad_m_bar_exits_2(tmp_path, capsys):
     code = main(["check-lemmas", "--config", str(cfg)])
     assert code == 2
     assert "m_bar must be a positive integer" in capsys.readouterr().err
+
+
+def test_check_lemmas_rejects_lemma4_before_lemma3(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "check_lemma3", lambda **kwargs: calls.append(kwargs))
+    cfg = tmp_path / "lemmas.json"
+    cfg.write_text(json.dumps({"lemma4": {"m": 7, "m_bar": 8}}))
+    code = main(["check-lemmas", "--config", str(cfg)])
+    assert code == 1
+    assert "exhaustive-check cap" in capsys.readouterr().err
+    assert calls == []

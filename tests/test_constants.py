@@ -2,12 +2,16 @@
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from sparsecert import (
+    DEFAULT_RANK_TOL,
     HypothesisError,
+    SparseCodeSet,
+    StabilityCertificate,
     column_span,
     build_certificate,
     build_complete,
@@ -16,14 +20,20 @@ from sparsecert import (
     compute_C1,
     compute_C2,
     epsilon_for,
+    general_linear_position,
     generate_instance,
+    has_sip,
+    lower_bound_k,
     merge_code_sets,
+    pairwise_unions,
+    restricted_lower_bound,
     sample_size_cor1,
     sample_size_thm2,
+    support_index_sets,
     vandermonde_codes,
     xi,
 )
-from sparsecert import constants
+from sparsecert import _kernels, constants
 from sparsecert.hypergraph import Hypergraph, regularity
 
 
@@ -276,17 +286,127 @@ def test_certificate_grid_design():
     assert cert.hypotheses_ok and cert.spark_ok
 
 
-def test_certificate_glp_sampling_fallback():
-    # force the sampled position check by shrinking the exhaustive cap
-    h = build_cyclic(4, 2)
-    mat, codes = generate_instance(4, 4, 2, h, 9, seed=5)
-    cert = build_certificate(mat, codes, h, glp_subset_cap=10, glp_samples=200)
-    assert cert.glp_ok
-
-
 def test_certificate_counts_flag():
     h = build_cyclic(4, 2)
     blocks = [vandermonde_codes(e, 3, (0.8, 1.2), m=4) for e in h.edges]
     cert = build_certificate(np.eye(4), merge_code_sets(blocks), h)
     assert not cert.counts_ok
     assert cert.required_per_support == 7
+
+
+# one k-subset index array: bit identity with the separate enumerations
+
+
+def gaussian_instance(seed, kind, m, k, count):
+    """Gaussian m x m dictionary and ``count`` Gaussian codes on every edge."""
+    rng = np.random.default_rng(seed)
+    h = build_cyclic(m, k) if kind == "cyclic" else build_complete(m, k)
+    mat = rng.standard_normal((m, m))
+    codes = np.zeros((m, count * len(h.edges)))
+    for index, edge in enumerate(h.edges):
+        rows = [v - 1 for v in edge]
+        codes[rows, index * count:(index + 1) * count] = rng.standard_normal((k, count))
+    supports = tuple(edge for edge in h.edges for _ in range(count))
+    return mat, SparseCodeSet(m, codes, supports, k), h
+
+
+def complete_path_lower_bound(mat, k):
+    """Restricted lower bound over a build_complete hypergraph of k-subsets."""
+    return restricted_lower_bound(mat, build_complete(mat.shape[1], k))
+
+
+def itertools_glp(vectors, k, rank_tol):
+    """Every k-subset independent against rank_tol times the stack's top value."""
+    top = np.linalg.svd(vectors, compute_uv=False)[0]
+    subsets = list(itertools.combinations(range(vectors.shape[1]), k))
+    stacked = np.stack([vectors[:, list(t)] for t in subsets])
+    return bool(np.all(np.linalg.svd(stacked, compute_uv=False)[:, -1] > rank_tol * top))
+
+
+def separate_path_certificate(mat, codes, h, rank_tol=DEFAULT_RANK_TOL):
+    """The certificate with every k-subset enumeration done on its own."""
+    n, m = mat.shape
+    k = h.k
+    r = regularity(h)
+    smax = float(np.linalg.svd(mat, compute_uv=False)[0])
+    l2 = complete_path_lower_bound(mat, min(2, m))
+    l2k = complete_path_lower_bound(mat, min(2 * k, m))
+    l2h = restricted_lower_bound(mat, pairwise_unions(h))
+    spark_ok = l2k * math.sqrt(min(2 * k, m)) > rank_tol * smax
+    index_sets = support_index_sets(codes, h)
+    counts = {edge: len(ids) for edge, ids in index_sets.items()}
+    required = (k - 1) * math.comb(m, k) + 1
+    glp_ok = all(itertools_glp(codes.codes[:, index_sets[e]], k, rank_tol)
+                 for e in h.edges)
+    denominator = min(complete_path_lower_bound(mat @ codes.codes[:, index_sets[e]], k)
+                      for e in h.edges)
+    c2 = compute_C2(mat, h, rank_tol)
+    c1 = c2 / denominator if denominator > constants.C1_DENOM_TOL else None
+    return StabilityCertificate(
+        m=m, n=n, k=k, m_bar=None, r=r, L2=l2, L2k=l2k, L2H=l2h, C2=c2, C1=c1,
+        eps_max_dictionary=l2 / c1 if c1 else None,
+        eps_max_codes=l2k / c1 if (c1 and spark_ok) else None,
+        max_code_l1=float(np.max(codes.l1_norms())),
+        support_counts=counts, required_per_support=required,
+        sip_ok=has_sip(h), regular_ok=r is not None,
+        lower_bound_ok=l2h > rank_tol * smax, glp_ok=glp_ok, spark_ok=spark_ok,
+        counts_ok=all(c >= required for c in counts.values()),
+    )
+
+
+@pytest.mark.parametrize("spec", [
+    ("cyclic", 6, 3, 41), ("cyclic", 8, 2, 29), ("complete", 4, 2, 7),
+], ids=["cyclic6k3", "cyclic8k2", "complete4k2"])
+def test_certificate_bit_identical_to_separate_enumerations(spec):
+    mat, codes, h = gaussian_instance(1606, *spec)
+    cert = build_certificate(mat, codes, h)
+    assert cert.hypotheses_ok
+    assert cert == separate_path_certificate(mat, codes, h)
+
+
+def test_lower_bound_k_bit_identical_to_complete_path():
+    rng = np.random.default_rng(12)
+    for shape in [(4, 6), (6, 6), (3, 5), (8, 7)]:
+        mat = rng.standard_normal(shape)
+        for k in range(1, shape[1] + 1):
+            assert lower_bound_k(mat, k) == complete_path_lower_bound(mat, k)
+
+
+def test_certificate_submits_each_subset_once(monkeypatch):
+    mat, codes, h = gaussian_instance(0, "complete", 4, 2, 7)
+    submitted, completes = [], []
+    kernel = _kernels.edge_min_singular_values
+
+    def counted(mat, edges):
+        submitted.append(len(edges))
+        return kernel(mat, edges)
+
+    def recorded(*args, **kwargs):
+        completes.append(args)
+        return build_complete(*args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "edge_min_singular_values", counted)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sparsecert") and hasattr(module, "build_complete"):
+            monkeypatch.setattr(module, "build_complete", recorded)
+    cert = build_certificate(mat, codes, h)
+    m, k = 4, 2
+    per_support = sum(math.comb(count, k) for count in cert.support_counts.values())
+    expected = (math.comb(m, 2) + math.comb(m, min(2 * k, m))
+                + len(pairwise_unions(h).edges) + 2 * per_support)
+    assert expected == 270
+    assert sum(submitted) == expected
+    assert completes == []
+
+
+def test_planted_dependence_found_exhaustively():
+    # C(110, 3) = 215,820 triples, one of them dependent
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((3, 110))
+    x[:, 109] = x[:, 0] + x[:, 1]
+    assert not general_linear_position(x, 3)
+    codes = SparseCodeSet(3, x, ((1, 2, 3),) * 110, 3)
+    h = Hypergraph(3, [(1, 2, 3)])
+    cert = build_certificate(rng.standard_normal((3, 3)), codes, h)
+    assert not cert.glp_ok
+    assert cert.C1 is None
