@@ -145,6 +145,7 @@ def cmd_check_lemmas(args):
             "guaranteed_size": report4.guaranteed_size,
             "admissible_maps": report4.admissible,
             "verified_maps": report4.verified,
+            "types": report4.types,
             "counterexamples": report4.counterexamples,
         },
     }

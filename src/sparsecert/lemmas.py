@@ -2,15 +2,18 @@
 
 The distance-to-intersection inequality is probed on random subspace
 collections; the injective-map counting statement is checked exhaustively
-over all admissible edge maps at desk scale. That enumeration assigns edge
-images one edge at a time and finds each edge's admissible images by ANDing
-precomputed bitmasks over all 2^m_bar candidate images, instead of testing
-the candidates one by one.
+over all admissible edge maps at desk scale. Admissibility and the
+guarantee depend only on the sizes of meets, so the maps are counted by
+type (their orbits under relabelling of [m_bar]): images are assigned edge
+by edge while the state is the sizes of the Venn atoms of the images so
+far, and states with equal atom sizes merge with their counts added. The
+counts are those of a labelled enumeration, and the size caps are the same.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +47,8 @@ def check_lemma3(trials=1000, ambient_dim=8, max_subspaces=4, seed=None,
     collections share a planted common subspace so the intersection is
     nontrivial; some points are planted inside it.
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
     if max_subspaces < 2:
         raise ValueError("need at least two subspaces per collection")
     rng = np.random.default_rng(seed)
@@ -78,12 +83,23 @@ def check_lemma3(trials=1000, ambient_dim=8, max_subspaces=4, seed=None,
 
 @dataclass
 class Lemma4Report:
+    """Outcome of the exhaustive injective-map check.
+
+    ``admissible`` counts the admissible labelled edge maps and ``verified``
+    those that meet the guarantee; ``types`` is the number of admissible
+    maps up to relabelling of [m_bar]. ``counterexamples`` holds one map per
+    type that fails the guarantee, its lexicographically smallest labelled
+    map as image bitmasks in edge order, and is sorted; admissible - verified
+    counts every failing labelled map, not only the listed ones.
+    """
+
     m: int
     m_bar: int
     r: int
     guaranteed_size: int
     admissible: int
     verified: int
+    types: int
     counterexamples: list = field(default_factory=list)
 
     @property
@@ -174,14 +190,22 @@ def check_lemma4(hypergraph, m_bar):
     the vertices whose star images intersect in a single element must cover
     at least m_bar - r(m_bar - m) distinct elements.
 
-    Images are bitmasks over [m_bar] and are assigned edge by edge, in edge
-    order. The candidates for the next edge form one bitmask over the 2^m_bar
-    possible images: the images large enough for the size condition still to
-    be reachable, ANDed with one precomputed mask per group that ends at this
-    edge (the images c with |meet & c| <= cap, for the meet of the group's
-    earlier images). Candidates are walked in increasing order, so maps are
-    visited in lexicographic order; at the last edge the admissible maps are
-    counted by popcount and each one is checked against the guarantee.
+    Both conditions depend only on the sizes of meets, so relabelling
+    [m_bar] changes neither, and the maps are counted by type (their orbits
+    under relabelling). Images are assigned edge by edge, in edge order; the
+    state is the multiset of Venn atoms, an atom being the elements of
+    [m_bar] with one pattern of membership in the images assigned so far.
+    The next image takes t_a elements from each atom a, which ∏ C(|a|, t_a)
+    labelled images do. The size condition and each group that ends at this
+    edge are checked on the t vector (the group's meet takes the t_a of the
+    atoms inside its earlier images), and states with equal atoms merge
+    with their counts added. The final states are the admissible types.
+
+    ``admissible`` and ``verified`` count labelled maps and ``types`` the
+    admissible types. Each type that fails the guarantee contributes its
+    lexicographically smallest labelled map, as image bitmasks in edge
+    order, to the sorted ``counterexamples``; admissible - verified still
+    counts every failing labelled map.
     """
     r = validate_lemma4(hypergraph, m_bar)
     m = hypergraph.m
@@ -189,31 +213,51 @@ def check_lemma4(hypergraph, m_bar):
     n_edges = len(edges)
     edge_masks = [sum(1 << (v - 1) for v in e) for e in edges]
     required_total = sum(len(e) for e in edges)
-    images = range(1 << m_bar)
-    full = (1 << m_bar) - 1
 
-    # at_least[p]: the images with at least p elements (p > m_bar: none)
-    at_least = [sum(1 << c for c in images if c.bit_count() >= p)
-                for p in range(m_bar + 2)]
-    # allowed[cap][meet]: the images c with |meet & c| <= cap
-    allowed = {}
     # group constraints indexed by the highest edge they involve, each as
-    # (the group's other edges, its row of allowed)
+    # (the bitmask of the group's other edges, the group's cap)
     group_checks = [[] for _ in range(n_edges)]
     for size in (r, r + 1):
         if size > n_edges:
             continue
         for group in itertools.combinations(range(n_edges), size):
-            cap = _intersection_size(edge_masks, group)
-            if cap not in allowed:
-                allowed[cap] = [
-                    sum(1 << c for c in images if (meet & c).bit_count() <= cap)
-                    for meet in images
-                ]
-            group_checks[group[-1]].append((group[:-1], allowed[cap]))
+            others = sum(1 << idx for idx in group[:-1])
+            group_checks[group[-1]].append(
+                (others, _intersection_size(edge_masks, group)))
+
+    # a state is its nonempty atoms as sorted (pattern, size) pairs, the
+    # pattern being the bitmask of the edges whose images hold the atom; it
+    # maps to the number of labelled partial maps of that type
+    states = {((0, m_bar),): 1}
+    for level in range(n_edges):
+        need = required_total - (n_edges - 1 - level) * m_bar
+        bit = 1 << level
+        merged = {}
+        for atoms, count in states.items():
+            short = need - sum(size * pattern.bit_count() for pattern, size in atoms)
+            caps = [
+                ([a for a, (pattern, _) in enumerate(atoms)
+                  if pattern & others == others], cap)
+                for others, cap in group_checks[level]
+            ]
+            for takes in itertools.product(*(range(size + 1) for _, size in atoms)):
+                if sum(takes) < short or any(
+                        sum(takes[a] for a in inside) > cap for inside, cap in caps):
+                    continue
+                weight = count
+                child = []
+                for (pattern, size), t in zip(atoms, takes):
+                    weight *= math.comb(size, t)
+                    if t:
+                        child.append((pattern | bit, t))
+                    if t < size:
+                        child.append((pattern, size - t))
+                child = tuple(sorted(child))
+                merged[child] = merged.get(child, 0) + weight
+        states = merged
 
     stars = [
-        [idx for idx, e in enumerate(edges) if i in e]
+        sum(1 << idx for idx, e in enumerate(edges) if i in e)
         for i in range(1, m + 1)
     ]
     guaranteed = m_bar - r * (m_bar - m)
@@ -221,36 +265,15 @@ def check_lemma4(hypergraph, m_bar):
 
     admissible = verified = 0
     counterexamples = []
-    assignment = [0] * n_edges
-    last = n_edges - 1
-
-    def descend(level, assigned_sum):
-        nonlocal admissible, verified
-        need = required_total - assigned_sum - (last - level) * m_bar
-        cands = at_least[min(max(need, 0), m_bar + 1)]
-        for others, row in group_checks[level]:
-            meet = full
-            for idx in others:
-                meet &= assignment[idx]
-            cands &= row[meet]
-        if level == last:
-            admissible += cands.bit_count()
-        while cands:
-            low = cands & -cands
-            cands ^= low
-            candidate = low.bit_length() - 1
-            assignment[level] = candidate
-            if level < last:
-                descend(level + 1, assigned_sum + candidate.bit_count())
-            elif _verify_assignment(assignment, stars, m, m_bar, guaranteed,
-                                    proviso):
-                verified += 1
-            else:
-                counterexamples.append(list(assignment))
-
-    descend(0, 0)
+    for atoms, count in states.items():
+        admissible += count
+        if _verify_type(atoms, stars, m, m_bar, guaranteed, proviso):
+            verified += count
+        else:
+            counterexamples.append(_smallest_map(atoms, n_edges))
+    counterexamples.sort()
     return Lemma4Report(m, m_bar, r, guaranteed, admissible, verified,
-                        counterexamples)
+                        types=len(states), counterexamples=counterexamples)
 
 
 def _intersection_size(edge_masks, group):
@@ -260,16 +283,33 @@ def _intersection_size(edge_masks, group):
     return meet.bit_count()
 
 
-def _verify_assignment(assignment, stars, m, m_bar, guaranteed, proviso):
+def _verify_type(atoms, stars, m, m_bar, guaranteed, proviso):
     if m_bar < m:
         return False
     if not proviso or guaranteed <= 0:
         return True
+    # a star's image meet is a singleton when exactly one atom lies inside
+    # it and that atom has one element, so distinct atoms are distinct elements
     singletons = set()
-    for star_edges in stars:
-        meet = (1 << m_bar) - 1
-        for idx in star_edges:
-            meet &= assignment[idx]
-        if meet.bit_count() == 1:
-            singletons.add(meet)
+    for star in stars:
+        inside = [(pattern, size) for pattern, size in atoms
+                  if pattern & star == star]
+        if len(inside) == 1 and inside[0][1] == 1:
+            singletons.add(inside[0][0])
     return len(singletons) >= guaranteed
+
+
+def _smallest_map(atoms, n_edges):
+    """The lexicographically smallest labelled map of a type, as image bitmasks.
+
+    Labelling the elements in decreasing order of their membership read in
+    edge order puts each image's elements as low as the earlier images allow.
+    """
+    order = sorted(
+        (pattern for pattern, size in atoms for _ in range(size)),
+        key=lambda pattern: [-(pattern >> idx & 1) for idx in range(n_edges)],
+    )
+    return [
+        sum(1 << label for label, pattern in enumerate(order) if pattern >> idx & 1)
+        for idx in range(n_edges)
+    ]

@@ -198,6 +198,7 @@ def test_check_lemmas_exit_zero(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["distance_to_intersection"]["violations"] == 0
     assert payload["injective_map_counting"]["counterexamples"] == []
+    assert payload["injective_map_counting"]["types"] == 22
 
 
 def test_check_lemmas_bad_m_bar_exits_2(tmp_path, capsys):
@@ -209,6 +210,15 @@ def test_check_lemmas_bad_m_bar_exits_2(tmp_path, capsys):
     code = main(["check-lemmas", "--config", str(cfg)])
     assert code == 2
     assert "m_bar must be a positive integer" in capsys.readouterr().err
+
+
+def test_check_lemmas_no_trials_exits_2(tmp_path, capsys):
+    # zero Lemma-3 trials would pass vacuously with a worst margin of -inf
+    cfg = tmp_path / "lemmas.json"
+    cfg.write_text(json.dumps({"lemma3": {"trials": 0}}))
+    code = main(["check-lemmas", "--config", str(cfg)])
+    assert code == 2
+    assert "at least one trial" in capsys.readouterr().err
 
 
 def test_check_lemmas_rejects_lemma4_before_lemma3(tmp_path, monkeypatch, capsys):

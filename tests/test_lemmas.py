@@ -111,12 +111,28 @@ def test_lemma4_cap():
         check_lemma4(build_cyclic(8, 2), 9)
 
 
-def _reference_lemma4(hypergraph, m_bar):
+def _reference_verify(assignment, stars, m, m_bar, guaranteed, proviso):
+    """The guarantee on one labelled map, its images as bitmasks in edge order."""
+    if m_bar < m:
+        return False
+    if not proviso or guaranteed <= 0:
+        return True
+    singletons = set()
+    for star_edges in stars:
+        meet = (1 << m_bar) - 1
+        for idx in star_edges:
+            meet &= assignment[idx]
+        if meet.bit_count() == 1:
+            singletons.add(meet)
+    return len(singletons) >= guaranteed
+
+
+def _reference_lemma4(hypergraph, m_bar, verify=_reference_verify):
     """Candidate-by-candidate descent: each image is tested against its groups.
 
-    Returns (admissible, verified, counterexamples, guaranteed_size). It calls
-    the module's ``_verify_assignment`` at every admissible map, so a patched
-    verifier acts on it as on ``check_lemma4``.
+    Returns (admissible, verified, counterexamples, guaranteed_size), with
+    every failing labelled map listed in lexicographic order. ``verify``
+    checks the guarantee on each admissible labelled map.
     """
     r = regularity(hypergraph)
     m = hypergraph.m
@@ -151,8 +167,7 @@ def _reference_lemma4(hypergraph, m_bar):
             return
         if level == n_edges:
             admissible += 1
-            if lemmas._verify_assignment(assignment, stars, m, m_bar,
-                                         guaranteed, proviso):
+            if verify(assignment, stars, m, m_bar, guaranteed, proviso):
                 verified += 1
             else:
                 counterexamples.append(list(assignment))
@@ -200,22 +215,51 @@ def test_lemma4_matches_reference_descent(hypergraph, m_bar):
     assert _summary(report) == _reference_lemma4(hypergraph, m_bar)
 
 
+def _map_type(images, m_bar):
+    """The orbit of a labelled map under relabelling: its elements' membership patterns."""
+    return tuple(sorted(
+        sum((image >> label & 1) << idx for idx, image in enumerate(images))
+        for label in range(m_bar)
+    ))
+
+
 def test_lemma4_counterexamples_keep_reference_order(monkeypatch):
-    # real inputs never fail the guarantee, so force failures to compare the
-    # order of the counterexample list; at m_bar=5 the proviso holds and the
-    # guaranteed size is 3, so each map's singletons are counted
-    verify = lemmas._verify_assignment
+    # real inputs never fail the guarantee, so force failures with a rule
+    # that ignores labels, on both sides: a map fails when its first image
+    # has odd size; at m_bar=5 the proviso holds and the guaranteed size is
+    # 3, so each map's singletons are still counted
+    verify_type = lemmas._verify_type
 
-    def odd_first_image_fails(assignment, *args):
-        return assignment[0] % 2 == 0 and verify(assignment, *args)
+    def odd_first_image_fails(atoms, *args):
+        first = sum(size for pattern, size in atoms if pattern & 1)
+        return first % 2 == 0 and verify_type(atoms, *args)
 
-    monkeypatch.setattr(lemmas, "_verify_assignment", odd_first_image_fails)
+    def odd_first_image_fails_labelled(assignment, *args):
+        return (assignment[0].bit_count() % 2 == 0
+                and _reference_verify(assignment, *args))
+
+    monkeypatch.setattr(lemmas, "_verify_type", odd_first_image_fails)
     h = build_cyclic(4, 2)
     report = check_lemma4(h, 5)
-    expected = _reference_lemma4(h, 5)
-    assert report.guaranteed_size == 3
-    assert 0 < len(report.counterexamples) < report.admissible
-    assert _summary(report) == expected
+    admissible, verified, failing, guaranteed = _reference_lemma4(
+        h, 5, odd_first_image_fails_labelled)
+    assert (report.admissible, report.verified, report.guaranteed_size) == (
+        admissible, verified, guaranteed)
+    assert guaranteed == 3
+    assert 0 < len(failing) == admissible - verified < admissible
+    assert report.counterexamples == sorted(report.counterexamples)
+    for images in report.counterexamples:
+        subsets = [tuple(v + 1 for v in range(5) if image >> v & 1)
+                   for image in images]
+        assert is_admissible_map(h, 5, subsets)
+        assert images[0].bit_count() % 2 == 1
+    types = [_map_type(images, 5) for images in report.counterexamples]
+    assert len(set(types)) == len(types)
+    # each is its type's first map in the reference's lexicographic listing
+    first_of_type = {}
+    for images in failing:
+        first_of_type.setdefault(_map_type(images, 5), images)
+    assert report.counterexamples == sorted(first_of_type.values())
 
 
 def test_lemma4_benchmark_count():
@@ -223,6 +267,25 @@ def test_lemma4_benchmark_count():
     report = check_lemma4(build_cyclic(4, 2), 6)
     assert report.admissible == report.verified == 108_840
     assert report.counterexamples == []
+
+
+@pytest.mark.parametrize("m, m_bar, maps, types", [
+    (4, 6, 108_840, 345),
+    # counts the labelled searches also gave, at sizes the reference's
+    # descent is too slow to reach in a test
+    (5, 7, 2_243_220, 971),
+    (6, 7, 579_600, 133),
+])
+def test_lemma4_pinned_counts_and_types(m, m_bar, maps, types):
+    report = check_lemma4(build_cyclic(m, 2), m_bar)
+    assert report.admissible == report.verified == maps
+    assert report.types == types
+    assert report.counterexamples == []
+
+
+def test_lemma3_rejects_no_trials():
+    with pytest.raises(ValueError, match="at least one trial"):
+        check_lemma3(trials=0)
 
 
 @pytest.mark.parametrize("m_bar", [0, -1])
