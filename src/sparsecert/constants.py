@@ -42,7 +42,7 @@ def compute_C2(dictionary, hypergraph, rank_tol=geometry.DEFAULT_RANK_TOL,
     worst = 0.0
     if n_groups:
         spans = [geometry.column_span(mat, e, rank_tol) for e in hypergraph.edges]
-        best = geometry._sine_products(spans, r + 1, rank_tol)
+        best, = geometry._sine_products([spans], r + 1, rank_tol)
         # xi is non-increasing in the product: the worst group has the smallest
         lowest = min(best[frozenset(group)] for group in
                      itertools.combinations(range(len(spans)), r + 1))

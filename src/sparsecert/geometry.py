@@ -4,10 +4,24 @@ sine-product aggregate, and numerical subspace intersection.
 
 Every restricted-singular-value quantity funnels through the `_kernels`
 function (numpy's batched LAPACK SVD over one (E, w) column-index array).
+
+Meets, Friedrichs angles and the xi subset DP run as stacked stages
+(`_meets`, `_complements`, `_angles`, `_sine_products`): per DP level one
+stacked eigh gives the meets of the subsets one smaller, one stacked eigh of
+C_u + C_w (C = I - B B^T, cached on each `Subspace`) gives the meets of the
+(space, rest) pairs, and stacked SVDs grouped by shape give the complement
+residuals and the cosines. numpy's stacked LAPACK gufuncs run the same
+routine on each matrix of a stack, with the same workspace, and the inputs
+are the same contiguous arrays summed in the same order, so every value is
+bit-identical to one factorization per call; `friedrichs_angle` and
+`intersect` are the same stages on a batch of one. The stacks hold at most
+_STACK_BLOCK matrices, and bases built from a stack take the `Subspace`
+checks once per stack.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -26,6 +40,8 @@ _ORTHO_TOL = 1e-10
 DEFAULT_ORDERING_CAP = 8
 # Guardrail on the number of determinants the spark polynomial evaluates.
 DEFAULT_MINOR_CAP = 500_000
+# Meets or angles per batch of the subset DP; bounds the stacked LAPACK calls.
+_STACK_BLOCK = 1024
 
 
 def as_matrix(mat, name="matrix"):
@@ -38,6 +54,25 @@ def as_matrix(mat, name="matrix"):
     return arr
 
 
+def _check_bases(ambient, bases):
+    """The ``Subspace`` checks on a (G, ambient, dim) stack of bases, once for
+    the stack; returns a read-only copy."""
+    if bases.ndim != 3 or bases.shape[1] != ambient:
+        raise ValueError("basis must be an (ambient, dim) array")
+    dim = bases.shape[2]
+    if dim > ambient:
+        raise ValueError("dimension exceeds ambient dimension")
+    if not np.all(np.isfinite(bases)):
+        raise ValueError("basis has non-finite entries")
+    if dim and len(bases):
+        gram = np.swapaxes(bases, 1, 2) @ bases
+        if np.max(np.abs(gram - np.eye(dim))) > _ORTHO_TOL:
+            raise ValueError("basis columns are not orthonormal")
+    bases = bases.copy()
+    bases.flags.writeable = False
+    return bases
+
+
 @dataclass(frozen=True)
 class Subspace:
     """A subspace of R^ambient held as an orthonormal basis (dim 0 allowed)."""
@@ -47,23 +82,29 @@ class Subspace:
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=float)
-        if basis.ndim != 2 or basis.shape[0] != self.ambient:
+        if basis.ndim != 2:
             raise ValueError("basis must be an (ambient, dim) array")
-        if basis.shape[1] > self.ambient:
-            raise ValueError("dimension exceeds ambient dimension")
-        if not np.all(np.isfinite(basis)):
-            raise ValueError("basis has non-finite entries")
-        if basis.shape[1]:
-            gram = basis.T @ basis
-            if np.max(np.abs(gram - np.eye(basis.shape[1]))) > _ORTHO_TOL:
-                raise ValueError("basis columns are not orthonormal")
-        basis = basis.copy()
-        basis.flags.writeable = False
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "basis", _check_bases(self.ambient, basis[None])[0])
+
+    @classmethod
+    def _stack(cls, ambient, bases):
+        """One subspace per basis of a (G, ambient, dim) stack, checked as a stack."""
+        spaces = []
+        for basis in _check_bases(ambient, np.asarray(bases, dtype=float)):
+            space = object.__new__(cls)
+            object.__setattr__(space, "ambient", ambient)
+            object.__setattr__(space, "basis", basis)
+            spaces.append(space)
+        return spaces
 
     @property
     def dim(self):
         return self.basis.shape[1]
+
+    @functools.cached_property
+    def _complement(self):
+        """The complement projector I - B B^T, computed once per subspace."""
+        return np.eye(self.ambient) - self.basis @ self.basis.T
 
     def project(self, x):
         """Orthogonal projection of a vector or matrix onto the subspace."""
@@ -208,6 +249,88 @@ def subspace_distance(u, v):
     return min(top, 1.0)
 
 
+def _groups(keys):
+    """Indices by key, in first-seen key order."""
+    groups = {}
+    for index, key in enumerate(keys):
+        groups.setdefault(key, []).append(index)
+    return groups.items()
+
+
+def _chunks(items):
+    """Consecutive lists of at most _STACK_BLOCK items."""
+    items = iter(items)
+    while chunk := list(itertools.islice(items, _STACK_BLOCK)):
+        yield chunk
+
+
+def _meets(collections, rank_tol):
+    """Intersections of nonempty lists of subspaces, one stacked eigh per group.
+
+    Each list's complement projectors are summed in list order; eigenvectors
+    with eigenvalue below rank_tol span the meet. eigh sorts eigenvalues
+    ascending, so they are a leading block of columns.
+    """
+    meets = [None] * len(collections)
+    for (n, length), idx in _groups([(c[0].ambient, len(c)) for c in collections]):
+        acc = np.stack([collections[i][0]._complement for i in idx])
+        for j in range(1, length):
+            acc += np.stack([collections[i][j]._complement for i in idx])
+        evals, evecs = np.linalg.eigh(acc)
+        dims = np.count_nonzero(evals < rank_tol, axis=1)
+        for d, sub in _groups(dims.tolist()):
+            for i, meet in zip(sub, Subspace._stack(n, evecs[sub, :, :d])):
+                meets[idx[i]] = meet
+    return meets
+
+
+def _complements(spaces, subs, rank_tol):
+    """Orthogonal complement of each ``subs[i]`` inside ``spaces[i]``.
+
+    The subspace must lie in the space. Residuals of equal shape share one
+    stacked SVD; bases are unit-scale, so the rank cut is absolute at
+    rank_tol. A space with a zero subspace is its own complement.
+    """
+    result = list(spaces)
+    keys = [(s.ambient, s.dim, t.dim) for s, t in zip(spaces, subs)]
+    for (n, _, sub_dim), idx in _groups(keys):
+        if sub_dim == 0:
+            continue
+        space = np.stack([spaces[i].basis for i in idx])
+        sub = np.stack([subs[i].basis for i in idx])
+        residual = space - sub @ (np.swapaxes(sub, 1, 2) @ space)
+        u, s, _ = np.linalg.svd(residual, full_matrices=False)
+        ranks = np.count_nonzero(s > rank_tol, axis=1)
+        for rank, group in _groups(ranks.tolist()):
+            for i, comp in zip(group, Subspace._stack(n, u[group, :, :rank])):
+                result[idx[i]] = comp
+    return result
+
+
+def _angles(pairs, rank_tol):
+    """Friedrichs angles of (u, w) pairs of equal ambient dimension, not both zero.
+
+    A pair with a zero side is at pi/2. The rest share the stages: the meets
+    of the pairs, the complements of each meet inside u and inside w, and
+    the top singular value of the cosine matrix, each stacked by shape.
+    """
+    angles = [math.pi / 2] * len(pairs)
+    live = [i for i, (u, w) in enumerate(pairs) if u.dim and w.dim]
+    meets = _meets([pairs[i] for i in live], rank_tol)
+    us = _complements([pairs[i][0] for i in live], meets, rank_tol)
+    ws = _complements([pairs[i][1] for i in live], meets, rank_tol)
+    keys = [(u.ambient, u.dim, w.dim) for u, w in zip(us, ws)]
+    for (_, u_dim, w_dim), idx in _groups(keys):
+        if u_dim == 0 or w_dim == 0:
+            continue
+        u = np.stack([us[i].basis for i in idx])
+        w = np.stack([ws[i].basis for i in idx])
+        cosines = np.linalg.svd(np.swapaxes(u, 1, 2) @ w, compute_uv=False)[:, 0]
+        for i, cosine in zip(idx, cosines.tolist()):
+            angles[live[i]] = math.acos(min(max(cosine, 0.0), 1.0))
+    return angles
+
+
 def intersect(subspaces, rank_tol=DEFAULT_RANK_TOL):
     """Numerical intersection of a collection of subspaces.
 
@@ -220,24 +343,7 @@ def intersect(subspaces, rank_tol=DEFAULT_RANK_TOL):
     n = spaces[0].ambient
     if any(s.ambient != n for s in spaces):
         raise ValueError("ambient dimensions differ")
-    acc = np.zeros((n, n))
-    for s in spaces:
-        acc += np.eye(n) - s.basis @ s.basis.T
-    evals, evecs = np.linalg.eigh(acc)
-    return Subspace(n, evecs[:, evals < rank_tol])
-
-
-def _complement_within(space, sub, rank_tol):
-    """Orthogonal complement of ``sub`` inside ``space`` (sub must lie in space).
-
-    Bases are unit-scale, so the rank cut here is absolute at rank_tol.
-    """
-    if space.dim == 0 or sub.dim == 0:
-        return space
-    residual = space.basis - sub.basis @ (sub.basis.T @ space.basis)
-    u, s, _ = np.linalg.svd(residual, full_matrices=False)
-    rank = int(np.sum(s > rank_tol))
-    return Subspace(space.ambient, u[:, :rank])
+    return _meets([spaces], rank_tol)[0]
 
 
 def friedrichs_angle(u, w, rank_tol=DEFAULT_RANK_TOL):
@@ -251,59 +357,70 @@ def friedrichs_angle(u, w, rank_tol=DEFAULT_RANK_TOL):
         raise ValueError("ambient dimensions differ")
     if u.dim == 0 and w.dim == 0:
         raise ValueError("at least one subspace must be nonzero")
-    meet = intersect([u, w], rank_tol)
-    uc = _complement_within(u, meet, rank_tol)
-    wc = _complement_within(w, meet, rank_tol)
-    if uc.dim == 0 or wc.dim == 0:
-        return math.pi / 2
-    cosine = float(np.linalg.svd(uc.basis.T @ wc.basis, compute_uv=False)[0])
-    return math.acos(min(max(cosine, 0.0), 1.0))
+    return _angles([(u, w)], rank_tol)[0]
 
 
-def _sine_products(spaces, max_size, rank_tol):
-    """The product P of ``xi`` for every index subset of at most ``max_size`` spaces.
+def _sine_products(collections, max_size, rank_tol):
+    """The product P of ``xi`` for every index subset of at most ``max_size``
+    spaces, one dict per collection.
 
     Maps frozenset(ids) to the maximum over orderings of those spaces of the
     product of sin^2 Friedrichs angles, by dynamic programming over subsets.
-    Meets are intersected in sorted index order and cached by subset, so one
-    call serves every sub-collection with the arithmetic of a separate call.
+    Each level (one subset size) takes the meets of the subsets one smaller,
+    intersected in sorted index order, and then every (space, rest) angle of
+    every collection, both in batches of _STACK_BLOCK; the DP max runs over
+    the spaces in index order. One call serves every sub-collection, and
+    every collection, with the arithmetic of a separate call.
     """
-    n = spaces[0].ambient
-    if any(s.ambient != n for s in spaces):
-        raise ValueError("ambient dimensions differ")
-    if any(s.dim == 0 for s in spaces):
-        raise ValueError("collection contains the zero subspace")
-
-    inter_cache = {}
-
-    def meet(ids):
-        if len(ids) == 1:
-            return spaces[next(iter(ids))]
-        if ids not in inter_cache:
-            inter_cache[ids] = intersect([spaces[i] for i in sorted(ids)], rank_tol)
-        return inter_cache[ids]
-
-    best = {}
-    for size in range(1, max_size + 1):
-        for ids in itertools.combinations(range(len(spaces)), size):
-            group = frozenset(ids)
-            if size == 1:
-                best[group] = 1.0
-                continue
-            top = 0.0
-            for a in ids:
-                rest = group - {a}
-                angle = friedrichs_angle(spaces[a], meet(rest), rank_tol)
-                value = math.sin(angle) ** 2 * best[rest]
-                if value > top:
-                    top = value
-            best[group] = top
-    return best
+    for spaces in collections:
+        n = spaces[0].ambient
+        if any(s.ambient != n for s in spaces):
+            raise ValueError("ambient dimensions differ")
+        if any(s.dim == 0 for s in spaces):
+            raise ValueError("collection contains the zero subspace")
+    bests = [{frozenset([i]): 1.0 for i in range(len(c))} for c in collections]
+    meets = [{frozenset([i]): s for i, s in enumerate(c)} for c in collections]
+    for size in range(2, max_size + 1):
+        live = [c for c in range(len(collections)) if len(collections[c]) >= size]
+        if size > 2:
+            keys = ((c, ids) for c in live
+                    for ids in itertools.combinations(range(len(collections[c])), size - 1))
+            meets = [{} for _ in collections]
+            for chunk in _chunks(keys):
+                found = _meets([[collections[c][i] for i in ids] for c, ids in chunk],
+                               rank_tol)
+                for (c, ids), meet in zip(chunk, found):
+                    meets[c][frozenset(ids)] = meet
+        jobs = ((c, frozenset(ids), a) for c in live
+                for ids in itertools.combinations(range(len(collections[c])), size)
+                for a in ids)
+        for chunk in _chunks(jobs):
+            angles = _angles([(collections[c][a], meets[c][group - {a}])
+                              for c, group, a in chunk], rank_tol)
+            for (c, group, a), angle in zip(chunk, angles):
+                value = math.sin(angle) ** 2 * bests[c][group - {a}]
+                if value > bests[c].setdefault(group, 0.0):
+                    bests[c][group] = value
+    return bests
 
 
 def _xi_from_product(product):
     """sqrt(1 - P), clamped to [0, 1] against floating-point overshoot."""
     return math.sqrt(min(max(1.0 - product, 0.0), 1.0))
+
+
+def _xis(collections, rank_tol, ordering_cap):
+    """``xi`` of each collection, from one batched subset DP."""
+    for spaces in collections:
+        if not spaces:
+            raise ValueError("empty collection")
+        if len(spaces) > ordering_cap:
+            raise CapExceededError(
+                f"{len(spaces)} subspaces exceed ordering cap {ordering_cap}"
+            )
+    bests = _sine_products(collections, max(map(len, collections)), rank_tol)
+    return [_xi_from_product(best[frozenset(range(len(spaces)))])
+            for spaces, best in zip(collections, bests)]
 
 
 def xi(subspaces, rank_tol=DEFAULT_RANK_TOL, ordering_cap=DEFAULT_ORDERING_CAP):
@@ -312,18 +429,14 @@ def xi(subspaces, rank_tol=DEFAULT_RANK_TOL, ordering_cap=DEFAULT_ORDERING_CAP):
     Zero for a single subspace; otherwise sqrt(1 - P) where P is the maximum
     over all orderings V_1, ..., V_l of the product over i < l of
     sin^2 of the Friedrichs angle between V_i and the intersection of the
-    later ones. Always in [0, 1). The maximum is computed by dynamic
-    programming over index subsets, which enumerates exactly the orderings.
+    later ones. In [0, 1]: it is 1 exactly when P = 0, i.e. every ordering
+    has a factor of 0. Friedrichs angles are positive in exact arithmetic,
+    so a 1 is numerical: the computed angle collapses to 0 for nearly
+    parallel spaces (two lines at most about 3e-5 apart). The maximum is
+    computed by dynamic programming over index subsets, which enumerates
+    exactly the orderings.
     """
-    spaces = list(subspaces)
-    if not spaces:
-        raise ValueError("empty collection")
-    if len(spaces) > ordering_cap:
-        raise CapExceededError(
-            f"{len(spaces)} subspaces exceed ordering cap {ordering_cap}"
-        )
-    best = _sine_products(spaces, len(spaces), rank_tol)
-    return _xi_from_product(best[frozenset(range(len(spaces)))])
+    return _xis([list(subspaces)], rank_tol, ordering_cap)[0]
 
 
 def distance_to_subspace(x, space):

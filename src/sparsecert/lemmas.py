@@ -22,6 +22,8 @@ from . import geometry
 from .errors import CapExceededError, HypothesisError
 from .hypergraph import has_sip, regularity
 
+# Lemma-3 trials whose xi DPs share stacked factorizations; bounds the stacks.
+LEMMA3_BLOCK = 32
 LEMMA4_MAX_M = 6
 LEMMA4_MAX_EXTRA = 2
 
@@ -38,6 +40,23 @@ class Lemma3Report:
         return self.violations == 0
 
 
+def _lemma3_sample(rng, ambient_dim, max_subspaces, rank_tol):
+    """One random collection, its meet, and a point; draws in a fixed order."""
+    count = int(rng.integers(2, max_subspaces + 1))
+    shared_dim = int(rng.integers(0, 3)) if rng.random() < 0.5 else 0
+    shared = rng.standard_normal((ambient_dim, shared_dim))
+    spaces = []
+    for _ in range(count):
+        extra = int(rng.integers(1, max(2, ambient_dim // 2)))
+        block = np.hstack([shared, rng.standard_normal((ambient_dim, extra))])
+        spaces.append(geometry.orthonormal_basis(block, rank_tol))
+    meet = geometry.intersect(spaces, rank_tol)
+    x = rng.standard_normal(ambient_dim)
+    if meet.dim and rng.random() < 0.2:
+        x = meet.project(x)
+    return spaces, meet, x
+
+
 def check_lemma3(trials=1000, ambient_dim=8, max_subspaces=4, seed=None,
                  slack=1e-8, rank_tol=geometry.DEFAULT_RANK_TOL):
     """Sample subspace collections and points; check the intersection bound.
@@ -45,39 +64,41 @@ def check_lemma3(trials=1000, ambient_dim=8, max_subspaces=4, seed=None,
     For each sample: dist(x, intersection) must not exceed
     sum_i dist(x, V_i) / (1 - xi) plus the slack. Roughly half the
     collections share a planted common subspace so the intersection is
-    nontrivial; some points are planted inside it.
+    nontrivial; some points are planted inside it. Samples are drawn in
+    blocks of LEMMA3_BLOCK, in trial order, and each block's xi values come
+    from one batched subset DP.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if ambient_dim < 1:
+        raise ValueError("ambient dimension must be positive")
     if max_subspaces < 2:
         raise ValueError("need at least two subspaces per collection")
+    if max_subspaces > geometry.DEFAULT_ORDERING_CAP:
+        raise CapExceededError(
+            f"{max_subspaces} subspaces exceed ordering cap "
+            f"{geometry.DEFAULT_ORDERING_CAP}"
+        )
     rng = np.random.default_rng(seed)
     violations = 0
     worst = -np.inf
     failures = []
-    for trial in range(trials):
-        count = int(rng.integers(2, max_subspaces + 1))
-        shared_dim = int(rng.integers(0, 3)) if rng.random() < 0.5 else 0
-        shared = rng.standard_normal((ambient_dim, shared_dim))
-        spaces = []
-        for _ in range(count):
-            extra = int(rng.integers(1, max(2, ambient_dim // 2)))
-            block = np.hstack([shared, rng.standard_normal((ambient_dim, extra))])
-            spaces.append(geometry.orthonormal_basis(block, rank_tol))
-        meet = geometry.intersect(spaces, rank_tol)
-        x = rng.standard_normal(ambient_dim)
-        if meet.dim and rng.random() < 0.2:
-            x = meet.project(x)
-        lhs = geometry.distance_to_subspace(x, meet)
-        aggregate = geometry.xi(spaces, rank_tol)
-        total = sum(geometry.distance_to_subspace(x, v) for v in spaces)
-        rhs = np.inf if aggregate >= 1.0 - 1e-15 else total / (1.0 - aggregate)
-        margin = lhs - rhs
-        worst = max(worst, margin)
-        if margin > slack:
-            violations += 1
-            failures.append({"trial": trial, "lhs": lhs, "rhs": rhs,
-                             "xi": aggregate, "count": count})
+    for start in range(0, trials, LEMMA3_BLOCK):
+        samples = [_lemma3_sample(rng, ambient_dim, max_subspaces, rank_tol)
+                   for _ in range(start, min(start + LEMMA3_BLOCK, trials))]
+        aggregates = geometry._xis([spaces for spaces, _, _ in samples], rank_tol,
+                                   geometry.DEFAULT_ORDERING_CAP)
+        for trial, ((spaces, meet, x), aggregate) in enumerate(
+                zip(samples, aggregates), start):
+            lhs = geometry.distance_to_subspace(x, meet)
+            total = sum(geometry.distance_to_subspace(x, v) for v in spaces)
+            rhs = np.inf if aggregate >= 1.0 - 1e-15 else total / (1.0 - aggregate)
+            margin = lhs - rhs
+            worst = max(worst, margin)
+            if margin > slack:
+                violations += 1
+                failures.append({"trial": trial, "lhs": lhs, "rhs": rhs,
+                                 "xi": aggregate, "count": len(spaces)})
     return Lemma3Report(trials, violations, float(worst), failures)
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from sparsecert import HypothesisError, cli, constants, serialize
+from sparsecert import HypothesisError, cli, constants, geometry, serialize
 from sparsecert.cli import main
 
 
@@ -219,6 +219,18 @@ def test_check_lemmas_no_trials_exits_2(tmp_path, capsys):
     code = main(["check-lemmas", "--config", str(cfg)])
     assert code == 2
     assert "at least one trial" in capsys.readouterr().err
+
+
+def test_check_lemmas_ordering_cap_exits_1_before_sampling(tmp_path, monkeypatch,
+                                                          capsys):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a basis was drawn")
+
+    monkeypatch.setattr(geometry, "orthonormal_basis", no_draws)
+    cfg = tmp_path / "lemmas.json"
+    cfg.write_text(json.dumps({"lemma3": {"max_subspaces": 9}}))
+    assert main(["check-lemmas", "--config", str(cfg)]) == 1
+    assert "9 subspaces exceed ordering cap 8" in capsys.readouterr().err
 
 
 def test_check_lemmas_rejects_lemma4_before_lemma3(tmp_path, monkeypatch, capsys):

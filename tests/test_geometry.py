@@ -25,9 +25,11 @@ from sparsecert import (
     restricted_lower_bound,
     spark_condition,
     spark_polynomial,
+    regularity,
     subspace_distance,
     xi,
 )
+from sparsecert import geometry
 
 RANK_TOL = 1e-9
 
@@ -436,3 +438,186 @@ def test_chain_l2_l2h_l2k():
         l2k = lower_bound_k(mat, min(2 * k, m))
         assert l2 >= l2h - 1e-10
         assert l2h >= l2k - 1e-10
+
+
+# batched angle, meet and DP stages against the per-pair implementation
+
+
+def _reference_intersect(spaces, rank_tol=RANK_TOL):
+    """One eigh of the summed complement projectors per collection."""
+    n = spaces[0].ambient
+    acc = np.zeros((n, n))
+    for s in spaces:
+        acc += np.eye(n) - s.basis @ s.basis.T
+    evals, evecs = np.linalg.eigh(acc)
+    return Subspace(n, evecs[:, evals < rank_tol])
+
+
+def _reference_complement_within(space, sub, rank_tol=RANK_TOL):
+    if space.dim == 0 or sub.dim == 0:
+        return space
+    residual = space.basis - sub.basis @ (sub.basis.T @ space.basis)
+    u, s, _ = np.linalg.svd(residual, full_matrices=False)
+    rank = int(np.sum(s > rank_tol))
+    return Subspace(space.ambient, u[:, :rank])
+
+
+def _reference_friedrichs_angle(u, w, rank_tol=RANK_TOL):
+    """Three or four factorizations per pair, one pair at a time."""
+    meet = _reference_intersect([u, w], rank_tol)
+    uc = _reference_complement_within(u, meet, rank_tol)
+    wc = _reference_complement_within(w, meet, rank_tol)
+    if uc.dim == 0 or wc.dim == 0:
+        return math.pi / 2
+    cosine = float(np.linalg.svd(uc.basis.T @ wc.basis, compute_uv=False)[0])
+    return math.acos(min(max(cosine, 0.0), 1.0))
+
+
+def _reference_sine_products(spaces, max_size, rank_tol=RANK_TOL):
+    """The subset DP of one collection, one friedrichs_angle call per angle."""
+    inter_cache = {}
+
+    def meet(ids):
+        if len(ids) == 1:
+            return spaces[next(iter(ids))]
+        if ids not in inter_cache:
+            inter_cache[ids] = _reference_intersect(
+                [spaces[i] for i in sorted(ids)], rank_tol)
+        return inter_cache[ids]
+
+    best = {}
+    for size in range(1, max_size + 1):
+        for ids in itertools.combinations(range(len(spaces)), size):
+            group = frozenset(ids)
+            if size == 1:
+                best[group] = 1.0
+                continue
+            top = 0.0
+            for a in ids:
+                rest = group - {a}
+                angle = _reference_friedrichs_angle(spaces[a], meet(rest), rank_tol)
+                value = math.sin(angle) ** 2 * best[rest]
+                if value > top:
+                    top = value
+            best[group] = top
+    return best
+
+
+def _bits(best):
+    return {group: value.hex() for group, value in best.items()}
+
+
+def lemma3_style_collections(seed, count=40):
+    """Planted shared subspaces, nested and repeated spaces, ambient 3 to 10."""
+    rng = np.random.default_rng(seed)
+    collections = []
+    for _ in range(count):
+        n = int(rng.integers(3, 11))
+        shared = rng.standard_normal((n, int(rng.integers(0, 3))))
+        spaces = []
+        for _ in range(int(rng.integers(2, 6))):
+            roll = rng.random()
+            if spaces and roll < 0.15:
+                spaces.append(spaces[int(rng.integers(len(spaces)))])
+            elif spaces and roll < 0.3 and spaces[-1].dim < n:
+                grown = np.hstack([spaces[-1].basis, rng.standard_normal((n, 1))])
+                spaces.append(orthonormal_basis(grown))
+            else:
+                extra = rng.standard_normal((n, int(rng.integers(1, max(2, n // 2)))))
+                spaces.append(orthonormal_basis(np.hstack([shared, extra])))
+        collections.append(spaces)
+    return collections
+
+
+@pytest.mark.parametrize("seed, block", [(0, None), (1, None), (2, None), (1606, 5)])
+def test_batched_dp_matches_reference_bit_for_bit(seed, block, monkeypatch):
+    if block is not None:
+        # batches that split a group's angles and a level's meets
+        monkeypatch.setattr(geometry, "_STACK_BLOCK", block)
+    collections = lemma3_style_collections(seed)
+    got = geometry._sine_products(collections, 5, RANK_TOL)
+    for spaces, best in zip(collections, got):
+        assert _bits(best) == _bits(_reference_sine_products(spaces, len(spaces)))
+
+
+@pytest.mark.parametrize("kind, m, n, k", [
+    ("cyclic", 8, 8, 2), ("complete", 4, 4, 2), ("cyclic", 6, 6, 3)])
+def test_batched_dp_matches_reference_on_edge_spans(kind, m, n, k):
+    h = build_cyclic(m, k) if kind == "cyclic" else build_complete(m, k)
+    size = regularity(h) + 1
+    for seed in range(3):
+        mat = np.random.default_rng([seed, m, k]).standard_normal((n, m))
+        spans = [column_span(mat, e) for e in h.edges]
+        got, = geometry._sine_products([spans], size, RANK_TOL)
+        assert _bits(got) == _bits(_reference_sine_products(spans, size))
+
+
+def geometry_input_pairs():
+    e2, e3 = np.eye(2), np.eye(3)
+    diagonal = ((e2[:, 0] + e2[:, 1]) / math.sqrt(2))[:, None]
+    rng = np.random.default_rng(1)
+    v = orthonormal_basis(rng.standard_normal((5, 2)))
+    pairs = [
+        (orthonormal_basis(e3[:, :1]), orthonormal_basis(e3[:, :2])),
+        (orthonormal_basis(e3[:, :1]), orthonormal_basis(e3[:, 1:2])),
+        (orthonormal_basis(e2[:, :1]), orthonormal_basis(diagonal)),
+        (orthonormal_basis(e3[:, :2]), orthonormal_basis(e3[:, 1:])),
+        (v, v),
+        (column_span(np.eye(4), (1, 2)), column_span(np.eye(4), (2, 3))),
+    ]
+    for _ in range(20):
+        n = int(rng.integers(2, 8))
+        pairs.append(tuple(
+            orthonormal_basis(rng.standard_normal((n, int(rng.integers(1, n + 1)))))
+            for _ in range(2)))
+    return pairs
+
+
+def test_angle_and_intersect_match_reference_bit_for_bit():
+    for u, w in geometry_input_pairs():
+        for a, b in ((u, w), (w, u)):
+            assert friedrichs_angle(a, b).hex() == _reference_friedrichs_angle(a, b).hex()
+            got, want = intersect([a, b]), _reference_intersect([a, b])
+            assert got.basis.shape == want.basis.shape
+            assert got.basis.tobytes() == want.basis.tobytes()
+
+
+def test_angle_with_zero_subspace_is_exactly_right():
+    z = orthonormal_basis(np.zeros((4, 1)))
+    u = orthonormal_basis(np.random.default_rng(3).standard_normal((4, 2)))
+    assert friedrichs_angle(u, z) == math.pi / 2
+    assert friedrichs_angle(z, u) == math.pi / 2
+    with pytest.raises(ValueError, match="at least one subspace"):
+        friedrichs_angle(z, z)
+
+
+def _error_message(build):
+    with pytest.raises(ValueError) as info:
+        build()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]),
+    np.array([[1.0, 0.0], [0.0, np.nan], [0.0, 0.0]]),
+    np.array([[1.0, 0.0], [0.0, np.inf], [0.0, 0.0]]),
+])
+def test_stacked_constructor_keeps_every_check(bad):
+    good = np.eye(3)[:, :2]
+    single = _error_message(lambda: Subspace(3, bad))
+    stacked = _error_message(lambda: Subspace._stack(3, np.stack([good, bad])))
+    assert stacked == single
+
+
+def test_stacked_bases_are_read_only():
+    bases = np.stack([np.eye(4)[:, :2], np.eye(4)[:, 2:]])
+    spaces = Subspace._stack(4, bases)
+    bases[0, 0, 0] = 5.0
+    for space, want in zip(spaces, (np.eye(4)[:, :2], np.eye(4)[:, 2:])):
+        assert not space.basis.flags.writeable
+        assert np.array_equal(space.basis, want)
+        with pytest.raises(ValueError):
+            space.basis[0, 0] = 2.0
+    e = np.eye(3)
+    meet = intersect([orthonormal_basis(e[:, :2]), orthonormal_basis(e[:, 1:])])
+    assert not meet.basis.flags.writeable

@@ -288,6 +288,76 @@ def test_lemma3_rejects_no_trials():
         check_lemma3(trials=0)
 
 
+def _reference_lemma3(trials, ambient_dim, max_subspaces, seed, slack):
+    """The sequential loop: one intersect and one xi call per trial."""
+    rng = np.random.default_rng(seed)
+    violations, worst, failures = 0, -np.inf, []
+    for trial in range(trials):
+        count = int(rng.integers(2, max_subspaces + 1))
+        shared_dim = int(rng.integers(0, 3)) if rng.random() < 0.5 else 0
+        shared = rng.standard_normal((ambient_dim, shared_dim))
+        spaces = []
+        for _ in range(count):
+            extra = int(rng.integers(1, max(2, ambient_dim // 2)))
+            block = np.hstack([shared, rng.standard_normal((ambient_dim, extra))])
+            spaces.append(orthonormal_basis(block))
+        meet = intersect(spaces)
+        x = rng.standard_normal(ambient_dim)
+        if meet.dim and rng.random() < 0.2:
+            x = meet.project(x)
+        lhs = distance_to_subspace(x, meet)
+        aggregate = xi(spaces)
+        total = sum(distance_to_subspace(x, v) for v in spaces)
+        rhs = np.inf if aggregate >= 1.0 - 1e-15 else total / (1.0 - aggregate)
+        margin = lhs - rhs
+        worst = max(worst, margin)
+        if margin > slack:
+            violations += 1
+            failures.append({"trial": trial, "lhs": lhs, "rhs": rhs,
+                             "xi": aggregate, "count": count})
+    return violations, float(worst), failures
+
+
+LEMMA3_CONFIGS = [
+    {"ambient_dim": 8, "max_subspaces": 4, "seed": 0, "slack": 1e-8},
+    # a negative slack turns ordinary margins into reported failures
+    {"ambient_dim": 5, "max_subspaces": 5, "seed": 1606, "slack": -0.5},
+]
+
+
+@pytest.mark.parametrize("config", LEMMA3_CONFIGS)
+@pytest.mark.parametrize("trials", [
+    1, lemmas.LEMMA3_BLOCK - 1, lemmas.LEMMA3_BLOCK, lemmas.LEMMA3_BLOCK + 1, 200])
+def test_lemma3_blocks_match_sequential_loop(trials, config):
+    report = check_lemma3(trials=trials, **config)
+    violations, worst, failures = _reference_lemma3(trials, **config)
+    assert report.trials == trials
+    assert report.violations == violations
+    assert report.worst_margin.hex() == worst.hex()
+    assert len(report.failures) == len(failures)
+    for got, want in zip(report.failures, failures):
+        assert got.keys() == want.keys()
+        for key in want:
+            assert repr(got[key]) == repr(want[key])
+    if config["slack"] < 0 and trials > 1:
+        assert failures
+
+
+def test_lemma3_ordering_cap_raises_before_sampling(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a basis was drawn")
+
+    monkeypatch.setattr(lemmas.geometry, "orthonormal_basis", no_draws)
+    with pytest.raises(CapExceededError, match="9 subspaces exceed ordering cap 8"):
+        check_lemma3(trials=1000, max_subspaces=9, seed=0)
+
+
+@pytest.mark.parametrize("ambient_dim", [0, -3])
+def test_lemma3_rejects_nonpositive_ambient_dim(ambient_dim):
+    with pytest.raises(ValueError, match="ambient dimension must be positive"):
+        check_lemma3(trials=5, ambient_dim=ambient_dim)
+
+
 @pytest.mark.parametrize("m_bar", [0, -1])
 def test_lemma4_rejects_nonpositive_m_bar(m_bar):
     with pytest.raises(ValueError, match="m_bar must be a positive integer"):
