@@ -27,8 +27,11 @@ def compute_C2(dictionary, hypergraph, rank_tol=geometry.DEFAULT_RANK_TOL,
     """Geometry-only stability constant of a dictionary over a regular hypergraph.
 
     (r + 1) times the largest column norm, divided by one minus the largest
-    xi over all groups of r + 1 edge spans. Requires a regular hypergraph;
-    a nonpositive denominator signals xi reaching 1 (degenerate geometry).
+    xi over all groups of r + 1 edge spans. Requires a regular hypergraph.
+    The worst group has the smallest sine product P, and 1 - xi is taken as
+    P / (1 + sqrt(1 - P)), which keeps its digits when xi is near 1, so
+    nearly degenerate geometry gives a large constant; a zero denominator
+    (P = 0) is refused as degenerate.
     """
     mat = geometry.as_matrix(dictionary, "dictionary")
     if hypergraph.m != mat.shape[1]:
@@ -39,15 +42,16 @@ def compute_C2(dictionary, hypergraph, rank_tol=geometry.DEFAULT_RANK_TOL,
     n_groups = math.comb(len(hypergraph.edges), r + 1)
     if n_groups > group_cap:
         raise CapExceededError(f"{n_groups} edge groups exceed cap {group_cap}")
-    worst = 0.0
+    lowest = 1.0
     if n_groups:
         spans = [geometry.column_span(mat, e, rank_tol) for e in hypergraph.edges]
         best, = geometry._sine_products([spans], r + 1, rank_tol)
         # xi is non-increasing in the product: the worst group has the smallest
         lowest = min(best[frozenset(group)] for group in
                      itertools.combinations(range(len(spans)), r + 1))
-        worst = geometry._xi_from_product(lowest)
-    denominator = 1.0 - worst
+    # 1 - sqrt(1 - P) without cancellation; P is clamped against overshoot
+    lowest = min(lowest, 1.0)
+    denominator = lowest / (1.0 + math.sqrt(1.0 - lowest))
     if denominator <= 0.0:
         raise HypothesisError(
             "edge-span geometry is degenerate (ordering aggregate reached 1)"
@@ -191,8 +195,10 @@ def build_certificate(dictionary, codes, hypergraph,
     constants that remain computable are still reported (C1/C2 are None when
     their own preconditions break). GLP and the C1 denominator share one
     exhaustive k-subset enumeration per support; a support with more than
-    1M k-subsets raises CapExceededError.
+    1M k-subsets raises CapExceededError. A rank_tol that is not positive and
+    finite raises ValueError before any check runs.
     """
+    geometry._check_rank_tol(rank_tol)
     mat = geometry.as_matrix(dictionary, "dictionary")
     n, m = mat.shape
     if hypergraph.m != m:

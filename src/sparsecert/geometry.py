@@ -5,23 +5,22 @@ sine-product aggregate, and numerical subspace intersection.
 Every restricted-singular-value quantity funnels through the `_kernels`
 function (numpy's batched LAPACK SVD over one (E, w) column-index array).
 
-Meets, Friedrichs angles and the xi subset DP run as stacked stages
-(`_meets`, `_complements`, `_angles`, `_sine_products`): per DP level one
-stacked eigh gives the meets of the subsets one smaller, one stacked eigh of
-C_u + C_w (C = I - B B^T, cached on each `Subspace`) gives the meets of the
-(space, rest) pairs, and stacked SVDs grouped by shape give the complement
-residuals and the cosines. numpy's stacked LAPACK gufuncs run the same
-routine on each matrix of a stack, with the same workspace, and the inputs
-are the same contiguous arrays summed in the same order, so every value is
-bit-identical to one factorization per call; `friedrichs_angle` and
-`intersect` are the same stages on a batch of one. The stacks hold at most
+Friedrichs angles, meets and the xi subset DP rest on one routine,
+`_principal`, with one tolerance: for a (u, w) pair it takes one SVD of
+(I - P_W) U, whose singular values are the sines of the principal angles
+(Bjorck-Golub 1973; Knyazev-Argentati 2002). A sine at or below rank_tol is
+a meet direction, and the next smallest is the Friedrichs sine. Pairs of
+equal shape share one stacked SVD; numpy's stacked LAPACK gufuncs run the
+same routine on each matrix of a stack, with the same workspace, so every
+value is bit-identical to one factorization per pair. `friedrichs_angle` is
+a batch of one, `intersect` folds its list pair by pair, and
+`_sine_products` runs each DP level in batches. The stacks hold at most
 _STACK_BLOCK matrices, and bases built from a stack take the `Subspace`
 checks once per stack.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -40,7 +39,7 @@ _ORTHO_TOL = 1e-10
 DEFAULT_ORDERING_CAP = 8
 # Guardrail on the number of determinants the spark polynomial evaluates.
 DEFAULT_MINOR_CAP = 500_000
-# Meets or angles per batch of the subset DP; bounds the stacked LAPACK calls.
+# Angles per batch of the subset DP; bounds the stacked LAPACK calls.
 _STACK_BLOCK = 1024
 
 
@@ -101,14 +100,15 @@ class Subspace:
     def dim(self):
         return self.basis.shape[1]
 
-    @functools.cached_property
-    def _complement(self):
-        """The complement projector I - B B^T, computed once per subspace."""
-        return np.eye(self.ambient) - self.basis @ self.basis.T
-
     def project(self, x):
         """Orthogonal projection of a vector or matrix onto the subspace."""
         return self.basis @ (self.basis.T @ x)
+
+
+def _check_rank_tol(rank_tol):
+    # a NaN fails both comparisons
+    if not 0.0 < rank_tol < math.inf:
+        raise ValueError("rank_tol must be positive and finite")
 
 
 def orthonormal_basis(mat, rank_tol=DEFAULT_RANK_TOL):
@@ -118,8 +118,7 @@ def orthonormal_basis(mat, rank_tol=DEFAULT_RANK_TOL):
     ``rank_tol`` times the largest one; the zero matrix yields dimension 0.
     """
     mat = as_matrix(mat)
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
+    _check_rank_tol(rank_tol)
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return Subspace(mat.shape[0], np.zeros((mat.shape[0], 0)))
@@ -264,78 +263,44 @@ def _chunks(items):
         yield chunk
 
 
-def _meets(collections, rank_tol):
-    """Intersections of nonempty lists of subspaces, one stacked eigh per group.
+def _principal(pairs, rank_tol):
+    """Friedrichs sine and meet of (u, w) pairs of equal ambient dimension.
 
-    Each list's complement projectors are summed in list order; eigenvectors
-    with eigenvalue below rank_tol span the meet. eigh sorts eigenvalues
-    ascending, so they are a leading block of columns.
+    One SVD of the residual U - W (W^T U) per pair, stacked by shape: its
+    singular values are the sines of the principal angles of u against w.
+    Those at or below rank_tol are meet directions, and U times their right
+    singular vectors is the meet basis; the next smallest is the Friedrichs
+    sine, returned with its right singular vector. The sine is 1, with no
+    vector, when the meet is all of u or either side is zero.
     """
-    meets = [None] * len(collections)
-    for (n, length), idx in _groups([(c[0].ambient, len(c)) for c in collections]):
-        acc = np.stack([collections[i][0]._complement for i in idx])
-        for j in range(1, length):
-            acc += np.stack([collections[i][j]._complement for i in idx])
-        evals, evecs = np.linalg.eigh(acc)
-        dims = np.count_nonzero(evals < rank_tol, axis=1)
+    results = [None] * len(pairs)
+    for (n, p, q), idx in _groups([(u.ambient, u.dim, w.dim) for u, w in pairs]):
+        if p == 0 or q == 0:
+            zero = Subspace(n, np.zeros((n, 0)))
+            for i in idx:
+                results[i] = (1.0, zero, None)
+            continue
+        u = np.stack([pairs[i][0].basis for i in idx])
+        w = np.stack([pairs[i][1].basis for i in idx])
+        _, s, vt = np.linalg.svd(u - w @ (np.swapaxes(w, 1, 2) @ u),
+                                 full_matrices=False)
+        dims = np.count_nonzero(s <= rank_tol, axis=1)
         for d, sub in _groups(dims.tolist()):
-            for i, meet in zip(sub, Subspace._stack(n, evecs[sub, :, :d])):
-                meets[idx[i]] = meet
-    return meets
-
-
-def _complements(spaces, subs, rank_tol):
-    """Orthogonal complement of each ``subs[i]`` inside ``spaces[i]``.
-
-    The subspace must lie in the space. Residuals of equal shape share one
-    stacked SVD; bases are unit-scale, so the rank cut is absolute at
-    rank_tol. A space with a zero subspace is its own complement.
-    """
-    result = list(spaces)
-    keys = [(s.ambient, s.dim, t.dim) for s, t in zip(spaces, subs)]
-    for (n, _, sub_dim), idx in _groups(keys):
-        if sub_dim == 0:
-            continue
-        space = np.stack([spaces[i].basis for i in idx])
-        sub = np.stack([subs[i].basis for i in idx])
-        residual = space - sub @ (np.swapaxes(sub, 1, 2) @ space)
-        u, s, _ = np.linalg.svd(residual, full_matrices=False)
-        ranks = np.count_nonzero(s > rank_tol, axis=1)
-        for rank, group in _groups(ranks.tolist()):
-            for i, comp in zip(group, Subspace._stack(n, u[group, :, :rank])):
-                result[idx[i]] = comp
-    return result
-
-
-def _angles(pairs, rank_tol):
-    """Friedrichs angles of (u, w) pairs of equal ambient dimension, not both zero.
-
-    A pair with a zero side is at pi/2. The rest share the stages: the meets
-    of the pairs, the complements of each meet inside u and inside w, and
-    the top singular value of the cosine matrix, each stacked by shape.
-    """
-    angles = [math.pi / 2] * len(pairs)
-    live = [i for i, (u, w) in enumerate(pairs) if u.dim and w.dim]
-    meets = _meets([pairs[i] for i in live], rank_tol)
-    us = _complements([pairs[i][0] for i in live], meets, rank_tol)
-    ws = _complements([pairs[i][1] for i in live], meets, rank_tol)
-    keys = [(u.ambient, u.dim, w.dim) for u, w in zip(us, ws)]
-    for (_, u_dim, w_dim), idx in _groups(keys):
-        if u_dim == 0 or w_dim == 0:
-            continue
-        u = np.stack([us[i].basis for i in idx])
-        w = np.stack([ws[i].basis for i in idx])
-        cosines = np.linalg.svd(np.swapaxes(u, 1, 2) @ w, compute_uv=False)[:, 0]
-        for i, cosine in zip(idx, cosines.tolist()):
-            angles[live[i]] = math.acos(min(max(cosine, 0.0), 1.0))
-    return angles
+            meets = Subspace._stack(n, u[sub] @ np.swapaxes(vt[sub, p - d:], 1, 2))
+            for i, meet in zip(sub, meets):
+                if d == p:
+                    results[idx[i]] = (1.0, meet, None)
+                else:
+                    results[idx[i]] = (float(s[i, p - 1 - d]), meet, vt[i, p - 1 - d])
+    return results
 
 
 def intersect(subspaces, rank_tol=DEFAULT_RANK_TOL):
     """Numerical intersection of a collection of subspaces.
 
-    Null directions of the summed complement projectors sum(I - P_i), i.e.
-    eigenvectors with eigenvalue below rank_tol, orthonormalized.
+    Folds the list in order: each space is met with the intersection of the
+    ones before it, keeping the directions whose principal-angle sine is at
+    or below rank_tol.
     """
     spaces = list(subspaces)
     if not spaces:
@@ -343,7 +308,10 @@ def intersect(subspaces, rank_tol=DEFAULT_RANK_TOL):
     n = spaces[0].ambient
     if any(s.ambient != n for s in spaces):
         raise ValueError("ambient dimensions differ")
-    return _meets([spaces], rank_tol)[0]
+    meet = spaces[0]
+    for space in spaces[1:]:
+        meet = _principal([(space, meet)], rank_tol)[0][1]
+    return meet
 
 
 def friedrichs_angle(u, w, rank_tol=DEFAULT_RANK_TOL):
@@ -351,13 +319,18 @@ def friedrichs_angle(u, w, rank_tol=DEFAULT_RANK_TOL):
 
     Returns a value in (0, pi/2]; pi/2 whenever either complement of the
     intersection is trivial (in particular when one contains the other).
-    Cosines are clamped to [0, 1] against floating-point overshoot.
+    The angle is atan2 of the Friedrichs sine and the cosine of the same
+    principal vector, accurate at both ends of the range.
     """
     if u.ambient != w.ambient:
         raise ValueError("ambient dimensions differ")
     if u.dim == 0 and w.dim == 0:
         raise ValueError("at least one subspace must be nonzero")
-    return _angles([(u, w)], rank_tol)[0]
+    sine, _, vector = _principal([(u, w)], rank_tol)[0]
+    if vector is None:
+        return math.pi / 2
+    cosine = float(np.linalg.norm(w.basis.T @ (u.basis @ vector)))
+    return math.atan2(sine, cosine)
 
 
 def _sine_products(collections, max_size, rank_tol):
@@ -365,12 +338,13 @@ def _sine_products(collections, max_size, rank_tol):
     spaces, one dict per collection.
 
     Maps frozenset(ids) to the maximum over orderings of those spaces of the
-    product of sin^2 Friedrichs angles, by dynamic programming over subsets.
-    Each level (one subset size) takes the meets of the subsets one smaller,
-    intersected in sorted index order, and then every (space, rest) angle of
-    every collection, both in batches of _STACK_BLOCK; the DP max runs over
-    the spaces in index order. One call serves every sub-collection, and
-    every collection, with the arithmetic of a separate call.
+    product of squared Friedrichs sines, by dynamic programming over subsets.
+    Each level (one subset size) takes every (space, rest) pair of every
+    collection in batches of _STACK_BLOCK; the pair whose space has the
+    largest index also gives the subset's meet for the next level, so meets
+    are intersected in sorted index order. The DP max runs over the spaces
+    in index order. One call serves every sub-collection, and every
+    collection, with the arithmetic of a separate call.
     """
     for spaces in collections:
         n = spaces[0].ambient
@@ -382,25 +356,21 @@ def _sine_products(collections, max_size, rank_tol):
     meets = [{frozenset([i]): s for i, s in enumerate(c)} for c in collections]
     for size in range(2, max_size + 1):
         live = [c for c in range(len(collections)) if len(collections[c]) >= size]
-        if size > 2:
-            keys = ((c, ids) for c in live
-                    for ids in itertools.combinations(range(len(collections[c])), size - 1))
-            meets = [{} for _ in collections]
-            for chunk in _chunks(keys):
-                found = _meets([[collections[c][i] for i in ids] for c, ids in chunk],
-                               rank_tol)
-                for (c, ids), meet in zip(chunk, found):
-                    meets[c][frozenset(ids)] = meet
-        jobs = ((c, frozenset(ids), a) for c in live
+        jobs = ((c, ids, a) for c in live
                 for ids in itertools.combinations(range(len(collections[c])), size)
                 for a in ids)
+        found = [{} for _ in collections]
         for chunk in _chunks(jobs):
-            angles = _angles([(collections[c][a], meets[c][group - {a}])
-                              for c, group, a in chunk], rank_tol)
-            for (c, group, a), angle in zip(chunk, angles):
-                value = math.sin(angle) ** 2 * bests[c][group - {a}]
+            results = _principal([(collections[c][a], meets[c][frozenset(ids) - {a}])
+                                  for c, ids, a in chunk], rank_tol)
+            for (c, ids, a), (sine, meet, _) in zip(chunk, results):
+                group = frozenset(ids)
+                if a == ids[-1]:
+                    found[c][group] = meet
+                value = sine ** 2 * bests[c][group - {a}]
                 if value > bests[c].setdefault(group, 0.0):
                     bests[c][group] = value
+        meets = found
     return bests
 
 
@@ -429,11 +399,10 @@ def xi(subspaces, rank_tol=DEFAULT_RANK_TOL, ordering_cap=DEFAULT_ORDERING_CAP):
     Zero for a single subspace; otherwise sqrt(1 - P) where P is the maximum
     over all orderings V_1, ..., V_l of the product over i < l of
     sin^2 of the Friedrichs angle between V_i and the intersection of the
-    later ones. In [0, 1]: it is 1 exactly when P = 0, i.e. every ordering
-    has a factor of 0. Friedrichs angles are positive in exact arithmetic,
-    so a 1 is numerical: the computed angle collapses to 0 for nearly
-    parallel spaces (two lines at most about 3e-5 apart). The maximum is
-    computed by dynamic programming over index subsets, which enumerates
+    later ones. In [0, 1]: every factor is a Friedrichs sine above rank_tol
+    (a sine at or below it is a meet direction), so P > 0, and xi reaches 1
+    only by round-off, once P is below about 1e-16. The maximum is computed
+    by dynamic programming over index subsets, which enumerates
     exactly the orderings.
     """
     return _xis([list(subspaces)], rank_tol, ordering_cap)[0]

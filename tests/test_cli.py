@@ -173,6 +173,21 @@ def test_certify_parse_failure_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
+def test_certify_bad_tol_exits_2_before_any_check(instance_dir, tol, monkeypatch,
+                                                  capsys):
+    def no_checks(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(constants.geometry, "lower_bound_k", no_checks)
+    code = main(["certify", "--dict", str(instance_dir / "dictionary.json"),
+                 "--codes", str(instance_dir / "codes.json"),
+                 "--hypergraph", str(instance_dir / "hypergraph.json"),
+                 f"--tol={tol}"])
+    assert code == 2
+    assert "rank_tol must be positive and finite" in capsys.readouterr().err
+
+
 def test_experiment_csv(tmp_path, capsys):
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps({

@@ -33,7 +33,7 @@ from sparsecert import (
     vandermonde_codes,
     xi,
 )
-from sparsecert import _kernels, constants
+from sparsecert import _kernels, constants, geometry
 from sparsecert.hypergraph import Hypergraph, regularity
 
 
@@ -65,6 +65,18 @@ def test_c2_identity_grid():
 
 
 def per_group_c2(mat, hypergraph):
+    """Reference C2: a separate subset DP for every group of r + 1 edge spans."""
+    r = regularity(hypergraph)
+    lowest = 1.0
+    for group in itertools.combinations(hypergraph.edges, r + 1):
+        best, = geometry._sine_products([[column_span(mat, e) for e in group]],
+                                        r + 1, DEFAULT_RANK_TOL)
+        lowest = min(lowest, best[frozenset(range(r + 1))])
+    denominator = lowest / (1.0 + math.sqrt(1.0 - lowest))
+    return (r + 1) * float(np.max(np.linalg.norm(mat, axis=0))) / denominator
+
+
+def per_group_xi_c2(mat, hypergraph):
     """Reference C2: a separate xi for every group of r + 1 edge spans."""
     r = regularity(hypergraph)
     worst = 0.0
@@ -80,7 +92,33 @@ def per_group_c2(mat, hypergraph):
 def test_c2_shared_dp_matches_per_group_xi_bitwise(hypergraph):
     mat = np.random.default_rng(hypergraph.m).standard_normal(
         (hypergraph.m, hypergraph.m))
-    assert compute_C2(mat, hypergraph) == per_group_c2(mat, hypergraph)
+    c2 = compute_C2(mat, hypergraph)
+    assert c2 == per_group_c2(mat, hypergraph)
+    # 1 - xi from xi itself loses digits to cancellation; compute_C2 does not
+    assert c2 == pytest.approx(per_group_xi_c2(mat, hypergraph), rel=1e-12, abs=0)
+
+
+def near_repeat_dictionary(eps):
+    """4x4 Gaussian dictionary whose column 3 is column 1 plus eps * noise."""
+    rng = np.random.default_rng(0)
+    mat = rng.standard_normal((4, 4))
+    mat[:, 2] = mat[:, 0] + eps * rng.standard_normal(4)
+    return mat
+
+
+def test_c2_nearly_degenerate_spans_give_a_large_constant():
+    # the edge spans {1, 2} and {3, 4} of cyclic m=4 nearly share a column
+    c2 = compute_C2(near_repeat_dictionary(1e-4), build_cyclic(4, 2))
+    assert math.isfinite(c2)
+    assert c2 == pytest.approx(3.7757e10, rel=1e-3)
+
+
+def test_c2_denominator_keeps_its_digits():
+    # 1 - xi is of order eps^2, so C2 * eps^2 settles as eps shrinks
+    h = build_cyclic(4, 2)
+    a, b = (compute_C2(near_repeat_dictionary(eps), h) * eps ** 2
+            for eps in (1e-6, 1e-7))
+    assert a == pytest.approx(b, rel=1e-5)
 
 
 def test_c2_requires_regular():
@@ -236,6 +274,18 @@ def test_certificate_computes_c2_once(monkeypatch):
     cert = build_certificate(mat, codes, h)
     assert len(calls) == 1
     assert cert.C1 == compute_C1(mat, codes, h)
+
+
+@pytest.mark.parametrize("rank_tol", [math.nan, math.inf, 0.0, -1e-9])
+def test_certificate_rejects_bad_rank_tol_before_any_check(rank_tol, monkeypatch):
+    def no_checks(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    h = build_cyclic(4, 2)
+    mat, codes = generate_instance(4, 4, 2, h, 7, seed=1)
+    monkeypatch.setattr(constants.geometry, "lower_bound_k", no_checks)
+    with pytest.raises(ValueError, match="rank_tol must be positive and finite"):
+        build_certificate(mat, codes, h, rank_tol=rank_tol)
 
 
 def test_certificate_without_c1_is_not_ok(monkeypatch):

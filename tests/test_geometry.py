@@ -85,6 +85,12 @@ def test_basis_rejects_empty():
         orthonormal_basis(np.zeros((3, 0)))
 
 
+@pytest.mark.parametrize("rank_tol", [math.nan, math.inf, 0.0, -1.0])
+def test_basis_rejects_bad_rank_tol(rank_tol):
+    with pytest.raises(ValueError, match="rank_tol must be positive and finite"):
+        orthonormal_basis(np.eye(3), rank_tol)
+
+
 def test_subspace_validates_orthonormality():
     with pytest.raises(ValueError):
         Subspace(2, np.array([[1.0, 1.0], [0.0, 1.0]]))
@@ -299,6 +305,16 @@ def test_angle_45_degree_lines():
     assert friedrichs_angle(u, w) == pytest.approx(math.pi / 4, abs=1e-12)
 
 
+@pytest.mark.parametrize("theta", [1e-8, 1e-6, 3e-5, 1e-4, 1e-3])
+def test_angle_of_nearly_parallel_lines(theta):
+    # sines above rank_tol are angles, not meet directions
+    u = orthonormal_basis(np.array([[1.0], [0.0]]))
+    w = orthonormal_basis(np.array([[math.cos(theta)], [math.sin(theta)]]))
+    assert friedrichs_angle(u, w) == pytest.approx(theta, rel=1e-6)
+    assert friedrichs_angle(w, u) == pytest.approx(theta, rel=1e-6)
+    assert intersect([u, w]).dim == 0
+
+
 def test_angle_rejects_two_zero_subspaces():
     z = orthonormal_basis(np.zeros((3, 1)))
     with pytest.raises(ValueError):
@@ -440,7 +456,8 @@ def test_chain_l2_l2h_l2k():
         assert l2h >= l2k - 1e-10
 
 
-# batched angle, meet and DP stages against the per-pair implementation
+# batched angles, meets and DP against one pair at a time, and against the
+# eigh-based per-pair oracles
 
 
 def _reference_intersect(spaces, rank_tol=RANK_TOL):
@@ -507,6 +524,44 @@ def _bits(best):
     return {group: value.hex() for group, value in best.items()}
 
 
+def _pairwise_sine_products(spaces, max_size, rank_tol=RANK_TOL):
+    """The subset DP of one collection, one ``_principal`` pair per angle and
+    each meet from ``intersect`` over the sorted indices."""
+    best = {frozenset([i]): 1.0 for i in range(len(spaces))}
+    for size in range(2, max_size + 1):
+        for ids in itertools.combinations(range(len(spaces)), size):
+            group = frozenset(ids)
+            top = 0.0
+            for a in ids:
+                rest = group - {a}
+                meet = intersect([spaces[i] for i in sorted(rest)], rank_tol)
+                sine = geometry._principal([(spaces[a], meet)], rank_tol)[0][0]
+                value = sine ** 2 * best[rest]
+                if value > top:
+                    top = value
+            best[group] = top
+    return best
+
+
+# The eigh-based references cut meets on squared sines, so they agree with
+# the SVD sines to round-off only: DP products and angles to 1e-13, meets
+# in dimension and to 1e-12 in subspace distance.
+ORACLE_ABS = 1e-13
+MEET_DISTANCE = 1e-12
+
+
+def _assert_close_products(got, want):
+    assert got.keys() == want.keys()
+    for group, value in want.items():
+        assert abs(got[group] - value) <= ORACLE_ABS
+
+
+def _assert_same_meet(got, want):
+    assert got.dim == want.dim
+    assert subspace_distance(got, want) <= MEET_DISTANCE
+    assert subspace_distance(want, got) <= MEET_DISTANCE
+
+
 def lemma3_style_collections(seed, count=40):
     """Planted shared subspaces, nested and repeated spaces, ambient 3 to 10."""
     rng = np.random.default_rng(seed)
@@ -537,7 +592,8 @@ def test_batched_dp_matches_reference_bit_for_bit(seed, block, monkeypatch):
     collections = lemma3_style_collections(seed)
     got = geometry._sine_products(collections, 5, RANK_TOL)
     for spaces, best in zip(collections, got):
-        assert _bits(best) == _bits(_reference_sine_products(spaces, len(spaces)))
+        assert _bits(best) == _bits(_pairwise_sine_products(spaces, len(spaces)))
+        _assert_close_products(best, _reference_sine_products(spaces, len(spaces)))
 
 
 @pytest.mark.parametrize("kind, m, n, k", [
@@ -549,7 +605,8 @@ def test_batched_dp_matches_reference_on_edge_spans(kind, m, n, k):
         mat = np.random.default_rng([seed, m, k]).standard_normal((n, m))
         spans = [column_span(mat, e) for e in h.edges]
         got, = geometry._sine_products([spans], size, RANK_TOL)
-        assert _bits(got) == _bits(_reference_sine_products(spans, size))
+        assert _bits(got) == _bits(_pairwise_sine_products(spans, size))
+        _assert_close_products(got, _reference_sine_products(spans, size))
 
 
 def geometry_input_pairs():
@@ -574,12 +631,20 @@ def geometry_input_pairs():
 
 
 def test_angle_and_intersect_match_reference_bit_for_bit():
-    for u, w in geometry_input_pairs():
-        for a, b in ((u, w), (w, u)):
-            assert friedrichs_angle(a, b).hex() == _reference_friedrichs_angle(a, b).hex()
-            got, want = intersect([a, b]), _reference_intersect([a, b])
-            assert got.basis.shape == want.basis.shape
-            assert got.basis.tobytes() == want.basis.tobytes()
+    pairs = [ab for u, w in geometry_input_pairs() for ab in ((u, w), (w, u))]
+    batch = geometry._principal(pairs, RANK_TOL)
+    for (a, b), (sine, meet, vector) in zip(pairs, batch):
+        # a batch of every pair gives the bits of a batch of one
+        angle = math.pi / 2
+        if vector is not None:
+            cosine = float(np.linalg.norm(b.basis.T @ (a.basis @ vector)))
+            angle = math.atan2(sine, cosine)
+        assert friedrichs_angle(a, b).hex() == angle.hex()
+        got = intersect([b, a])
+        assert got.basis.shape == meet.basis.shape
+        assert got.basis.tobytes() == meet.basis.tobytes()
+        assert abs(angle - _reference_friedrichs_angle(a, b)) <= ORACLE_ABS
+        _assert_same_meet(got, _reference_intersect([a, b]))
 
 
 def test_angle_with_zero_subspace_is_exactly_right():
