@@ -13,11 +13,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, geometry
-from .errors import GenerationError, HypothesisError
-from .hypergraph import (DEFAULT_EDGE_CAP, has_sip, normalize_support,
-                         pairwise_unions, regularity)
+from .errors import CapExceededError, GenerationError, HypothesisError
+from .hypergraph import has_sip, normalize_support, pairwise_unions, regularity
 
 GENERATE_MAX_RETRIES = 10
+# Guardrail on the k-subsets of one support's codes (or of one
+# general_linear_position call). The subsets are streamed, so it bounds the
+# work, not the memory; cyclic m=10, k=3 at 241 codes (2,303,960) fits.
+SUBSET_WORK_CAP = 10_000_000
+# k-subsets per chunk of the stream, and so k x k blocks per determinant
+# batch of the subset screen (590 KB at k=3).
+SCREEN_ROWS = 1 << 13
 
 
 @dataclass
@@ -101,13 +107,14 @@ def vandermonde_codes(support, count, gammas, m=None):
 
 
 def general_linear_position(vectors, k, rank_tol=geometry.DEFAULT_RANK_TOL,
-                            subset_cap=DEFAULT_EDGE_CAP):
+                            subset_cap=SUBSET_WORK_CAP):
     """True iff every k of the vectors are linearly independent.
 
-    Exhaustive over all k-subsets; more than ``subset_cap`` of them raise
-    CapExceededError. Independence is judged by the subset's smallest
-    singular value clearing rank_tol times the largest singular value of the
-    whole stack.
+    Exhaustive over all k-subsets, which ``subsets_independent`` streams
+    and screens; more than ``subset_cap`` of them raise CapExceededError
+    before any is checked. Independence is judged by the subset's smallest
+    singular value clearing rank_tol times the largest singular value of
+    the whole stack.
     """
     mat = np.asarray(vectors, dtype=float)
     if mat.ndim == 1:
@@ -119,17 +126,46 @@ def general_linear_position(vectors, k, rank_tol=geometry.DEFAULT_RANK_TOL,
         raise ValueError("k must be positive")
     if count < k:
         return True
-    return subsets_independent(mat, geometry.k_subsets(count, k, subset_cap), rank_tol)
+    n_subsets = math.comb(count, k)
+    if n_subsets > subset_cap:
+        raise CapExceededError(f"{n_subsets} {k}-subsets exceed cap {subset_cap}")
+    return subsets_independent(mat, k, rank_tol)
 
 
-def subsets_independent(mat, subsets, rank_tol=geometry.DEFAULT_RANK_TOL):
-    """True iff every column subset of ``mat`` is linearly independent.
+def subsets_independent(mat, k, rank_tol=geometry.DEFAULT_RANK_TOL):
+    """True iff every k columns of ``mat`` are linearly independent.
 
-    ``subsets`` is an (E, k) index array; each subset's smallest singular
-    value must clear rank_tol times the largest singular value of ``mat``.
+    Each k-subset T must have a smallest singular value above rank_tol
+    times the largest singular value of ``mat``. The subsets are streamed
+    in chunks and screened: the columns' coordinates in the top-k left
+    singular subspace of ``mat`` (padded with zero rows when the rank is
+    lower) lose nothing of sigma_min(mat[:, T]), and one batched
+    determinant of their column-normalised k x k blocks bounds it from
+    below (``geometry.sigma_floor``). A subset whose bound clears
+    (rank_tol + SCREEN_SLACK) times the largest singular value is proved
+    independent; every other one gets the exact SVD of ``mat[:, T]``. The
+    first subset that fails ends the check.
     """
+    mat = np.asarray(mat, dtype=float)
     smax = float(np.linalg.svd(mat, compute_uv=False)[0])
-    sv = _kernels.edge_min_singular_values(mat, subsets)
+    basis = np.linalg.svd(mat, full_matrices=False)[0][:, :k]
+    coords = np.zeros((k, mat.shape[1]))
+    coords[:basis.shape[1]] = basis.T @ mat
+    units, norms = geometry.unit_columns(coords)
+    return all(
+        _independent(mat, chunk, geometry.sigma_floor(
+            geometry.hadamard_floor(units, chunk), norms, chunk), smax, rank_tol)
+        for chunk in geometry.subset_chunks(mat.shape[1], k, SCREEN_ROWS))
+
+
+def _independent(mat, subsets, floor, smax, rank_tol):
+    """Whether every subset clears the GLP threshold, given lower bounds
+    ``floor`` on their smallest singular values; the exact SVD settles
+    each subset that the bound does not prove independent."""
+    proved = (floor > (rank_tol + geometry.SCREEN_SLACK) * smax) & (floor < math.inf)
+    if proved.all():
+        return True
+    sv = _kernels.edge_min_singular_values(mat, subsets[~proved])
     return bool(np.min(sv) > rank_tol * smax)
 
 

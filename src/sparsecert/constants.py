@@ -11,8 +11,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import geometry
-from .codes import subsets_independent, support_index_sets
+from . import _kernels, geometry
+from .codes import (SCREEN_ROWS, SUBSET_WORK_CAP, _independent,
+                    support_index_sets)
 from .errors import CapExceededError, HypothesisError
 from .hypergraph import has_sip, pairwise_unions, regularity
 
@@ -20,6 +21,9 @@ from .hypergraph import has_sip, pairwise_unions, regularity
 DEFAULT_GROUP_CAP = 100_000
 # Below this the code family is treated as failing general linear position.
 C1_DENOM_TOL = 1e-12
+# Exact SVDs that seed the C1 denominator's least value in a chunk that the
+# screen leaves wide open.
+_SEED_SUBSETS = 16
 
 
 def compute_C2(dictionary, hypergraph, rank_tol=geometry.DEFAULT_RANK_TOL,
@@ -60,24 +64,116 @@ def compute_C2(dictionary, hypergraph, rank_tol=geometry.DEFAULT_RANK_TOL,
     return (r + 1) * max_column / denominator
 
 
+class _Support(NamedTuple):
+    """One support's inputs to the screened code checks."""
+
+    codes: np.ndarray      # m x N, the support's code columns
+    smax: float            # largest singular value of ``codes``
+    units: np.ndarray      # k x N, the support rows, unit columns
+    norms: np.ndarray      # column norms of the support rows
+    product: np.ndarray    # n x N, dictionary @ codes
+    product_norms: np.ndarray
+    weights: np.ndarray    # per column: code norm over product norm
+    spectrum: np.ndarray   # k lower bounds on the singular values of A_S
+    margin: float          # SVD and product rounding of A X_T, absolute
+
+
+def _support(mat, codes, edge, ids):
+    k = len(edge)
+    rows = [v - 1 for v in edge]
+    x = codes.codes[:, ids]
+    units, norms = geometry.unit_columns(x[rows])
+    product = mat @ x
+    product_norms = geometry.unit_columns(product)[1]
+    sv = np.zeros(k)
+    found = np.linalg.svd(mat[:, rows], compute_uv=False)
+    sv[:len(found)] = found
+    slack = geometry.SCREEN_SLACK * sv[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weights = norms / product_norms
+    return _Support(
+        codes=x, smax=float(np.linalg.svd(x, compute_uv=False)[0]),
+        units=units, norms=norms, product=product, product_norms=product_norms,
+        weights=weights, spectrum=np.maximum(sv - slack, 0.0),
+        margin=slack * math.sqrt(k) * float(np.max(norms)),
+    )
+
+
+def _lowest(support, subsets, hadamard, lowest):
+    """The least of ``lowest`` and the smallest singular values of A X_T.
+
+    vol(A_S X_T) = vol(A_S) |det X_T|, so the Hadamard ratio of A X_T is
+    bounded below by that of X_T times prod_i spectrum[i] weights[T_i]. A
+    subset whose resulting floor exceeds the running least by the support's
+    margin cannot lower it. When more than _SEED_SUBSETS are left open, the
+    exact SVDs of the lowest-floor ones come first, and the rest are
+    screened again against the least they give.
+    """
+    with np.errstate(invalid="ignore"):
+        floor = geometry.sigma_floor(
+            hadamard * np.prod(support.weights[subsets.T]
+                               * support.spectrum[:, None], axis=0),
+            support.product_norms, subsets)
+
+    def open_subsets(least):
+        return ~((floor > least + support.margin) & (floor < math.inf))
+
+    still_open = open_subsets(lowest)
+    candidates = np.flatnonzero(still_open)
+    if len(candidates) > _SEED_SUBSETS:
+        seeds = candidates[np.argpartition(floor[candidates], _SEED_SUBSETS - 1)
+                           [:_SEED_SUBSETS]]
+        lowest = _exact_lowest(support, subsets[seeds], lowest)
+        still_open[seeds] = False
+        still_open &= open_subsets(lowest)
+    if still_open.any():
+        lowest = _exact_lowest(support, subsets[still_open], lowest)
+    return lowest
+
+
+def _exact_lowest(support, subsets, lowest):
+    sv = _kernels.edge_min_singular_values(support.product, subsets)
+    return min(lowest, float(np.min(sv)))
+
+
 def _code_checks(mat, codes, hypergraph, index_sets, rank_tol):
-    """(glp_ok, C1 denominator) from one k-subset index array per support.
+    """(glp_ok, C1 denominator) from one screened k-subset stream per code count.
 
     On each edge S the k-subsets T of its codes serve both checks: X_T
     independent against the top singular value of X_S, and the restricted
-    lower bound of A X_T. A support with fewer than k codes fails both.
+    lower bound of A X_T. Supports with equal code counts share one stream
+    of chunks, and per support one batched determinant per chunk bounds
+    both checks from below for every subset (``geometry.hadamard_floor``);
+    only the
+    subsets the bounds leave open get the exact SVD, so the results equal
+    those of one SVD per subset. A support with fewer than k codes fails
+    both; one with more than SUBSET_WORK_CAP k-subsets raises
+    CapExceededError before any subset is checked.
     """
     k = hypergraph.k
-    glp_ok, denominator = True, math.inf
+    by_count = {}
     for edge in hypergraph.edges:
-        ids = index_sets[edge]
-        if len(ids) < k:
+        count = len(index_sets[edge])
+        if count < k:
             return False, 0.0
-        x = codes.codes[:, ids]
-        subsets = geometry.k_subsets(len(ids), k)
-        glp_ok = subsets_independent(x, subsets, rank_tol) and glp_ok
-        denominator = min(denominator, geometry.subset_lower_bound(mat @ x, subsets))
-    return glp_ok, denominator
+        by_count.setdefault(count, []).append(edge)
+    for count in by_count:
+        n_subsets = math.comb(count, k)
+        if n_subsets > SUBSET_WORK_CAP:
+            raise CapExceededError(f"{n_subsets} {k}-subsets of one support's codes "
+                                   f"exceed cap {SUBSET_WORK_CAP}")
+    glp_ok, lowest = True, math.inf
+    for count, edges in by_count.items():
+        supports = [_support(mat, codes, edge, index_sets[edge]) for edge in edges]
+        for chunk in geometry.subset_chunks(count, k, SCREEN_ROWS):
+            for support in supports:
+                hadamard = geometry.hadamard_floor(support.units, chunk)
+                glp_ok = glp_ok and _independent(
+                    support.codes, chunk,
+                    geometry.sigma_floor(hadamard, support.norms, chunk),
+                    support.smax, rank_tol)
+                lowest = _lowest(support, chunk, hadamard, lowest)
+    return glp_ok, lowest / math.sqrt(k)
 
 
 def _c1(c2, denominator):
@@ -194,9 +290,14 @@ def build_certificate(dictionary, codes, hypergraph,
     Never raises on failed hypotheses: flags record what failed and the
     constants that remain computable are still reported (C1/C2 are None when
     their own preconditions break). GLP and the C1 denominator share one
-    exhaustive k-subset enumeration per support; a support with more than
-    1M k-subsets raises CapExceededError. A rank_tol that is not positive and
-    finite raises ValueError before any check runs.
+    exhaustive, screened k-subset stream per support code count.
+
+    CapExceededError is raised only on size, never on a verdict, in four
+    places: more than 1M column subsets for L2 or L2k (C(m, 2) or
+    C(m, min(2k, m))), more than 1M edge pairs for L2H, a support whose
+    codes have more than SUBSET_WORK_CAP (10M) k-subsets, and more than
+    DEFAULT_GROUP_CAP (100,000) groups of r + 1 edges for C2. A rank_tol
+    that is not positive and finite raises ValueError before any check runs.
     """
     geometry._check_rank_tol(rank_tol)
     mat = geometry.as_matrix(dictionary, "dictionary")

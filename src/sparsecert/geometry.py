@@ -4,6 +4,9 @@ sine-product aggregate, and numerical subspace intersection.
 
 Every restricted-singular-value quantity funnels through the `_kernels`
 function (numpy's batched LAPACK SVD over one (E, w) column-index array).
+The k-subset checks on codes first bound each subset's value from below
+(`hadamard_floor`, `sigma_floor`) and send only the subsets that the bound
+cannot settle to the kernel.
 
 Friedrichs angles, meets and the xi subset DP rest on one routine,
 `_principal`, with one tolerance: for a (u, w) pair it takes one SVD of
@@ -41,6 +44,10 @@ DEFAULT_ORDERING_CAP = 8
 DEFAULT_MINOR_CAP = 500_000
 # Angles per batch of the subset DP; bounds the stacked LAPACK calls.
 _STACK_BLOCK = 1024
+# Relative and absolute slack of the k-subset determinant screen: it covers
+# the rounding of the screen's own arithmetic and LAPACK's SVD error bound
+# p eps sigma_max for any p up to about 2e6.
+SCREEN_SLACK = 2.0 ** -32
 
 
 def as_matrix(mat, name="matrix"):
@@ -144,6 +151,65 @@ def k_subsets(count, k, cap=DEFAULT_EDGE_CAP):
         raise CapExceededError(f"{n_subsets} {k}-subsets exceed cap {cap}")
     flat = itertools.chain.from_iterable(itertools.combinations(range(count), k))
     return np.fromiter(flat, dtype=np.intp, count=n_subsets * k).reshape(n_subsets, k)
+
+
+def subset_chunks(count, k, rows):
+    """The k-subsets of range(count) in lexicographic order, as (E, k) index
+    arrays of at most ``rows`` rows each; nothing when count < k."""
+    combos = itertools.combinations(range(count), k)
+    remaining = math.comb(count, k)
+    while remaining:
+        size = min(rows, remaining)
+        flat = itertools.chain.from_iterable(itertools.islice(combos, size))
+        yield np.fromiter(flat, dtype=np.intp, count=size * k).reshape(size, k)
+        remaining -= size
+
+
+def unit_columns(mat):
+    """Columns of ``mat`` scaled to unit norm, and their norms.
+
+    Each column is divided by its largest magnitude before the squares are
+    summed, so no scale overflows or underflows them; a zero column gives
+    NaN.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        peaks = np.max(np.abs(mat), axis=0)
+        units = mat / peaks
+        norms = np.linalg.norm(units, axis=0)
+        units = units / norms
+    return units, norms * peaks
+
+
+def hadamard_floor(units, subsets):
+    """Lower bound on |det| of ``units[:, T]`` for each row T of subsets.
+
+    ``units`` has k rows and unit columns, so each determinant is a Hadamard
+    ratio in [0, 1]. One batched LU determinant covers all blocks; the floor
+    allows relative SCREEN_SLACK for the determinant's rounding and
+    subtracts k^3 (k+1) 2^k eps for the LU backward error (partial
+    pivoting, growth at most 2^(k-1); Higham 2002, Thm 9.3). NaN blocks give
+    NaN.
+    """
+    k = subsets.shape[1]
+    blocks = units.T[subsets]
+    with np.errstate(invalid="ignore"):
+        det = np.abs(np.linalg.det(blocks))
+    lu_error = k ** 3 * (k + 1) * 2.0 ** k * np.finfo(float).eps
+    return det * (1.0 - SCREEN_SLACK) - lu_error
+
+
+def sigma_floor(hadamard, norms, subsets):
+    """Lower bound on the smallest singular value of each k-column matrix M_T.
+
+    ``hadamard`` bounds vol(M_T) / prod of its column norms from below, per
+    row T of subsets, and ``norms`` are the column norms of M. Then
+    sigma_min(M_T) >= hadamard ((k-1)/k)^((k-1)/2) min_{j in T} norms[j]
+    (Hong & Pan 1992, on the column-normalised M_T), less SCREEN_SLACK
+    relative for the rounding of this product.
+    """
+    k = subsets.shape[1]
+    scale = ((k - 1) / k) ** ((k - 1) / 2) * (1.0 - SCREEN_SLACK)
+    return hadamard * scale * norms[subsets.T].min(axis=0)
 
 
 def subset_lower_bound(mat, subsets):

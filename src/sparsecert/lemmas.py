@@ -26,6 +26,9 @@ from .hypergraph import has_sip, regularity
 LEMMA3_BLOCK = 32
 LEMMA4_MAX_M = 6
 LEMMA4_MAX_EXTRA = 2
+# The type count grows with the edges: complete m=4, k=2 at m_bar=6 (6 edges)
+# takes about 20 s on one CPU, and 10 edges do not finish in minutes.
+LEMMA4_MAX_EDGES = 6
 
 
 @dataclass
@@ -197,6 +200,11 @@ def validate_lemma4(hypergraph, m_bar):
     if hypergraph.m > LEMMA4_MAX_M or m_bar > hypergraph.m + LEMMA4_MAX_EXTRA:
         raise CapExceededError(
             f"sizes (m={hypergraph.m}, m_bar={m_bar}) above the exhaustive-check cap"
+        )
+    if len(hypergraph.edges) > LEMMA4_MAX_EDGES:
+        raise CapExceededError(
+            f"{len(hypergraph.edges)} edges above the exhaustive-check cap "
+            f"of {LEMMA4_MAX_EDGES}"
         )
     return r
 

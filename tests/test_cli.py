@@ -257,3 +257,14 @@ def test_check_lemmas_rejects_lemma4_before_lemma3(tmp_path, monkeypatch, capsys
     assert code == 1
     assert "exhaustive-check cap" in capsys.readouterr().err
     assert calls == []
+
+
+def test_check_lemmas_edge_cap_exits_1_before_sampling(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "check_lemma3", lambda **kwargs: calls.append(kwargs))
+    cfg = tmp_path / "lemmas.json"
+    cfg.write_text(json.dumps(
+        {"lemma4": {"hypergraph": "complete", "m": 5, "k": 2, "m_bar": 6}}))
+    assert main(["check-lemmas", "--config", str(cfg)]) == 1
+    assert "10 edges above the exhaustive-check cap" in capsys.readouterr().err
+    assert calls == []

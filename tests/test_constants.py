@@ -424,12 +424,13 @@ def test_lower_bound_k_bit_identical_to_complete_path():
 
 def test_certificate_submits_each_subset_once(monkeypatch):
     mat, codes, h = gaussian_instance(0, "complete", 4, 2, 7)
-    submitted, completes = [], []
+    on_dictionary, on_codes, completes = [], [], []
     kernel = _kernels.edge_min_singular_values
 
-    def counted(mat, edges):
-        submitted.append(len(edges))
-        return kernel(mat, edges)
+    def counted(matrix, edges):
+        target = on_dictionary if matrix is mat else on_codes
+        target.extend((matrix.tobytes(), tuple(row)) for row in edges)
+        return kernel(matrix, edges)
 
     def recorded(*args, **kwargs):
         completes.append(args)
@@ -441,11 +442,13 @@ def test_certificate_submits_each_subset_once(monkeypatch):
             monkeypatch.setattr(module, "build_complete", recorded)
     cert = build_certificate(mat, codes, h)
     m, k = 4, 2
+    # L2, L2k and L2H on the dictionary itself, as before the screen
+    assert len(on_dictionary) == (math.comb(m, 2) + math.comb(m, min(2 * k, m))
+                                  + len(pairwise_unions(h).edges))
+    # the code checks: no subset of a code or product matrix twice, and at
+    # most one exact SVD per subset and check
     per_support = sum(math.comb(count, k) for count in cert.support_counts.values())
-    expected = (math.comb(m, 2) + math.comb(m, min(2 * k, m))
-                + len(pairwise_unions(h).edges) + 2 * per_support)
-    assert expected == 270
-    assert sum(submitted) == expected
+    assert len(set(on_codes)) == len(on_codes) <= 2 * per_support
     assert completes == []
 
 

@@ -1,6 +1,7 @@
 """Distance-to-intersection sampling and injective-map counting checks."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -109,6 +110,16 @@ def test_lemma4_no_admissible_maps_for_small_target():
 def test_lemma4_cap():
     with pytest.raises(CapExceededError):
         check_lemma4(build_cyclic(8, 2), 9)
+
+
+def test_lemma4_edge_cap_refuses_before_enumeration():
+    # complete m=5, k=2 has 10 edges; m and m_bar are within their caps
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match="10 edges"):
+        check_lemma4(build_complete(5, 2), 6)
+    assert time.perf_counter() - start < 1.0
+    # six edges are still checked
+    assert check_lemma4(build_cyclic(6, 2), 6).ok
 
 
 def _reference_verify(assignment, stars, m, m_bar, guaranteed, proviso):
