@@ -21,8 +21,9 @@ GENERATE_MAX_RETRIES = 10
 # general_linear_position call). The subsets are streamed, so it bounds the
 # work, not the memory; cyclic m=10, k=3 at 241 codes (2,303,960) fits.
 SUBSET_WORK_CAP = 10_000_000
-# k-subsets per chunk of the stream, and so k x k blocks per determinant
-# batch of the subset screen (590 KB at k=3).
+# k-subsets per chunk of the stream. The subset screen gathers k^2 doubles
+# per subset, as k column arrays for k <= 3 and as k x k blocks from k = 4:
+# 590 KB per chunk at k=3.
 SCREEN_ROWS = 1 << 13
 
 
@@ -139,9 +140,10 @@ def subsets_independent(mat, k, rank_tol=geometry.DEFAULT_RANK_TOL):
     times the largest singular value of ``mat``. The subsets are streamed
     in chunks and screened: the columns' coordinates in the top-k left
     singular subspace of ``mat`` (padded with zero rows when the rank is
-    lower) lose nothing of sigma_min(mat[:, T]), and one batched
-    determinant of their column-normalised k x k blocks bounds it from
-    below (``geometry.sigma_floor``). A subset whose bound clears
+    lower) lose nothing of sigma_min(mat[:, T]), and the determinants of
+    their column-normalised k x k blocks, taken over a whole chunk
+    (``geometry.hadamard_floor``), bound it from below
+    (``geometry.sigma_floor``). A subset whose bound clears
     (rank_tol + SCREEN_SLACK) times the largest singular value is proved
     independent; every other one gets the exact SVD of ``mat[:, T]``. The
     first subset that fails ends the check.

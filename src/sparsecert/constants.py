@@ -110,10 +110,11 @@ def _lowest(support, subsets, hadamard, lowest):
     screened again against the least they give.
     """
     with np.errstate(invalid="ignore"):
-        floor = geometry.sigma_floor(
-            hadamard * np.prod(support.weights[subsets.T]
-                               * support.spectrum[:, None], axis=0),
-            support.product_norms, subsets)
+        scale = support.weights[subsets[:, 0]] * support.spectrum[0]
+        for j in range(1, subsets.shape[1]):
+            scale *= support.weights[subsets[:, j]] * support.spectrum[j]
+        floor = geometry.sigma_floor(hadamard * scale, support.product_norms,
+                                     subsets)
 
     def open_subsets(least):
         return ~((floor > least + support.margin) & (floor < math.inf))
@@ -142,13 +143,13 @@ def _code_checks(mat, codes, hypergraph, index_sets, rank_tol):
     On each edge S the k-subsets T of its codes serve both checks: X_T
     independent against the top singular value of X_S, and the restricted
     lower bound of A X_T. Supports with equal code counts share one stream
-    of chunks, and per support one batched determinant per chunk bounds
-    both checks from below for every subset (``geometry.hadamard_floor``);
-    only the
-    subsets the bounds leave open get the exact SVD, so the results equal
-    those of one SVD per subset. A support with fewer than k codes fails
-    both; one with more than SUBSET_WORK_CAP k-subsets raises
-    CapExceededError before any subset is checked.
+    of chunks, and per support the determinants of a chunk's blocks, taken
+    over the whole chunk, bound both checks from below for every subset
+    (``geometry.hadamard_floor``); only the subsets the bounds leave open
+    get the exact SVD, so the results equal those of one SVD per subset. A
+    support with fewer than k codes fails both; one with more than
+    SUBSET_WORK_CAP k-subsets raises CapExceededError before any subset is
+    checked.
     """
     k = hypergraph.k
     by_count = {}

@@ -5,8 +5,9 @@ sine-product aggregate, and numerical subspace intersection.
 Every restricted-singular-value quantity funnels through the `_kernels`
 function (numpy's batched LAPACK SVD over one (E, w) column-index array).
 The k-subset checks on codes first bound each subset's value from below
-(`hadamard_floor`, `sigma_floor`) and send only the subsets that the bound
-cannot settle to the kernel.
+(`hadamard_floor`, with closed-form determinants up to k = 3 and LU from
+k = 4, and `sigma_floor`) and send only the subsets that the bound cannot
+settle to the kernel.
 
 Friedrichs angles, meets and the xi subset DP rest on one routine,
 `_principal`, with one tolerance: for a (u, w) pair it takes one SVD of
@@ -184,16 +185,38 @@ def hadamard_floor(units, subsets):
     """Lower bound on |det| of ``units[:, T]`` for each row T of subsets.
 
     ``units`` has k rows and unit columns, so each determinant is a Hadamard
-    ratio in [0, 1]. One batched LU determinant covers all blocks; the floor
-    allows relative SCREEN_SLACK for the determinant's rounding and
-    subtracts k^3 (k+1) 2^k eps for the LU backward error (partial
-    pivoting, growth at most 2^(k-1); Higham 2002, Thm 9.3). NaN blocks give
+    ratio in [0, 1] and every entry is in [-1, 1]. For k <= 3 the
+    determinants are taken in closed form over the whole chunk, one column
+    gather per position: |u_0| at k = 1, a_0 b_1 - a_1 b_0 at k = 2 and the
+    cofactor expansion along the first column at k = 3. Each of the k!
+    Leibniz products then carries at most 2k - 1 roundings (k - 1 products,
+    the subtraction inside a 2 x 2 minor, k - 1 sums), so the forward error
+    is at most k! gamma_{2k-1} with unit roundoff eps/2 (Higham 2002,
+    Sec. 3.1): about 2 eps at k = 2 and 15 eps at k = 3, and none at k = 1.
+    From k = 4 one batched LU determinant covers all blocks, with backward
+    error k^3 (k+1) 2^k eps (partial pivoting, growth at most 2^(k-1);
+    Higham 2002, Thm 9.3). That one absolute term, 4, 96 and 864 eps at
+    k = 1, 2, 3, covers both evaluations with room for the few eps by which
+    a stored unit column's entries can exceed 1, and the floor also allows
+    relative SCREEN_SLACK for the determinant's rounding. NaN blocks give
     NaN.
     """
     k = subsets.shape[1]
-    blocks = units.T[subsets]
     with np.errstate(invalid="ignore"):
-        det = np.abs(np.linalg.det(blocks))
+        if k <= 3:
+            a, *rest = (np.take(units, subsets[:, j], axis=1) for j in range(k))
+            if k == 1:
+                det = np.abs(a[0])
+            elif k == 2:
+                b, = rest
+                det = np.abs(a[0] * b[1] - a[1] * b[0])
+            else:
+                b, c = rest
+                det = np.abs(a[0] * (b[1] * c[2] - b[2] * c[1])
+                             - a[1] * (b[0] * c[2] - b[2] * c[0])
+                             + a[2] * (b[0] * c[1] - b[1] * c[0]))
+        else:
+            det = np.abs(np.linalg.det(units.T[subsets]))
     lu_error = k ** 3 * (k + 1) * 2.0 ** k * np.finfo(float).eps
     return det * (1.0 - SCREEN_SLACK) - lu_error
 
@@ -209,7 +232,10 @@ def sigma_floor(hadamard, norms, subsets):
     """
     k = subsets.shape[1]
     scale = ((k - 1) / k) ** ((k - 1) / 2) * (1.0 - SCREEN_SLACK)
-    return hadamard * scale * norms[subsets.T].min(axis=0)
+    least = norms[subsets[:, 0]]
+    for j in range(1, k):
+        least = np.minimum(least, norms[subsets[:, j]])
+    return hadamard * scale * least
 
 
 def subset_lower_bound(mat, subsets):
@@ -269,11 +295,17 @@ def spark_condition(mat, k, rank_tol=DEFAULT_RANK_TOL, cap=DEFAULT_EDGE_CAP):
 def spark_polynomial(mat, k, minor_cap=DEFAULT_MINOR_CAP):
     """Product over 2k-column subsets of the sums of squared 2k-minors.
 
-    Strictly positive iff every 2k columns are independent. Per-subset sums
-    at or below the LU round-off floor of the determinant evaluations
-    (minor count times (1e-12 x Hadamard column bound)^2) are indistinguishable
-    from exact zeros and make the result exactly 0.0. Values can overflow to
-    inf for large well-conditioned inputs; the zero/nonzero verdict survives.
+    Strictly positive iff every 2k columns are independent. The minors are
+    taken on the column-normalised matrix (``unit_columns``, after an exact
+    power-of-two scaling of each column), where each subset's sum of squared
+    minors is at most 1, and the squared column norms are multiplied back in
+    while the product is carried as a mantissa and a power of two
+    (``math.frexp``). Per-subset sums at or below the LU round-off floor of
+    the determinant evaluations (minor count times 1e-24) are
+    indistinguishable from exact zeros and make the result exactly 0.0, as
+    does a zero column. Any other result is positive: it saturates at inf
+    above the largest double and at the smallest positive double below the
+    smallest one, so the zero/nonzero verdict survives every scale.
     """
     mat = as_matrix(mat, "dictionary")
     n, m = mat.shape
@@ -285,18 +317,29 @@ def spark_polynomial(mat, k, minor_cap=DEFAULT_MINOR_CAP):
     n_minors = math.comb(m, width) * math.comb(n, width)
     if n_minors > minor_cap:
         raise CapExceededError(f"{n_minors} minors exceed cap {minor_cap}")
+    shifts = np.frexp(np.max(np.abs(mat), axis=0))[1]
+    units, norms = unit_columns(np.ldexp(mat, -shifts))
+    if not np.all(norms > 0.0):
+        return 0.0
+    squares, shifts = (norms * norms).tolist(), shifts.tolist()
     row_sets = np.array(list(itertools.combinations(range(n), width)))
-    col_norms = np.linalg.norm(mat, axis=0)
-    value = 1.0
+    floor = len(row_sets) * 1e-24
+    mantissa, exponent = 1.0, 0
     for cols in itertools.combinations(range(m), width):
-        dets = np.linalg.det(mat[:, cols][row_sets])
+        dets = np.linalg.det(units[:, cols][row_sets])
         factor = float(np.sum(dets * dets))
-        hadamard = float(np.prod(col_norms[list(cols)]))
-        floor = len(row_sets) * (1e-12 * hadamard) ** 2
         if factor <= floor:
             return 0.0
-        value *= factor
-    return value
+        mantissa, e = math.frexp(mantissa * factor)
+        exponent += e
+        for j in cols:
+            mantissa, e = math.frexp(mantissa * squares[j])
+            exponent += e + 2 * shifts[j]
+    try:
+        value = math.ldexp(mantissa, exponent)
+    except OverflowError:
+        return math.inf
+    return max(value, math.ulp(0.0))
 
 
 def subspace_distance(u, v):

@@ -218,6 +218,25 @@ def test_polynomial_size_caps():
         spark_polynomial(np.eye(12), 2, minor_cap=100)
 
 
+@pytest.mark.parametrize("scale", [1e-40, 1e-20, 1e20, 1e40])
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4, 6)])
+def test_polynomial_survives_extreme_scales(shape, scale):
+    mat = np.random.default_rng(0).standard_normal(shape)
+    assert spark_condition(mat * scale, 1)
+    poly = spark_polynomial(mat * scale, 1)
+    # each column pair's sum of squared minors scales by scale^4: in range
+    # for 2 x 2 at every scale and 3 x 3 at 1e+-20, out of it for the rest
+    power = 4 * math.comb(shape[1], 2)
+    log_value = math.log10(oracle_polynomial(mat, 1)) + power * math.log10(scale)
+    if log_value > 308.3:
+        assert poly == math.inf
+    elif log_value < -323.3:
+        assert poly == math.ulp(0.0)
+    else:
+        assert poly == pytest.approx(oracle_polynomial(mat, 1) * scale ** power,
+                                     rel=1e-12)
+
+
 # subspace_distance
 
 

@@ -8,11 +8,15 @@ bit for bit, and so the same certificate.
 """
 
 import importlib.util
+import itertools
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sparsecert import (
     CapExceededError,
@@ -247,3 +251,72 @@ def test_single_support_hypergraph_unchanged():
     h = Hypergraph(3, [(1, 2, 3)])
     screened, reference = _both(rng.standard_normal((5, 3)), codes, h)
     assert _bits(screened) == _bits(reference)
+
+
+def _exact_abs_det(block):
+    """|det| of the float entries of a square block, exactly (Leibniz)."""
+    entries = [[Fraction(x) for x in row] for row in block.tolist()]
+    total = Fraction(0)
+    for perm in itertools.permutations(range(len(entries))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for row, col in enumerate(perm):
+            term *= entries[row][col]
+        total += term
+    return abs(total)
+
+
+def _assert_floor_sound(units):
+    subsets = geometry.k_subsets(units.shape[1], units.shape[0])
+    floor = geometry.hadamard_floor(units, subsets)
+    assert not np.isnan(floor).any()
+    for subset, bound in zip(subsets, floor.tolist()):
+        assert Fraction(bound) <= _exact_abs_det(units[:, subset])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_hadamard_floor_below_exact_determinant(k):
+    rng = np.random.default_rng(40 + k)
+    for _ in range(5):
+        x = rng.standard_normal((k, 8))
+        _assert_floor_sound(geometry.unit_columns(x)[0])
+        if k == 1:
+            continue  # every nonzero 1 x 1 block is nonsingular
+        # a planted sum, one nearly dependent to within 1e-8, and an exact
+        # repeat of a stored unit column, whose determinant is exactly 0
+        x[:, 6] = x[:, 0] - 2.0 * x[:, 1]
+        x[:, 7] = x[:, 2] + 0.5 * x[:, 3] + 1e-8 * rng.standard_normal(k)
+        units = geometry.unit_columns(x)[0]
+        units[:, 5] = units[:, 4]
+        _assert_floor_sound(units)
+        assert geometry.hadamard_floor(units, np.array([[4, 5, 0, 1][:k]]))[0] < 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_hadamard_floor_sound_on_arbitrary_unit_columns(data):
+    k = data.draw(st.integers(1, 4))
+    count = data.draw(st.integers(k, 6))
+    x = np.array(data.draw(st.lists(
+        st.floats(-1.0, 1.0, allow_nan=False), min_size=k * count,
+        max_size=k * count))).reshape(k, count)
+    assume(np.all(np.any(x != 0.0, axis=0)))
+    _assert_floor_sound(geometry.unit_columns(x)[0])
+
+
+def test_closed_form_determinants_skip_lu(monkeypatch):
+    mat, codes, h = _pool("certify_k3", 0)[0]
+    expected = workloads.certificate_record(build_certificate(mat, codes, h))
+    rng = np.random.default_rng(8)
+    vectors = rng.standard_normal((5, 9))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.det called")
+
+    monkeypatch.setattr(np.linalg, "det", refuse)
+    record = workloads.certificate_record(build_certificate(mat, codes, h))
+    assert record == expected
+    for k in (1, 2, 3):
+        assert subsets_independent(vectors, k)
+    with pytest.raises(AssertionError, match="det called"):
+        subsets_independent(vectors, 4)
