@@ -60,7 +60,8 @@ def _pair_costs(a_mat, b_mat):
                 continue
             scale = float(np.dot(a, b_mat[:, l])) / b_sq[l]
             scales[j, l] = scale
-            costs[j, l] = float(np.linalg.norm(a - scale * b_mat[:, l]))
+            d = a - scale * b_mat[:, l]
+            costs[j, l] = math.sqrt(float(np.dot(d, d)))
     return costs, scales, usable
 
 
@@ -70,7 +71,8 @@ def _max_matching(allowed):
     Kuhn's augmenting paths: each row in turn claims a free allowed column or
     re-routes the row holding one. The recursion depth is at most the row count.
     """
-    adjacency = [np.flatnonzero(row).tolist() for row in allowed]
+    adjacency = [[col for col, ok in enumerate(row) if ok]
+                 for row in allowed.tolist()]
     owner = [-1] * allowed.shape[1]
 
     def augment(row, seen):
@@ -156,21 +158,32 @@ def _submatching_ok(costs, rows, cols, threshold, needed):
 
 
 def code_alignment_error(x, xbar, alignment, subset=None):
-    """l1 distance between a code and the back-transformed candidate code.
+    """l1 distance between codes and the back-transformed candidate codes.
 
     Sums |x_j - xbar_pi(j) / c_j| over the matched source columns (or the
-    given 1-based subset of them). Zero scales cannot be inverted.
+    given 1-based subset of them), in increasing j. ``x`` and ``xbar`` are
+    one code each, shape (m,), giving a float, or N codes as columns, shape
+    (m, N), giving an (N,) array. Zero scales cannot be inverted.
     """
     x = np.asarray(x, dtype=float)
     xbar = np.asarray(xbar, dtype=float)
     columns = sorted(alignment.pi) if subset is None else sorted(subset)
-    total = 0.0
-    for j in columns:
-        c = alignment.scales[j]
-        if c == 0.0:
-            raise ValueError(f"matched column {j} has zero scale")
-        total += abs(x[j - 1] - xbar[alignment.pi[j] - 1] / c)
-    return total
+    scales = np.array([alignment.scales[j] for j in columns], dtype=float)
+    zero = np.flatnonzero(scales == 0.0)
+    if zero.size:
+        raise ValueError(f"matched column {columns[zero[0]]} has zero scale")
+    source = np.array([j - 1 for j in columns], dtype=np.intp)
+    target = np.array([alignment.pi[j] - 1 for j in columns], dtype=np.intp)
+    single = x.ndim == 1
+    if single:
+        x, xbar = x[:, None], xbar[:, None]
+    terms = np.abs(x[source] - xbar[target] / scales[:, None])
+    # row by row, so the sum runs in increasing j for every N (numpy would
+    # sum a contiguous axis pairwise)
+    total = np.zeros(terms.shape[1])
+    for row in terms:
+        total += row
+    return float(total[0]) if single else total
 
 
 @dataclass
@@ -287,13 +300,8 @@ def verify_theorem1(dictionary, codes, candidate, codes_bar, certificate, eps,
 
     l2k = certificate.L2k
     denominator = l2k - c1 * eps
-    errors = np.empty(codes.n_codes)
-    bounds = np.empty(codes.n_codes)
-    l1 = codes.l1_norms()
-    for i in range(codes.n_codes):
-        errors[i] = code_alignment_error(
-            codes.codes[:, i], codes_bar.codes[:, i], alignment, subset)
-        bounds[i] = (1.0 + c1 * l1[i]) * eps / denominator
+    errors = code_alignment_error(codes.codes, codes_bar.codes, alignment, subset)
+    bounds = (1.0 + c1 * codes.l1_norms()) * eps / denominator
     aligned = np.column_stack(
         [alignment.scales[j] * b_mat[:, alignment.pi[j] - 1] for j in subset])
     l2k_aligned = geometry.lower_bound_k(

@@ -8,7 +8,7 @@ shared support with any k of them linearly independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,12 +29,18 @@ SCREEN_ROWS = 1 << 13
 
 @dataclass
 class SparseCodeSet:
-    """m x N matrix of at-most-k-sparse columns with per-column support sets."""
+    """m x N matrix of at-most-k-sparse columns with per-column support sets.
+
+    The supports are validated as one boolean (m, N) mask, kept as
+    ``support_mask``: entry (v - 1, i) is True iff vertex v is in the
+    support of column i. Each distinct support object is normalised once.
+    """
 
     m: int
     codes: np.ndarray
     supports: tuple
     k: int
+    support_mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.codes = np.asarray(self.codes, dtype=float)
@@ -42,16 +48,32 @@ class SparseCodeSet:
             raise ValueError("codes must be an (m, N) array")
         if not np.all(np.isfinite(self.codes)):
             raise ValueError("codes have non-finite entries")
-        self.supports = tuple(normalize_support(s, self.m) for s in self.supports)
+        # keyed by identity: the raw supports stay alive in ``raw``, and an
+        # object normalises the same way every time it is met
+        raw = tuple(self.supports)
+        position, distinct, which = {}, [], []
+        for s in raw:
+            key = id(s)
+            if key not in position:
+                position[key] = len(distinct)
+                distinct.append(normalize_support(s, self.m))
+            which.append(position[key])
+        self.supports = tuple(distinct[i] for i in which)
         if len(self.supports) != self.codes.shape[1]:
             raise ValueError("one support set per code column required")
-        for col, support in enumerate(self.supports):
-            if len(support) > self.k:
+        which = np.array(which, dtype=np.intp)
+        distinct_mask = np.zeros((self.m, len(distinct)), dtype=bool)
+        for i, support in enumerate(distinct):
+            distinct_mask[[v - 1 for v in support], i] = True
+        self.support_mask = distinct_mask[:, which]
+        oversize = np.array([len(s) for s in distinct], dtype=np.intp)[which] > self.k
+        outside = np.any((self.codes != 0.0) & ~self.support_mask, axis=0)
+        failing = np.flatnonzero(oversize | outside)
+        if failing.size:
+            col = int(failing[0])
+            if oversize[col]:
                 raise ValueError(f"support of column {col} larger than k={self.k}")
-            outside = np.ones(self.m, dtype=bool)
-            outside[[v - 1 for v in support]] = False
-            if np.any(self.codes[outside, col] != 0.0):
-                raise ValueError(f"column {col} has entries outside its support")
+            raise ValueError(f"column {col} has entries outside its support")
 
     @property
     def n_codes(self):
@@ -172,15 +194,17 @@ def _independent(mat, subsets, floor, smax, rank_tol):
 
 
 def support_index_sets(codes, hypergraph):
-    """For each edge S, the 0-based code columns whose support is contained in S."""
-    edge_sets = {edge: set(edge) for edge in hypergraph.edges}
-    result = {edge: [] for edge in hypergraph.edges}
-    for col, support in enumerate(codes.supports):
-        s = set(support)
-        for edge, vertices in edge_sets.items():
-            if s <= vertices:
-                result[edge].append(col)
-    return result
+    """For each edge S, the 0-based code columns whose support is contained in S.
+
+    A column belongs to S when its support mask has no row outside S.
+    """
+    edges = hypergraph.edges
+    outside = np.ones((len(edges), codes.m), dtype=bool)
+    for e, edge in enumerate(edges):
+        outside[e, [v - 1 for v in edge if v <= codes.m]] = False
+    # boolean matmul: entry (e, i) is True iff column i has a row outside edge e
+    spills = outside @ codes.support_mask
+    return {edge: np.flatnonzero(~row).tolist() for edge, row in zip(edges, spills)}
 
 
 @dataclass

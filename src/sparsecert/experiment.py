@@ -73,7 +73,7 @@ def perturb_instance(dictionary, codes, family, eps_target, rng):
     if family == "dict_jitter":
         noise = rng.standard_normal(mat.shape)
         worst = float(np.max(np.linalg.norm(noise @ codes.codes, axis=0)))
-        candidate = mat + noise * (eps_target / worst)
+        candidate = mat + noise * _step(eps_target, worst, family)
         return candidate, codes
     if family == "scaled_permuted":
         perm = rng.permutation(m)
@@ -82,25 +82,37 @@ def perturb_instance(dictionary, codes, family, eps_target, rng):
         inverse_positions = np.empty(m, dtype=int)
         inverse_positions[perm] = np.arange(m)
         xbar = codes.codes[perm, :] / diag[:, None]
-        supports = tuple(
-            tuple(sorted(int(inverse_positions[v - 1]) + 1 for v in s))
-            for s in codes.supports
-        )
+        remapped = {
+            s: tuple(sorted(int(inverse_positions[v - 1]) + 1 for v in s))
+            for s in set(codes.supports)
+        }
+        supports = tuple(remapped[s] for s in codes.supports)
         codes_bar = SparseCodeSet(m, xbar, supports, codes.k)
         noise = rng.standard_normal(mat.shape)
         worst = float(np.max(np.linalg.norm(noise @ codes_bar.codes, axis=0)))
-        return base + noise * (eps_target / worst), codes_bar
+        return base + noise * _step(eps_target, worst, family), codes_bar
     if family == "code_jitter":
+        # one draw, scattered column by column in support order: the same
+        # stream as one standard_normal(len(support)) call per column
+        cols, rows = np.nonzero(codes.support_mask.T)
         delta = np.zeros_like(codes.codes)
-        for col, support in enumerate(codes.supports):
-            rows = [v - 1 for v in support]
-            delta[rows, col] = rng.standard_normal(len(rows))
+        delta[rows, cols] = rng.standard_normal(rows.size)
         worst = float(np.max(np.linalg.norm(mat @ delta, axis=0)))
         codes_bar = SparseCodeSet(
-            codes.m, codes.codes + delta * (eps_target / worst),
+            codes.m, codes.codes + delta * _step(eps_target, worst, family),
             codes.supports, codes.k)
         return mat, codes_bar
     raise ValueError(f"unknown perturbation family {family!r}")
+
+
+def _step(eps_target, worst, family):
+    """Scale that takes the worst per-sample residual ``worst`` to eps_target."""
+    if worst == 0.0:
+        if family == "code_jitter":
+            raise ValueError("code_jitter: no in-support perturbation moves a sample")
+        raise ValueError(f"{family}: no sample carries signal, so no "
+                         "dictionary perturbation moves a sample")
+    return eps_target / worst
 
 
 def run_experiment(config):

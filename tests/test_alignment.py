@@ -18,7 +18,7 @@ from sparsecert import (
     vandermonde_codes,
     verify_theorem1,
 )
-from sparsecert.alignment import _max_matching
+from sparsecert.alignment import AlignmentResult, _max_matching
 from sparsecert.constants import build_certificate
 
 
@@ -199,6 +199,45 @@ def test_code_error_matches_direct_formula():
         abs(x[j - 1] - xbar[res.pi[j] - 1] / res.scales[j]) for j in res.pi
     )
     assert code_alignment_error(x, xbar, res) == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("m, m_bar, subset", [
+    (4, 4, None), (10, 10, None), (10, 12, None), (10, 10, (1, 3, 4, 7, 8, 9, 10)),
+])
+def test_code_error_columns_equal_single_codes(m, m_bar, subset):
+    # (m, N) codes give the per-code values bit for bit, with 8 or more
+    # matched columns too, where numpy would sum a contiguous axis pairwise
+    rng = np.random.default_rng(m + m_bar)
+    a_mat = rng.standard_normal((m + 2, m))
+    b_mat = rng.standard_normal((m + 2, m_bar))
+    res = align_dictionaries(a_mat, b_mat)
+    x = rng.standard_normal((m, 9))
+    xbar = rng.standard_normal((m_bar, 9))
+    errors = code_alignment_error(x, xbar, res, subset)
+    assert errors.shape == (9,)
+    singles = [code_alignment_error(x[:, i], xbar[:, i], res, subset)
+               for i in range(9)]
+    assert all(type(e) is float for e in singles)
+    assert errors.tolist() == singles
+    ordered = sorted(res.pi) if subset is None else sorted(subset)
+    for i in range(9):
+        total = 0.0
+        for j in ordered:
+            total += abs(x[j - 1, i] - xbar[res.pi[j] - 1, i] / res.scales[j])
+        assert singles[i] == total
+
+
+def test_code_error_zero_scale_names_column():
+    res = AlignmentResult(pi={1: 2, 2: 1, 3: 3}, scales={1: 1.0, 2: 0.0, 3: 0.0},
+                          column_errors={1: 0.0, 2: 0.0, 3: 0.0},
+                          max_column_error=0.0, unmatched_source=(),
+                          unmatched_target=())
+    for x in (np.ones(3), np.ones((3, 4))):
+        with pytest.raises(ValueError, match="^matched column 2 has zero scale$"):
+            code_alignment_error(x, x, res)
+        with pytest.raises(ValueError, match="^matched column 3 has zero scale$"):
+            code_alignment_error(x, x, res, subset=(3, 1))
+    assert code_alignment_error(np.ones(3), np.ones(3), res, subset=(1,)) == 0.0
 
 
 def test_orbit_invariance_of_code_reconstruction():

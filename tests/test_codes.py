@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sparsecert import (
     SparseCodeSet,
+    build_complete,
     build_cyclic,
     general_linear_position,
     generate_instance,
@@ -108,6 +109,31 @@ def test_support_index_sets_balanced_generation():
     _, codes = generate_instance(4, 4, 2, h, 7, seed=4)
     sets = support_index_sets(codes, h)
     assert all(len(ids) == 7 for ids in sets.values())
+
+
+def _reference_support_index_sets(codes, hypergraph):
+    """support_index_sets by set containment, one column and edge at a time."""
+    result = {edge: [] for edge in hypergraph.edges}
+    for col, support in enumerate(codes.supports):
+        for edge in hypergraph.edges:
+            if set(support) <= set(edge):
+                result[edge].append(col)
+    return result
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_support_index_sets_match_containment(data):
+    m = data.draw(st.integers(2, 6))
+    h_m = data.draw(st.integers(2, 7))
+    k = data.draw(st.integers(1, min(m, h_m) - 1))
+    h = data.draw(st.sampled_from([build_cyclic, build_complete]))(h_m, k)
+    supports = data.draw(st.lists(
+        st.lists(st.integers(1, m), max_size=k).map(tuple), max_size=12))
+    codes = SparseCodeSet(m, np.zeros((m, len(supports))), supports, k)
+    sets = support_index_sets(codes, h)
+    assert sets == _reference_support_index_sets(codes, h)
+    assert all(type(col) is int for ids in sets.values() for col in ids)
 
 
 def test_synthesize_noiseless():
