@@ -3,9 +3,13 @@ evaluate the recovery inequalities against a certificate.
 
 Matching minimizes the worst per-column error over injective column maps,
 with the per-pair scale chosen by least squares. The min-max assignment is
-solved exactly: binary search over cost thresholds with a bipartite matching
-feasibility oracle, then a deterministic lexicographic extraction
-(lowest source index first, then lowest target index).
+solved exactly by thresholding with a bipartite-matching oracle (Kuhn's
+augmenting paths). The pairs enter one matching in increasing cost until it
+is large enough; that cost is the threshold. A deterministic lexicographic
+extraction (lowest source index first, then lowest target index) then runs
+on the pairs at or below the threshold, carrying that one matching along:
+a candidate pair needs at most one augmenting path to decide, never a fresh
+matching.
 """
 
 from __future__ import annotations
@@ -46,50 +50,134 @@ def _pair_costs(a_mat, b_mat):
     cost its explicit residual norm. Numerator and denominator go through the
     same dot-product routine, so identical columns get scale exactly 1.0 and
     cost exactly 0.0. Zero target columns are unmatchable.
+
+    Every column is first scaled by the power of two that brings its peak
+    into [0.5, 1), so no square overflows or underflows; the costs and scales
+    are scaled back by the matching powers of two. Both steps are exact, so
+    where the unscaled arithmetic stays in the normal range the results are
+    the same bits. The dot products run as stacked (1, n) @ (n, 1) matmuls,
+    which call the same ``ddot`` as one ``np.dot`` per pair with the same
+    increments: column views of the scaled copies, which keep the inputs'
+    memory layout, and contiguous residual rows. A broadcast sum would add
+    in another order.
     """
-    m, m_bar = a_mat.shape[1], b_mat.shape[1]
-    b_sq = np.array([float(np.dot(b_mat[:, l], b_mat[:, l]))
-                     for l in range(m_bar)])
+    a_exp = np.frexp(np.max(np.abs(a_mat), axis=0))[1]
+    b_exp = np.frexp(np.max(np.abs(b_mat), axis=0))[1]
+    a_cols = np.ldexp(a_mat, -a_exp).T
+    b_cols = np.ldexp(b_mat, -b_exp).T
+    b_sq = (b_cols[:, None, :] @ b_cols[:, :, None])[:, 0, 0]
     usable = b_sq > 0.0
-    scales = np.zeros((m, m_bar))
-    costs = np.full((m, m_bar), math.inf)
-    for j in range(m):
-        a = a_mat[:, j]
-        for l in range(m_bar):
-            if not usable[l]:
-                continue
-            scale = float(np.dot(a, b_mat[:, l])) / b_sq[l]
-            scales[j, l] = scale
-            d = a - scale * b_mat[:, l]
-            costs[j, l] = math.sqrt(float(np.dot(d, d)))
+    numerators = (a_cols[:, None, None, :] @ b_cols[None, :, :, None])[..., 0, 0]
+    scales = np.divide(numerators, b_sq, out=np.zeros_like(numerators),
+                       where=usable)
+    residuals = np.subtract(a_cols[:, None, :], scales[:, :, None] * b_cols,
+                            order="C")
+    norms = np.sqrt((residuals[..., None, :] @ residuals[..., :, None])[..., 0, 0])
+    with np.errstate(over="ignore"):  # beyond the largest float is inf
+        costs = np.where(usable, np.ldexp(norms, a_exp[:, None]), math.inf)
+        scales = np.ldexp(scales, a_exp[:, None] - b_exp)
     return costs, scales, usable
 
 
-def _max_matching(allowed):
-    """Size of a maximum matching between the rows and columns of a boolean matrix.
+def _augment(adjacency, col_of, row_of, rows, blocked=()):
+    """Grow a matching by one augmenting path from a free row in ``rows``.
 
-    Kuhn's augmenting paths: each row in turn claims a free allowed column or
-    re-routes the row holding one. The recursion depth is at most the row count.
+    Kuhn's search: a free row claims a free column, or one whose row can be
+    moved on along another augmenting path. ``col_of``/``row_of`` hold the
+    matching (-1 for free) and are updated in place; columns in ``blocked``
+    are never entered. The rows share one visited set: a column that a failed
+    search reached leads to no free column from any row, so the pass finds an
+    augmenting path whenever one exists. Returns whether one was found.
     """
-    adjacency = [[col for col, ok in enumerate(row) if ok]
-                 for row in allowed.tolist()]
-    owner = [-1] * allowed.shape[1]
+    seen = set(blocked)
 
-    def augment(row, seen):
+    def visit(row):
         for col in adjacency[row]:
-            if not seen[col]:
-                seen[col] = True
-                if owner[col] < 0 or augment(owner[col], seen):
-                    owner[col] = row
+            if col not in seen:
+                seen.add(col)
+                if row_of[col] < 0 or visit(row_of[col]):
+                    col_of[row], row_of[col] = col, row
                     return True
         return False
 
-    return sum(augment(row, [False] * len(owner)) for row in range(len(adjacency)))
+    return any(col_of[row] < 0 and visit(row) for row in rows)
 
 
-def _matching_deficit(costs, threshold):
-    """Number of pairs a max matching leaves above the threshold (0 = feasible)."""
-    return min(costs.shape) - _max_matching(costs <= threshold)
+def _bottleneck(costs, n_match):
+    """The pairs at or below the bottleneck threshold, and a matching of
+    ``n_match`` of them.
+
+    The threshold is the smallest cost at which the pairs of that cost or
+    less hold a matching of ``n_match`` pairs. The pairs enter in increasing
+    cost, and each one that can grow the matching does, so the matching is
+    maximum among the pairs in so far and reaches ``n_match`` pairs at the
+    threshold. Returns (adjacency, col_of, row_of): each row's columns at or
+    below the threshold in increasing order, and the matching as
+    row -> column and column -> row lists (-1 for free).
+    """
+    m, m_bar = costs.shape
+    order = np.argsort(costs, axis=None).tolist()
+    flat = costs.ravel().tolist()
+    adjacency = [[] for _ in range(m)]
+    col_of, row_of = [-1] * m, [-1] * m_bar
+    size = 0
+    for position, index in enumerate(order):
+        cost = flat[index]
+        if not math.isfinite(cost):
+            break
+        j, l = divmod(index, m_bar)
+        adjacency[j].append(l)
+        if col_of[j] < 0 and row_of[l] < 0:
+            col_of[j], row_of[l] = l, j
+        elif not _augment(adjacency, col_of, row_of, range(m)):
+            continue
+        size += 1
+        if size == n_match:
+            for later in order[position + 1:]:
+                if flat[later] != cost:
+                    break
+                adjacency[later // m_bar].append(later % m_bar)
+            for row in adjacency:
+                row.sort()
+            return adjacency, col_of, row_of
+    raise ValueError(f"no {n_match} column pairs with finite alignment costs "
+                     "form a matching")
+
+
+def _lexicographic(adjacency, col_of, row_of, n_match):
+    """The lexicographically first matching of ``n_match`` pairs: each source
+    in turn takes the lowest target that leaves the later sources a matching
+    of the pairs still needed (a source that fits none stays unmatched).
+
+    ``col_of``/``row_of`` start as a matching of ``n_match`` pairs and stay
+    one of as many pairs as are still needed, in the graph that is left (no
+    more fit there). Giving source j the target l drops the pairs at j and
+    at l; when these are two pairs, one augmenting path among the later
+    sources decides whether target l still leaves a completion.
+    """
+    pi, used = {}, set()
+    for j in range(len(adjacency)):
+        if len(pi) == n_match:
+            break
+        for l in adjacency[j]:
+            if l in used:
+                continue
+            own, holder = col_of[j], row_of[l]
+            trial_col, trial_row = col_of[:], row_of[:]
+            if own >= 0:
+                trial_row[own] = -1
+            if holder >= 0:
+                trial_col[holder] = -1
+            trial_col[j] = trial_row[l] = -1
+            if own >= 0 and own != l and holder >= 0 and not _augment(
+                    adjacency, trial_col, trial_row,
+                    range(j + 1, len(adjacency)), used | {l}):
+                continue
+            col_of, row_of = trial_col, trial_row
+            pi[j] = l
+            used.add(l)
+            break
+    return pi, used
 
 
 def align_dictionaries(dictionary, candidate):
@@ -110,34 +198,9 @@ def align_dictionaries(dictionary, candidate):
     if n_usable == 0:
         raise ValueError("candidate dictionary has no nonzero columns")
     n_match = min(m, n_usable)
-
-    levels = np.unique(costs[np.isfinite(costs)])
-    lo, hi = 0, len(levels) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _matching_deficit(costs, levels[mid]) <= min(m, m_bar) - n_match:
-            hi = mid
-        else:
-            lo = mid + 1
-    threshold = levels[lo]
-
-    pi, used = {}, set()
-    for j in range(m):
-        matched_needed = n_match - len(pi)
-        if matched_needed == 0:
-            break
-        for l in range(m_bar):
-            if l in used or costs[j, l] > threshold:
-                continue
-            rows = [jj for jj in range(j + 1, m)]
-            cols = [ll for ll in range(m_bar) if ll != l and ll not in used]
-            if matched_needed == 1 or _submatching_ok(
-                    costs, rows, cols, threshold, matched_needed - 1):
-                pi[j] = l
-                used.add(l)
-                break
+    pi, used = _lexicographic(*_bottleneck(costs, n_match), n_match)
     column_errors = {j + 1: float(costs[j, l]) for j, l in pi.items()}
-    result = AlignmentResult(
+    return AlignmentResult(
         pi={j + 1: l + 1 for j, l in pi.items()},
         scales={j + 1: float(scales[j, l]) for j, l in pi.items()},
         column_errors=column_errors,
@@ -145,16 +208,6 @@ def align_dictionaries(dictionary, candidate):
         unmatched_source=tuple(j + 1 for j in range(m) if j not in pi),
         unmatched_target=tuple(l + 1 for l in range(m_bar) if l not in used),
     )
-    return result
-
-
-def _submatching_ok(costs, rows, cols, threshold, needed):
-    if needed == 0:
-        return True
-    if not rows or not cols:
-        return False
-    sub = costs[np.ix_(rows, cols)]
-    return _max_matching(sub <= threshold) >= needed
 
 
 def code_alignment_error(x, xbar, alignment, subset=None):
@@ -163,11 +216,15 @@ def code_alignment_error(x, xbar, alignment, subset=None):
     Sums |x_j - xbar_pi(j) / c_j| over the matched source columns (or the
     given 1-based subset of them), in increasing j. ``x`` and ``xbar`` are
     one code each, shape (m,), giving a float, or N codes as columns, shape
-    (m, N), giving an (N,) array. Zero scales cannot be inverted.
+    (m, N), giving an (N,) array. Every column summed must be matched, and
+    zero scales cannot be inverted.
     """
     x = np.asarray(x, dtype=float)
     xbar = np.asarray(xbar, dtype=float)
     columns = sorted(alignment.pi) if subset is None else sorted(subset)
+    unmatched = [j for j in columns if j not in alignment.pi]
+    if unmatched:
+        raise ValueError(f"column {unmatched[0]} is not matched")
     scales = np.array([alignment.scales[j] for j in columns], dtype=float)
     zero = np.flatnonzero(scales == 0.0)
     if zero.size:

@@ -126,12 +126,16 @@ def run_experiment(config):
     if m > MAX_M or n > MAX_N:
         raise ValueError(f"configuration above desk-scale caps (m<={MAX_M}, n<={MAX_N})")
     trials = int(config["trials"])
+    if trials < 1:
+        raise ValueError("need at least one trial")
     if trials > MAX_TRIALS:
         raise ValueError(f"trials above cap {MAX_TRIALS}")
     family = config.get("family", "dict_jitter")
     if family not in PERTURBATION_FAMILIES:
         raise ValueError(f"unknown perturbation family {family!r}")
     grid = [float(v) for v in config["noise_grid"]]
+    if not grid:
+        raise ValueError("noise grid is empty")
     if any(v <= 0 for v in grid):
         raise ValueError("noise grid values must be positive")
     base_seed = int(config.get("seed", 0))

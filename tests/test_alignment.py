@@ -18,8 +18,107 @@ from sparsecert import (
     vandermonde_codes,
     verify_theorem1,
 )
-from sparsecert.alignment import AlignmentResult, _max_matching
+from sparsecert import geometry
+from sparsecert.alignment import AlignmentResult, _augment, _pair_costs
 from sparsecert.constants import build_certificate
+
+
+# The per-pair alignment that the stacked costs and the one-matching
+# extraction replaced, kept as the oracle they must equal bit for bit.
+
+
+def _reference_pair_costs(a_mat, b_mat):
+    m, m_bar = a_mat.shape[1], b_mat.shape[1]
+    b_sq = np.array([float(np.dot(b_mat[:, l], b_mat[:, l]))
+                     for l in range(m_bar)])
+    usable = b_sq > 0.0
+    scales = np.zeros((m, m_bar))
+    costs = np.full((m, m_bar), math.inf)
+    for j in range(m):
+        a = a_mat[:, j]
+        for l in range(m_bar):
+            if not usable[l]:
+                continue
+            scale = float(np.dot(a, b_mat[:, l])) / b_sq[l]
+            scales[j, l] = scale
+            d = a - scale * b_mat[:, l]
+            costs[j, l] = math.sqrt(float(np.dot(d, d)))
+    return costs, scales, usable
+
+
+def _reference_max_matching(allowed):
+    adjacency = [[col for col, ok in enumerate(row) if ok]
+                 for row in allowed.tolist()]
+    owner = [-1] * allowed.shape[1]
+
+    def augment(row, seen):
+        for col in adjacency[row]:
+            if not seen[col]:
+                seen[col] = True
+                if owner[col] < 0 or augment(owner[col], seen):
+                    owner[col] = row
+                    return True
+        return False
+
+    return sum(augment(row, [False] * len(owner)) for row in range(len(adjacency)))
+
+
+def _reference_submatching_ok(costs, rows, cols, threshold, needed):
+    if needed == 0:
+        return True
+    if not rows or not cols:
+        return False
+    sub = costs[np.ix_(rows, cols)]
+    return _reference_max_matching(sub <= threshold) >= needed
+
+
+def _reference_align_dictionaries(dictionary, candidate):
+    """Binary search over cost levels with a fresh matching per probe, then
+    the lexicographic extraction with a fresh matching per candidate pair."""
+    a_mat = geometry.as_matrix(dictionary, "dictionary")
+    b_mat = geometry.as_matrix(candidate, "candidate")
+    m, m_bar = a_mat.shape[1], b_mat.shape[1]
+    costs, scales, usable = _reference_pair_costs(a_mat, b_mat)
+    n_usable = int(np.sum(usable))
+    if n_usable == 0:
+        raise ValueError("candidate dictionary has no nonzero columns")
+    n_match = min(m, n_usable)
+
+    levels = np.unique(costs[np.isfinite(costs)])
+    lo, hi = 0, len(levels) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        deficit = min(costs.shape) - _reference_max_matching(costs <= levels[mid])
+        if deficit <= min(m, m_bar) - n_match:
+            hi = mid
+        else:
+            lo = mid + 1
+    threshold = levels[lo]
+
+    pi, used = {}, set()
+    for j in range(m):
+        matched_needed = n_match - len(pi)
+        if matched_needed == 0:
+            break
+        for l in range(m_bar):
+            if l in used or costs[j, l] > threshold:
+                continue
+            rows = [jj for jj in range(j + 1, m)]
+            cols = [ll for ll in range(m_bar) if ll != l and ll not in used]
+            if matched_needed == 1 or _reference_submatching_ok(
+                    costs, rows, cols, threshold, matched_needed - 1):
+                pi[j] = l
+                used.add(l)
+                break
+    column_errors = {j + 1: float(costs[j, l]) for j, l in pi.items()}
+    return AlignmentResult(
+        pi={j + 1: l + 1 for j, l in pi.items()},
+        scales={j + 1: float(scales[j, l]) for j, l in pi.items()},
+        column_errors=column_errors,
+        max_column_error=max(column_errors.values()),
+        unmatched_source=tuple(j + 1 for j in range(m) if j not in pi),
+        unmatched_target=tuple(l + 1 for l in range(m_bar) if l not in used),
+    )
 
 
 def brute_force_max_error(a_mat, b_mat):
@@ -45,6 +144,100 @@ def random_orbit_pair(rng, n, m):
     perm = rng.permutation(m)
     diag = rng.uniform(0.5, 2.0, m) * rng.choice([-1.0, 1.0], m)
     return a_mat, a_mat[:, perm] * diag, perm, diag
+
+
+def oracle_case(kind, rng):
+    """One (A, B) pair of the given kind, C- or F-ordered at random."""
+    m, m_bar, n = (int(v) for v in rng.integers(1, [11, 11, 13]))
+    noise = 10.0 ** rng.uniform(-14, -2)
+    if kind == "gaussian":
+        a_mat = rng.standard_normal((n, m))
+        b_mat = rng.standard_normal((n, m_bar))
+    elif kind == "integer":
+        a_mat = rng.integers(-2, 3, (n, m)).astype(float)
+        b_mat = rng.integers(-2, 3, (n, m_bar)).astype(float)
+    elif kind == "binary_duplicates":
+        a_mat = rng.integers(0, 2, (n, m)).astype(float)
+        b_mat = a_mat[:, rng.integers(0, m, m_bar)]
+    elif kind == "zero_and_duplicate_columns":
+        a_mat = rng.standard_normal((n, m))
+        b_mat = rng.standard_normal((n, m_bar))
+        b_mat[:, rng.random(m_bar) < 0.3] = 0.0
+        b_mat[:, -1] = b_mat[:, 0]
+        a_mat[:, -1] = a_mat[:, 0]
+    elif kind == "near_orbit":
+        a_mat = rng.standard_normal((n, m))
+        b_mat = a_mat[:, rng.integers(0, m, m_bar)]
+        b_mat = b_mat * rng.uniform(0.5, 2.0, m_bar) * rng.choice([-1.0, 1.0], m_bar)
+        b_mat = b_mat + noise * rng.standard_normal(b_mat.shape)
+    else:  # near_permutation: a permuted prefix, padded with junk columns
+        a_mat = rng.standard_normal((n, m))
+        b_mat = a_mat[:, rng.permutation(m)[:m_bar]]
+        if m_bar > m:
+            b_mat = np.hstack([b_mat, rng.standard_normal((n, m_bar - m))])
+        b_mat = b_mat + noise * rng.standard_normal(b_mat.shape)
+    if rng.random() < 0.5:
+        a_mat = np.asfortranarray(a_mat)
+    if rng.random() < 0.5:
+        b_mat = np.asfortranarray(b_mat)
+    return a_mat, b_mat
+
+
+@pytest.mark.parametrize("kind", [
+    "gaussian", "integer", "binary_duplicates", "zero_and_duplicate_columns",
+    "near_orbit", "near_permutation",
+])
+def test_alignment_equals_per_pair_reference(kind):
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    shapes = set()
+    for _ in range(250):
+        a_mat, b_mat = oracle_case(kind, rng)
+        shapes.add((np.sign(b_mat.shape[1] - a_mat.shape[1]),
+                    a_mat.flags.f_contiguous, b_mat.flags.f_contiguous))
+        costs, scales, usable = _reference_pair_costs(a_mat, b_mat)
+        new_costs, new_scales, new_usable = _pair_costs(a_mat, b_mat)
+        assert np.array_equal(new_costs, costs)
+        assert np.array_equal(new_scales, scales)
+        assert np.array_equal(new_usable, usable)
+        if not usable.any():
+            with pytest.raises(ValueError, match="no nonzero columns"):
+                align_dictionaries(a_mat, b_mat)
+            continue
+        assert (align_dictionaries(a_mat, b_mat)
+                == _reference_align_dictionaries(a_mat, b_mat))
+    if kind != "binary_duplicates":
+        assert len(shapes) == 12
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e-150, 1e155, 1e-170, 1e200, 1e-200,
+                                   1e300, 1e-300])
+def test_alignment_at_extreme_column_scales(scale):
+    rng = np.random.default_rng(4)
+    a_mat = rng.standard_normal((4, 3))
+    res = align_dictionaries(a_mat * scale, (a_mat * scale)[:, [2, 0, 1]])
+    assert res.pi == {1: 2, 2: 3, 3: 1}
+    assert all(c == pytest.approx(1.0, rel=1e-15) for c in res.scales.values())
+    assert res.max_column_error <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("power", [-1000, -520, -300, 300, 500, 900])
+def test_power_of_two_scaling_is_exact(power):
+    # a power of two passes through the column scaling exactly, so costs
+    # scale by it and the map and scales do not move
+    rng = np.random.default_rng(power % 97)
+    a_mat, b_mat, _, _ = random_orbit_pair(rng, 5, 4)
+    b_mat = b_mat + 1e-6 * rng.standard_normal(b_mat.shape)
+    base = align_dictionaries(a_mat, b_mat)
+    res = align_dictionaries(np.ldexp(a_mat, power), np.ldexp(b_mat, power))
+    assert res.pi == base.pi and res.scales == base.scales
+    assert res.column_errors == {j: math.ldexp(e, power)
+                                 for j, e in base.column_errors.items()}
+
+
+def test_overflowing_costs_rejected():
+    # the only pair's residual is the whole column, beyond the largest float
+    with pytest.raises(ValueError, match="finite alignment costs"):
+        align_dictionaries(np.full((2, 1), 1.5e308), np.array([[1.0], [-1.0]]))
 
 
 def test_exact_orbit_recovery():
@@ -98,6 +291,20 @@ def brute_force_matching(allowed):
     return best
 
 
+def max_matching(allowed):
+    """Size of the matching that ``_augment`` grows until no path is left."""
+    adjacency = [[col for col, ok in enumerate(row) if ok]
+                 for row in allowed.tolist()]
+    col_of, row_of = [-1] * allowed.shape[0], [-1] * allowed.shape[1]
+    size = 0
+    while _augment(adjacency, col_of, row_of, range(allowed.shape[0])):
+        size += 1
+    for row, col in enumerate(col_of):
+        assert col < 0 or (allowed[row, col] and row_of[col] == row)
+    assert sum(col >= 0 for col in col_of) == size
+    return size
+
+
 def test_max_matching_matches_brute_force():
     rng = np.random.default_rng(5)
     shapes = [(r, c) for r in range(1, 7) for c in range(1, 8)]
@@ -106,9 +313,9 @@ def test_max_matching_matches_brute_force():
             allowed = rng.random((n_rows, n_cols)) < density
             allowed[rng.integers(n_rows)] = False
             allowed[:, rng.integers(n_cols)] = False
-            assert _max_matching(allowed) == brute_force_matching(allowed)
-    assert _max_matching(np.ones((6, 7), dtype=bool)) == 6
-    assert _max_matching(np.zeros((4, 3), dtype=bool)) == 0
+            assert max_matching(allowed) == brute_force_matching(allowed)
+    assert max_matching(np.ones((6, 7), dtype=bool)) == 6
+    assert max_matching(np.zeros((4, 3), dtype=bool)) == 0
 
 
 def test_tie_breaking_deterministic_and_lexicographic():
@@ -238,6 +445,16 @@ def test_code_error_zero_scale_names_column():
         with pytest.raises(ValueError, match="^matched column 3 has zero scale$"):
             code_alignment_error(x, x, res, subset=(3, 1))
     assert code_alignment_error(np.ones(3), np.ones(3), res, subset=(1,)) == 0.0
+
+
+def test_code_error_unmatched_column_named():
+    res = align_dictionaries(np.eye(3), np.eye(3)[:, :2])
+    assert res.unmatched_source == (3,)
+    for x, xbar in ((np.ones(3), np.ones(2)), (np.ones((3, 4)), np.ones((2, 4)))):
+        with pytest.raises(ValueError, match="^column 3 is not matched$"):
+            code_alignment_error(x, xbar, res, subset=[3])
+        with pytest.raises(ValueError, match="^column 3 is not matched$"):
+            code_alignment_error(x, xbar, res, subset=(2, 3, 1))
 
 
 def test_orbit_invariance_of_code_reconstruction():

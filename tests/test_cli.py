@@ -202,6 +202,19 @@ def test_experiment_csv(tmp_path, capsys):
     assert lines[0] == serialize.EXPERIMENT_CSV_HEADER
 
 
+@pytest.mark.parametrize("change", [{"trials": 0}, {"trials": -3},
+                                    {"noise_grid": []}])
+def test_experiment_empty_sweep_exits_2(tmp_path, capsys, change):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(dict({
+        "m": 4, "n": 4, "k": 2, "hypergraph": "cyclic",
+        "per_support_count": 7, "noise_grid": [1e-3],
+        "trials": 1, "family": "code_jitter", "seed": 1,
+    }, **change)))
+    assert main(["experiment", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_check_lemmas_exit_zero(tmp_path, capsys):
     cfg = tmp_path / "lemmas.json"
     cfg.write_text(json.dumps({

@@ -87,6 +87,18 @@ def test_run_experiment_rejects_oversize():
         run_experiment(cfg)
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"trials": 0}, "need at least one trial"),
+    ({"trials": -3}, "need at least one trial"),
+    ({"noise_grid": []}, "noise grid is empty"),
+])
+def test_run_experiment_rejects_empty_sweep(change, message):
+    cfg = dict(m=4, n=4, k=2, hypergraph="cyclic", per_support_count=7,
+               noise_grid=[1e-3], trials=1, family="dict_jitter", seed=0)
+    with pytest.raises(ValueError, match=message):
+        run_experiment(dict(cfg, **change))
+
+
 def test_summarize_empty():
     summary = summarize([])
     assert summary["records"] == 0
