@@ -21,10 +21,11 @@ GENERATE_MAX_RETRIES = 10
 # general_linear_position call). The subsets are streamed, so it bounds the
 # work, not the memory; cyclic m=10, k=3 at 241 codes (2,303,960) fits.
 SUBSET_WORK_CAP = 10_000_000
-# k-subsets per chunk of the stream. The subset screen gathers k^2 doubles
-# per subset, as k column arrays for k <= 3 and as k x k blocks from k = 4:
-# 590 KB per chunk at k=3.
-SCREEN_ROWS = 1 << 13
+# Grid entries per block of the subset stream, over all stacked supports. A
+# block pairs a run of first indices with one slice of the tail list, so
+# its determinant grid holds at most this many doubles (128 KB); from k = 4
+# the gathered k x k blocks take k^2 times that.
+SCREEN_ROWS = 1 << 14
 
 
 @dataclass
@@ -139,58 +140,82 @@ def general_linear_position(vectors, k, rank_tol=geometry.DEFAULT_RANK_TOL,
     singular value clearing rank_tol times the largest singular value of
     the whole stack.
     """
+    mat = _vectors(vectors, k)
+    count = mat.shape[1]
+    if count >= k and math.comb(count, k) > subset_cap:
+        raise CapExceededError(f"{math.comb(count, k)} {k}-subsets exceed cap "
+                               f"{subset_cap}")
+    return subsets_independent(mat, k, rank_tol)
+
+
+def _vectors(vectors, k):
+    """The vectors as the columns of a finite 2-D float array; k must be
+    positive."""
     mat = np.asarray(vectors, dtype=float)
     if mat.ndim == 1:
         mat = mat[:, None]
     if mat.ndim != 2:
         raise ValueError("vectors must stack into a 2-D array")
-    count = mat.shape[1]
     if k < 1:
         raise ValueError("k must be positive")
-    if count < k:
-        return True
-    n_subsets = math.comb(count, k)
-    if n_subsets > subset_cap:
-        raise CapExceededError(f"{n_subsets} {k}-subsets exceed cap {subset_cap}")
-    return subsets_independent(mat, k, rank_tol)
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("vectors have non-finite entries")
+    return mat
 
 
 def subsets_independent(mat, k, rank_tol=geometry.DEFAULT_RANK_TOL):
     """True iff every k columns of ``mat`` are linearly independent.
 
     Each k-subset T must have a smallest singular value above rank_tol
-    times the largest singular value of ``mat``. The subsets are streamed
-    in chunks and screened: the columns' coordinates in the top-k left
-    singular subspace of ``mat`` (padded with zero rows when the rank is
-    lower) lose nothing of sigma_min(mat[:, T]), and the determinants of
-    their column-normalised k x k blocks, taken over a whole chunk
-    (``geometry.hadamard_floor``), bound it from below
-    (``geometry.sigma_floor``). A subset whose bound clears
+    times the largest singular value of ``mat``; with fewer than k columns
+    there is none. The columns' coordinates in the top-k left singular
+    subspace of ``mat`` (padded with zero rows when the rank is lower) lose
+    nothing of sigma_min(mat[:, T]). The subsets are walked in first-index
+    blocks (``geometry.unsettled_subsets``), and the determinants of their
+    column-normalised k x k blocks, from the first-column Laplace expansion
+    against the tail minors (``geometry.hadamard_floor``), bound it from
+    below (``geometry.sigma_floor``). A subset whose bound clears
     (rank_tol + SCREEN_SLACK) times the largest singular value is proved
-    independent; every other one gets the exact SVD of ``mat[:, T]``. The
-    first subset that fails ends the check.
+    independent, and a determinant above the ``geometry.settling_floor``
+    of that threshold proves it without the bound; every other subset gets
+    the exact SVD of ``mat[:, T]``. The first block with a failing subset
+    ends the check. Non-finite entries and k < 1 raise ValueError.
     """
-    mat = np.asarray(mat, dtype=float)
-    smax = float(np.linalg.svd(mat, compute_uv=False)[0])
-    basis = np.linalg.svd(mat, full_matrices=False)[0][:, :k]
-    coords = np.zeros((k, mat.shape[1]))
-    coords[:basis.shape[1]] = basis.T @ mat
+    mat = _vectors(mat, k)
+    return mat.shape[1] < k or _stack_independent(mat[None], k, rank_tol)
+
+
+def _stack_independent(mats, k, rank_tol):
+    """``subsets_independent`` of each matrix of an (S, n, N) stack, with
+    N >= k, from one stream of subset blocks for the whole stack."""
+    smax = np.linalg.svd(mats, compute_uv=False)[:, 0]
+    basis = np.linalg.svd(mats, full_matrices=False)[0][..., :k]
+    coords = np.zeros((len(mats), k, mats.shape[2]))
+    for s, (vectors, mat) in enumerate(zip(basis, mats)):
+        coords[s, :vectors.shape[1]] = vectors.T @ mat
     units, norms = geometry.unit_columns(coords)
+    glp_settle = geometry.settling_floor((rank_tol + geometry.SCREEN_SLACK) * smax,
+                                         [geometry.sigma_scale(k), norms.min(axis=1)])
+    columns, norms = np.concatenate(mats, axis=1), norms.ravel()
     return all(
-        _independent(mat, chunk, geometry.sigma_floor(
-            geometry.hadamard_floor(units, chunk), norms, chunk), smax, rank_tol)
-        for chunk in geometry.subset_chunks(mat.shape[1], k, SCREEN_ROWS))
+        _independent(columns, subsets, geometry.sigma_floor(floor, norms, subsets),
+                     smax[owners], rank_tol)
+        for owners, subsets, floor in geometry.unsettled_subsets(
+            units, SCREEN_ROWS, lambda: glp_settle))
 
 
 def _independent(mat, subsets, floor, smax, rank_tol):
     """Whether every subset clears the GLP threshold, given lower bounds
-    ``floor`` on their smallest singular values; the exact SVD settles
-    each subset that the bound does not prove independent."""
+    ``floor`` on their smallest singular values and the top singular value
+    ``smax``, one or one per subset, of the matrices they come from; the
+    exact SVD settles each subset that the bound does not prove
+    independent."""
+    smax = np.broadcast_to(smax, floor.shape)
     proved = (floor > (rank_tol + geometry.SCREEN_SLACK) * smax) & (floor < math.inf)
     if proved.all():
         return True
     sv = _kernels.edge_min_singular_values(mat, subsets[~proved])
-    return bool(np.min(sv) > rank_tol * smax)
+    return bool(np.all(sv > rank_tol * smax[~proved]))
 
 
 def support_index_sets(codes, hypergraph):
@@ -301,6 +326,16 @@ def _instance_verified(mat, codes, hypergraph, unions, per_support_count, k,
         return False
     if not geometry.spark_condition(mat, k, rank_tol):
         return False
-    return all(len(ids) >= per_support_count
-               and general_linear_position(codes.codes[:, ids], k, rank_tol)
-               for ids in support_index_sets(codes, hypergraph).values())
+    by_count = {}
+    for ids in support_index_sets(codes, hypergraph).values():
+        if len(ids) < per_support_count:
+            return False
+        by_count.setdefault(len(ids), []).append(ids)
+    for count in by_count:
+        if count >= k and math.comb(count, k) > SUBSET_WORK_CAP:
+            raise CapExceededError(f"{math.comb(count, k)} {k}-subsets exceed cap "
+                                   f"{SUBSET_WORK_CAP}")
+    # general linear position of every support, one stream per code count
+    return all(count < k or _stack_independent(
+                   np.stack([codes.codes[:, ids] for ids in group]), k, rank_tol)
+               for count, group in by_count.items())

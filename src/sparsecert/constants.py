@@ -19,10 +19,8 @@ from .hypergraph import has_sip, pairwise_unions, regularity
 
 # Groups of r+1 edges are enumerated when maximizing xi.
 DEFAULT_GROUP_CAP = 100_000
-# Below this the code family is treated as failing general linear position.
-C1_DENOM_TOL = 1e-12
-# Exact SVDs that seed the C1 denominator's least value in a chunk that the
-# screen leaves wide open.
+# Exact SVDs that seed the C1 denominator's least value among the subsets
+# of a block that the screen leaves wide open.
 _SEED_SUBSETS = 16
 
 
@@ -35,7 +33,8 @@ def compute_C2(dictionary, hypergraph, rank_tol=geometry.DEFAULT_RANK_TOL,
     The worst group has the smallest sine product P, and 1 - xi is taken as
     P / (1 + sqrt(1 - P)), which keeps its digits when xi is near 1, so
     nearly degenerate geometry gives a large constant; a zero denominator
-    (P = 0) is refused as degenerate.
+    (P = 0) is refused as degenerate. The column norms are taken after an
+    exact power-of-two scaling of each column, so they do not overflow.
     """
     mat = geometry.as_matrix(dictionary, "dictionary")
     if hypergraph.m != mat.shape[1]:
@@ -60,80 +59,117 @@ def compute_C2(dictionary, hypergraph, rank_tol=geometry.DEFAULT_RANK_TOL,
         raise HypothesisError(
             "edge-span geometry is degenerate (ordering aggregate reached 1)"
         )
-    max_column = float(np.max(np.linalg.norm(mat, axis=0)))
+    # the norms of columns scaled by exact powers of two, which cannot overflow
+    shifts = np.frexp(np.max(np.abs(mat), axis=0))[1]
+    norms = np.ldexp(np.linalg.norm(np.ldexp(mat, -shifts), axis=0), shifts)
+    max_column = float(np.max(norms))
     return (r + 1) * max_column / denominator
 
 
-class _Support(NamedTuple):
-    """One support's inputs to the screened code checks."""
+class _Stack(NamedTuple):
+    """The inputs to the screened code checks of the supports that share a
+    code count N, side by side: support s holds columns s N to s N + N - 1
+    of the column arrays."""
 
-    codes: np.ndarray      # m x N, the support's code columns
-    smax: float            # largest singular value of ``codes``
-    units: np.ndarray      # k x N, the support rows, unit columns
-    norms: np.ndarray      # column norms of the support rows
-    product: np.ndarray    # n x N, dictionary @ codes
+    codes: np.ndarray      # m x SN, the supports' code columns
+    smax: np.ndarray       # S, largest singular value of each support's codes
+    units: np.ndarray      # S x k x N, the support rows, unit columns
+    norms: np.ndarray      # SN, column norms of the support rows
+    product: np.ndarray    # n x SN, dictionary @ codes, support by support
     product_norms: np.ndarray
-    weights: np.ndarray    # per column: code norm over product norm
-    spectrum: np.ndarray   # k lower bounds on the singular values of A_S
-    margin: float          # SVD and product rounding of A X_T, absolute
+    weights: np.ndarray    # SN, code norm over product norm
+    spectrum: np.ndarray   # S x k, lower bounds on the singular values of A_S
+    margin: np.ndarray     # S, SVD and product rounding of A X_T, absolute
 
 
-def _support(mat, codes, edge, ids):
-    k = len(edge)
-    rows = [v - 1 for v in edge]
-    x = codes.codes[:, ids]
-    units, norms = geometry.unit_columns(x[rows])
-    product = mat @ x
+def _stack(mat, codes, edges, index_sets):
+    """The ``_Stack`` of edges whose code counts are equal; the SVDs and the
+    column scalings run on stacks, matrix by matrix."""
+    k = len(edges[0])
+    rows = np.array([[v - 1 for v in edge] for edge in edges])
+    x = np.stack([codes.codes[:, index_sets[edge]] for edge in edges])
+    units, norms = geometry.unit_columns(np.take_along_axis(x, rows[:, :, None], axis=1))
+    product = np.stack([mat @ support for support in x])
     product_norms = geometry.unit_columns(product)[1]
-    sv = np.zeros(k)
-    found = np.linalg.svd(mat[:, rows], compute_uv=False)
-    sv[:len(found)] = found
-    slack = geometry.SCREEN_SLACK * sv[0]
+    sv = np.zeros((len(edges), k))
+    found = np.linalg.svd(np.moveaxis(mat[:, rows], 1, 0), compute_uv=False)
+    sv[:, :found.shape[1]] = found
+    slack = geometry.SCREEN_SLACK * sv[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         weights = norms / product_norms
-    return _Support(
-        codes=x, smax=float(np.linalg.svd(x, compute_uv=False)[0]),
-        units=units, norms=norms, product=product, product_norms=product_norms,
-        weights=weights, spectrum=np.maximum(sv - slack, 0.0),
-        margin=slack * math.sqrt(k) * float(np.max(norms)),
+    return _Stack(
+        codes=np.concatenate(x, axis=1), smax=np.linalg.svd(x, compute_uv=False)[:, 0],
+        units=units, norms=norms.ravel(), product=np.concatenate(product, axis=1),
+        product_norms=product_norms.ravel(), weights=weights.ravel(),
+        spectrum=np.maximum(sv - slack[:, None], 0.0),
+        margin=slack * math.sqrt(k) * np.max(norms, axis=1),
     )
 
 
-def _lowest(support, subsets, hadamard, lowest):
-    """The least of ``lowest`` and the smallest singular values of A X_T.
+def _settling(stack, k, rank_tol):
+    """Per support: the settling floor of the GLP check, and the lower bounds
+    on the factors of the C1 floor (``_c1_floor``), in order.
 
-    vol(A_S X_T) = vol(A_S) |det X_T|, so the Hadamard ratio of A X_T is
-    bounded below by that of X_T times prod_i spectrum[i] weights[T_i]. A
-    subset whose resulting floor exceeds the running least by the support's
-    margin cannot lower it. When more than _SEED_SUBSETS are left open, the
-    exact SVDs of the lowest-floor ones come first, and the rest are
-    screened again against the least they give.
+    The bounds are the least values over the support's columns; a NaN
+    among them, from a zero column, settles nothing.
+    """
+    def least(values):
+        return values.reshape(len(stack.units), -1).min(axis=1)
+
+    scale = geometry.sigma_scale(k)
+    factors = least(stack.weights)[:, None] * stack.spectrum
+    product = factors[:, 0]
+    for j in range(1, k):
+        product = product * factors[:, j]
+    glp = geometry.settling_floor((rank_tol + geometry.SCREEN_SLACK) * stack.smax,
+                                  [scale, least(stack.norms)])
+    return glp, [product, scale, least(stack.product_norms)]
+
+
+def _c1_floor(stack, owners, subsets, hadamard):
+    """Lower bounds on the smallest singular values of A X_T.
+
+    ``subsets`` index the stack's columns, and ``owners`` are their
+    supports. vol(A_S X_T) = vol(A_S) |det X_T|, so the Hadamard ratio of
+    A X_T is bounded below by that of X_T times prod_i spectrum[i]
+    weights[T_i].
     """
     with np.errstate(invalid="ignore"):
-        scale = support.weights[subsets[:, 0]] * support.spectrum[0]
+        scale = stack.weights[subsets[:, 0]] * stack.spectrum[owners, 0]
         for j in range(1, subsets.shape[1]):
-            scale *= support.weights[subsets[:, j]] * support.spectrum[j]
-        floor = geometry.sigma_floor(hadamard * scale, support.product_norms,
-                                     subsets)
+            scale *= stack.weights[subsets[:, j]] * stack.spectrum[owners, j]
+        return geometry.sigma_floor(hadamard * scale, stack.product_norms, subsets)
+
+
+def _lowest(stack, owners, subsets, hadamard, lowest):
+    """The least of ``lowest`` and the smallest singular values of A X_T.
+
+    A subset whose floor (``_c1_floor``) exceeds the running least by its
+    support's margin cannot lower it. When more than _SEED_SUBSETS are left
+    open, the exact SVDs of the lowest-floor ones come first, and the rest
+    are screened again against the least they give.
+    """
+    floor = _c1_floor(stack, owners, subsets, hadamard)
+    margin = stack.margin[owners]
 
     def open_subsets(least):
-        return ~((floor > least + support.margin) & (floor < math.inf))
+        return ~((floor > least + margin) & (floor < math.inf))
 
     still_open = open_subsets(lowest)
     candidates = np.flatnonzero(still_open)
     if len(candidates) > _SEED_SUBSETS:
         seeds = candidates[np.argpartition(floor[candidates], _SEED_SUBSETS - 1)
                            [:_SEED_SUBSETS]]
-        lowest = _exact_lowest(support, subsets[seeds], lowest)
+        lowest = _exact_lowest(stack, subsets[seeds], lowest)
         still_open[seeds] = False
         still_open &= open_subsets(lowest)
     if still_open.any():
-        lowest = _exact_lowest(support, subsets[still_open], lowest)
+        lowest = _exact_lowest(stack, subsets[still_open], lowest)
     return lowest
 
 
-def _exact_lowest(support, subsets, lowest):
-    sv = _kernels.edge_min_singular_values(support.product, subsets)
+def _exact_lowest(stack, subsets, lowest):
+    sv = _kernels.edge_min_singular_values(stack.product, subsets)
     return min(lowest, float(np.min(sv)))
 
 
@@ -142,14 +178,18 @@ def _code_checks(mat, codes, hypergraph, index_sets, rank_tol):
 
     On each edge S the k-subsets T of its codes serve both checks: X_T
     independent against the top singular value of X_S, and the restricted
-    lower bound of A X_T. Supports with equal code counts share one stream
-    of chunks, and per support the determinants of a chunk's blocks, taken
-    over the whole chunk, bound both checks from below for every subset
-    (``geometry.hadamard_floor``); only the subsets the bounds leave open
-    get the exact SVD, so the results equal those of one SVD per subset. A
-    support with fewer than k codes fails both; one with more than
-    SUBSET_WORK_CAP k-subsets raises CapExceededError before any subset is
-    checked.
+    lower bound of A X_T. The supports with equal code counts are stacked
+    and walk one stream of first-index blocks (``geometry.unsettled_subsets``):
+    per block, the determinants of every support's subsets come from the
+    block's first columns against the tail minors
+    (``geometry.hadamard_floor``). A subset whose determinant clears its
+    support's settling floor (``geometry.settling_floor``) is proved for
+    both checks by that alone. The few others, of all supports at once, get
+    their full floors from their index tuples (``geometry.sigma_floor``,
+    ``_lowest``), and only the subsets that those leave open get the exact
+    SVD, so the results equal those of one SVD per subset. A support with
+    fewer than k codes fails both; one with more than SUBSET_WORK_CAP
+    k-subsets raises CapExceededError before any subset is checked.
     """
     k = hypergraph.k
     by_count = {}
@@ -164,24 +204,40 @@ def _code_checks(mat, codes, hypergraph, index_sets, rank_tol):
             raise CapExceededError(f"{n_subsets} {k}-subsets of one support's codes "
                                    f"exceed cap {SUBSET_WORK_CAP}")
     glp_ok, lowest = True, math.inf
-    for count, edges in by_count.items():
-        supports = [_support(mat, codes, edge, index_sets[edge]) for edge in edges]
-        for chunk in geometry.subset_chunks(count, k, SCREEN_ROWS):
-            for support in supports:
-                hadamard = geometry.hadamard_floor(support.units, chunk)
-                glp_ok = glp_ok and _independent(
-                    support.codes, chunk,
-                    geometry.sigma_floor(hadamard, support.norms, chunk),
-                    support.smax, rank_tol)
-                lowest = _lowest(support, chunk, hadamard, lowest)
+    for edges in by_count.values():
+        stack = _stack(mat, codes, edges, index_sets)
+        glp_settle, c1_factors = _settling(stack, k, rank_tol)
+
+        def settle():
+            # read before each block: the C1 target falls with the least value
+            c1 = geometry.settling_floor(lowest + stack.margin, c1_factors)
+            return np.maximum(c1, glp_settle) if glp_ok else c1
+
+        for owners, subsets, floor in geometry.unsettled_subsets(stack.units,
+                                                                 SCREEN_ROWS, settle):
+            glp_ok = glp_ok and _independent(
+                stack.codes, subsets,
+                geometry.sigma_floor(floor, stack.norms, subsets),
+                stack.smax[owners], rank_tol)
+            lowest = _lowest(stack, owners, subsets, floor, lowest)
     return glp_ok, lowest / math.sqrt(k)
 
 
-def _c1(c2, denominator):
-    if denominator <= C1_DENOM_TOL:
+def _c1(c2, glp_ok, denominator):
+    """C2 over the code bound, refused when the bound vanished or C1 overflows.
+
+    The codes' general linear position, judged relative to each support's
+    own top singular value, decides whether the bound is degenerate; no
+    absolute cut applies, so C1 is unchanged when the dictionary is scaled
+    and scales as 1/s when the codes are.
+    """
+    if not (glp_ok and denominator > 0.0):
         raise HypothesisError("per-support code bound vanished (fewer than k codes "
                               "on a support, or codes not in general linear position)")
-    return c2 / denominator
+    c1 = c2 / denominator
+    if c1 == math.inf:
+        raise HypothesisError("C1 overflows the floating-point range")
+    return c1
 
 
 def compute_C1(dictionary, codes, hypergraph, rank_tol=geometry.DEFAULT_RANK_TOL,
@@ -190,15 +246,19 @@ def compute_C1(dictionary, codes, hypergraph, rank_tol=geometry.DEFAULT_RANK_TOL
 
     The denominator is the minimum over edges S of the restricted lower bound
     (at the uniform edge size) of dictionary @ codes restricted to the codes
-    supported in S. Every edge needs at least k codes; a denominator at or
-    below 1e-12 is reported as a general-linear-position failure.
+    supported in S. Every edge needs at least k codes in general linear
+    position (each support's k-subsets judged against rank_tol times the top
+    singular value of its own codes), and the denominator must be positive;
+    otherwise, or when the quotient overflows, HypothesisError is raised.
+    No absolute cut applies: C1 does not change when the dictionary is
+    scaled, and scales as 1/s when the codes are scaled by s.
     """
     mat = geometry.as_matrix(dictionary, "dictionary")
     if hypergraph.k is None:
         raise HypothesisError("hypergraph must be uniform")
     c2 = compute_C2(mat, hypergraph, rank_tol, group_cap)
     index_sets = support_index_sets(codes, hypergraph)
-    return _c1(c2, _code_checks(mat, codes, hypergraph, index_sets, rank_tol)[1])
+    return _c1(c2, *_code_checks(mat, codes, hypergraph, index_sets, rank_tol))
 
 
 def epsilon_for(delta1, delta2, c1, l2k, max_l1):
@@ -330,7 +390,7 @@ def build_certificate(dictionary, codes, hypergraph,
     c2 = c1 = None
     try:
         c2 = compute_C2(mat, hypergraph, rank_tol)
-        c1 = _c1(c2, denominator)
+        c1 = _c1(c2, glp_ok, denominator)
     except HypothesisError:
         pass
 

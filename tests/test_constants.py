@@ -391,7 +391,7 @@ def separate_path_certificate(mat, codes, h, rank_tol=DEFAULT_RANK_TOL):
     denominator = min(complete_path_lower_bound(mat @ codes.codes[:, index_sets[e]], k)
                       for e in h.edges)
     c2 = compute_C2(mat, h, rank_tol)
-    c1 = c2 / denominator if denominator > constants.C1_DENOM_TOL else None
+    c1 = c2 / denominator if glp_ok and denominator > 0.0 else None
     return StabilityCertificate(
         m=m, n=n, k=k, m_bar=None, r=r, L2=l2, L2k=l2k, L2H=l2h, C2=c2, C1=c1,
         eps_max_dictionary=l2 / c1 if c1 else None,
