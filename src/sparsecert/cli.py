@@ -114,21 +114,37 @@ def cmd_experiment(args):
     return 0 if ok else 1
 
 
+def _config_integer(section, key, default, name):
+    """An integer from a JSON config section; a fractional number, a string or
+    a boolean is refused rather than truncated or passed on."""
+    value = section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def cmd_check_lemmas(args):
     config = _load_json(args.config) if args.config else {}
     # the Lemma-4 input is rejected before any Lemma-3 sampling is paid for
     l4_cfg = config.get("lemma4", {})
-    m = int(l4_cfg.get("m", 4))
-    k = int(l4_cfg.get("k", 2))
+    m = _config_integer(l4_cfg, "m", 4, "lemma4.m")
+    k = _config_integer(l4_cfg, "k", 2, "lemma4.k")
     hypergraph = hypergraph_from_config(l4_cfg.get("hypergraph", "cyclic"), m, k)
-    m_bar = int(l4_cfg.get("m_bar", m + 1))
+    m_bar = _config_integer(l4_cfg, "m_bar", m + 1, "lemma4.m_bar")
     validate_lemma4(hypergraph, m_bar)
     l3_cfg = config.get("lemma3", {})
+    seed = args.seed
+    if seed is None and l3_cfg.get("seed") is not None:
+        seed = _config_integer(l3_cfg, "seed", None, "lemma3.seed")
+    if seed is not None and seed < 0:
+        raise ValueError(f"the Lemma-3 seed must be non-negative, got {seed}")
     report3 = check_lemma3(
-        trials=int(l3_cfg.get("trials", 200)),
-        ambient_dim=int(l3_cfg.get("ambient_dim", 8)),
-        max_subspaces=int(l3_cfg.get("max_subspaces", 4)),
-        seed=args.seed if args.seed is not None else l3_cfg.get("seed"),
+        trials=_config_integer(l3_cfg, "trials", 200, "lemma3.trials"),
+        ambient_dim=_config_integer(l3_cfg, "ambient_dim", 8, "lemma3.ambient_dim"),
+        max_subspaces=_config_integer(l3_cfg, "max_subspaces", 4,
+                                      "lemma3.max_subspaces"),
+        seed=seed,
     )
     report4 = check_lemma4(hypergraph, m_bar)
     payload = {

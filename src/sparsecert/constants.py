@@ -47,7 +47,10 @@ def compute_C2(dictionary, hypergraph, rank_tol=geometry.DEFAULT_RANK_TOL,
         raise CapExceededError(f"{n_groups} edge groups exceed cap {group_cap}")
     lowest = 1.0
     if n_groups:
-        spans = [geometry.column_span(mat, e, rank_tol) for e in hypergraph.edges]
+        geometry._check_rank_tol(rank_tol)
+        # column_span of every edge, from stacked SVDs
+        spans = geometry._bases([mat[:, [v - 1 for v in e]] for e in hypergraph.edges],
+                                rank_tol)
         best, = geometry._sine_products([spans], r + 1, rank_tol)
         # xi is non-increasing in the product: the worst group has the smallest
         lowest = min(best[frozenset(group)] for group in

@@ -23,9 +23,11 @@ equal shape share one stacked SVD; numpy's stacked LAPACK gufuncs run the
 same routine on each matrix of a stack, with the same workspace, so every
 value is bit-identical to one factorization per pair. `friedrichs_angle` is
 a batch of one, `intersect` folds its list pair by pair, and
-`_sine_products` runs each DP level in batches. The stacks hold at most
-_STACK_BLOCK matrices, and bases built from a stack take the `Subspace`
-checks once per stack.
+`_subset_dp` runs each DP level in batches and meets each whole collection
+as `intersect` does. The stacks hold at most _STACK_BLOCK matrices, and
+bases built from a stack take the `Subspace` checks once per stack. In the
+same way `orthonormal_basis` is a batch of one of `_bases`, which factors
+matrices of equal shape in one stacked SVD.
 """
 
 from __future__ import annotations
@@ -133,11 +135,21 @@ def orthonormal_basis(mat, rank_tol=DEFAULT_RANK_TOL):
     """
     mat = as_matrix(mat)
     _check_rank_tol(rank_tol)
-    u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return Subspace(mat.shape[0], np.zeros((mat.shape[0], 0)))
-    rank = int(np.sum(s > rank_tol * s[0]))
-    return Subspace(mat.shape[0], u[:, :rank])
+    return _bases([mat], rank_tol)[0]
+
+
+def _bases(mats, rank_tol):
+    """``orthonormal_basis`` of each finite 2-D matrix of a list, from one
+    stacked SVD per shape; a basis is the same whatever it is stacked with."""
+    results = [None] * len(mats)
+    for (n, _), idx in _groups([mat.shape for mat in mats]):
+        u, s, _ = np.linalg.svd(np.stack([mats[i] for i in idx]), full_matrices=False)
+        # the zero matrix has no singular value above 0, so it gets dimension 0
+        ranks = np.count_nonzero(s > rank_tol * s[:, :1], axis=1)
+        for rank, sub in _groups(ranks.tolist()):
+            for i, space in zip(sub, Subspace._stack(n, u[sub, :, :rank])):
+                results[idx[i]] = space
+    return results
 
 
 def column_span(mat, support, rank_tol=DEFAULT_RANK_TOL):
@@ -598,16 +610,25 @@ def friedrichs_angle(u, w, rank_tol=DEFAULT_RANK_TOL):
 
 def _sine_products(collections, max_size, rank_tol):
     """The product P of ``xi`` for every index subset of at most ``max_size``
-    spaces, one dict per collection.
+    spaces, one dict per collection (``_subset_dp`` without the meets)."""
+    return _subset_dp(collections, max_size, rank_tol)[0]
+
+
+def _subset_dp(collections, max_size, rank_tol):
+    """The product P of ``xi`` for every index subset of at most ``max_size``
+    spaces, one dict per collection, and the meet of each whole collection.
 
     Maps frozenset(ids) to the maximum over orderings of those spaces of the
     product of squared Friedrichs sines, by dynamic programming over subsets.
     Each level (one subset size) takes every (space, rest) pair of every
     collection in batches of _STACK_BLOCK; the pair whose space has the
     largest index also gives the subset's meet for the next level, so meets
-    are intersected in sorted index order. The DP max runs over the spaces
-    in index order. One call serves every sub-collection, and every
-    collection, with the arithmetic of a separate call.
+    are intersected in sorted index order, as ``intersect`` folds the
+    collection, and the meet of a whole collection is ``intersect`` of it
+    bit for bit (None for a collection of more than ``max_size`` spaces).
+    The DP max runs over the spaces in index order. One call serves every
+    sub-collection, and every collection, with the arithmetic of a separate
+    call.
     """
     for spaces in collections:
         n = spaces[0].ambient
@@ -617,6 +638,7 @@ def _sine_products(collections, max_size, rank_tol):
             raise ValueError("collection contains the zero subspace")
     bests = [{frozenset([i]): 1.0 for i in range(len(c))} for c in collections]
     meets = [{frozenset([i]): s for i, s in enumerate(c)} for c in collections]
+    whole = [c[0] if len(c) == 1 else None for c in collections]
     for size in range(2, max_size + 1):
         live = [c for c in range(len(collections)) if len(collections[c]) >= size]
         jobs = ((c, ids, a) for c in live
@@ -633,8 +655,11 @@ def _sine_products(collections, max_size, rank_tol):
                 value = sine ** 2 * bests[c][group - {a}]
                 if value > bests[c].setdefault(group, 0.0):
                     bests[c][group] = value
+        for c in live:
+            if len(collections[c]) == size:
+                whole[c] = found[c][frozenset(range(size))]
         meets = found
-    return bests
+    return bests, whole
 
 
 def _xi_from_product(product):
@@ -643,7 +668,7 @@ def _xi_from_product(product):
 
 
 def _xis(collections, rank_tol, ordering_cap):
-    """``xi`` of each collection, from one batched subset DP."""
+    """``xi`` and the meet of each collection, from one batched subset DP."""
     for spaces in collections:
         if not spaces:
             raise ValueError("empty collection")
@@ -651,9 +676,10 @@ def _xis(collections, rank_tol, ordering_cap):
             raise CapExceededError(
                 f"{len(spaces)} subspaces exceed ordering cap {ordering_cap}"
             )
-    bests = _sine_products(collections, max(map(len, collections)), rank_tol)
-    return [_xi_from_product(best[frozenset(range(len(spaces)))])
-            for spaces, best in zip(collections, bests)]
+    bests, meets = _subset_dp(collections, max(map(len, collections)), rank_tol)
+    xis = [_xi_from_product(best[frozenset(range(len(spaces)))])
+           for spaces, best in zip(collections, bests)]
+    return xis, meets
 
 
 def xi(subspaces, rank_tol=DEFAULT_RANK_TOL, ordering_cap=DEFAULT_ORDERING_CAP):
@@ -668,7 +694,7 @@ def xi(subspaces, rank_tol=DEFAULT_RANK_TOL, ordering_cap=DEFAULT_ORDERING_CAP):
     by dynamic programming over index subsets, which enumerates
     exactly the orderings.
     """
-    return _xis([list(subspaces)], rank_tol, ordering_cap)[0]
+    return _xis([list(subspaces)], rank_tol, ordering_cap)[0][0]
 
 
 def distance_to_subspace(x, space):

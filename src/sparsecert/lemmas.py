@@ -22,8 +22,11 @@ from . import geometry
 from .errors import CapExceededError, HypothesisError
 from .hypergraph import has_sip, regularity
 
-# Lemma-3 trials whose xi DPs share stacked factorizations; bounds the stacks.
-LEMMA3_BLOCK = 32
+# Lemma-3 trials drawn together, whose bases and xi DPs share stacked
+# factorizations; bounds the memory of a check whatever its trial count.
+# check_lemma3(200) takes about 0.8x the time at 128 as at 32, and no less
+# at 256 (one pinned CPU).
+LEMMA3_BLOCK = 128
 LEMMA4_MAX_M = 6
 LEMMA4_MAX_EXTRA = 2
 # The type count grows with the edges: complete m=4, k=2 at m_bar=6 (6 edges)
@@ -43,21 +46,17 @@ class Lemma3Report:
         return self.violations == 0
 
 
-def _lemma3_sample(rng, ambient_dim, max_subspaces, rank_tol):
-    """One random collection, its meet, and a point; draws in a fixed order."""
+def _lemma3_draws(rng, ambient_dim, max_subspaces):
+    """One trial's draws, in a fixed order: the matrices whose spans form the
+    collection, a point, and the uniform that plants the point in the meet."""
     count = int(rng.integers(2, max_subspaces + 1))
     shared_dim = int(rng.integers(0, 3)) if rng.random() < 0.5 else 0
     shared = rng.standard_normal((ambient_dim, shared_dim))
-    spaces = []
+    mats = []
     for _ in range(count):
         extra = int(rng.integers(1, max(2, ambient_dim // 2)))
-        block = np.hstack([shared, rng.standard_normal((ambient_dim, extra))])
-        spaces.append(geometry.orthonormal_basis(block, rank_tol))
-    meet = geometry.intersect(spaces, rank_tol)
-    x = rng.standard_normal(ambient_dim)
-    if meet.dim and rng.random() < 0.2:
-        x = meet.project(x)
-    return spaces, meet, x
+        mats.append(np.hstack([shared, rng.standard_normal((ambient_dim, extra))]))
+    return mats, rng.standard_normal(ambient_dim), rng.random()
 
 
 def check_lemma3(trials=1000, ambient_dim=8, max_subspaces=4, seed=None,
@@ -67,9 +66,12 @@ def check_lemma3(trials=1000, ambient_dim=8, max_subspaces=4, seed=None,
     For each sample: dist(x, intersection) must not exceed
     sum_i dist(x, V_i) / (1 - xi) plus the slack. Roughly half the
     collections share a planted common subspace so the intersection is
-    nontrivial; some points are planted inside it. Samples are drawn in
-    blocks of LEMMA3_BLOCK, in trial order, and each block's xi values come
-    from one batched subset DP.
+    nontrivial; a point is planted inside a nonzero intersection when its
+    uniform draw is below 0.2. The trials run in blocks of LEMMA3_BLOCK: a
+    block takes all its draws first, in trial order (so the draws do not
+    depend on the geometry), then the bases of all its collections from
+    stacked SVDs, and each collection's xi and intersection from one
+    batched subset DP.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -77,22 +79,30 @@ def check_lemma3(trials=1000, ambient_dim=8, max_subspaces=4, seed=None,
         raise ValueError("ambient dimension must be positive")
     if max_subspaces < 2:
         raise ValueError("need at least two subspaces per collection")
+    if not math.isfinite(slack):
+        raise ValueError("slack must be finite")
     if max_subspaces > geometry.DEFAULT_ORDERING_CAP:
         raise CapExceededError(
             f"{max_subspaces} subspaces exceed ordering cap "
             f"{geometry.DEFAULT_ORDERING_CAP}"
         )
+    geometry._check_rank_tol(rank_tol)
     rng = np.random.default_rng(seed)
     violations = 0
     worst = -np.inf
     failures = []
     for start in range(0, trials, LEMMA3_BLOCK):
-        samples = [_lemma3_sample(rng, ambient_dim, max_subspaces, rank_tol)
-                   for _ in range(start, min(start + LEMMA3_BLOCK, trials))]
-        aggregates = geometry._xis([spaces for spaces, _, _ in samples], rank_tol,
-                                   geometry.DEFAULT_ORDERING_CAP)
-        for trial, ((spaces, meet, x), aggregate) in enumerate(
-                zip(samples, aggregates), start):
+        draws = [_lemma3_draws(rng, ambient_dim, max_subspaces)
+                 for _ in range(start, min(start + LEMMA3_BLOCK, trials))]
+        bases = iter(geometry._bases([mat for mats, _, _ in draws for mat in mats],
+                                     rank_tol))
+        collections = [[next(bases) for _ in mats] for mats, _, _ in draws]
+        aggregates, meets = geometry._xis(collections, rank_tol,
+                                          geometry.DEFAULT_ORDERING_CAP)
+        for trial, (spaces, (_, x, u), aggregate, meet) in enumerate(
+                zip(collections, draws, aggregates, meets), start):
+            if meet.dim and u < 0.2:
+                x = meet.project(x)
             lhs = geometry.distance_to_subspace(x, meet)
             total = sum(geometry.distance_to_subspace(x, v) for v in spaces)
             rhs = np.inf if aggregate >= 1.0 - 1e-15 else total / (1.0 - aggregate)

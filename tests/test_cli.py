@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from sparsecert import HypothesisError, cli, constants, geometry, serialize
+from sparsecert import HypothesisError, cli, constants, lemmas, serialize
 from sparsecert.cli import main
 
 
@@ -252,9 +252,10 @@ def test_check_lemmas_no_trials_exits_2(tmp_path, capsys):
 def test_check_lemmas_ordering_cap_exits_1_before_sampling(tmp_path, monkeypatch,
                                                           capsys):
     def no_draws(*args, **kwargs):
-        raise AssertionError("a basis was drawn")
+        raise AssertionError("a generator was made")
 
-    monkeypatch.setattr(geometry, "orthonormal_basis", no_draws)
+    # every draw, and so every factorization, goes through the generator
+    monkeypatch.setattr(lemmas.np.random, "default_rng", no_draws)
     cfg = tmp_path / "lemmas.json"
     cfg.write_text(json.dumps({"lemma3": {"max_subspaces": 9}}))
     assert main(["check-lemmas", "--config", str(cfg)]) == 1
@@ -281,3 +282,38 @@ def test_check_lemmas_edge_cap_exits_1_before_sampling(tmp_path, monkeypatch, ca
     assert main(["check-lemmas", "--config", str(cfg)]) == 1
     assert "10 edges above the exhaustive-check cap" in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("lemma3", "seed", "abc"),
+    ("lemma3", "seed", 1.5),
+    ("lemma3", "seed", -1),
+    ("lemma3", "seed", True),
+    ("lemma3", "trials", 20.5),
+    ("lemma3", "ambient_dim", 2.7),
+    ("lemma3", "max_subspaces", 3.5),
+    ("lemma4", "m_bar", 4.5),
+])
+def test_check_lemmas_rejects_non_integer_config_values(tmp_path, capsys, section,
+                                                        key, value):
+    # a fractional size used to be truncated, and a bad seed raised a TypeError
+    config = {"lemma3": {"trials": 5, "ambient_dim": 6, "max_subspaces": 3},
+              "lemma4": {"hypergraph": "cyclic", "m": 3, "k": 2, "m_bar": 4}}
+    config[section][key] = value
+    cfg = tmp_path / "lemmas.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["check-lemmas", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert key in err
+
+
+def test_check_lemmas_accepts_integral_floats(tmp_path, capsys):
+    cfg = tmp_path / "lemmas.json"
+    cfg.write_text(json.dumps({
+        "lemma3": {"trials": 5.0, "ambient_dim": 6.0, "max_subspaces": 3.0,
+                   "seed": 4.0},
+        "lemma4": {"hypergraph": "cyclic", "m": 3, "k": 2, "m_bar": 4.0},
+    }))
+    assert main(["check-lemmas", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["distance_to_intersection"]["trials"] == 5

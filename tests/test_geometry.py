@@ -615,6 +615,48 @@ def test_batched_dp_matches_reference_bit_for_bit(seed, block, monkeypatch):
         _assert_close_products(best, _reference_sine_products(spaces, len(spaces)))
 
 
+@pytest.mark.parametrize("seed, max_size", [(0, 5), (1606, 3)])
+def test_dp_meets_are_intersect_bit_for_bit(seed, max_size):
+    collections = lemma3_style_collections(seed) + [[orthonormal_basis(np.eye(3))]]
+    bests, meets = geometry._subset_dp(collections, max_size, RANK_TOL)
+    assert [_bits(best) for best in bests] == [
+        _bits(best) for best in geometry._sine_products(collections, max_size, RANK_TOL)]
+    for spaces, meet in zip(collections, meets):
+        if len(spaces) > max_size:
+            assert meet is None
+            continue
+        want = intersect(spaces)
+        assert meet.basis.shape == want.basis.shape
+        assert meet.basis.tobytes() == want.basis.tobytes()
+
+
+def _reference_basis(mat, rank_tol):
+    """One unstacked SVD, the rank cut against the largest singular value."""
+    u, s, _ = np.linalg.svd(mat, full_matrices=False)
+    if s[0] == 0.0:
+        return np.zeros((mat.shape[0], 0))
+    return u[:, :int(np.sum(s > rank_tol * s[0]))]
+
+
+def test_stacked_bases_match_one_at_a_time():
+    rng = np.random.default_rng(8)
+    shared = rng.standard_normal((5, 2))
+    mats = [np.zeros((5, 3)), np.hstack([shared, shared[:, :1] * 3.0]),
+            np.eye(5)[:, :1] * 1e-300]
+    mats += [rng.standard_normal((5, int(c))) for c in rng.integers(1, 7, 30)]
+    mats += [np.hstack([shared, rng.standard_normal((5, 1))]) for _ in range(5)]
+    for rank_tol in (RANK_TOL, 0.3):
+        got = geometry._bases(mats, rank_tol)
+        for mat, space in zip(mats, got):
+            want = _reference_basis(mat, rank_tol)
+            assert space.basis.shape == want.shape
+            assert space.basis.tobytes() == np.ascontiguousarray(want).tobytes()
+            single = orthonormal_basis(mat, rank_tol)
+            assert single.basis.tobytes() == space.basis.tobytes()
+            assert not space.basis.flags.writeable
+    assert [s.dim for s in geometry._bases(mats[:3], RANK_TOL)] == [0, 2, 1]
+
+
 @pytest.mark.parametrize("kind, m, n, k", [
     ("cyclic", 8, 8, 2), ("complete", 4, 4, 2), ("cyclic", 6, 6, 3)])
 def test_batched_dp_matches_reference_on_edge_spans(kind, m, n, k):

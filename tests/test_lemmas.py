@@ -314,7 +314,9 @@ def _reference_lemma3(trials, ambient_dim, max_subspaces, seed, slack):
             spaces.append(orthonormal_basis(block))
         meet = intersect(spaces)
         x = rng.standard_normal(ambient_dim)
-        if meet.dim and rng.random() < 0.2:
+        # the planting uniform is drawn on every trial, whatever the meet
+        u = rng.random()
+        if meet.dim and u < 0.2:
             x = meet.project(x)
         lhs = distance_to_subspace(x, meet)
         aggregate = xi(spaces)
@@ -337,8 +339,10 @@ LEMMA3_CONFIGS = [
 
 
 @pytest.mark.parametrize("config", LEMMA3_CONFIGS)
+# part of one block (31 to 33), both sides of a block edge, and two blocks
 @pytest.mark.parametrize("trials", [
-    1, lemmas.LEMMA3_BLOCK - 1, lemmas.LEMMA3_BLOCK, lemmas.LEMMA3_BLOCK + 1, 200])
+    1, 31, 32, 33,
+    lemmas.LEMMA3_BLOCK - 1, lemmas.LEMMA3_BLOCK, lemmas.LEMMA3_BLOCK + 1, 200])
 def test_lemma3_blocks_match_sequential_loop(trials, config):
     report = check_lemma3(trials=trials, **config)
     violations, worst, failures = _reference_lemma3(trials, **config)
@@ -354,11 +358,33 @@ def test_lemma3_blocks_match_sequential_loop(trials, config):
         assert failures
 
 
+def test_lemma3_draws_do_not_depend_on_the_geometry():
+    # a coarse rank_tol changes which meets are nonzero, but not the draws
+    states, xis = [], []
+    for rank_tol in (1e-9, 0.3):
+        rng = np.random.default_rng(5)
+        # a hugely negative slack reports every trial, with its xi
+        report = check_lemma3(trials=lemmas.LEMMA3_BLOCK + 7, seed=rng,
+                              slack=-1e300, rank_tol=rank_tol)
+        states.append(rng.bit_generator.state)
+        xis.append([failure["xi"] for failure in report.failures])
+    assert states[0] == states[1]
+    assert xis[0] != xis[1]
+
+
+@pytest.mark.parametrize("slack", [float("nan"), float("inf"), -float("inf")])
+def test_lemma3_rejects_non_finite_slack(slack):
+    # no margin exceeds a NaN or infinite slack, so the check would pass vacuously
+    with pytest.raises(ValueError, match="slack must be finite"):
+        check_lemma3(trials=20, seed=0, slack=slack)
+
+
 def test_lemma3_ordering_cap_raises_before_sampling(monkeypatch):
     def no_draws(*args, **kwargs):
-        raise AssertionError("a basis was drawn")
+        raise AssertionError("a generator was made")
 
-    monkeypatch.setattr(lemmas.geometry, "orthonormal_basis", no_draws)
+    # every draw, and so every factorization, goes through the generator
+    monkeypatch.setattr(lemmas.np.random, "default_rng", no_draws)
     with pytest.raises(CapExceededError, match="9 subspaces exceed ordering cap 8"):
         check_lemma3(trials=1000, max_subspaces=9, seed=0)
 
