@@ -15,7 +15,6 @@ from .alignment import (
 from .codes import (
     Dataset,
     SparseCodeSet,
-    general_linear_position,
     generate_instance,
     merge_code_sets,
     support_index_sets,
@@ -26,7 +25,6 @@ from .constants import (
     SampleRequirement,
     StabilityCertificate,
     build_certificate,
-    compute_C1,
     compute_C2,
     epsilon_for,
     sample_size_cor1,

@@ -15,7 +15,7 @@ from . import serialize
 from .codes import generate_instance, synthesize_dataset
 from .constants import build_certificate
 from .errors import SparseCertError
-from .experiment import hypergraph_from_config, run_experiment
+from .experiment import _config_integer, hypergraph_from_config, run_experiment
 from .geometry import DEFAULT_RANK_TOL, spark_polynomial
 from .lemmas import check_lemma3, check_lemma4, validate_lemma4
 
@@ -59,12 +59,12 @@ def cmd_certify(args):
 
 def cmd_generate(args):
     config = _load_json(args.config) if args.config else {}
-    m = int(config.get("m", 4))
-    n = int(config.get("n", 4))
-    k = int(config.get("k", 2))
-    per_support = int(config.get("per_support_count", 7))
+    m = _config_integer(config, "m", 4)
+    n = _config_integer(config, "n", 4)
+    k = _config_integer(config, "k", 2)
+    per_support = _config_integer(config, "per_support_count", 7)
     eta = float(config.get("eta", 0.0))
-    seed = int(args.seed if args.seed is not None else config.get("seed", 0))
+    seed = args.seed if args.seed is not None else _config_integer(config, "seed", 0)
     worst_case = config.get("noise", "ball") == "sphere"
     hypergraph = hypergraph_from_config(config.get("hypergraph", "cyclic"), m, k)
 
@@ -112,16 +112,6 @@ def cmd_experiment(args):
     ok = summary["records"] > 0 and summary["pass5_rate"] == 1.0 and (
         summary["pass6_rate"] in (None, 1.0))
     return 0 if ok else 1
-
-
-def _config_integer(section, key, default, name):
-    """An integer from a JSON config section; a fractional number, a string or
-    a boolean is refused rather than truncated or passed on."""
-    value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-            isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def cmd_check_lemmas(args):

@@ -1,14 +1,21 @@
-"""Sparse code families and synthetic datasets.
+"""Sparse code families, synthetic datasets, and the k-subset screen of a
+code family.
 
 Codes live in columns of an m x N matrix, each column carrying an explicit
 support set. The power-node construction produces, for any count, codes on a
 shared support with any k of them linearly independent.
+
+``_code_checks`` is the one check of the k-subsets of every support's codes:
+general linear position (GLP) and the C1 denominator, from one screened
+subset stream per code count. ``generate_instance`` accepts a draw by its
+GLP verdict, and ``constants.build_certificate`` reports both results.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,15 +24,18 @@ from .errors import CapExceededError, GenerationError, HypothesisError
 from .hypergraph import has_sip, normalize_support, pairwise_unions, regularity
 
 GENERATE_MAX_RETRIES = 10
-# Guardrail on the k-subsets of one support's codes (or of one
-# general_linear_position call). The subsets are streamed, so it bounds the
-# work, not the memory; cyclic m=10, k=3 at 241 codes (2,303,960) fits.
+# Guardrail on the k-subsets of one support's codes. The subsets are
+# streamed, so it bounds the work, not the memory; cyclic m=10, k=3 at 241
+# codes (2,303,960) fits.
 SUBSET_WORK_CAP = 10_000_000
 # Grid entries per block of the subset stream, over all stacked supports. A
 # block pairs a run of first indices with one slice of the tail list, so
 # its determinant grid holds at most this many doubles (128 KB); from k = 4
 # the gathered k x k blocks take k^2 times that.
 SCREEN_ROWS = 1 << 14
+# Exact SVDs that seed the C1 denominator's least value among the subsets
+# of a block that the screen leaves wide open.
+_SEED_SUBSETS = 16
 
 
 @dataclass
@@ -130,80 +140,6 @@ def vandermonde_codes(support, count, gammas, m=None):
     return SparseCodeSet(m, codes, (support,) * count, len(support))
 
 
-def general_linear_position(vectors, k, rank_tol=geometry.DEFAULT_RANK_TOL,
-                            subset_cap=SUBSET_WORK_CAP):
-    """True iff every k of the vectors are linearly independent.
-
-    Exhaustive over all k-subsets, which ``subsets_independent`` streams
-    and screens; more than ``subset_cap`` of them raise CapExceededError
-    before any is checked. Independence is judged by the subset's smallest
-    singular value clearing rank_tol times the largest singular value of
-    the whole stack.
-    """
-    mat = _vectors(vectors, k)
-    count = mat.shape[1]
-    if count >= k and math.comb(count, k) > subset_cap:
-        raise CapExceededError(f"{math.comb(count, k)} {k}-subsets exceed cap "
-                               f"{subset_cap}")
-    return subsets_independent(mat, k, rank_tol)
-
-
-def _vectors(vectors, k):
-    """The vectors as the columns of a finite 2-D float array; k must be
-    positive."""
-    mat = np.asarray(vectors, dtype=float)
-    if mat.ndim == 1:
-        mat = mat[:, None]
-    if mat.ndim != 2:
-        raise ValueError("vectors must stack into a 2-D array")
-    if k < 1:
-        raise ValueError("k must be positive")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("vectors have non-finite entries")
-    return mat
-
-
-def subsets_independent(mat, k, rank_tol=geometry.DEFAULT_RANK_TOL):
-    """True iff every k columns of ``mat`` are linearly independent.
-
-    Each k-subset T must have a smallest singular value above rank_tol
-    times the largest singular value of ``mat``; with fewer than k columns
-    there is none. The columns' coordinates in the top-k left singular
-    subspace of ``mat`` (padded with zero rows when the rank is lower) lose
-    nothing of sigma_min(mat[:, T]). The subsets are walked in first-index
-    blocks (``geometry.unsettled_subsets``), and the determinants of their
-    column-normalised k x k blocks, from the first-column Laplace expansion
-    against the tail minors (``geometry.hadamard_floor``), bound it from
-    below (``geometry.sigma_floor``). A subset whose bound clears
-    (rank_tol + SCREEN_SLACK) times the largest singular value is proved
-    independent, and a determinant above the ``geometry.settling_floor``
-    of that threshold proves it without the bound; every other subset gets
-    the exact SVD of ``mat[:, T]``. The first block with a failing subset
-    ends the check. Non-finite entries and k < 1 raise ValueError.
-    """
-    mat = _vectors(mat, k)
-    return mat.shape[1] < k or _stack_independent(mat[None], k, rank_tol)
-
-
-def _stack_independent(mats, k, rank_tol):
-    """``subsets_independent`` of each matrix of an (S, n, N) stack, with
-    N >= k, from one stream of subset blocks for the whole stack."""
-    smax = np.linalg.svd(mats, compute_uv=False)[:, 0]
-    basis = np.linalg.svd(mats, full_matrices=False)[0][..., :k]
-    coords = np.zeros((len(mats), k, mats.shape[2]))
-    for s, (vectors, mat) in enumerate(zip(basis, mats)):
-        coords[s, :vectors.shape[1]] = vectors.T @ mat
-    units, norms = geometry.unit_columns(coords)
-    glp_settle = geometry.settling_floor((rank_tol + geometry.SCREEN_SLACK) * smax,
-                                         [geometry.sigma_scale(k), norms.min(axis=1)])
-    columns, norms = np.concatenate(mats, axis=1), norms.ravel()
-    return all(
-        _independent(columns, subsets, geometry.sigma_floor(floor, norms, subsets),
-                     smax[owners], rank_tol)
-        for owners, subsets, floor in geometry.unsettled_subsets(
-            units, SCREEN_ROWS, lambda: glp_settle))
-
-
 def _independent(mat, subsets, floor, smax, rank_tol):
     """Whether every subset clears the GLP threshold, given lower bounds
     ``floor`` on their smallest singular values and the top singular value
@@ -216,6 +152,165 @@ def _independent(mat, subsets, floor, smax, rank_tol):
         return True
     sv = _kernels.edge_min_singular_values(mat, subsets[~proved])
     return bool(np.all(sv > rank_tol * smax[~proved]))
+
+
+class _Stack(NamedTuple):
+    """The inputs to the screened code checks of the supports that share a
+    code count N, side by side: support s holds columns s N to s N + N - 1
+    of the column arrays."""
+
+    codes: np.ndarray      # m x SN, the supports' code columns
+    smax: np.ndarray       # S, largest singular value of each support's codes
+    units: np.ndarray      # S x k x N, the support rows, unit columns
+    norms: np.ndarray      # SN, column norms of the support rows
+    product: np.ndarray    # n x SN, dictionary @ codes, support by support
+    product_norms: np.ndarray
+    weights: np.ndarray    # SN, code norm over product norm
+    spectrum: np.ndarray   # S x k, lower bounds on the singular values of A_S
+    margin: np.ndarray     # S, SVD and product rounding of A X_T, absolute
+
+
+def _stack(mat, codes, edges, index_sets):
+    """The ``_Stack`` of edges whose code counts are equal; the SVDs and the
+    column scalings run on stacks, matrix by matrix."""
+    k = len(edges[0])
+    rows = np.array([[v - 1 for v in edge] for edge in edges])
+    x = np.stack([codes.codes[:, index_sets[edge]] for edge in edges])
+    units, norms = geometry.unit_columns(np.take_along_axis(x, rows[:, :, None], axis=1))
+    product = np.stack([mat @ support for support in x])
+    product_norms = geometry.unit_columns(product)[1]
+    sv = np.zeros((len(edges), k))
+    found = np.linalg.svd(np.moveaxis(mat[:, rows], 1, 0), compute_uv=False)
+    sv[:, :found.shape[1]] = found
+    slack = geometry.SCREEN_SLACK * sv[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weights = norms / product_norms
+    return _Stack(
+        codes=np.concatenate(x, axis=1), smax=np.linalg.svd(x, compute_uv=False)[:, 0],
+        units=units, norms=norms.ravel(), product=np.concatenate(product, axis=1),
+        product_norms=product_norms.ravel(), weights=weights.ravel(),
+        spectrum=np.maximum(sv - slack[:, None], 0.0),
+        margin=slack * math.sqrt(k) * np.max(norms, axis=1),
+    )
+
+
+def _settling(stack, k, rank_tol):
+    """Per support: the settling floor of the GLP check, and the lower bounds
+    on the factors of the C1 floor (``_c1_floor``), in order.
+
+    The bounds are the least values over the support's columns; a NaN
+    among them, from a zero column, settles nothing.
+    """
+    def least(values):
+        return values.reshape(len(stack.units), -1).min(axis=1)
+
+    scale = geometry.sigma_scale(k)
+    factors = least(stack.weights)[:, None] * stack.spectrum
+    product = factors[:, 0]
+    for j in range(1, k):
+        product = product * factors[:, j]
+    glp = geometry.settling_floor((rank_tol + geometry.SCREEN_SLACK) * stack.smax,
+                                  [scale, least(stack.norms)])
+    return glp, [product, scale, least(stack.product_norms)]
+
+
+def _c1_floor(stack, owners, subsets, hadamard):
+    """Lower bounds on the smallest singular values of A X_T.
+
+    ``subsets`` index the stack's columns, and ``owners`` are their
+    supports. vol(A_S X_T) = vol(A_S) |det X_T|, so the Hadamard ratio of
+    A X_T is bounded below by that of X_T times prod_i spectrum[i]
+    weights[T_i].
+    """
+    with np.errstate(invalid="ignore"):
+        scale = stack.weights[subsets[:, 0]] * stack.spectrum[owners, 0]
+        for j in range(1, subsets.shape[1]):
+            scale *= stack.weights[subsets[:, j]] * stack.spectrum[owners, j]
+        return geometry.sigma_floor(hadamard * scale, stack.product_norms, subsets)
+
+
+def _lowest(stack, owners, subsets, hadamard, lowest):
+    """The least of ``lowest`` and the smallest singular values of A X_T.
+
+    A subset whose floor (``_c1_floor``) exceeds the running least by its
+    support's margin cannot lower it. When more than _SEED_SUBSETS are left
+    open, the exact SVDs of the lowest-floor ones come first, and the rest
+    are screened again against the least they give.
+    """
+    floor = _c1_floor(stack, owners, subsets, hadamard)
+    margin = stack.margin[owners]
+
+    def open_subsets(least):
+        return ~((floor > least + margin) & (floor < math.inf))
+
+    still_open = open_subsets(lowest)
+    candidates = np.flatnonzero(still_open)
+    if len(candidates) > _SEED_SUBSETS:
+        seeds = candidates[np.argpartition(floor[candidates], _SEED_SUBSETS - 1)
+                           [:_SEED_SUBSETS]]
+        lowest = _exact_lowest(stack, subsets[seeds], lowest)
+        still_open[seeds] = False
+        still_open &= open_subsets(lowest)
+    if still_open.any():
+        lowest = _exact_lowest(stack, subsets[still_open], lowest)
+    return lowest
+
+
+def _exact_lowest(stack, subsets, lowest):
+    sv = _kernels.edge_min_singular_values(stack.product, subsets)
+    return min(lowest, float(np.min(sv)))
+
+
+def _code_checks(mat, codes, hypergraph, index_sets, rank_tol):
+    """(glp_ok, C1 denominator) from one screened k-subset stream per code count.
+
+    On each edge S the k-subsets T of its codes serve both checks: X_T
+    independent against the top singular value of X_S, and the restricted
+    lower bound of A X_T. The supports with equal code counts are stacked
+    and walk one stream of first-index blocks (``geometry.unsettled_subsets``):
+    per block, the determinants of every support's subsets come from the
+    block's first columns against the tail minors
+    (``geometry.hadamard_floor``). A subset whose determinant clears its
+    support's settling floor (``geometry.settling_floor``) is proved for
+    both checks by that alone. The few others, of all supports at once, get
+    their full floors from their index tuples (``geometry.sigma_floor``,
+    ``_lowest``), and only the subsets that those leave open get the exact
+    SVD, so the results equal those of one SVD per subset. The first block
+    with a dependent subset ends the check with (False, 0.0): once GLP
+    fails, the denominator is not used. A support with fewer than k codes
+    fails both; one with more than SUBSET_WORK_CAP k-subsets raises
+    CapExceededError before any subset is checked.
+    """
+    k = hypergraph.k
+    by_count = {}
+    for edge in hypergraph.edges:
+        count = len(index_sets[edge])
+        if count < k:
+            return False, 0.0
+        by_count.setdefault(count, []).append(edge)
+    for count in by_count:
+        n_subsets = math.comb(count, k)
+        if n_subsets > SUBSET_WORK_CAP:
+            raise CapExceededError(f"{n_subsets} {k}-subsets of one support's codes "
+                                   f"exceed cap {SUBSET_WORK_CAP}")
+    lowest = math.inf
+    for edges in by_count.values():
+        stack = _stack(mat, codes, edges, index_sets)
+        glp_settle, c1_factors = _settling(stack, k, rank_tol)
+
+        def settle():
+            # read before each block: the C1 target falls with the least value
+            c1 = geometry.settling_floor(lowest + stack.margin, c1_factors)
+            return np.maximum(c1, glp_settle)
+
+        for owners, subsets, floor in geometry.unsettled_subsets(stack.units,
+                                                                 SCREEN_ROWS, settle):
+            if not _independent(stack.codes, subsets,
+                                geometry.sigma_floor(floor, stack.norms, subsets),
+                                stack.smax[owners], rank_tol):
+                return False, 0.0
+            lowest = _lowest(stack, owners, subsets, floor, lowest)
+    return True, lowest / math.sqrt(k)
 
 
 def support_index_sets(codes, hypergraph):
@@ -285,16 +380,19 @@ def generate_instance(m, n, k, hypergraph, per_support_count, seed=None,
 
     The dictionary has independent standard normal entries; each edge gets
     ``per_support_count`` codes with nodes drawn from [0.5, 1.5] (distinct by
-    rejection). The draw is accepted only if the instance passes all
-    certificate hypotheses: SIP, regularity, positive restricted lower bound
-    over pairwise unions, the spark condition, general linear position per
-    support, and the per-support counts. Retries with fresh randomness up to
-    ``max_retries`` times, then raises GenerationError.
+    rejection), so every support holds exactly that many codes. The
+    hypergraph must have SIP and be regular, and ``per_support_count`` must
+    be at least k. A draw is accepted by the certificate's own checks: a
+    positive restricted lower bound over pairwise unions, the spark
+    condition, and general linear position of every support's codes
+    (``_code_checks``). Retries with fresh randomness up to ``max_retries``
+    times, then raises GenerationError.
     """
     if n < min(2 * k, m):
         raise ValueError(f"need n >= min(2k, m) = {min(2 * k, m)}, got n={n}")
-    if per_support_count < 1:
-        raise ValueError("per_support_count must be positive")
+    if per_support_count < k:
+        raise ValueError(f"per_support_count must be at least k={k}, "
+                         f"got {per_support_count}")
     if hypergraph.m != m or hypergraph.k != k:
         raise ValueError("hypergraph does not match the requested (m, k)")
     if not has_sip(hypergraph):
@@ -313,29 +411,10 @@ def generate_instance(m, n, k, hypergraph, per_support_count, seed=None,
                     break
             blocks.append(vandermonde_codes(edge, per_support_count, gammas, m=m))
         codes = merge_code_sets(blocks)
-        if _instance_verified(mat, codes, hypergraph, unions, per_support_count,
-                              k, rank_tol):
+        smax = float(np.linalg.svd(mat, compute_uv=False)[0])
+        if (geometry.restricted_lower_bound(mat, unions) > rank_tol * smax
+                and geometry.spark_condition(mat, k, rank_tol)
+                and _code_checks(mat, codes, hypergraph,
+                                 support_index_sets(codes, hypergraph), rank_tol)[0]):
             return mat, codes
     raise GenerationError(f"no verified instance after {max_retries} attempts")
-
-
-def _instance_verified(mat, codes, hypergraph, unions, per_support_count, k,
-                       rank_tol):
-    smax = float(np.linalg.svd(mat, compute_uv=False)[0])
-    if geometry.restricted_lower_bound(mat, unions) <= rank_tol * smax:
-        return False
-    if not geometry.spark_condition(mat, k, rank_tol):
-        return False
-    by_count = {}
-    for ids in support_index_sets(codes, hypergraph).values():
-        if len(ids) < per_support_count:
-            return False
-        by_count.setdefault(len(ids), []).append(ids)
-    for count in by_count:
-        if count >= k and math.comb(count, k) > SUBSET_WORK_CAP:
-            raise CapExceededError(f"{math.comb(count, k)} {k}-subsets exceed cap "
-                                   f"{SUBSET_WORK_CAP}")
-    # general linear position of every support, one stream per code count
-    return all(count < k or _stack_independent(
-                   np.stack([codes.codes[:, ids] for ids in group]), k, rank_tol)
-               for count, group in by_count.items())

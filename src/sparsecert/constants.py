@@ -1,5 +1,9 @@
 """Stability constants, recovery thresholds, sample-size formulas, and the
 certificate that bundles them with the hypothesis checks.
+
+The checks of the codes' k-subsets, general linear position and the C1
+denominator, come from the one screen in ``codes._code_checks``; ``C1`` is
+a field of the certificate, never computed on its own.
 """
 
 from __future__ import annotations
@@ -11,17 +15,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _kernels, geometry
-from .codes import (SCREEN_ROWS, SUBSET_WORK_CAP, _independent,
-                    support_index_sets)
+from . import geometry
+from .codes import _code_checks, support_index_sets
 from .errors import CapExceededError, HypothesisError
 from .hypergraph import has_sip, pairwise_unions, regularity
 
 # Groups of r+1 edges are enumerated when maximizing xi.
 DEFAULT_GROUP_CAP = 100_000
-# Exact SVDs that seed the C1 denominator's least value among the subsets
-# of a block that the screen leaves wide open.
-_SEED_SUBSETS = 16
 
 
 def compute_C2(dictionary, hypergraph, rank_tol=geometry.DEFAULT_RANK_TOL,
@@ -69,170 +69,15 @@ def compute_C2(dictionary, hypergraph, rank_tol=geometry.DEFAULT_RANK_TOL,
     return (r + 1) * max_column / denominator
 
 
-class _Stack(NamedTuple):
-    """The inputs to the screened code checks of the supports that share a
-    code count N, side by side: support s holds columns s N to s N + N - 1
-    of the column arrays."""
-
-    codes: np.ndarray      # m x SN, the supports' code columns
-    smax: np.ndarray       # S, largest singular value of each support's codes
-    units: np.ndarray      # S x k x N, the support rows, unit columns
-    norms: np.ndarray      # SN, column norms of the support rows
-    product: np.ndarray    # n x SN, dictionary @ codes, support by support
-    product_norms: np.ndarray
-    weights: np.ndarray    # SN, code norm over product norm
-    spectrum: np.ndarray   # S x k, lower bounds on the singular values of A_S
-    margin: np.ndarray     # S, SVD and product rounding of A X_T, absolute
-
-
-def _stack(mat, codes, edges, index_sets):
-    """The ``_Stack`` of edges whose code counts are equal; the SVDs and the
-    column scalings run on stacks, matrix by matrix."""
-    k = len(edges[0])
-    rows = np.array([[v - 1 for v in edge] for edge in edges])
-    x = np.stack([codes.codes[:, index_sets[edge]] for edge in edges])
-    units, norms = geometry.unit_columns(np.take_along_axis(x, rows[:, :, None], axis=1))
-    product = np.stack([mat @ support for support in x])
-    product_norms = geometry.unit_columns(product)[1]
-    sv = np.zeros((len(edges), k))
-    found = np.linalg.svd(np.moveaxis(mat[:, rows], 1, 0), compute_uv=False)
-    sv[:, :found.shape[1]] = found
-    slack = geometry.SCREEN_SLACK * sv[:, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        weights = norms / product_norms
-    return _Stack(
-        codes=np.concatenate(x, axis=1), smax=np.linalg.svd(x, compute_uv=False)[:, 0],
-        units=units, norms=norms.ravel(), product=np.concatenate(product, axis=1),
-        product_norms=product_norms.ravel(), weights=weights.ravel(),
-        spectrum=np.maximum(sv - slack[:, None], 0.0),
-        margin=slack * math.sqrt(k) * np.max(norms, axis=1),
-    )
-
-
-def _settling(stack, k, rank_tol):
-    """Per support: the settling floor of the GLP check, and the lower bounds
-    on the factors of the C1 floor (``_c1_floor``), in order.
-
-    The bounds are the least values over the support's columns; a NaN
-    among them, from a zero column, settles nothing.
-    """
-    def least(values):
-        return values.reshape(len(stack.units), -1).min(axis=1)
-
-    scale = geometry.sigma_scale(k)
-    factors = least(stack.weights)[:, None] * stack.spectrum
-    product = factors[:, 0]
-    for j in range(1, k):
-        product = product * factors[:, j]
-    glp = geometry.settling_floor((rank_tol + geometry.SCREEN_SLACK) * stack.smax,
-                                  [scale, least(stack.norms)])
-    return glp, [product, scale, least(stack.product_norms)]
-
-
-def _c1_floor(stack, owners, subsets, hadamard):
-    """Lower bounds on the smallest singular values of A X_T.
-
-    ``subsets`` index the stack's columns, and ``owners`` are their
-    supports. vol(A_S X_T) = vol(A_S) |det X_T|, so the Hadamard ratio of
-    A X_T is bounded below by that of X_T times prod_i spectrum[i]
-    weights[T_i].
-    """
-    with np.errstate(invalid="ignore"):
-        scale = stack.weights[subsets[:, 0]] * stack.spectrum[owners, 0]
-        for j in range(1, subsets.shape[1]):
-            scale *= stack.weights[subsets[:, j]] * stack.spectrum[owners, j]
-        return geometry.sigma_floor(hadamard * scale, stack.product_norms, subsets)
-
-
-def _lowest(stack, owners, subsets, hadamard, lowest):
-    """The least of ``lowest`` and the smallest singular values of A X_T.
-
-    A subset whose floor (``_c1_floor``) exceeds the running least by its
-    support's margin cannot lower it. When more than _SEED_SUBSETS are left
-    open, the exact SVDs of the lowest-floor ones come first, and the rest
-    are screened again against the least they give.
-    """
-    floor = _c1_floor(stack, owners, subsets, hadamard)
-    margin = stack.margin[owners]
-
-    def open_subsets(least):
-        return ~((floor > least + margin) & (floor < math.inf))
-
-    still_open = open_subsets(lowest)
-    candidates = np.flatnonzero(still_open)
-    if len(candidates) > _SEED_SUBSETS:
-        seeds = candidates[np.argpartition(floor[candidates], _SEED_SUBSETS - 1)
-                           [:_SEED_SUBSETS]]
-        lowest = _exact_lowest(stack, subsets[seeds], lowest)
-        still_open[seeds] = False
-        still_open &= open_subsets(lowest)
-    if still_open.any():
-        lowest = _exact_lowest(stack, subsets[still_open], lowest)
-    return lowest
-
-
-def _exact_lowest(stack, subsets, lowest):
-    sv = _kernels.edge_min_singular_values(stack.product, subsets)
-    return min(lowest, float(np.min(sv)))
-
-
-def _code_checks(mat, codes, hypergraph, index_sets, rank_tol):
-    """(glp_ok, C1 denominator) from one screened k-subset stream per code count.
-
-    On each edge S the k-subsets T of its codes serve both checks: X_T
-    independent against the top singular value of X_S, and the restricted
-    lower bound of A X_T. The supports with equal code counts are stacked
-    and walk one stream of first-index blocks (``geometry.unsettled_subsets``):
-    per block, the determinants of every support's subsets come from the
-    block's first columns against the tail minors
-    (``geometry.hadamard_floor``). A subset whose determinant clears its
-    support's settling floor (``geometry.settling_floor``) is proved for
-    both checks by that alone. The few others, of all supports at once, get
-    their full floors from their index tuples (``geometry.sigma_floor``,
-    ``_lowest``), and only the subsets that those leave open get the exact
-    SVD, so the results equal those of one SVD per subset. A support with
-    fewer than k codes fails both; one with more than SUBSET_WORK_CAP
-    k-subsets raises CapExceededError before any subset is checked.
-    """
-    k = hypergraph.k
-    by_count = {}
-    for edge in hypergraph.edges:
-        count = len(index_sets[edge])
-        if count < k:
-            return False, 0.0
-        by_count.setdefault(count, []).append(edge)
-    for count in by_count:
-        n_subsets = math.comb(count, k)
-        if n_subsets > SUBSET_WORK_CAP:
-            raise CapExceededError(f"{n_subsets} {k}-subsets of one support's codes "
-                                   f"exceed cap {SUBSET_WORK_CAP}")
-    glp_ok, lowest = True, math.inf
-    for edges in by_count.values():
-        stack = _stack(mat, codes, edges, index_sets)
-        glp_settle, c1_factors = _settling(stack, k, rank_tol)
-
-        def settle():
-            # read before each block: the C1 target falls with the least value
-            c1 = geometry.settling_floor(lowest + stack.margin, c1_factors)
-            return np.maximum(c1, glp_settle) if glp_ok else c1
-
-        for owners, subsets, floor in geometry.unsettled_subsets(stack.units,
-                                                                 SCREEN_ROWS, settle):
-            glp_ok = glp_ok and _independent(
-                stack.codes, subsets,
-                geometry.sigma_floor(floor, stack.norms, subsets),
-                stack.smax[owners], rank_tol)
-            lowest = _lowest(stack, owners, subsets, floor, lowest)
-    return glp_ok, lowest / math.sqrt(k)
-
-
 def _c1(c2, glp_ok, denominator):
     """C2 over the code bound, refused when the bound vanished or C1 overflows.
 
-    The codes' general linear position, judged relative to each support's
-    own top singular value, decides whether the bound is degenerate; no
-    absolute cut applies, so C1 is unchanged when the dictionary is scaled
-    and scales as 1/s when the codes are.
+    The bound is the least, over edges S, of the restricted lower bound (at
+    the uniform edge size) of dictionary @ codes restricted to the codes
+    supported in S. The codes' general linear position, judged relative to
+    each support's own top singular value, decides whether the bound is
+    degenerate; no absolute cut applies, so C1 is unchanged when the
+    dictionary is scaled and scales as 1/s when the codes are.
     """
     if not (glp_ok and denominator > 0.0):
         raise HypothesisError("per-support code bound vanished (fewer than k codes "
@@ -241,27 +86,6 @@ def _c1(c2, glp_ok, denominator):
     if c1 == math.inf:
         raise HypothesisError("C1 overflows the floating-point range")
     return c1
-
-
-def compute_C1(dictionary, codes, hypergraph, rank_tol=geometry.DEFAULT_RANK_TOL,
-               group_cap=DEFAULT_GROUP_CAP):
-    """Full stability constant: compute_C2 over the worst per-support code bound.
-
-    The denominator is the minimum over edges S of the restricted lower bound
-    (at the uniform edge size) of dictionary @ codes restricted to the codes
-    supported in S. Every edge needs at least k codes in general linear
-    position (each support's k-subsets judged against rank_tol times the top
-    singular value of its own codes), and the denominator must be positive;
-    otherwise, or when the quotient overflows, HypothesisError is raised.
-    No absolute cut applies: C1 does not change when the dictionary is
-    scaled, and scales as 1/s when the codes are scaled by s.
-    """
-    mat = geometry.as_matrix(dictionary, "dictionary")
-    if hypergraph.k is None:
-        raise HypothesisError("hypergraph must be uniform")
-    c2 = compute_C2(mat, hypergraph, rank_tol, group_cap)
-    index_sets = support_index_sets(codes, hypergraph)
-    return _c1(c2, *_code_checks(mat, codes, hypergraph, index_sets, rank_tol))
 
 
 def epsilon_for(delta1, delta2, c1, l2k, max_l1):
@@ -354,12 +178,13 @@ def build_certificate(dictionary, codes, hypergraph,
     Never raises on failed hypotheses: flags record what failed and the
     constants that remain computable are still reported (C1/C2 are None when
     their own preconditions break). GLP and the C1 denominator share one
-    exhaustive, screened k-subset stream per support code count.
+    exhaustive, screened k-subset stream per support code count
+    (``codes._code_checks``).
 
     CapExceededError is raised only on size, never on a verdict, in four
     places: more than 1M column subsets for L2 or L2k (C(m, 2) or
     C(m, min(2k, m))), more than 1M edge pairs for L2H, a support whose
-    codes have more than SUBSET_WORK_CAP (10M) k-subsets, and more than
+    codes have more than codes.SUBSET_WORK_CAP (10M) k-subsets, and more than
     DEFAULT_GROUP_CAP (100,000) groups of r + 1 edges for C2. A rank_tol
     that is not positive and finite raises ValueError before any check runs.
     """

@@ -44,6 +44,17 @@ class ExperimentRecord:
     ms: float
 
 
+def _config_integer(section, key, default=None, name=None):
+    """An integer from a JSON config section; a fractional number, a string or
+    a boolean is refused rather than truncated or passed on. A key without a
+    default must be present."""
+    value = section[key] if default is None else section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name or key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def hypergraph_from_config(kind, m, k):
     if kind == "cyclic":
         return build_cyclic(m, k)
@@ -122,10 +133,10 @@ def run_experiment(config):
     trials, family, seed. Grid values at or above the per-instance
     dictionary threshold are skipped (no guarantee exists there).
     """
-    m, n, k = int(config["m"]), int(config["n"]), int(config["k"])
+    m, n, k = (_config_integer(config, key) for key in ("m", "n", "k"))
     if m > MAX_M or n > MAX_N:
         raise ValueError(f"configuration above desk-scale caps (m<={MAX_M}, n<={MAX_N})")
-    trials = int(config["trials"])
+    trials = _config_integer(config, "trials")
     if trials < 1:
         raise ValueError("need at least one trial")
     if trials > MAX_TRIALS:
@@ -138,8 +149,8 @@ def run_experiment(config):
         raise ValueError("noise grid is empty")
     if any(v <= 0 for v in grid):
         raise ValueError("noise grid values must be positive")
-    base_seed = int(config.get("seed", 0))
-    per_support = int(config["per_support_count"])
+    base_seed = _config_integer(config, "seed", 0)
+    per_support = _config_integer(config, "per_support_count")
     hypergraph = hypergraph_from_config(config.get("hypergraph", "cyclic"), m, k)
 
     records = []

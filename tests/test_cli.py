@@ -215,6 +215,45 @@ def test_experiment_empty_sweep_exits_2(tmp_path, capsys, change):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("trials", 1.5), ("m", 4.7), ("n", 4.5), ("k", 2.5),
+    ("per_support_count", 7.9), ("seed", 0.5), ("trials", "2"), ("seed", True),
+])
+def test_experiment_rejects_non_integer_config_values(tmp_path, capsys, key, value):
+    # a fractional value used to be truncated
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({
+        "m": 4, "n": 4, "k": 2, "hypergraph": "cyclic",
+        "per_support_count": 7, "noise_grid": [1e-3],
+        "trials": 1, "family": "code_jitter", "seed": 1, key: value,
+    }))
+    assert main(["experiment", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key} must be an integer")
+
+
+def test_generate_rejects_fractional_config_values(tmp_path, capsys):
+    # this config used to write an m=4 instance with 7 codes per support
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({"m": 4.7, "n": 4, "k": 2, "per_support_count": 7.9}))
+    out = tmp_path / "inst"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: m must be an integer")
+    assert not out.exists()
+    cfg.write_text(json.dumps({"m": 4, "n": 4, "k": 2, "per_support_count": 7.9}))
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "per_support_count must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_accepts_integral_floats(tmp_path):
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({"m": 4.0, "n": 4.0, "k": 2.0, "per_support_count": 7.0,
+                               "seed": 3.0}))
+    out = tmp_path / "inst"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert serialize.load_matrix_csv(out / "signals.csv").shape == (4, 28)
+
+
 def test_check_lemmas_exit_zero(tmp_path, capsys):
     cfg = tmp_path / "lemmas.json"
     cfg.write_text(json.dumps({

@@ -1,21 +1,38 @@
 """Code families, position checks, dataset synthesis, and instance generation."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsecert import (
+    GenerationError,
+    Hypergraph,
     SparseCodeSet,
+    build_certificate,
     build_complete,
     build_cyclic,
-    general_linear_position,
     generate_instance,
     merge_code_sets,
+    pairwise_unions,
+    restricted_lower_bound,
+    spark_condition,
     support_index_sets,
     synthesize_dataset,
     vandermonde_codes,
 )
+from sparsecert import _kernels, codes as codes_module, geometry
+
+
+def _glp(codes, support):
+    """The GLP verdict of the certificate's code checks on the codes of one
+    support, as the one edge of a hypergraph."""
+    h = Hypergraph(codes.m, [support])
+    mat = np.random.default_rng(0).standard_normal((codes.m, codes.m))
+    return codes_module._code_checks(mat, codes, h, support_index_sets(codes, h),
+                                     geometry.DEFAULT_RANK_TOL)[0]
 
 
 def test_vandermonde_example_powers():
@@ -42,7 +59,7 @@ def test_vandermonde_always_general_position():
             gammas = sorted(rng.uniform(0.5, 1.5, k))
         support = tuple(sorted(rng.choice(6, size=k, replace=False) + 1))
         codes = vandermonde_codes(support, count, gammas, m=6)
-        assert general_linear_position(codes.codes, k)
+        assert _glp(codes, support)
 
 
 def test_vandermonde_rejects_bad_nodes():
@@ -66,25 +83,17 @@ def test_vandermonde_general_position_property(data):
         )
     )
     codes = vandermonde_codes(tuple(range(1, k + 1)), count, gammas, m=k + 1)
-    assert general_linear_position(codes.codes, k)
+    assert _glp(codes, tuple(range(1, k + 1)))
 
 
 def test_glp_standard_basis():
-    assert general_linear_position(np.eye(3)[:, :2], 2)
+    codes = SparseCodeSet(3, np.eye(3)[:, :2], ((1, 2),) * 2, 2)
+    assert _glp(codes, (1, 2))
 
 
 def test_glp_parallel_vectors():
     vectors = np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]])
-    assert not general_linear_position(vectors, 2)
-
-
-def test_glp_sampling_path():
-    # more than subset_cap subsets are refused, never sampled
-    rng = np.random.default_rng(10)
-    vectors = rng.standard_normal((6, 30))
-    from sparsecert import CapExceededError
-    with pytest.raises(CapExceededError):
-        general_linear_position(vectors, 3, subset_cap=100)
+    assert not _glp(SparseCodeSet(3, vectors, ((1, 2),) * 2, 2), (1, 2))
 
 
 def test_support_index_sets_single_support():
@@ -174,6 +183,89 @@ def test_generate_instance_flags():
 def test_generate_instance_rejects_small_n():
     with pytest.raises(ValueError):
         generate_instance(4, 3, 2, build_cyclic(4, 2), 7, seed=0)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2])
+def test_generate_instance_refuses_fewer_codes_than_k(count, monkeypatch):
+    # k - 1 codes on a support cannot be in general linear position; such an
+    # instance used to be accepted with a certificate reading glp_ok=False
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a generator was made")
+
+    monkeypatch.setattr(codes_module.np.random, "default_rng", no_draws)
+    with pytest.raises(ValueError, match="per_support_count must be at least k=3"):
+        generate_instance(6, 6, 3, build_cyclic(6, 3), count, seed=0)
+
+
+def _reference_independent(x, k, rank_tol=geometry.DEFAULT_RANK_TOL):
+    """Every k columns of x independent, by one exact SVD per k-subset."""
+    smax = float(np.linalg.svd(x, compute_uv=False)[0])
+    sv = _kernels.edge_min_singular_values(
+        x, geometry.k_subsets(x.shape[1], k, cap=math.inf))
+    return bool(np.min(sv) > rank_tol * smax)
+
+
+def _reference_generate(m, n, k, hypergraph, per_support_count, seed,
+                        max_retries=codes_module.GENERATE_MAX_RETRIES,
+                        rank_tol=geometry.DEFAULT_RANK_TOL):
+    """The draw loop of generate_instance, each draw accepted by L2H, the
+    spark check and an exhaustive GLP check of every support."""
+    rng = np.random.default_rng(seed)
+    unions = pairwise_unions(hypergraph)
+    for _ in range(max_retries):
+        mat = rng.standard_normal((n, m))
+        blocks = []
+        for edge in hypergraph.edges:
+            while True:
+                gammas = rng.uniform(0.5, 1.5, size=k)
+                if len(set(gammas)) == k:
+                    break
+            blocks.append(vandermonde_codes(edge, per_support_count, gammas, m=m))
+        codes = merge_code_sets(blocks)
+        smax = float(np.linalg.svd(mat, compute_uv=False)[0])
+        if (restricted_lower_bound(mat, unions) > rank_tol * smax
+                and spark_condition(mat, k, rank_tol)
+                and all(_reference_independent(codes.codes[:, ids], k, rank_tol)
+                        for ids in support_index_sets(codes, hypergraph).values())):
+            return mat, codes
+    raise GenerationError(f"no verified instance after {max_retries} attempts")
+
+
+def _outcome(generate, *args):
+    try:
+        return generate(*args)
+    except GenerationError:
+        return None
+
+
+@pytest.mark.parametrize("m, count", [(4, 7), (6, 16), (8, 29)])
+def test_generate_instance_equals_exhaustive_reference(m, count):
+    h = build_cyclic(m, 2)
+    accepted = 0
+    for seed in range(50):
+        got = _outcome(generate_instance, m, m, 2, h, count, seed)
+        expected = _outcome(_reference_generate, m, m, 2, h, count, seed)
+        if expected is None:
+            assert got is None, seed
+            continue
+        mat, codes = got
+        assert mat.tobytes() == expected[0].tobytes(), seed
+        assert codes.codes.tobytes() == expected[1].codes.tobytes(), seed
+        assert codes.supports == expected[1].supports
+        cert = build_certificate(mat, codes, h)
+        assert cert.lower_bound_ok and cert.spark_ok and cert.glp_ok, seed
+        accepted += 1
+    assert accepted > 0
+
+
+def test_generate_instance_raises_when_no_draw_is_in_general_position():
+    # power-node codes at 41 per support of cyclic m=6, k=3 are too
+    # ill-conditioned to pass GLP
+    h = build_cyclic(6, 3)
+    with pytest.raises(GenerationError):
+        generate_instance(6, 6, 3, h, 41, seed=0)
+    with pytest.raises(GenerationError):
+        _reference_generate(6, 6, 3, h, 41, 0)
 
 
 def test_generate_instance_seed_variation():

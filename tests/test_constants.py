@@ -17,10 +17,8 @@ from sparsecert import (
     build_complete,
     build_cyclic,
     build_grid,
-    compute_C1,
     compute_C2,
     epsilon_for,
-    general_linear_position,
     generate_instance,
     has_sip,
     lower_bound_k,
@@ -34,6 +32,7 @@ from sparsecert import (
     xi,
 )
 from sparsecert import _kernels, constants, geometry
+from sparsecert import codes as codes_module
 from sparsecert.hypergraph import Hypergraph, regularity
 
 
@@ -126,12 +125,12 @@ def test_c2_requires_regular():
         compute_C2(np.eye(3), Hypergraph(3, [(1, 2), (2, 3)]))
 
 
-# compute_C1
+# C1
 
 
 def test_c1_singleton_formula_identity():
     codes = singleton_codes([1.0, 1.0, 1.0, 1.0])
-    got = compute_C1(np.eye(4), codes, build_complete(4, 1))
+    got = build_certificate(np.eye(4), codes, build_complete(4, 1)).C1
     assert got == pytest.approx(2.0, abs=1e-12)
 
 
@@ -141,7 +140,7 @@ def test_c1_singleton_footnote_bound():
         m = int(rng.integers(2, 6))
         mat = rng.standard_normal((m + 1, m))
         coeffs = rng.uniform(0.2, 3.0, m) * rng.choice([-1.0, 1.0], m)
-        c1 = compute_C1(mat, singleton_codes(coeffs), build_complete(m, 1))
+        c1 = build_certificate(mat, singleton_codes(coeffs), build_complete(m, 1)).C1
         assert c1 >= 2.0 / np.min(np.abs(coeffs)) - 1e-9
         assert c1 >= 1.0 / np.min(np.abs(coeffs))
 
@@ -151,13 +150,14 @@ def test_c1_decreases_when_codes_scale_up():
     mat, codes = generate_instance(4, 4, 2, h, 7, seed=0)
     doubled = merge_code_sets([codes])
     doubled.codes = 2 * doubled.codes
-    assert compute_C1(mat, doubled, h) < compute_C1(mat, codes, h)
+    assert build_certificate(mat, doubled, h).C1 < build_certificate(mat, codes, h).C1
 
 
 def test_c1_requires_codes_everywhere():
     codes = vandermonde_codes((1, 2), 3, (1.0, 2.0), m=4)
-    with pytest.raises(HypothesisError):
-        compute_C1(np.eye(4), codes, build_cyclic(4, 2))
+    cert = build_certificate(np.eye(4), codes, build_cyclic(4, 2))
+    assert not cert.glp_ok
+    assert cert.C1 is None
 
 
 # epsilon_for
@@ -273,7 +273,9 @@ def test_certificate_computes_c2_once(monkeypatch):
     mat, codes = generate_instance(4, 4, 2, h, 7, seed=1)
     cert = build_certificate(mat, codes, h)
     assert len(calls) == 1
-    assert cert.C1 == compute_C1(mat, codes, h)
+    denominator = codes_module._code_checks(mat, codes, h, support_index_sets(codes, h),
+                                            DEFAULT_RANK_TOL)[1]
+    assert cert.C1 == cert.C2 / denominator
 
 
 @pytest.mark.parametrize("rank_tol", [math.nan, math.inf, 0.0, -1e-9])
@@ -457,7 +459,6 @@ def test_planted_dependence_found_exhaustively():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((3, 110))
     x[:, 109] = x[:, 0] + x[:, 1]
-    assert not general_linear_position(x, 3)
     codes = SparseCodeSet(3, x, ((1, 2, 3),) * 110, 3)
     h = Hypergraph(3, [(1, 2, 3)])
     cert = build_certificate(rng.standard_normal((3, 3)), codes, h)

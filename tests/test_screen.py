@@ -3,8 +3,10 @@ exhaustive one-SVD-per-subset path it replaced.
 
 ``_reference_code_checks`` is that path: every k-subset of every support
 goes through the kernel twice, once on the codes and once on the dictionary
-times the codes. The screen must give the same ``(glp_ok, denominator)``
-bit for bit, and so the same certificate.
+times the codes. Where GLP holds, the screen must give the same
+``(glp_ok, denominator)`` bit for bit, and so the same certificate. Where it
+fails, the screen stops at the first failing block with (False, 0.0), and
+the verdict and the certificate must be the same.
 """
 
 import importlib.util
@@ -24,13 +26,11 @@ from sparsecert import (
     SparseCodeSet,
     build_certificate,
     build_cyclic,
-    general_linear_position,
     support_index_sets,
 )
 from sparsecert import _kernels, constants, geometry
 from sparsecert.hypergraph import regularity
 from sparsecert import codes as codes_module
-from sparsecert.codes import subsets_independent
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -103,7 +103,7 @@ def _reference_sigma_floor(hadamard, norms, subsets):
 
 def _reference_screen_floors(stack, subsets):
     """The determinant, GLP and C1 floors of each support of a
-    ``constants._Stack`` over an (E, k) index array of its subsets, (S, E)
+    ``codes._Stack`` over an (E, k) index array of its subsets, (S, E)
     each, as the index-array screen took them."""
     count = stack.units.shape[2]
     hadamard, glp, c1 = [], [], []
@@ -125,7 +125,7 @@ def _reference_screen_floors(stack, subsets):
 
 def _both(mat, codes, hypergraph, rank_tol=geometry.DEFAULT_RANK_TOL):
     index_sets = support_index_sets(codes, hypergraph)
-    return (constants._code_checks(mat, codes, hypergraph, index_sets, rank_tol),
+    return (codes_module._code_checks(mat, codes, hypergraph, index_sets, rank_tol),
             _reference_code_checks(mat, codes, hypergraph, index_sets, rank_tol))
 
 
@@ -134,12 +134,34 @@ def _bits(pair):
     return glp_ok, denominator.hex()
 
 
+def _records(mat, codes, hypergraph, reference):
+    """The instance's certificate record, and the record it gets when the
+    code checks return ``reference``."""
+    record = workloads.certificate_record(build_certificate(mat, codes, hypergraph))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(constants, "_code_checks", lambda *args: reference)
+        expected = workloads.certificate_record(
+            build_certificate(mat, codes, hypergraph))
+    return record, expected
+
+
+def _assert_same_glp_failure(mat, codes, hypergraph, screened, reference):
+    """A GLP-failing stream ends with (False, 0.0); its denominator never
+    reaches the certificate, which equals the exhaustive path's."""
+    assert screened == (False, 0.0)
+    assert not reference[0]
+    record, expected = _records(mat, codes, hypergraph, reference)
+    assert record == expected
+    assert not record["glp_ok"] and record["C1"] is None
+
+
 def _count_kernel_rows(monkeypatch):
+    """The index arrays that reach the kernel, one per call."""
     rows = []
     kernel = _kernels.edge_min_singular_values
 
     def counted(mat, edges):
-        rows.append(len(edges))
+        rows.append(edges)
         return kernel(mat, edges)
 
     monkeypatch.setattr(_kernels, "edge_min_singular_values", counted)
@@ -163,14 +185,11 @@ def _pool(name, seed):
 
 @pytest.mark.parametrize("seed", [0, 1606, 7])
 @pytest.mark.parametrize("name", ["certify_k2", "certify_k3", "cli"])
-def test_pools_bit_identical_to_exhaustive(name, seed, monkeypatch):
+def test_pools_bit_identical_to_exhaustive(name, seed):
     for mat, codes, h in _pool(name, seed):
         screened, reference = _both(mat, codes, h)
         assert _bits(screened) == _bits(reference)
-        record = workloads.certificate_record(build_certificate(mat, codes, h))
-        monkeypatch.setattr(constants, "_code_checks", lambda *args: reference)
-        expected = workloads.certificate_record(build_certificate(mat, codes, h))
-        monkeypatch.undo()
+        record, expected = _records(mat, codes, h, reference)
         assert record == expected
 
 
@@ -221,12 +240,11 @@ def test_planted_scaled_bit_identical(scale, near_tie, monkeypatch):
     reference = _reference_code_checks(mat, codes, h, support_index_sets(codes, h),
                                        geometry.DEFAULT_RANK_TOL)
     rows = _count_kernel_rows(monkeypatch)
-    screened = constants._code_checks(mat, codes, h, support_index_sets(codes, h),
-                                      geometry.DEFAULT_RANK_TOL)
-    assert _bits(screened) == _bits(reference)
-    assert not screened[0]
+    screened = codes_module._code_checks(mat, codes, h, support_index_sets(codes, h),
+                                         geometry.DEFAULT_RANK_TOL)
     # the screen decides at every scale: no fallback to all 6 x 2 x C(41, 3)
-    assert sum(rows) < 1000
+    assert sum(map(len, rows)) < 1000
+    _assert_same_glp_failure(mat, codes, h, screened, reference)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan, -1.0])
@@ -239,14 +257,27 @@ def test_non_finite_or_negative_bounds_stay_open(bad):
     smax = float(np.linalg.svd(x, compute_uv=False)[0])
     floor = np.full(len(subsets), bad)
     assert not codes_module._independent(x, subsets, floor, smax, 1e-9)
-    stack = constants._stack(mat, codes, [edge], {edge: ids})
+    stack = codes_module._stack(mat, codes, [edge], {edge: ids})
     owners = np.zeros(len(subsets), dtype=np.intp)
-    lowest = constants._lowest(stack, owners, subsets, np.full(len(subsets), bad),
-                               math.inf)
+    lowest = codes_module._lowest(stack, owners, subsets, np.full(len(subsets), bad),
+                                  math.inf)
     assert lowest == float(np.min(_kernels.edge_min_singular_values(mat @ x, subsets)))
 
 
+def _one_support_glp(x, rank_tol=geometry.DEFAULT_RANK_TOL):
+    """The GLP verdict of ``_code_checks`` on the columns of a k x N matrix,
+    as the codes of the one edge (1, ..., k) of a one-edge hypergraph."""
+    k, count = x.shape
+    edge = tuple(range(1, k + 1))
+    codes = SparseCodeSet(k, x, (edge,) * count, k)
+    h = Hypergraph(k, [edge])
+    mat = np.random.default_rng(k).standard_normal((k + 1, k))
+    return codes_module._code_checks(mat, codes, h, support_index_sets(codes, h),
+                                     rank_tol)[0]
+
+
 def test_glp_screen_matches_exhaustive_on_general_vectors():
+    # each matrix holds the codes of one support, k = its row count
     rng = np.random.default_rng(5)
     cases = [rng.standard_normal((5, 12)), rng.standard_normal((3, 15)),
              rng.standard_normal((2, 7)), rng.standard_normal((4, 2)) @
@@ -255,10 +286,9 @@ def test_glp_screen_matches_exhaustive_on_general_vectors():
     planted[:, 9] = planted[:, 2] - 0.5 * planted[:, 7]
     cases.append(planted)
     for mat in cases:
-        for k in range(1, min(mat.shape[1], 5) + 1):
-            for scale in (1.0, 1e-110, 1e110):
-                assert (subsets_independent(mat * scale, k)
-                        == _reference_independent(mat * scale, k)), (mat.shape, k)
+        for scale in (1.0, 1e-110, 1e110):
+            assert (_one_support_glp(mat * scale)
+                    == _reference_independent(mat * scale, len(mat))), mat.shape
 
 
 def test_support_past_old_cap_certifies_and_finds_dependence():
@@ -284,21 +314,21 @@ def test_support_past_old_cap_certifies_and_finds_dependence():
 
 
 def test_code_subset_cap_raises_before_any_check(monkeypatch):
-    monkeypatch.setattr(constants, "SUBSET_WORK_CAP", 100)
+    monkeypatch.setattr(codes_module, "SUBSET_WORK_CAP", 100)
     rows = _count_kernel_rows(monkeypatch)
     mat, codes, h = _gaussian(2, 4, 3, 10)
     with pytest.raises(CapExceededError, match="120 3-subsets"):
-        constants._code_checks(mat, codes, h, support_index_sets(codes, h), 1e-9)
+        codes_module._code_checks(mat, codes, h, support_index_sets(codes, h), 1e-9)
     assert rows == []
 
 
-def test_general_linear_position_streams_past_old_cap():
+def test_glp_streams_past_old_cap():
     # one dependent triple among C(200, 3) = 1,313,400
     rng = np.random.default_rng(4)
     x = rng.standard_normal((3, 200))
-    assert general_linear_position(x, 3)
+    assert _one_support_glp(x)
     x[:, 7] = 3.0 * x[:, 180] + x[:, 55]
-    assert not general_linear_position(x, 3)
+    assert not _one_support_glp(x)
 
 
 def test_single_support_hypergraph_unchanged():
@@ -385,7 +415,7 @@ def test_closed_form_determinants_skip_lu(monkeypatch):
     mat, codes, h = _pool("certify_k3", 0)[0]
     expected = workloads.certificate_record(build_certificate(mat, codes, h))
     rng = np.random.default_rng(8)
-    vectors = rng.standard_normal((5, 9))
+    vectors = {k: rng.standard_normal((k, 9)) for k in (1, 2, 3, 4)}
 
     def refuse(*args, **kwargs):
         raise AssertionError("np.linalg.det called")
@@ -394,9 +424,9 @@ def test_closed_form_determinants_skip_lu(monkeypatch):
     record = workloads.certificate_record(build_certificate(mat, codes, h))
     assert record == expected
     for k in (1, 2, 3):
-        assert subsets_independent(vectors, k)
+        assert _one_support_glp(vectors[k])
     with pytest.raises(AssertionError, match="det called"):
-        subsets_independent(vectors, 4)
+        _one_support_glp(vectors[4])
 
 
 def _same_bits(a, b):
@@ -407,7 +437,7 @@ def _same_bits(a, b):
 
 
 def _two_supports(k, count, seed):
-    """The ``constants._Stack`` of two supports of ``count`` codes, with zero
+    """The ``codes._Stack`` of two supports of ``count`` codes, with zero
     columns and columns scaled by 1e110 and -1e-110."""
     rng = np.random.default_rng(seed)
     m = k + 1
@@ -423,7 +453,7 @@ def _two_supports(k, count, seed):
     codes = SparseCodeSet(m, x, tuple(e for e in edges for _ in range(count)), k)
     index_sets = {edge: list(range(e * count, (e + 1) * count))
                   for e, edge in enumerate(edges)}
-    return constants._stack(rng.standard_normal((m + 1, m)), codes, edges, index_sets)
+    return codes_module._stack(rng.standard_normal((m + 1, m)), codes, edges, index_sets)
 
 
 @pytest.mark.parametrize("budget", [codes_module.SCREEN_ROWS, 37],
@@ -447,7 +477,7 @@ def test_block_floors_bit_identical_to_index_arrays(k, budget):
         owners = np.repeat([0, 1], len(subsets))
         columns = np.concatenate([subsets, subsets + count])
         glp = geometry.sigma_floor(hadamard.ravel(), stack.norms, columns)
-        c1 = constants._c1_floor(stack, owners, columns, hadamard.ravel())
+        c1 = codes_module._c1_floor(stack, owners, columns, hadamard.ravel())
         reference = _reference_screen_floors(stack, subsets)
         assert _same_bits(hadamard, reference[0]), count
         assert _same_bits(glp.reshape(2, -1), reference[1]), count
@@ -459,14 +489,11 @@ def test_block_floors_bit_identical_to_index_arrays(k, budget):
                          ids=["k1", "k2", "k3", "k4"])
 def test_small_blocks_bit_identical(m, k, count, monkeypatch):
     # tiny blocks: rows split into blocks of tails, masks in most blocks
-    monkeypatch.setattr(constants, "SCREEN_ROWS", 53)
     monkeypatch.setattr(codes_module, "SCREEN_ROWS", 53)
     for seed in (0, 1606):
         mat, codes, h = _gaussian(seed, m, k, count)
         screened, reference = _both(mat, codes, h)
         assert _bits(screened) == _bits(reference)
-        x = codes.codes[:, support_index_sets(codes, h)[h.edges[0]]]
-        assert subsets_independent(x, k) == _reference_independent(x, k)
 
 
 def test_glp_failure_settled_by_neither_floor_alone():
@@ -482,23 +509,29 @@ def test_glp_failure_settled_by_neither_floor_alone():
     x[:3, q] = x[:3, i] - 0.5 * x[:3, p] + 8e-9 * np.array([1.0, -1.0, 2.0])
     codes = SparseCodeSet(6, x, codes.supports, 3)
     screened, reference = _both(mat, codes, h)
-    assert _bits(screened) == _bits(reference)
-    assert not screened[0]
+    _assert_same_glp_failure(mat, codes, h, screened, reference)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_stacked_glp_matches_each_matrix(k):
-    # one stream for a stack of matrices, as generate_instance checks its
-    # supports, against one exhaustive check per matrix; one matrix carries
-    # a dependent k-subset, and one is scaled by 1e110
-    rng = np.random.default_rng(30 + k)
-    mats = rng.standard_normal((5, k + 2, 13))
-    mats[3, :, 12] = mats[3, :, :k - 1].sum(axis=1) if k > 1 else 0.0
-    mats[1] *= 1e110
-    for stack in (mats, mats[:3], mats[3:4]):
-        expected = all(_reference_independent(x, k) for x in stack)
-        assert codes_module._stack_independent(stack, k, 1e-9) == expected
-    assert not codes_module._stack_independent(mats, k, 1e-9)
+    # one stream for the stacked supports of a code count, against one
+    # exhaustive check per support; support 3 carries a dependent k-subset,
+    # and support 1 is scaled by 1e110
+    mat, codes, h = _gaussian(30 + k, 5, k, 13)
+    x = codes.codes.copy()
+    rows = [[v - 1 for v in edge] for edge in h.edges]
+    x[rows[3], 3 * 13 + 12] = (x[rows[3], 3 * 13:3 * 13 + k - 1].sum(axis=1)
+                               if k > 1 else 0.0)
+    x[rows[1], 13:2 * 13] *= 1e110
+    codes = SparseCodeSet(5, x, codes.supports, k)
+    verdicts = []
+    for edges in (h.edges, h.edges[:3], h.edges[3:4]):
+        part = Hypergraph(5, edges)
+        index_sets = support_index_sets(codes, part)
+        expected = all(_reference_independent(x[:, index_sets[e]], k) for e in edges)
+        verdicts.append(codes_module._code_checks(mat, codes, part, index_sets, 1e-9)[0])
+        assert verdicts[-1] == expected
+    assert verdicts == [False, True, False]
 
 
 def test_block_layout_is_lexicographic():
@@ -542,12 +575,30 @@ def test_planted_dependence_at_block_edges(which, monkeypatch):
     reference = _reference_code_checks(mat, codes, h, index_sets,
                                        geometry.DEFAULT_RANK_TOL)
     rows_seen = _count_kernel_rows(monkeypatch)
-    screened = constants._code_checks(mat, codes, h, index_sets,
-                                      geometry.DEFAULT_RANK_TOL)
-    assert _bits(screened) == _bits(reference)
-    assert not screened[0]
-    assert sum(rows_seen) < 1000
-    assert not general_linear_position(x[rows][:, first:first + 41], 3)
+    screened = codes_module._code_checks(mat, codes, h, index_sets,
+                                         geometry.DEFAULT_RANK_TOL)
+    assert sum(map(len, rows_seen)) < 1000
+    _assert_same_glp_failure(mat, codes, h, screened, reference)
+
+
+def test_dependent_first_block_ends_the_stream(monkeypatch):
+    # one dependent triple in the stream's first block (first index 0) and
+    # one far into it: the check stops after the first block, so no subset
+    # with a later first index reaches the kernel
+    mat, codes, h = _gaussian(11, 6, 3, 41)
+    x = codes.codes.copy()
+    rows = [v - 1 for v in h.edges[2]]
+    first = 2 * 41
+    x[rows, first + 2] = x[rows, first] + x[rows, first + 1]
+    x[rows, first + 40] = x[rows, first + 30] - 2.0 * x[rows, first + 20]
+    codes = SparseCodeSet(6, x, codes.supports, 3)
+    seen = _count_kernel_rows(monkeypatch)
+    screened = codes_module._code_checks(mat, codes, h, support_index_sets(codes, h),
+                                         geometry.DEFAULT_RANK_TOL)
+    assert screened == (False, 0.0)
+    subsets = np.concatenate(seen)
+    assert len(subsets) > 0
+    assert np.all(subsets[:, 0] % 41 == 0)
 
 
 # C1 moves with the rounding of A @ X wherever the least sigma_min(A X_T) is
@@ -614,21 +665,11 @@ def test_c2_bits_unchanged_on_pools(seed):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_glp_rejects_non_finite_vectors(bad):
+    # the screen reads codes only from a SparseCodeSet, which refuses them
     x = np.random.default_rng(3).standard_normal((3, 7))
     x[1, 4] = bad
-    for check in (subsets_independent, general_linear_position):
-        with pytest.raises(ValueError, match="non-finite"):
-            check(x, 2)
     with pytest.raises(ValueError, match="non-finite"):
-        general_linear_position(x, 9)
-
-
-@pytest.mark.parametrize("k", [0, -1])
-def test_glp_rejects_k_below_one(k):
-    x = np.random.default_rng(3).standard_normal((3, 7))
-    for check in (subsets_independent, general_linear_position):
-        with pytest.raises(ValueError, match="k must be positive"):
-            check(x, k)
+        SparseCodeSet(3, x, ((1, 2, 3),) * 7, 3)
 
 
 def _chain(value, factors):
@@ -667,10 +708,13 @@ def test_settled_subsets_clear_their_full_floors(seed):
     for mat, codes, h in _pool("certify_k3", seed) + [_planted(1e110, False)]:
         index_sets = support_index_sets(codes, h)
         k, count = h.k, len(index_sets[h.edges[0]])
-        lowest = constants._code_checks(mat, codes, h, index_sets,
+        # the exhaustive least value: the planted instance fails GLP, where
+        # the screen stops early and returns no denominator
+        lowest = _reference_code_checks(mat, codes, h, index_sets,
                                         geometry.DEFAULT_RANK_TOL)[1] * math.sqrt(k)
-        stack = constants._stack(mat, codes, h.edges, index_sets)
-        glp_settle, c1_factors = constants._settling(stack, k, geometry.DEFAULT_RANK_TOL)
+        stack = codes_module._stack(mat, codes, h.edges, index_sets)
+        glp_settle, c1_factors = codes_module._settling(stack, k,
+                                                        geometry.DEFAULT_RANK_TOL)
         c1_target = lowest + stack.margin
         c1_settle = geometry.settling_floor(c1_target, c1_factors)
         assert np.all(glp_settle < math.inf) and np.all(c1_settle < math.inf)
@@ -688,7 +732,7 @@ def test_settled_subsets_clear_their_full_floors(seed):
                 glp_target = ((geometry.DEFAULT_RANK_TOL + geometry.SCREEN_SLACK)
                               * stack.smax[s])
                 assert np.all(glp[floor > glp_settle[s]] > glp_target)
-                c1 = constants._c1_floor(stack, np.full(len(flat), s), subsets, floor)
+                c1 = codes_module._c1_floor(stack, np.full(len(flat), s), subsets, floor)
                 assert np.all(c1[floor > c1_settle[s]] > c1_target[s])
                 settled += np.count_nonzero(floor > c1_settle[s])
         assert settled > 0.9 * len(h.edges) * math.comb(count, k)
