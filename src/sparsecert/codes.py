@@ -386,8 +386,10 @@ def generate_instance(m, n, k, hypergraph, per_support_count, seed=None,
     positive restricted lower bound over pairwise unions, the spark
     condition, and general linear position of every support's codes
     (``_code_checks``). Retries with fresh randomness up to ``max_retries``
-    times, then raises GenerationError.
+    times, then raises GenerationError. A rank_tol that is not positive and
+    finite raises ValueError before any draw.
     """
+    geometry._check_rank_tol(rank_tol)
     if n < min(2 * k, m):
         raise ValueError(f"need n >= min(2k, m) = {min(2 * k, m)}, got n={n}")
     if per_support_count < k:

@@ -3,11 +3,14 @@ certificate that bundles them with the hypothesis checks.
 
 The checks of the codes' k-subsets, general linear position and the C1
 denominator, come from the one screen in ``codes._code_checks``; ``C1`` is
-a field of the certificate, never computed on its own.
+a field of the certificate, never computed on its own. ``C2`` runs the xi
+subset DP over the edge spans with every factor read from one table of
+Friedrichs sines over (edge, edge intersection) pairs (``compute_C2``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -35,6 +38,32 @@ def compute_C2(dictionary, hypergraph, rank_tol=geometry.DEFAULT_RANK_TOL,
     nearly degenerate geometry gives a large constant; a zero denominator
     (P = 0) is refused as degenerate. The column norms are taken after an
     exact power-of-two scaling of each column, so they do not overflow.
+
+    P comes from a subset DP over the edges whose factors are read from one
+    table. Where the dictionary A is injective on every union of two edges,
+    as L2H > 0 asserts, the meet of any set of edge spans is span A[:, I]
+    for the intersection I of their edges, by induction over the DP's
+    prefixes: a prefix's I lies inside one edge S_b, so I | S_a lies inside
+    S_a | S_b. So every factor is sin^2 of the Friedrichs angle between
+    V_a = span A[:, S_a] and span A[:, I], for I among the intersections of
+    at most r edges; it is exactly 1 when one of S_a and I contains the
+    other, the empty I included. The table holds the other (a, I) pairs:
+    their meet is span A[:, I & S_a], so the Friedrichs sine is the
+    (|I & S_a| + 1)-th smallest singular value of (I - P_I) Q_a, taken from
+    stacked SVDs per (|S_a|, |I|, |I & S_a|) shape, of at most
+    geometry._STACK_BLOCK pairs each, on bases from one stacked SVD per
+    width. The DP's index arrays depend on the hypergraph only and are kept
+    per hypergraph (``_c2_plan``).
+
+    That precondition is checked on the table's own SVDs: an edge or
+    lattice column set whose span is rank deficient at rank_tol, or a table
+    sine at or below rank_tol (the spans meet beyond their shared columns),
+    raises HypothesisError naming the columns. Neither can happen where the
+    certificate's lower_bound_ok holds, L2H > rank_tol smax: a unit vector
+    of V_a orthogonal to span A[:, I & S_a] has coefficients of norm at
+    least 1 / smax on S_a - I, so with U = S_a | I inside S_a | S_b its
+    distance to span A[:, I] is at least sigma_min(A_U) / smax, and
+    sigma_min(A_U) >= L2H sqrt(|S_a | S_b|) > rank_tol smax sqrt(|U|).
     """
     mat = geometry.as_matrix(dictionary, "dictionary")
     if hypergraph.m != mat.shape[1]:
@@ -48,13 +77,40 @@ def compute_C2(dictionary, hypergraph, rank_tol=geometry.DEFAULT_RANK_TOL,
     lowest = 1.0
     if n_groups:
         geometry._check_rank_tol(rank_tol)
-        # column_span of every edge, from stacked SVDs
-        spans = geometry._bases([mat[:, [v - 1 for v in e]] for e in hypergraph.edges],
-                                rank_tol)
-        best, = geometry._sine_products([spans], r + 1, rank_tol)
+        plan = _c2_plan(hypergraph, r + 1)
+        bases = {}
+        for width, columns in plan.stacks.items():
+            u, s, _ = np.linalg.svd(np.swapaxes(mat.T[columns], 1, 2),
+                                    full_matrices=False)
+            deficient = np.count_nonzero(s > rank_tol * s[:, :1], axis=1) < width
+            if np.any(deficient):
+                raise HypothesisError(
+                    f"columns {_vertices(columns[np.argmax(deficient)])} "
+                    "are dependent at rank_tol")
+            bases[width] = u
+        sines = []
+        for p, q, d, edge_at, meet_at in plan.shapes:
+            # stacks of at most _STACK_BLOCK pairs bound the memory of
+            # hypergraphs with large lattices
+            for lo in range(0, len(edge_at), geometry._STACK_BLOCK):
+                a = edge_at[lo:lo + geometry._STACK_BLOCK]
+                i = meet_at[lo:lo + geometry._STACK_BLOCK]
+                qa, qi = bases[p][a], bases[q][i]
+                sine = np.linalg.svd(qa - qi @ (np.swapaxes(qi, 1, 2) @ qa),
+                                     compute_uv=False)[:, p - 1 - d]
+                if not np.all(sine > rank_tol):
+                    bad = np.argmin(sine)
+                    raise HypothesisError(
+                        f"the span of edge {_vertices(plan.stacks[p][a[bad]])} meets "
+                        f"that of columns {_vertices(plan.stacks[q][i[bad]])} beyond "
+                        "their shared columns")
+                sines.append(sine)
+        factors = np.concatenate(sines + [np.ones(1)]) ** 2
+        best = np.ones(len(hypergraph.edges))
+        for tidx, pidx in plan.levels:
+            best = (factors[tidx] * best[pidx]).max(axis=1)
         # xi is non-increasing in the product: the worst group has the smallest
-        lowest = min(best[frozenset(group)] for group in
-                     itertools.combinations(range(len(spans)), r + 1))
+        lowest = float(best.min())
     # 1 - sqrt(1 - P) without cancellation; P is clamped against overshoot
     lowest = min(lowest, 1.0)
     denominator = lowest / (1.0 + math.sqrt(1.0 - lowest))
@@ -67,6 +123,109 @@ def compute_C2(dictionary, hypergraph, rank_tol=geometry.DEFAULT_RANK_TOL,
     norms = np.ldexp(np.linalg.norm(np.ldexp(mat, -shifts), axis=0), shifts)
     max_column = float(np.max(norms))
     return (r + 1) * max_column / denominator
+
+
+def _vertices(columns):
+    """1-based vertices of 0-based columns, as a tuple."""
+    return tuple(int(c) + 1 for c in columns)
+
+
+class _C2Plan(NamedTuple):
+    """The index arrays of ``compute_C2``; they depend on the hypergraph only.
+
+    ``stacks`` maps a width to the (G, width) array of 0-based column sets
+    of that width whose bases the table needs: every edge, then the lattice
+    elements I of the table's pairs. ``shapes`` holds, per (|S_a|, |I|,
+    |I & S_a|) shape, the positions in the width stacks of the edge and of
+    the I of each table pair, in table order; one more entry, the exact
+    factor 1, ends the table. ``levels`` holds, for the DP levels of 2 to
+    r + 1 edges, subsets in colex order, the table entry of each (subset,
+    member a) factor and the position of the subset without a one level
+    below.
+    """
+
+    stacks: dict
+    shapes: tuple
+    levels: tuple
+
+
+def _colex_ranks(combos, binomials):
+    """The colex rank of each sorted row c: the sum of C(c_i, i + 1)."""
+    return binomials[combos, np.arange(1, combos.shape[1] + 1)].sum(axis=1)
+
+
+@functools.lru_cache(maxsize=8)
+def _c2_plan(hypergraph, size):
+    """The ``_C2Plan`` of the DP over groups of ``size`` edges; its arrays
+    are read-only, since every caller shares them."""
+    edges = [frozenset(v - 1 for v in e) for e in hypergraph.edges]
+    n_edges = len(edges)
+    binomials = np.array([[math.comb(v, j) for j in range(size + 1)]
+                          for v in range(n_edges)], dtype=np.intp)
+    # the lattice elements, each a column set with an id; edges come first
+    sets = list(edges)
+    ids = {e: i for i, e in enumerate(sets)}
+
+    def meet_ids(elements, members):
+        """The id of each sets[elements[j]] & edges[members[j]]."""
+        keys, inverse = np.unique(elements * n_edges + members, return_inverse=True)
+        found = []
+        for key in keys.tolist():
+            meet = sets[key // n_edges] & edges[key % n_edges]
+            if meet not in ids:
+                ids[meet] = len(sets)
+                sets.append(meet)
+            found.append(ids[meet])
+        return np.array(found, dtype=np.intp)[inverse.ravel()]
+
+    # per level of s edges: the position of each subset without each member
+    # at level s - 1, and the pair (member, meet of the rest) as the key
+    # meet * n_edges + member
+    meets = np.arange(n_edges)
+    below, keys = [], []
+    for s in range(2, size + 1):
+        combos = geometry.k_subsets(n_edges, s, cap=math.inf)
+        combos = combos[np.argsort(_colex_ranks(combos, binomials))]
+        pidx = np.column_stack([_colex_ranks(np.delete(combos, j, axis=1), binomials)
+                                for j in range(s)])
+        rest = meets[pidx]
+        below.append(pidx)
+        keys.append(rest * n_edges + combos)
+        if s < size:
+            meets = meet_ids(rest[:, -1], combos[:, -1])
+    pair_keys, inverse = np.unique(np.concatenate([key.ravel() for key in keys]),
+                                   return_inverse=True)
+    pairs = [(key % n_edges, key // n_edges) for key in pair_keys.tolist()]
+    shapes = [(len(edges[a]), len(sets[i]), len(edges[a] & sets[i])) for a, i in pairs]
+    # the factor is exactly 1 when one of S_a and I contains the other
+    table = [j for j, (p, q, d) in enumerate(shapes) if d not in (p, q)]
+    stacks, position = {}, {}
+    for i in itertools.chain(range(n_edges), sorted({pairs[j][1] for j in table})):
+        if i not in position:
+            stack = stacks.setdefault(len(sets[i]), [])
+            position[i] = len(stack)
+            stack.append(sorted(sets[i]))
+    slots = np.full(len(pairs), len(table), dtype=np.intp)
+    plan_shapes, filled = [], 0
+    for shape, group in geometry._groups([shapes[j] for j in table]):
+        group = [table[g] for g in group]
+        slots[group] = np.arange(filled, filled + len(group))
+        filled += len(group)
+        plan_shapes.append((*shape, _frozen([position[pairs[j][0]] for j in group]),
+                            _frozen([position[pairs[j][1]] for j in group])))
+    tidx = np.split(slots[inverse.ravel()], np.cumsum([key.size for key in keys])[:-1])
+    return _C2Plan(
+        stacks={width: _frozen(columns) for width, columns in stacks.items()},
+        shapes=tuple(plan_shapes),
+        levels=tuple((_frozen(t.reshape(pidx.shape)), _frozen(pidx))
+                     for t, pidx in zip(tidx, below)))
+
+
+def _frozen(values):
+    """A read-only intp array of ``values``."""
+    array = np.array(values, dtype=np.intp)
+    array.flags.writeable = False
+    return array
 
 
 def _c1(c2, glp_ok, denominator):
@@ -177,7 +336,9 @@ def build_certificate(dictionary, codes, hypergraph,
 
     Never raises on failed hypotheses: flags record what failed and the
     constants that remain computable are still reported (C1/C2 are None when
-    their own preconditions break). GLP and the C1 denominator share one
+    their own preconditions break; C2's, edge spans that meet only in their
+    shared columns, holds wherever lower_bound_ok does). ``compute_C2`` is
+    called once. GLP and the C1 denominator share one
     exhaustive, screened k-subset stream per support code count
     (``codes._code_checks``).
 

@@ -27,7 +27,10 @@ a batch of one, `intersect` folds its list pair by pair, and
 as `intersect` does. The stacks hold at most _STACK_BLOCK matrices, and
 bases built from a stack take the `Subspace` checks once per stack. In the
 same way `orthonormal_basis` is a batch of one of `_bases`, which factors
-matrices of equal shape in one stacked SVD.
+matrices of equal shape in one stacked SVD. The DP serves general
+subspaces (`xi`, the Lemma-3 check); `constants.compute_C2` reads the
+sines of edge spans from its own table instead, since the meets of edge
+spans are spans of shared columns there.
 """
 
 from __future__ import annotations
@@ -606,12 +609,6 @@ def friedrichs_angle(u, w, rank_tol=DEFAULT_RANK_TOL):
         return math.pi / 2
     cosine = float(np.linalg.norm(w.basis.T @ (u.basis @ vector)))
     return math.atan2(sine, cosine)
-
-
-def _sine_products(collections, max_size, rank_tol):
-    """The product P of ``xi`` for every index subset of at most ``max_size``
-    spaces, one dict per collection (``_subset_dp`` without the meets)."""
-    return _subset_dp(collections, max_size, rank_tol)[0]
 
 
 def _subset_dp(collections, max_size, rank_tol):

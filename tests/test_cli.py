@@ -73,6 +73,33 @@ def test_certify_without_c1_exits_1(instance_dir, monkeypatch, capsys):
     assert all(payload["flags"].values())
 
 
+def test_certify_repeated_column_exits_1(tmp_path, capsys):
+    # column 3 repeats column 1, so the spans of edges {1, 2} and {2, 3}
+    # coincide: C2 is refused and no certificate is issued
+    import numpy as np
+
+    from sparsecert import build_cyclic, merge_code_sets, vandermonde_codes
+
+    h = build_cyclic(4, 2)
+    mat = np.random.default_rng(5).standard_normal((4, 4))
+    mat[:, 2] = mat[:, 0]
+    codes = merge_code_sets(
+        [vandermonde_codes(e, 7, (0.8, 1.25), m=4) for e in h.edges])
+    (tmp_path / "dict.json").write_text(json.dumps(
+        serialize.matrix_to_json_dict(mat)))
+    (tmp_path / "codes.json").write_text(json.dumps(
+        serialize.code_set_to_json_dict(codes)))
+    (tmp_path / "hyper.json").write_text(json.dumps(
+        serialize.hypergraph_to_json_dict(h)))
+    code = main(["certify", "--dict", str(tmp_path / "dict.json"),
+                 "--codes", str(tmp_path / "codes.json"),
+                 "--hypergraph", str(tmp_path / "hyper.json")])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["C2"] is None and payload["C1"] is None
+    assert not payload["flags"]["lower_bound_ok"]
+
+
 def test_certify_missing_codes_exits_1(instance_dir, tmp_path, capsys):
     codes = json.loads((instance_dir / "codes.json").read_text())
     # drop the codes for one support entirely

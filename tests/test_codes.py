@@ -197,6 +197,17 @@ def test_generate_instance_refuses_fewer_codes_than_k(count, monkeypatch):
         generate_instance(6, 6, 3, build_cyclic(6, 3), count, seed=0)
 
 
+@pytest.mark.parametrize("rank_tol", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
+def test_generate_instance_rejects_bad_rank_tol_before_any_draw(rank_tol, monkeypatch):
+    # a NaN used to spend every draw, and zero or a negative value accepted one
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a generator was made")
+
+    monkeypatch.setattr(codes_module.np.random, "default_rng", no_draws)
+    with pytest.raises(ValueError, match="rank_tol must be positive and finite"):
+        generate_instance(4, 4, 2, build_cyclic(4, 2), 7, seed=0, rank_tol=rank_tol)
+
+
 def _reference_independent(x, k, rank_tol=geometry.DEFAULT_RANK_TOL):
     """Every k columns of x independent, by one exact SVD per k-subset."""
     smax = float(np.linalg.svd(x, compute_uv=False)[0])

@@ -68,8 +68,8 @@ def per_group_c2(mat, hypergraph):
     r = regularity(hypergraph)
     lowest = 1.0
     for group in itertools.combinations(hypergraph.edges, r + 1):
-        best, = geometry._sine_products([[column_span(mat, e) for e in group]],
-                                        r + 1, DEFAULT_RANK_TOL)
+        best, = geometry._subset_dp([[column_span(mat, e) for e in group]],
+                                    r + 1, DEFAULT_RANK_TOL)[0]
         lowest = min(lowest, best[frozenset(range(r + 1))])
     denominator = lowest / (1.0 + math.sqrt(1.0 - lowest))
     return (r + 1) * float(np.max(np.linalg.norm(mat, axis=0))) / denominator
@@ -92,9 +92,94 @@ def test_c2_shared_dp_matches_per_group_xi_bitwise(hypergraph):
     mat = np.random.default_rng(hypergraph.m).standard_normal(
         (hypergraph.m, hypergraph.m))
     c2 = compute_C2(mat, hypergraph)
-    assert c2 == per_group_c2(mat, hypergraph)
+    # the table's sines come from other SVDs than the DP's meets
+    assert c2 == pytest.approx(per_group_c2(mat, hypergraph), rel=1e-13, abs=0)
     # 1 - xi from xi itself loses digits to cancellation; compute_C2 does not
     assert c2 == pytest.approx(per_group_xi_c2(mat, hypergraph), rel=1e-12, abs=0)
+
+
+def numeric_dp_c2(mat, hypergraph, rank_tol=DEFAULT_RANK_TOL):
+    """Reference C2: one numeric subset DP over the edge spans, every meet
+    intersected numerically, shared by all groups of r + 1 edges."""
+    r = regularity(hypergraph)
+    spans = geometry._bases([mat[:, [v - 1 for v in e]] for e in hypergraph.edges],
+                            rank_tol)
+    best, = geometry._subset_dp([spans], r + 1, rank_tol)[0]
+    lowest = min(min(best[frozenset(group)] for group in
+                     itertools.combinations(range(len(spans)), r + 1)), 1.0)
+    denominator = lowest / (1.0 + math.sqrt(1.0 - lowest))
+    shifts = np.frexp(np.max(np.abs(mat), axis=0))[1]
+    norms = np.ldexp(np.linalg.norm(np.ldexp(mat, -shifts), axis=0), shifts)
+    return (r + 1) * float(np.max(norms)) / denominator
+
+
+# every hypergraph here has a numeric DP of under a second per call
+SWEEP = ([build_cyclic(m, 2) for m in range(4, 11)]
+         + [build_cyclic(m, 3) for m in range(4, 11)]
+         + [build_complete(m, 2) for m in (4, 5, 6)]
+         + [build_complete(5, 3), build_grid(9), build_complete(4, 1)])
+
+
+@pytest.mark.parametrize("hypergraph", SWEEP,
+                         ids=[f"m{h.m}k{h.k}e{len(h.edges)}" for h in SWEEP])
+def test_c2_table_matches_numeric_dp(hypergraph):
+    m = hypergraph.m
+    for seed in range(3):
+        for n in (m, m + 3):
+            rng = np.random.default_rng([seed, m, hypergraph.k, n])
+            mat = rng.standard_normal((n, m))
+            assert compute_C2(mat, hypergraph) == pytest.approx(
+                numeric_dp_c2(mat, hypergraph), rel=1e-13, abs=0)
+
+
+def test_c2_table_in_small_stacks_is_bit_identical(monkeypatch):
+    # stacks of 7 pairs split every shape of cyclic m=8, k=2 (16, 40, 48 pairs)
+    mat = np.random.default_rng(3).standard_normal((8, 8))
+    h = build_cyclic(8, 2)
+    whole = compute_C2(mat, h)
+    monkeypatch.setattr(geometry, "_STACK_BLOCK", 7)
+    assert compute_C2(mat, h).hex() == whole.hex()
+
+
+def test_c2_plan_is_shared_by_equal_hypergraphs():
+    constants._c2_plan.cache_clear()
+    mat = np.random.default_rng(2).standard_normal((4, 4))
+    first, second = build_cyclic(4, 2), build_cyclic(4, 2)
+    assert first is not second
+    assert compute_C2(mat, first) == compute_C2(mat, second)
+    info = constants._c2_plan.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+def repeated_column_instance():
+    """Cyclic m=4, k=2 with column 3 equal to column 1, and Gaussian codes:
+    the spans of edges {1, 2} and {2, 3} coincide."""
+    rng = np.random.default_rng(5)
+    h = build_cyclic(4, 2)
+    mat = rng.standard_normal((4, 4))
+    mat[:, 2] = mat[:, 0]
+    codes = np.zeros((4, 7 * len(h.edges)))
+    for index, edge in enumerate(h.edges):
+        rows = [v - 1 for v in edge]
+        codes[rows, index * 7:(index + 1) * 7] = rng.standard_normal((2, 7))
+    supports = tuple(edge for edge in h.edges for _ in range(7))
+    return mat, SparseCodeSet(4, codes, supports, 2), h
+
+
+def test_c2_refuses_a_repeated_column():
+    mat, codes, h = repeated_column_instance()
+    with pytest.raises(HypothesisError, match="beyond their shared columns"):
+        compute_C2(mat, h)
+    cert = build_certificate(mat, codes, h)
+    assert cert.C2 is None and cert.C1 is None
+    assert not cert.lower_bound_ok and not cert.hypotheses_ok
+
+
+def test_c2_refuses_a_rank_deficient_edge():
+    mat = np.random.default_rng(5).standard_normal((4, 4))
+    mat[:, 1] = 2.0 * mat[:, 0]
+    with pytest.raises(HypothesisError, match=r"columns \(1, 2\) are dependent"):
+        compute_C2(mat, build_cyclic(4, 2))
 
 
 def near_repeat_dictionary(eps):
@@ -110,6 +195,16 @@ def test_c2_nearly_degenerate_spans_give_a_large_constant():
     c2 = compute_C2(near_repeat_dictionary(1e-4), build_cyclic(4, 2))
     assert math.isfinite(c2)
     assert c2 == pytest.approx(3.7757e10, rel=1e-3)
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-5, 1e-6, 1e-7])
+def test_c2_is_not_refused_where_lower_bound_holds(eps):
+    # sines of order eps, far above rank_tol: the precondition check stays
+    # silent wherever the certificate's L2H flag holds
+    mat, h = near_repeat_dictionary(eps), build_cyclic(4, 2)
+    smax = float(np.linalg.svd(mat, compute_uv=False)[0])
+    assert restricted_lower_bound(mat, pairwise_unions(h)) > DEFAULT_RANK_TOL * smax
+    assert math.isfinite(compute_C2(mat, h))
 
 
 def test_c2_denominator_keeps_its_digits():

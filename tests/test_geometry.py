@@ -609,7 +609,7 @@ def test_batched_dp_matches_reference_bit_for_bit(seed, block, monkeypatch):
         # batches that split a group's angles and a level's meets
         monkeypatch.setattr(geometry, "_STACK_BLOCK", block)
     collections = lemma3_style_collections(seed)
-    got = geometry._sine_products(collections, 5, RANK_TOL)
+    got = geometry._subset_dp(collections, 5, RANK_TOL)[0]
     for spaces, best in zip(collections, got):
         assert _bits(best) == _bits(_pairwise_sine_products(spaces, len(spaces)))
         _assert_close_products(best, _reference_sine_products(spaces, len(spaces)))
@@ -620,7 +620,7 @@ def test_dp_meets_are_intersect_bit_for_bit(seed, max_size):
     collections = lemma3_style_collections(seed) + [[orthonormal_basis(np.eye(3))]]
     bests, meets = geometry._subset_dp(collections, max_size, RANK_TOL)
     assert [_bits(best) for best in bests] == [
-        _bits(best) for best in geometry._sine_products(collections, max_size, RANK_TOL)]
+        _bits(_pairwise_sine_products(spaces, max_size)) for spaces in collections]
     for spaces, meet in zip(collections, meets):
         if len(spaces) > max_size:
             assert meet is None
@@ -665,7 +665,7 @@ def test_batched_dp_matches_reference_on_edge_spans(kind, m, n, k):
     for seed in range(3):
         mat = np.random.default_rng([seed, m, k]).standard_normal((n, m))
         spans = [column_span(mat, e) for e in h.edges]
-        got, = geometry._sine_products([spans], size, RANK_TOL)
+        got, = geometry._subset_dp([spans], size, RANK_TOL)[0]
         assert _bits(got) == _bits(_pairwise_sine_products(spans, size))
         _assert_close_products(got, _reference_sine_products(spans, size))
 
