@@ -74,5 +74,6 @@ from .lemmas import (
 )
 from .serialize import TOOLKIT_VERSION as __version__
 
-# The one restricted-singular-value kernel: numpy's batched LAPACK SVD.
+# Kept because perfbench/run.py records it in each run's environment; the one
+# kernel is geometry.edge_min_singular_values.
 kernel_backend = "python"

@@ -285,12 +285,15 @@ def verify_theorem1(dictionary, codes, candidate, codes_bar, certificate, eps,
 
     Raises HypothesisError when some sample violates ||A x_i - B xbar_i|| <= eps
     and ThresholdError when eps is not strictly below the certified dictionary
-    threshold (no guarantee exists there, so the check refuses to run).
+    threshold (no guarantee exists there, so the check refuses to run). A
+    non-finite eps raises ValueError.
     """
     a_mat = geometry.as_matrix(dictionary, "dictionary")
     b_mat = geometry.as_matrix(candidate, "candidate")
     if codes.n_codes != codes_bar.n_codes:
         raise ValueError("code sets have different sample counts")
+    if not math.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps!r}")
     if certificate.C1 is None or certificate.eps_max_dictionary is None:
         raise HypothesisError("certificate carries no stability constant")
     if certificate.r is None:

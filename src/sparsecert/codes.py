@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _kernels, geometry
+from . import geometry
 from .errors import CapExceededError, GenerationError, HypothesisError
 from .hypergraph import has_sip, normalize_support, pairwise_unions, regularity
 
@@ -90,9 +90,6 @@ class SparseCodeSet:
     def n_codes(self):
         return self.codes.shape[1]
 
-    def column(self, i):
-        return self.codes[:, i]
-
     def l1_norms(self):
         return np.abs(self.codes).sum(axis=0)
 
@@ -150,7 +147,7 @@ def _independent(mat, subsets, floor, smax, rank_tol):
     proved = (floor > (rank_tol + geometry.SCREEN_SLACK) * smax) & (floor < math.inf)
     if proved.all():
         return True
-    sv = _kernels.edge_min_singular_values(mat, subsets[~proved])
+    sv = geometry.edge_min_singular_values(mat, subsets[~proved])
     return bool(np.all(sv > rank_tol * smax[~proved]))
 
 
@@ -257,7 +254,7 @@ def _lowest(stack, owners, subsets, hadamard, lowest):
 
 
 def _exact_lowest(stack, subsets, lowest):
-    sv = _kernels.edge_min_singular_values(stack.product, subsets)
+    sv = geometry.edge_min_singular_values(stack.product, subsets)
     return min(lowest, float(np.min(sv)))
 
 
@@ -349,8 +346,9 @@ def synthesize_dataset(dictionary, codes, eta, seed=None, worst_case=False):
     mat = geometry.as_matrix(dictionary, "dictionary")
     if mat.shape[1] != codes.m:
         raise ValueError("dictionary columns and code rows differ")
-    if eta < 0:
-        raise ValueError("eta must be nonnegative")
+    # a NaN fails both comparisons
+    if not 0.0 <= eta < math.inf:
+        raise ValueError(f"eta must be nonnegative and finite, got {eta!r}")
     n, count = mat.shape[0], codes.n_codes
     clean = mat @ codes.codes
     if eta == 0.0:
@@ -374,7 +372,6 @@ def synthesize_dataset(dictionary, codes, eta, seed=None, worst_case=False):
 
 
 def generate_instance(m, n, k, hypergraph, per_support_count, seed=None,
-                      max_retries=GENERATE_MAX_RETRIES,
                       rank_tol=geometry.DEFAULT_RANK_TOL):
     """Random dictionary plus per-edge power-node codes, verified post hoc.
 
@@ -385,8 +382,8 @@ def generate_instance(m, n, k, hypergraph, per_support_count, seed=None,
     be at least k. A draw is accepted by the certificate's own checks: a
     positive restricted lower bound over pairwise unions, the spark
     condition, and general linear position of every support's codes
-    (``_code_checks``). Retries with fresh randomness up to ``max_retries``
-    times, then raises GenerationError. A rank_tol that is not positive and
+    (``_code_checks``). Retries with fresh randomness up to
+    GENERATE_MAX_RETRIES times, then raises GenerationError. A rank_tol that is not positive and
     finite raises ValueError before any draw.
     """
     geometry._check_rank_tol(rank_tol)
@@ -403,7 +400,7 @@ def generate_instance(m, n, k, hypergraph, per_support_count, seed=None,
         raise HypothesisError("hypergraph is not regular")
     rng = np.random.default_rng(seed)
     unions = pairwise_unions(hypergraph)
-    for _ in range(max_retries):
+    for _ in range(GENERATE_MAX_RETRIES):
         mat = rng.standard_normal((n, m))
         blocks = []
         for edge in hypergraph.edges:
@@ -419,4 +416,5 @@ def generate_instance(m, n, k, hypergraph, per_support_count, seed=None,
                 and _code_checks(mat, codes, hypergraph,
                                  support_index_sets(codes, hypergraph), rank_tol)[0]):
             return mat, codes
-    raise GenerationError(f"no verified instance after {max_retries} attempts")
+    raise GenerationError(
+        f"no verified instance after {GENERATE_MAX_RETRIES} attempts")

@@ -27,8 +27,7 @@ from .hypergraph import has_sip, pairwise_unions, regularity
 DEFAULT_GROUP_CAP = 100_000
 
 
-def compute_C2(dictionary, hypergraph, rank_tol=geometry.DEFAULT_RANK_TOL,
-               group_cap=DEFAULT_GROUP_CAP):
+def compute_C2(dictionary, hypergraph, rank_tol=geometry.DEFAULT_RANK_TOL):
     """Geometry-only stability constant of a dictionary over a regular hypergraph.
 
     (r + 1) times the largest column norm, divided by one minus the largest
@@ -72,8 +71,9 @@ def compute_C2(dictionary, hypergraph, rank_tol=geometry.DEFAULT_RANK_TOL,
     if r is None:
         raise HypothesisError("hypergraph is not regular")
     n_groups = math.comb(len(hypergraph.edges), r + 1)
-    if n_groups > group_cap:
-        raise CapExceededError(f"{n_groups} edge groups exceed cap {group_cap}")
+    if n_groups > DEFAULT_GROUP_CAP:
+        raise CapExceededError(
+            f"{n_groups} edge groups exceed cap {DEFAULT_GROUP_CAP}")
     lowest = 1.0
     if n_groups:
         geometry._check_rank_tol(rank_tol)
@@ -372,7 +372,8 @@ def build_certificate(dictionary, codes, hypergraph,
 
     index_sets = support_index_sets(codes, hypergraph)
     support_counts = {edge: len(ids) for edge, ids in index_sets.items()}
-    required = (k - 1) * math.comb(m, k) + 1
+    # the Corollary-1 count, per support
+    required = sample_size_cor1(m, k, hypergraph) // len(hypergraph.edges)
     counts_ok = all(count >= required for count in support_counts.values())
     glp_ok, denominator = _code_checks(mat, codes, hypergraph, index_sets, rank_tol)
 

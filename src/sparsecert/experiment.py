@@ -15,7 +15,7 @@ import numpy as np
 from .alignment import verify_theorem1
 from .codes import SparseCodeSet, generate_instance
 from .constants import build_certificate
-from .hypergraph import build_complete, build_cyclic, build_grid
+from .hypergraph import as_integer, build_complete, build_cyclic, build_grid
 
 PERTURBATION_FAMILIES = ("dict_jitter", "scaled_permuted", "code_jitter")
 
@@ -45,14 +45,10 @@ class ExperimentRecord:
 
 
 def _config_integer(section, key, default=None, name=None):
-    """An integer from a JSON config section; a fractional number, a string or
-    a boolean is refused rather than truncated or passed on. A key without a
-    default must be present."""
+    """An integer from a JSON config section (``hypergraph.as_integer``). A key
+    without a default must be present."""
     value = section[key] if default is None else section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-            isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{name or key} must be an integer, got {value!r}")
-    return int(value)
+    return as_integer(value, name or key)
 
 
 def hypergraph_from_config(kind, m, k):
@@ -147,7 +143,8 @@ def run_experiment(config):
     grid = [float(v) for v in config["noise_grid"]]
     if not grid:
         raise ValueError("noise grid is empty")
-    if any(v <= 0 for v in grid):
+    # NaN is refused here; inf is skipped below, as at or above any threshold
+    if any(not v > 0 for v in grid):
         raise ValueError("noise grid values must be positive")
     base_seed = _config_integer(config, "seed", 0)
     per_support = _config_integer(config, "per_support_count")

@@ -2,8 +2,9 @@
 spark polynomial, subspace distance, Friedrichs angles, the ordering-maximized
 sine-product aggregate, and numerical subspace intersection.
 
-Every restricted-singular-value quantity funnels through the `_kernels`
-function (numpy's batched LAPACK SVD over one (E, w) column-index array).
+Every restricted-singular-value quantity funnels through one kernel,
+`edge_min_singular_values` (numpy's batched LAPACK SVD over one (E, w)
+column-index array); callers look it up on this module at call time.
 The k-subset checks on codes walk the subsets in first-index blocks
 (`subset_tails`, `subset_blocks`): a block pairs a run of first indices
 with one slice of the lexicographic list of (k-1)-subset tails. Each
@@ -42,7 +43,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _kernels
 from .errors import CapExceededError
 from .hypergraph import DEFAULT_EDGE_CAP
 
@@ -407,9 +407,27 @@ def unsettled_subsets(units, budget, settle):
                    hadamard.reshape(len(units), -1)[owners, flat])
 
 
+def edge_min_singular_values(mat, edges):
+    """Smallest singular value of ``mat[:, edge]`` for every row of ``edges``.
+
+    ``edges`` is an (E, w) array of 0-based column indices. Width zero and
+    widths above the row count are rank deficient by shape and give zeros.
+    """
+    mat = np.ascontiguousarray(mat, dtype=np.float64)
+    edges = np.asarray(edges, dtype=np.intp)
+    if edges.ndim != 2:
+        raise ValueError("edges must be an (E, w) index array")
+    n_rows, n_cols = mat.shape
+    if edges.size and (edges.min() < 0 or edges.max() >= n_cols):
+        raise ValueError("edge index out of range for the given matrix")
+    if not 0 < edges.shape[1] <= n_rows:
+        return np.zeros(len(edges))
+    return np.linalg.svd(np.moveaxis(mat[:, edges], 1, 0), compute_uv=False)[:, -1]
+
+
 def subset_lower_bound(mat, subsets):
     """Least smallest singular value over the (E, w) column subsets, over sqrt(w)."""
-    sv = _kernels.edge_min_singular_values(mat, subsets)
+    sv = edge_min_singular_values(mat, subsets)
     return float(np.min(sv / np.sqrt(subsets.shape[1])))
 
 
@@ -436,10 +454,10 @@ def restricted_lower_bound(mat, hypergraph):
     return min(subset_lower_bound(mat, np.array(g)) for g in by_width.values())
 
 
-def lower_bound_k(mat, k, cap=DEFAULT_EDGE_CAP):
+def lower_bound_k(mat, k):
     """Restricted lower bound over all size-k column subsets."""
     mat = as_matrix(mat, "dictionary")
-    return subset_lower_bound(mat, k_subsets(mat.shape[1], k, cap))
+    return subset_lower_bound(mat, k_subsets(mat.shape[1], k, DEFAULT_EDGE_CAP))
 
 
 def spark_from_bound(bound, width, smax, rank_tol=DEFAULT_RANK_TOL):
@@ -447,7 +465,7 @@ def spark_from_bound(bound, width, smax, rank_tol=DEFAULT_RANK_TOL):
     return bound * math.sqrt(width) > rank_tol * smax
 
 
-def spark_condition(mat, k, rank_tol=DEFAULT_RANK_TOL, cap=DEFAULT_EDGE_CAP):
+def spark_condition(mat, k, rank_tol=DEFAULT_RANK_TOL):
     """True iff every set of min(2k, m) columns is linearly independent.
 
     Equivalent to the restricted lower bound over min(2k, m)-subsets clearing
@@ -458,10 +476,10 @@ def spark_condition(mat, k, rank_tol=DEFAULT_RANK_TOL, cap=DEFAULT_EDGE_CAP):
         raise ValueError("sparsity level must be positive")
     width = min(2 * k, mat.shape[1])
     smax = float(np.linalg.svd(mat, compute_uv=False)[0])
-    return spark_from_bound(lower_bound_k(mat, width, cap), width, smax, rank_tol)
+    return spark_from_bound(lower_bound_k(mat, width), width, smax, rank_tol)
 
 
-def spark_polynomial(mat, k, minor_cap=DEFAULT_MINOR_CAP):
+def spark_polynomial(mat, k):
     """Product over 2k-column subsets of the sums of squared 2k-minors.
 
     Strictly positive iff every 2k columns are independent. The minors are
@@ -484,8 +502,8 @@ def spark_polynomial(mat, k, minor_cap=DEFAULT_MINOR_CAP):
     if width > min(n, m):
         raise ValueError(f"need 2k <= min(n, m), got 2k={width}, shape {n}x{m}")
     n_minors = math.comb(m, width) * math.comb(n, width)
-    if n_minors > minor_cap:
-        raise CapExceededError(f"{n_minors} minors exceed cap {minor_cap}")
+    if n_minors > DEFAULT_MINOR_CAP:
+        raise CapExceededError(f"{n_minors} minors exceed cap {DEFAULT_MINOR_CAP}")
     shifts = np.frexp(np.max(np.abs(mat), axis=0))[1]
     units, norms = unit_columns(np.ldexp(mat, -shifts))
     if not np.all(norms > 0.0):
@@ -664,14 +682,14 @@ def _xi_from_product(product):
     return math.sqrt(min(max(1.0 - product, 0.0), 1.0))
 
 
-def _xis(collections, rank_tol, ordering_cap):
+def _xis(collections, rank_tol):
     """``xi`` and the meet of each collection, from one batched subset DP."""
     for spaces in collections:
         if not spaces:
             raise ValueError("empty collection")
-        if len(spaces) > ordering_cap:
+        if len(spaces) > DEFAULT_ORDERING_CAP:
             raise CapExceededError(
-                f"{len(spaces)} subspaces exceed ordering cap {ordering_cap}"
+                f"{len(spaces)} subspaces exceed ordering cap {DEFAULT_ORDERING_CAP}"
             )
     bests, meets = _subset_dp(collections, max(map(len, collections)), rank_tol)
     xis = [_xi_from_product(best[frozenset(range(len(spaces)))])
@@ -679,7 +697,7 @@ def _xis(collections, rank_tol, ordering_cap):
     return xis, meets
 
 
-def xi(subspaces, rank_tol=DEFAULT_RANK_TOL, ordering_cap=DEFAULT_ORDERING_CAP):
+def xi(subspaces, rank_tol=DEFAULT_RANK_TOL):
     """Ordering-maximized sine-product aggregate of a subspace collection.
 
     Zero for a single subspace; otherwise sqrt(1 - P) where P is the maximum
@@ -691,7 +709,7 @@ def xi(subspaces, rank_tol=DEFAULT_RANK_TOL, ordering_cap=DEFAULT_ORDERING_CAP):
     by dynamic programming over index subsets, which enumerates
     exactly the orderings.
     """
-    return _xis([list(subspaces)], rank_tol, ordering_cap)[0][0]
+    return _xis([list(subspaces)], rank_tol)[0][0]
 
 
 def distance_to_subspace(x, space):

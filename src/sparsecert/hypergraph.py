@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .errors import CapExceededError
@@ -17,9 +18,22 @@ from .errors import CapExceededError
 DEFAULT_EDGE_CAP = 1_000_000
 
 
+def as_integer(value, name):
+    """``value`` as an int: an integer, numpy's included, or a float without a
+    fractional part (4.0 counts as 4). A fractional or non-finite number, a
+    string or a boolean raises ValueError rather than being truncated."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            if isinstance(value, float) and value.is_integer():
+                return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def normalize_support(indices, m):
     """Canonical support set: sorted duplicate-free tuple of vertices in [1, m]."""
-    support = tuple(sorted({int(i) for i in indices}))
+    support = tuple(sorted({as_integer(i, "vertex") for i in indices}))
     for v in support:
         if not 1 <= v <= m:
             raise ValueError(f"vertex {v} outside [1, {m}]")
@@ -38,9 +52,10 @@ class Hypergraph:
     k: int | None = field(init=False, default=None)
 
     def __post_init__(self):
-        if int(self.m) < 1:
+        m = as_integer(self.m, "vertex count")
+        if m < 1:
             raise ValueError("vertex count must be positive")
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "m", m)
         canonical = sorted({normalize_support(e, self.m) for e in self.edges})
         object.__setattr__(self, "edges", tuple(canonical))
         sizes = {len(e) for e in self.edges}
@@ -60,13 +75,13 @@ def build_cyclic(m, k):
     return Hypergraph(m, edges)
 
 
-def build_complete(m, k, cap=DEFAULT_EDGE_CAP):
+def build_complete(m, k):
     """All size-k subsets of [1, m]."""
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
     count = math.comb(m, k)
-    if count > cap:
-        raise CapExceededError(f"{count} edges exceed cap {cap}")
+    if count > DEFAULT_EDGE_CAP:
+        raise CapExceededError(f"{count} edges exceed cap {DEFAULT_EDGE_CAP}")
     return Hypergraph(m, itertools.combinations(range(1, m + 1), k))
 
 
@@ -114,12 +129,12 @@ def has_sip(hypergraph):
     return True
 
 
-def pairwise_unions(hypergraph, cap=DEFAULT_EDGE_CAP):
+def pairwise_unions(hypergraph):
     """All unions of unordered edge pairs, including each edge with itself."""
     n_edges = len(hypergraph.edges)
     n_pairs = n_edges * (n_edges + 1) // 2
-    if n_pairs > cap:
-        raise CapExceededError(f"{n_pairs} edge pairs exceed cap {cap}")
+    if n_pairs > DEFAULT_EDGE_CAP:
+        raise CapExceededError(f"{n_pairs} edge pairs exceed cap {DEFAULT_EDGE_CAP}")
     unions = {
         tuple(sorted(set(a) | set(b)))
         for a, b in itertools.combinations_with_replacement(hypergraph.edges, 2)

@@ -97,8 +97,7 @@ def check_lemma3(trials=1000, ambient_dim=8, max_subspaces=4, seed=None,
         bases = iter(geometry._bases([mat for mats, _, _ in draws for mat in mats],
                                      rank_tol))
         collections = [[next(bases) for _ in mats] for mats, _, _ in draws]
-        aggregates, meets = geometry._xis(collections, rank_tol,
-                                          geometry.DEFAULT_ORDERING_CAP)
+        aggregates, meets = geometry._xis(collections, rank_tol)
         for trial, (spaces, (_, x, u), aggregate, meet) in enumerate(
                 zip(collections, draws, aggregates, meets), start):
             if meet.dim and u < 0.2:

@@ -1,5 +1,5 @@
 """File formats: matrices as CSV/JSON, hypergraphs, code sets, certificates,
-theorem reports, and the experiment CSV.
+and the experiment CSV.
 
 JSON matrices round-trip bit-exactly (Python's shortest-repr float encoding
 restores the original doubles); CSV uses 17 significant digits for the same
@@ -15,7 +15,7 @@ import json
 import numpy as np
 
 from .codes import SparseCodeSet
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, as_integer
 
 TOOLKIT_VERSION = "0.1.0"
 
@@ -40,7 +40,8 @@ def matrix_to_json_dict(mat):
 
 
 def matrix_from_json_dict(payload):
-    rows, cols = int(payload["rows"]), int(payload["cols"])
+    rows = as_integer(payload["rows"], "rows")
+    cols = as_integer(payload["cols"], "cols")
     data = np.asarray(payload["data"], dtype=float)
     if data.size != rows * cols:
         raise ValueError("matrix payload has wrong length")
@@ -52,7 +53,7 @@ def hypergraph_to_json_dict(hypergraph):
 
 
 def hypergraph_from_json_dict(payload):
-    return Hypergraph(int(payload["m"]), payload["edges"])
+    return Hypergraph(payload["m"], payload["edges"])
 
 
 def code_set_to_json_dict(codes):
@@ -66,10 +67,10 @@ def code_set_to_json_dict(codes):
 
 def code_set_from_json_dict(payload):
     return SparseCodeSet(
-        int(payload["m"]),
+        as_integer(payload["m"], "m"),
         matrix_from_json_dict(payload["codes"]),
         tuple(tuple(s) for s in payload["supports"]),
-        int(payload["k"]),
+        as_integer(payload["k"], "k"),
     )
 
 
@@ -114,44 +115,6 @@ def certificate_to_json_dict(cert, input_digests=None, diagnostics=None):
         payload["inputs"] = dict(input_digests)
     if diagnostics:
         payload["diagnostics"] = dict(diagnostics)
-    return payload
-
-
-def theorem_report_to_json_dict(report):
-    payload = {
-        "eps": report.eps,
-        "residuals": [float(v) for v in report.residuals],
-        "m": report.m,
-        "m_bar": report.m_bar,
-        "r": report.r,
-        "m_bar_ok": report.m_bar_ok,
-        "guaranteed_columns": report.guaranteed_columns,
-        "matched_subset": list(report.matched_subset),
-        "matched_pairs": [
-            {
-                "source": j,
-                "target": report.alignment.pi[j],
-                "scale": report.alignment.scales[j],
-                "column_error": report.alignment.column_errors[j],
-            }
-            for j in sorted(report.alignment.pi)
-        ],
-        "max_column_error": report.max_column_error,
-        "bound5": report.bound5,
-        "eq5_ok": report.eq5_ok,
-        "code_tier_active": report.code_tier_active,
-    }
-    if report.code_tier_active:
-        payload.update(
-            {
-                "code_errors": [float(v) for v in report.code_errors],
-                "code_bounds": [float(v) for v in report.code_bounds],
-                "eq6_ok": report.eq6_ok,
-                "l2k_aligned": report.l2k_aligned,
-                "l2k_floor": report.l2k_floor,
-                "l2k_ok": report.l2k_ok,
-            }
-        )
     return payload
 
 

@@ -541,6 +541,16 @@ def test_verify_refuses_above_threshold():
                         2 * cert.eps_max_dictionary)
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf])
+def test_verify_refuses_non_finite_eps(eps):
+    # a NaN used to give eq5_ok False rather than an error
+    h = build_cyclic(4, 2)
+    a_mat, codes = generate_instance(4, 4, 2, h, 7, seed=15)
+    cert = build_certificate(a_mat, codes, h)
+    with pytest.raises(ValueError, match="eps must be finite"):
+        verify_theorem1(a_mat, codes, a_mat, codes, cert, eps)
+
+
 def necessity_instance(m):
     """Identity dictionary, singleton codes, and the merged-column candidate."""
     a_mat = np.eye(m)

@@ -200,6 +200,26 @@ def test_certify_parse_failure_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("name, key, value", [
+    ("hypergraph.json", "m", 4.7),
+    ("hypergraph.json", "m", True),
+    ("hypergraph.json", "edges", [[1.5, 2], [2, 3], [3, 4], [1, 4]]),
+    ("dictionary.json", "rows", 4.9),
+    ("codes.json", "k", 1.9),
+])
+def test_certify_refuses_non_integer_inputs(instance_dir, capsys, name, key, value):
+    # each used to be truncated, and the truncated input certified with exit 0
+    path = instance_dir / name
+    payload = json.loads(path.read_text())
+    payload[key] = value
+    path.write_text(json.dumps(payload))
+    code = main(["certify", "--dict", str(instance_dir / "dictionary.json"),
+                 "--codes", str(instance_dir / "codes.json"),
+                 "--hypergraph", str(instance_dir / "hypergraph.json")])
+    assert code == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
 def test_certify_bad_tol_exits_2_before_any_check(instance_dir, tol, monkeypatch,
                                                   capsys):
@@ -279,6 +299,17 @@ def test_generate_accepts_integral_floats(tmp_path):
     out = tmp_path / "inst"
     assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
     assert serialize.load_matrix_csv(out / "signals.csv").shape == (4, 28)
+
+
+@pytest.mark.parametrize("eta", ["NaN", "Infinity"])
+def test_generate_refuses_non_finite_eta(tmp_path, capsys, eta):
+    # these used to write a signals.csv of nan and exit 0
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(f'{{"eta": {eta}}}')
+    out = tmp_path / "inst"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "eta must be nonnegative and finite" in capsys.readouterr().err
+    assert not (out / "signals.csv").exists()
 
 
 def test_check_lemmas_exit_zero(tmp_path, capsys):

@@ -23,7 +23,7 @@ from sparsecert import (
     synthesize_dataset,
     vandermonde_codes,
 )
-from sparsecert import _kernels, codes as codes_module, geometry
+from sparsecert import codes as codes_module, geometry
 
 
 def _glp(codes, support):
@@ -164,6 +164,15 @@ def test_synthesize_noise_bound_exact():
     assert np.all(radii >= 0.1 - 1e-12)
 
 
+@pytest.mark.parametrize("eta", [math.nan, math.inf, -0.1])
+def test_synthesize_refuses_bad_eta(eta):
+    # a NaN or infinite eta used to give signals of nan
+    h = build_cyclic(4, 2)
+    mat, codes = generate_instance(4, 4, 2, h, 7, seed=7)
+    with pytest.raises(ValueError, match="eta must be nonnegative and finite"):
+        synthesize_dataset(mat, codes, eta, seed=0)
+
+
 def test_synthesize_deterministic():
     h = build_cyclic(4, 2)
     mat, codes = generate_instance(4, 4, 2, h, 7, seed=7)
@@ -211,19 +220,18 @@ def test_generate_instance_rejects_bad_rank_tol_before_any_draw(rank_tol, monkey
 def _reference_independent(x, k, rank_tol=geometry.DEFAULT_RANK_TOL):
     """Every k columns of x independent, by one exact SVD per k-subset."""
     smax = float(np.linalg.svd(x, compute_uv=False)[0])
-    sv = _kernels.edge_min_singular_values(
+    sv = geometry.edge_min_singular_values(
         x, geometry.k_subsets(x.shape[1], k, cap=math.inf))
     return bool(np.min(sv) > rank_tol * smax)
 
 
 def _reference_generate(m, n, k, hypergraph, per_support_count, seed,
-                        max_retries=codes_module.GENERATE_MAX_RETRIES,
                         rank_tol=geometry.DEFAULT_RANK_TOL):
     """The draw loop of generate_instance, each draw accepted by L2H, the
     spark check and an exhaustive GLP check of every support."""
     rng = np.random.default_rng(seed)
     unions = pairwise_unions(hypergraph)
-    for _ in range(max_retries):
+    for _ in range(codes_module.GENERATE_MAX_RETRIES):
         mat = rng.standard_normal((n, m))
         blocks = []
         for edge in hypergraph.edges:
@@ -239,7 +247,8 @@ def _reference_generate(m, n, k, hypergraph, per_support_count, seed,
                 and all(_reference_independent(codes.codes[:, ids], k, rank_tol)
                         for ids in support_index_sets(codes, hypergraph).values())):
             return mat, codes
-    raise GenerationError(f"no verified instance after {max_retries} attempts")
+    raise GenerationError("no verified instance after "
+                          f"{codes_module.GENERATE_MAX_RETRIES} attempts")
 
 
 def _outcome(generate, *args):

@@ -31,7 +31,7 @@ from sparsecert import (
     vandermonde_codes,
     xi,
 )
-from sparsecert import _kernels, constants, geometry
+from sparsecert import constants, geometry
 from sparsecert import codes as codes_module
 from sparsecert.hypergraph import Hypergraph, regularity
 
@@ -522,7 +522,7 @@ def test_lower_bound_k_bit_identical_to_complete_path():
 def test_certificate_submits_each_subset_once(monkeypatch):
     mat, codes, h = gaussian_instance(0, "complete", 4, 2, 7)
     on_dictionary, on_codes, completes = [], [], []
-    kernel = _kernels.edge_min_singular_values
+    kernel = geometry.edge_min_singular_values
 
     def counted(matrix, edges):
         target = on_dictionary if matrix is mat else on_codes
@@ -533,7 +533,7 @@ def test_certificate_submits_each_subset_once(monkeypatch):
         completes.append(args)
         return build_complete(*args, **kwargs)
 
-    monkeypatch.setattr(_kernels, "edge_min_singular_values", counted)
+    monkeypatch.setattr(geometry, "edge_min_singular_values", counted)
     for name, module in list(sys.modules.items()):
         if name.startswith("sparsecert") and hasattr(module, "build_complete"):
             monkeypatch.setattr(module, "build_complete", recorded)

@@ -99,6 +99,24 @@ def test_run_experiment_rejects_empty_sweep(change, message):
         run_experiment(dict(cfg, **change))
 
 
+def test_run_experiment_refuses_nan_grid_and_skips_inf(monkeypatch):
+    cfg = dict(m=4, n=4, k=2, hypergraph="cyclic", per_support_count=7,
+               noise_grid=[1e-4], trials=1, family="dict_jitter", seed=0)
+    records, _ = run_experiment(cfg)
+    # inf is at or above any certified threshold, so it is skipped
+    with_inf, _ = run_experiment(dict(cfg, noise_grid=[1e-4, float("inf")]))
+    assert ([dataclasses.replace(r, ms=0.0) for r in with_inf]
+            == [dataclasses.replace(r, ms=0.0) for r in records])
+
+    def no_instances(*args, **kwargs):
+        raise AssertionError("an instance was generated")
+
+    # a NaN used to pass the check and fail later on a non-finite candidate
+    monkeypatch.setattr(experiment, "generate_instance", no_instances)
+    with pytest.raises(ValueError, match="noise grid values must be positive"):
+        run_experiment(dict(cfg, noise_grid=[1e-4, float("nan")]))
+
+
 def test_summarize_empty():
     summary = summarize([])
     assert summary["records"] == 0

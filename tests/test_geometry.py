@@ -211,11 +211,13 @@ def test_polynomial_matches_rank_verdicts_random():
         assert (poly > 0) == spark_condition(mat, 1)
 
 
-def test_polynomial_size_caps():
+def test_polynomial_size_caps(monkeypatch):
     with pytest.raises(ValueError):
         spark_polynomial(np.eye(3), 2)
-    with pytest.raises(CapExceededError):
-        spark_polynomial(np.eye(12), 2, minor_cap=100)
+    # the cap is read at call time
+    monkeypatch.setattr(geometry, "DEFAULT_MINOR_CAP", 100)
+    with pytest.raises(CapExceededError, match="exceed cap 100"):
+        spark_polynomial(np.eye(12), 2)
 
 
 @pytest.mark.parametrize("scale", [1e-40, 1e-20, 1e20, 1e40])

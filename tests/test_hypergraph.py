@@ -1,5 +1,6 @@
 """Hypergraph construction, regularity, star intersection, and union tests."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from sparsecert import (
     regularity,
     star,
 )
+from sparsecert import hypergraph as hypergraph_module
 
 
 def edge_set(h):
@@ -65,9 +67,30 @@ def test_complete_singletons():
     assert regularity(h) == 1
 
 
-def test_complete_cap():
+@pytest.mark.parametrize("m, edges", [
+    (4, [[1.5, 2]]), (4.7, [[1, 2]]), (True, [[1]]), ("4", [[1, 2]]),
+    (4, [["1", 2]]),
+])
+def test_non_integer_vertices_refused(m, edges):
+    # a fractional vertex or count used to be truncated
+    with pytest.raises(ValueError, match="must be an integer"):
+        Hypergraph(m, edges)
+
+
+def test_integral_floats_and_numpy_integers_accepted():
+    want = Hypergraph(4, [(1, 2), (3, 4)])
+    assert Hypergraph(4.0, [[1.0, 2], [np.int64(3), 4]]) == want
+    assert Hypergraph(np.int32(4), [(1, 2), (3, 4)]) == want
+    assert type(Hypergraph(4.0, []).m) is int
+
+
+def test_complete_cap(monkeypatch):
     with pytest.raises(CapExceededError):
-        build_complete(40, 20, cap=1000)
+        build_complete(40, 20)
+    # the cap is read at call time
+    monkeypatch.setattr(hypergraph_module, "DEFAULT_EDGE_CAP", 1000)
+    with pytest.raises(CapExceededError, match="3003 edges exceed cap 1000"):
+        build_complete(15, 5)
 
 
 def test_grid_4():

@@ -11,7 +11,7 @@ import pytest
 
 import sparsecert
 from sparsecert import Hypergraph, restricted_lower_bound
-from sparsecert._kernels import edge_min_singular_values
+from sparsecert.geometry import edge_min_singular_values
 
 
 def index_array(edges):

@@ -1,6 +1,9 @@
-"""Package-level properties: what ``import sparsecert`` pulls in."""
+"""Package-level properties: what ``import sparsecert`` pulls in, and the
+README's list of what it exports."""
 
+import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,3 +26,14 @@ def test_import_needs_only_numpy():
     done = subprocess.run([sys.executable, "-c", PROBE], capture_output=True,
                           text=True, check=True, env={**os.environ, "PYTHONPATH": path})
     assert set(done.stdout.split()) <= {"numpy", "sparsecert"}
+
+
+def test_readme_lists_every_export():
+    # one line per export, "- `name`: ...", in the README's API section
+    exported = {name for name, value in vars(sparsecert).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## API\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^- `(\w+)`:", section, flags=re.MULTILINE)
+    assert len(listed) == len(set(listed))
+    assert set(listed) == exported

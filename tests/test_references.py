@@ -4,7 +4,9 @@ The benchmark gates every certificate on seeds 0 and 1606 against
 ``perfbench/references.json`` (flags equal, constants to ``REL_TOL``
 relative). These tests rebuild the same certificates from the benchmark's
 own instance generators and compare them read-only, so a change to the
-numerics fails here as well as in the benchmark.
+numerics fails here as well as in the benchmark. The workloads' own output
+checks run here too, on workloads built as ``workloads.make`` builds them
+but without its output directory.
 """
 
 import importlib.util
@@ -58,3 +60,20 @@ def test_certificates_match_references(name, seed):
             else:
                 assert record[value] == pytest.approx(
                     want, rel=workloads.REL_TOL, abs=0), value
+
+
+def test_workload_output_checks_pass():
+    seed = workloads.DEFAULT_SEED
+    # the streams and specs of workloads.make
+    for workload in (
+            workloads.CertifyWorkload("certify_k2", 1, seed, workloads.K2_POOL),
+            workloads.CertifyWorkload("certify_k3", 2, seed, workloads.K3_POOL)):
+        for i in range(workload.cycle):
+            assert workload.run(i, None)[1], i
+    # the trial check takes the first certificate of each run_experiment
+    # call as the trial's own, so it sees which draws are certified
+    trial = workloads.TrialWorkload(seed)
+    for i in range(3):
+        assert trial.run(i, None)[1], i
+    # run.py reads it into every run's environment record
+    assert isinstance(sparsecert.kernel_backend, str)

@@ -28,7 +28,7 @@ from sparsecert import (
     build_cyclic,
     support_index_sets,
 )
-from sparsecert import _kernels, constants, geometry
+from sparsecert import constants, geometry
 from sparsecert.hypergraph import regularity
 from sparsecert import codes as codes_module
 
@@ -56,7 +56,7 @@ def _reference_code_checks(mat, codes, hypergraph, index_sets, rank_tol):
         x = codes.codes[:, ids]
         subsets = geometry.k_subsets(len(ids), k, cap=math.inf)
         smax = float(np.linalg.svd(x, compute_uv=False)[0])
-        sv = _kernels.edge_min_singular_values(x, subsets)
+        sv = geometry.edge_min_singular_values(x, subsets)
         glp_ok = bool(np.min(sv) > rank_tol * smax) and glp_ok
         denominator = min(denominator, geometry.subset_lower_bound(mat @ x, subsets))
     return glp_ok, denominator
@@ -64,7 +64,7 @@ def _reference_code_checks(mat, codes, hypergraph, index_sets, rank_tol):
 
 def _reference_independent(mat, k, rank_tol=geometry.DEFAULT_RANK_TOL):
     smax = float(np.linalg.svd(mat, compute_uv=False)[0])
-    sv = _kernels.edge_min_singular_values(
+    sv = geometry.edge_min_singular_values(
         mat, geometry.k_subsets(mat.shape[1], k, cap=math.inf))
     return bool(np.min(sv) > rank_tol * smax)
 
@@ -158,13 +158,13 @@ def _assert_same_glp_failure(mat, codes, hypergraph, screened, reference):
 def _count_kernel_rows(monkeypatch):
     """The index arrays that reach the kernel, one per call."""
     rows = []
-    kernel = _kernels.edge_min_singular_values
+    kernel = geometry.edge_min_singular_values
 
     def counted(mat, edges):
         rows.append(edges)
         return kernel(mat, edges)
 
-    monkeypatch.setattr(_kernels, "edge_min_singular_values", counted)
+    monkeypatch.setattr(geometry, "edge_min_singular_values", counted)
     return rows
 
 
@@ -261,7 +261,7 @@ def test_non_finite_or_negative_bounds_stay_open(bad):
     owners = np.zeros(len(subsets), dtype=np.intp)
     lowest = codes_module._lowest(stack, owners, subsets, np.full(len(subsets), bad),
                                   math.inf)
-    assert lowest == float(np.min(_kernels.edge_min_singular_values(mat @ x, subsets)))
+    assert lowest == float(np.min(geometry.edge_min_singular_values(mat @ x, subsets)))
 
 
 def _one_support_glp(x, rank_tol=geometry.DEFAULT_RANK_TOL):

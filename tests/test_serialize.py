@@ -67,29 +67,12 @@ def test_certificate_payload_fields():
     json.dumps(payload)  # must be serializable as-is
 
 
-def test_theorem_report_payload():
-    import sparsecert as sc
-    from sparsecert.experiment import perturb_instance
-
-    h = build_cyclic(4, 2)
-    mat, codes = generate_instance(4, 4, 2, h, 7, seed=3)
-    cert = build_certificate(mat, codes, h)
-    rng = np.random.default_rng(0)
-    cand, codes_bar = perturb_instance(mat, codes, "dict_jitter",
-                                       cert.eps_max_dictionary / 2, rng)
-    eps = float(np.max(np.linalg.norm(
-        mat @ codes.codes - cand @ codes_bar.codes, axis=0)))
-    report = sc.verify_theorem1(mat, codes, cand, codes_bar, cert, eps)
-    payload = serialize.theorem_report_to_json_dict(report)
-    for key in ("residuals", "matched_pairs", "max_column_error", "bound5",
-                "eq5_ok", "m_bar_ok", "code_tier_active"):
-        assert key in payload
-    assert len(payload["matched_pairs"]) == 4
-    assert {"source", "target", "scale", "column_error"} <= set(
-        payload["matched_pairs"][0])
-    if payload["code_tier_active"]:
-        assert "code_errors" in payload and "code_bounds" in payload
-    json.dumps(payload)
+def test_loaders_accept_integral_floats():
+    mat = serialize.matrix_from_json_dict({"rows": 2.0, "cols": 1,
+                                           "data": [1.0, 2.0]})
+    assert mat.shape == (2, 1)
+    h = serialize.hypergraph_from_json_dict({"m": 3.0, "edges": [[1.0, 2], [3]]})
+    assert h.m == 3 and h.edges == ((1, 2), (3,))
 
 
 def test_records_csv_schema():
