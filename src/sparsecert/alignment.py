@@ -10,6 +10,15 @@ extraction (lowest source index first, then lowest target index) then runs
 on the pairs at or below the threshold, carrying that one matching along:
 a candidate pair needs at most one augmenting path to decide, never a fresh
 matching.
+
+The recovery inequalities are checked by one sweep verifier,
+``_verify_sweep``, over all levels of a noise sweep: candidates and
+candidate codes come as stacks with a leading level axis, and the pair
+costs, the code errors and the aligned 2k-bound are each taken for all
+levels at once, with the same BLAS and LAPACK calls per level as one level
+alone makes. The matching and the checks that can raise run level by level,
+in order. ``verify_theorem1`` and ``align_dictionaries`` are its batches of
+one.
 """
 
 from __future__ import annotations
@@ -43,13 +52,15 @@ class AlignmentResult:
         return tuple(sorted(self.pi.values()))
 
 
-def _pair_costs(a_mat, b_mat):
-    """Cost and optimal scale for every (source, target) column pair.
+def _pair_costs(a_mat, b_mats):
+    """Cost and optimal scale for every (source, target) column pair, at
+    every level of the (L, n, m_bar) stack of candidates ``b_mats``.
 
     The scale is the least-squares coefficient <A_j, B_l> / ||B_l||^2 and the
     cost its explicit residual norm. Numerator and denominator go through the
     same dot-product routine, so identical columns get scale exactly 1.0 and
-    cost exactly 0.0. Zero target columns are unmatchable.
+    cost exactly 0.0. Zero target columns are unmatchable. Returns (L, m,
+    m_bar) costs and scales and an (L, m_bar) mask of usable targets.
 
     Every column is first scaled by the power of two that brings its peak
     into [0.5, 1), so no square overflows or underflows; the costs and scales
@@ -59,23 +70,24 @@ def _pair_costs(a_mat, b_mat):
     which call the same ``ddot`` as one ``np.dot`` per pair with the same
     increments: column views of the scaled copies, which keep the inputs'
     memory layout, and contiguous residual rows. A broadcast sum would add
-    in another order.
+    in another order. The level axis only adds outer loops around the same
+    calls, so each level's values are those of its candidate alone.
     """
     a_exp = np.frexp(np.max(np.abs(a_mat), axis=0))[1]
-    b_exp = np.frexp(np.max(np.abs(b_mat), axis=0))[1]
+    b_exp = np.frexp(np.max(np.abs(b_mats), axis=1))[1]
     a_cols = np.ldexp(a_mat, -a_exp).T
-    b_cols = np.ldexp(b_mat, -b_exp).T
-    b_sq = (b_cols[:, None, :] @ b_cols[:, :, None])[:, 0, 0]
+    b_cols = np.swapaxes(np.ldexp(b_mats, -b_exp[:, None, :]), 1, 2)
+    b_sq = (b_cols[..., None, :] @ b_cols[..., :, None])[..., 0, 0]
     usable = b_sq > 0.0
-    numerators = (a_cols[:, None, None, :] @ b_cols[None, :, :, None])[..., 0, 0]
-    scales = np.divide(numerators, b_sq, out=np.zeros_like(numerators),
-                       where=usable)
-    residuals = np.subtract(a_cols[:, None, :], scales[:, :, None] * b_cols,
+    numerators = (a_cols[:, None, None, :] @ b_cols[:, None, :, :, None])[..., 0, 0]
+    scales = np.divide(numerators, b_sq[:, None, :], out=np.zeros_like(numerators),
+                       where=usable[:, None, :])
+    residuals = np.subtract(a_cols[:, None, :], scales[..., None] * b_cols[:, None],
                             order="C")
     norms = np.sqrt((residuals[..., None, :] @ residuals[..., :, None])[..., 0, 0])
     with np.errstate(over="ignore"):  # beyond the largest float is inf
-        costs = np.where(usable, np.ldexp(norms, a_exp[:, None]), math.inf)
-        scales = np.ldexp(scales, a_exp[:, None] - b_exp)
+        costs = np.where(usable[:, None, :], np.ldexp(norms, a_exp[:, None]), math.inf)
+        scales = np.ldexp(scales, a_exp[:, None] - b_exp[:, None, :])
     return costs, scales, usable
 
 
@@ -192,8 +204,12 @@ def align_dictionaries(dictionary, candidate):
     b_mat = geometry.as_matrix(candidate, "candidate")
     if a_mat.shape[0] != b_mat.shape[0]:
         raise ValueError("dictionaries have different signal dimensions")
-    m, m_bar = a_mat.shape[1], b_mat.shape[1]
-    costs, scales, usable = _pair_costs(a_mat, b_mat)
+    return _match(*(level[0] for level in _pair_costs(a_mat, b_mat[None])))
+
+
+def _match(costs, scales, usable):
+    """The alignment of one level's pair costs and scales (``_pair_costs``)."""
+    m, m_bar = costs.shape
     n_usable = int(np.sum(usable))
     if n_usable == 0:
         raise ValueError("candidate dictionary has no nonzero columns")
@@ -229,18 +245,29 @@ def code_alignment_error(x, xbar, alignment, subset=None):
     zero = np.flatnonzero(scales == 0.0)
     if zero.size:
         raise ValueError(f"matched column {columns[zero[0]]} has zero scale")
-    source = np.array([j - 1 for j in columns], dtype=np.intp)
-    target = np.array([alignment.pi[j] - 1 for j in columns], dtype=np.intp)
+    source = np.array([[j - 1 for j in columns]], dtype=np.intp)
+    target = np.array([[alignment.pi[j] - 1 for j in columns]], dtype=np.intp)
     single = x.ndim == 1
     if single:
         x, xbar = x[:, None], xbar[:, None]
-    terms = np.abs(x[source] - xbar[target] / scales[:, None])
-    # row by row, so the sum runs in increasing j for every N (numpy would
-    # sum a contiguous axis pairwise)
-    total = np.zeros(terms.shape[1])
-    for row in terms:
-        total += row
+    total = _l1_errors(x, xbar[None], np.zeros(1, dtype=np.intp), source, target,
+                       scales[None])[0]
     return float(total[0]) if single else total
+
+
+def _l1_errors(x, xbars, levels, source, target, scales):
+    """Row t: the l1 distances, one per code, between ``x`` and the code
+    matrix ``xbars[levels[t]]`` back-transformed through the (T, s) source
+    rows, target rows and scales of row t, from one gather.
+
+    The terms are summed row by row, so every sum runs in increasing j for
+    every N (numpy would sum a contiguous axis pairwise).
+    """
+    terms = np.abs(x[source] - xbars[levels[:, None], target] / scales[..., None])
+    total = np.zeros((terms.shape[0], terms.shape[2]))
+    for j in range(terms.shape[1]):
+        total += terms[:, j]
+    return total
 
 
 @dataclass
@@ -286,36 +313,100 @@ def verify_theorem1(dictionary, codes, candidate, codes_bar, certificate, eps,
     Raises HypothesisError when some sample violates ||A x_i - B xbar_i|| <= eps
     and ThresholdError when eps is not strictly below the certified dictionary
     threshold (no guarantee exists there, so the check refuses to run). A
-    non-finite eps raises ValueError.
+    non-finite eps raises ValueError. The batch of one of ``_verify_sweep``.
     """
     a_mat = geometry.as_matrix(dictionary, "dictionary")
     b_mat = geometry.as_matrix(candidate, "candidate")
     if codes.n_codes != codes_bar.n_codes:
         raise ValueError("code sets have different sample counts")
-    if not math.isfinite(eps):
-        raise ValueError(f"eps must be finite, got {eps!r}")
-    if certificate.C1 is None or certificate.eps_max_dictionary is None:
-        raise HypothesisError("certificate carries no stability constant")
-    if certificate.r is None:
-        raise HypothesisError("certificate lacks a regularity degree")
+    return _verify_sweep(a_mat, codes, b_mat[None], codes_bar.codes[None],
+                         certificate, [eps], tol=tol)[0]
 
-    residuals = np.linalg.norm(a_mat @ codes.codes - b_mat @ codes_bar.codes,
-                               axis=0)
-    worst = float(np.max(residuals))
-    if worst > eps * (1.0 + 1e-12) + 1e-300:
-        raise HypothesisError(
-            f"sample residual {worst:.6g} exceeds the stated eps {eps:.6g}"
-        )
-    if eps >= certificate.eps_max_dictionary:
-        raise ThresholdError(
-            f"eps {eps:.6g} is not below the certified threshold "
-            f"{certificate.eps_max_dictionary:.6g}"
-        )
 
+def _residual_norms(a_mat, x, candidates, xbars):
+    """(L, N) norms ||A x_i - B xbar_i|| at every level of the candidate and
+    code stacks (a stack of one serves every level); each level's matmul is
+    the one its pair alone would run."""
+    return np.linalg.norm(a_mat @ x - candidates @ xbars, axis=1)
+
+
+def _verify_sweep(a_mat, codes, candidates, xbars, certificate, eps,
+                  residuals=None, tol=1e-9):
+    """The TheoremReport of ``verify_theorem1`` at every level of a sweep.
+
+    Level i checks the candidate ``candidates[i]`` (an (L, n, m_bar) stack)
+    with the code matrix ``xbars[i]`` (an (L, m_bar, N) stack) at residual
+    level ``eps[i]``; a stack of one serves every level. ``residuals`` are
+    the (L, N) residual norms when the caller has them. The levels are
+    checked in order, and a level raises what verify_theorem1 would raise
+    for it before any later level is checked. The pair costs come from one
+    stacked pass, the matching runs per distinct candidate, and the code
+    errors and the aligned 2k-bound of all code-tier levels are taken at the
+    end, in one gather and one stacked SVD per subset size.
+    """
+    finite = np.isfinite(candidates).all(axis=(1, 2))
+    costs = worsts = None
+    alignments, aligned, k_subsets = {}, {}, {}
+    reports, sources = [], []
+    for level, level_eps in enumerate(eps):
+        source = level if len(candidates) > 1 else 0
+        sources.append(source)
+        if not finite[source]:
+            raise ValueError("candidate has non-finite entries")
+        if not math.isfinite(level_eps):
+            raise ValueError(f"eps must be finite, got {level_eps!r}")
+        if certificate.C1 is None or certificate.eps_max_dictionary is None:
+            raise HypothesisError("certificate carries no stability constant")
+        if certificate.r is None:
+            raise HypothesisError("certificate lacks a regularity degree")
+        if worsts is None:
+            if residuals is None:
+                residuals = _residual_norms(a_mat, codes.codes, candidates, xbars)
+            worsts = np.max(residuals, axis=1).tolist()
+        worst = worsts[level]
+        if worst > level_eps * (1.0 + 1e-12) + 1e-300:
+            raise HypothesisError(
+                f"sample residual {worst:.6g} exceeds the stated eps {level_eps:.6g}"
+            )
+        if level_eps >= certificate.eps_max_dictionary:
+            raise ThresholdError(
+                f"eps {level_eps:.6g} is not below the certified threshold "
+                f"{certificate.eps_max_dictionary:.6g}"
+            )
+        if costs is None:
+            costs, scales, usable = _pair_costs(a_mat, candidates)
+        if source not in alignments:
+            alignments[source] = _match(costs[source], scales[source], usable[source])
+        report = _dictionary_tier(alignments[source], a_mat.shape[1],
+                                  candidates.shape[2], certificate, level_eps,
+                                  residuals[level], tol)
+        reports.append(report)
+        if not report.code_tier_active:
+            continue
+        # what the code tier of this level can raise, in verify_theorem1's order
+        alignment, subset = report.alignment, report.matched_subset
+        zero = [j for j in subset if alignment.scales[j] == 0.0]
+        if zero:
+            raise ValueError(f"matched column {zero[0]} has zero scale")
+        if source not in aligned:
+            columns = [alignment.pi[j] - 1 for j in subset]
+            matrix = candidates[source][:, columns] * np.array(
+                [alignment.scales[j] for j in subset])
+            if not np.all(np.isfinite(matrix)):
+                raise ValueError("dictionary has non-finite entries")
+            aligned[source] = matrix
+        width = len(subset)
+        if width not in k_subsets:
+            k_subsets[width] = geometry.k_subsets(
+                width, min(2 * certificate.k, width), geometry.DEFAULT_EDGE_CAP)
+    _code_tier(codes, xbars, certificate, eps, reports, sources, aligned, k_subsets, tol)
+    return reports
+
+
+def _dictionary_tier(alignment, m, m_bar, certificate, eps, residuals, tol):
+    """One level's report with eq. (5) decided and the code tier not yet run."""
     c1 = certificate.C1
     r = certificate.r
-    m, m_bar = a_mat.shape[1], b_mat.shape[1]
-    alignment = align_dictionaries(a_mat, b_mat)
     bound5 = c1 * eps
 
     guaranteed = None
@@ -336,7 +427,7 @@ def verify_theorem1(dictionary, codes, candidate, codes_bar, certificate, eps,
         max_err = alignment.max_column_error
         eq5_ok = None
 
-    report = TheoremReport(
+    return TheoremReport(
         eps=eps,
         residuals=residuals,
         alignment=alignment,
@@ -355,22 +446,53 @@ def verify_theorem1(dictionary, codes, candidate, codes_bar, certificate, eps,
             and eps < certificate.eps_max_codes
         ),
     )
-    if not report.code_tier_active:
-        return report
 
-    l2k = certificate.L2k
-    denominator = l2k - c1 * eps
-    errors = code_alignment_error(codes.codes, codes_bar.codes, alignment, subset)
-    bounds = (1.0 + c1 * codes.l1_norms()) * eps / denominator
-    aligned = np.column_stack(
-        [alignment.scales[j] * b_mat[:, alignment.pi[j] - 1] for j in subset])
-    l2k_aligned = geometry.lower_bound_k(
-        aligned, min(2 * certificate.k, aligned.shape[1]))
 
-    report.code_errors = errors
-    report.code_bounds = bounds
-    report.eq6_ok = bool(np.all(errors <= bounds + tol))
-    report.l2k_aligned = l2k_aligned
-    report.l2k_floor = denominator
-    report.l2k_ok = l2k_aligned >= denominator - tol
-    return report
+def _code_tier(codes, xbars, certificate, eps, reports, sources, aligned, k_subsets,
+               tol):
+    """Fill in eq. (6) and the aligned 2k-bound of every code-tier report.
+
+    Level i's candidate is ``sources[i]``, and ``aligned`` maps each
+    candidate of a code-tier level to its aligned columns. The levels are
+    grouped by the size of their matched subset (one group unless some
+    candidate has zero columns). Per group, the code errors come from one
+    gather (``_l1_errors``), and the restricted lower bounds of the aligned
+    candidates from one stacked SVD over their 2k-subsets
+    (``geometry.edge_min_singular_values``), each value as
+    ``geometry.lower_bound_k`` of that candidate alone gives it.
+    """
+    groups = {}
+    for level, report in enumerate(reports):
+        if report.code_tier_active:
+            groups.setdefault(len(report.matched_subset), []).append(level)
+    if not groups:
+        return
+    c1, l2k = certificate.C1, certificate.L2k
+    weights = 1.0 + c1 * codes.l1_norms()
+    for width, levels in groups.items():
+        group = [reports[level] for level in levels]
+        source = np.array([[j - 1 for j in r.matched_subset] for r in group],
+                          dtype=np.intp)
+        target = np.array([[r.alignment.pi[j] - 1 for j in r.matched_subset]
+                           for r in group], dtype=np.intp)
+        scales = np.array([[r.alignment.scales[j] for j in r.matched_subset]
+                           for r in group])
+        rows = np.array(levels if len(xbars) > 1 else [0] * len(levels), dtype=np.intp)
+        errors = _l1_errors(codes.codes, xbars, rows, source, target, scales)
+        denominators = [l2k - c1 * eps[level] for level in levels]
+        bounds = (weights * np.array([eps[level] for level in levels], dtype=float)[:, None]
+                  / np.array(denominators)[:, None])
+        eq6 = np.all(errors <= bounds + tol, axis=1).tolist()
+        candidates = list(dict.fromkeys(sources[level] for level in levels))
+        subsets = k_subsets[width]
+        sv = geometry.edge_min_singular_values(
+            np.stack([aligned[c] for c in candidates]), subsets)
+        lower = dict(zip(candidates,
+                         np.min(sv / np.sqrt(subsets.shape[1]), axis=1).tolist()))
+        for row, (level, report) in enumerate(zip(levels, group)):
+            report.code_errors = errors[row]
+            report.code_bounds = bounds[row]
+            report.eq6_ok = eq6[row]
+            report.l2k_aligned = lower[sources[level]]
+            report.l2k_floor = denominators[row]
+            report.l2k_ok = report.l2k_aligned >= denominators[row] - tol

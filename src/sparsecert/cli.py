@@ -17,6 +17,7 @@ from .constants import build_certificate
 from .errors import SparseCertError
 from .experiment import _config_integer, hypergraph_from_config, run_experiment
 from .geometry import DEFAULT_RANK_TOL, spark_polynomial
+from .hypergraph import as_real
 from .lemmas import check_lemma3, check_lemma4, validate_lemma4
 
 
@@ -63,9 +64,12 @@ def cmd_generate(args):
     n = _config_integer(config, "n", 4)
     k = _config_integer(config, "k", 2)
     per_support = _config_integer(config, "per_support_count", 7)
-    eta = float(config.get("eta", 0.0))
+    eta = as_real(config.get("eta", 0.0), "eta")
     seed = args.seed if args.seed is not None else _config_integer(config, "seed", 0)
-    worst_case = config.get("noise", "ball") == "sphere"
+    noise = config.get("noise", "ball")
+    if noise not in ("ball", "sphere"):
+        raise ValueError(f"noise must be \"ball\" or \"sphere\", got {noise!r}")
+    worst_case = noise == "sphere"
     hypergraph = hypergraph_from_config(config.get("hypergraph", "cyclic"), m, k)
 
     dictionary, codes = generate_instance(m, n, k, hypergraph, per_support,
@@ -84,7 +88,7 @@ def cmd_generate(args):
     bundle = {
         "seed": seed,
         "eta": eta,
-        "noise": "sphere" if worst_case else "ball",
+        "noise": noise,
         "dictionary": serialize.matrix_to_json_dict(dictionary),
         "codes": serialize.code_set_to_json_dict(codes),
         "hypergraph": serialize.hypergraph_to_json_dict(hypergraph),

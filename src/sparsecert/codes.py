@@ -72,19 +72,24 @@ class SparseCodeSet:
         self.supports = tuple(distinct[i] for i in which)
         if len(self.supports) != self.codes.shape[1]:
             raise ValueError("one support set per code column required")
-        which = np.array(which, dtype=np.intp)
         distinct_mask = np.zeros((self.m, len(distinct)), dtype=bool)
         for i, support in enumerate(distinct):
             distinct_mask[[v - 1 for v in support], i] = True
         self.support_mask = distinct_mask[:, which]
-        oversize = np.array([len(s) for s in distinct], dtype=np.intp)[which] > self.k
-        outside = np.any((self.codes != 0.0) & ~self.support_mask, axis=0)
-        failing = np.flatnonzero(oversize | outside)
-        if failing.size:
-            col = int(failing[0])
-            if oversize[col]:
-                raise ValueError(f"support of column {col} larger than k={self.k}")
-            raise ValueError(f"column {col} has entries outside its support")
+        failure = _entry_failure(self.codes[None], self.support_mask[None], self.k)
+        if failure is not None:
+            raise ValueError(failure[1])
+
+    @classmethod
+    def _on_supports(cls, codes, supports, support_mask, k):
+        """A code set on supports that are already normalised, with their
+        mask, whose entries have passed ``_entry_failure``; nothing is
+        normalised or checked again."""
+        code_set = cls.__new__(cls)
+        code_set.m = support_mask.shape[0]
+        code_set.codes, code_set.supports, code_set.k = codes, supports, k
+        code_set.support_mask = support_mask
+        return code_set
 
     @property
     def n_codes(self):
@@ -92,6 +97,30 @@ class SparseCodeSet:
 
     def l1_norms(self):
         return np.abs(self.codes).sum(axis=0)
+
+
+def _entry_failure(codes, masks, k):
+    """The first matrix of an (L, m, N) stack of codes whose entries fail the
+    ``SparseCodeSet`` checks against its support mask, as (index, message);
+    None when every one passes.
+
+    ``masks`` is an (L, m, N) or (1, m, N) stack of support masks. A matrix
+    fails on a non-finite entry, or at its first column whose support is
+    larger than k (checked first) or that has an entry outside its support.
+    """
+    finite = np.isfinite(codes).all(axis=(1, 2))
+    oversize = masks.sum(axis=1) > k
+    failing = oversize | np.any((codes != 0.0) & ~masks, axis=1)
+    bad = np.flatnonzero(~finite | failing.any(axis=1))
+    if not bad.size:
+        return None
+    index = int(bad[0])
+    if not finite[index]:
+        return index, "codes have non-finite entries"
+    col = int(np.argmax(failing[index]))
+    if oversize[index if len(oversize) > 1 else 0, col]:
+        return index, f"support of column {col} larger than k={k}"
+    return index, f"column {col} has entries outside its support"
 
 
 def merge_code_sets(code_sets):

@@ -1,8 +1,12 @@
 """Noise-sweep harness: perturb generated instances and check the recovery bounds.
 
-Each trial generates a verified instance, builds a candidate pair (B, xbar)
-from a perturbation family, measures the realized worst per-sample residual,
-and runs the theorem verification at exactly that residual level.
+Each trial generates a verified instance and certifies it, then runs its
+noise sweep as one stacked pass. The grid levels below the certified
+dictionary threshold draw their candidate pairs (B, xbar) in grid order,
+each exactly as one ``perturb_instance`` call would draw it; the realized
+worst per-sample residuals of all levels come from one residual stack; and
+the levels whose residual stays below the threshold are verified together
+(``alignment._verify_sweep``), each at exactly its residual.
 """
 
 from __future__ import annotations
@@ -12,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import verify_theorem1
-from .codes import SparseCodeSet, generate_instance
+from . import alignment
+from .codes import SparseCodeSet, _entry_failure, generate_instance
 from .constants import build_certificate
-from .hypergraph import as_integer, build_complete, build_cyclic, build_grid
+from .hypergraph import as_integer, as_real, build_complete, build_cyclic, build_grid
 
 PERTURBATION_FAMILIES = ("dict_jitter", "scaled_permuted", "code_jitter")
 
@@ -30,7 +34,9 @@ class ExperimentRecord:
     """One (seed, eps) verification outcome.
 
     The code-tier fields are None when eps was not below the code threshold;
-    pass flags equal achieved <= bound + 1e-9 for their inequality.
+    pass flags equal achieved <= bound + 1e-9 for their inequality. ``ms``
+    is the wall time of the trial's sweep (draws and verification of all its
+    levels) divided by the number of levels it verified.
     """
 
     seed: int
@@ -67,59 +73,110 @@ def perturb_instance(dictionary, codes, family, eps_target, rng):
     dict_jitter adds scaled dense noise to the dictionary and keeps the
     codes; scaled_permuted first moves to a random point of the ambiguity
     orbit and then jitters the dictionary; code_jitter perturbs code
-    coefficients inside their supports and keeps the dictionary.
+    coefficients inside their supports and keeps the dictionary. The batch
+    of one of a sweep's draw step.
     """
     mat = np.asarray(dictionary, dtype=float)
-    n, m = mat.shape
     if eps_target < 0:
         raise ValueError("eps_target must be nonnegative")
+    if family not in PERTURBATION_FAMILIES:
+        raise ValueError(f"unknown perturbation family {family!r}")
     if eps_target == 0.0:
-        if family not in PERTURBATION_FAMILIES:
-            raise ValueError(f"unknown perturbation family {family!r}")
         return mat, codes
+    candidates, xbars, perms, error = _draw(mat, codes, family, [eps_target], rng)
+    if error is not None:
+        raise error
     if family == "dict_jitter":
-        noise = rng.standard_normal(mat.shape)
-        worst = float(np.max(np.linalg.norm(noise @ codes.codes, axis=0)))
-        candidate = mat + noise * _step(eps_target, worst, family)
-        return candidate, codes
+        return candidates[0], codes
+    supports, mask = codes.supports, codes.support_mask
     if family == "scaled_permuted":
-        perm = rng.permutation(m)
-        diag = rng.uniform(0.5, 2.0, m) * rng.choice([-1.0, 1.0], m)
-        base = mat[:, perm] * diag
-        inverse_positions = np.empty(m, dtype=int)
-        inverse_positions[perm] = np.arange(m)
-        xbar = codes.codes[perm, :] / diag[:, None]
+        perm = perms[0]
+        inverse_positions = np.empty(len(perm), dtype=int)
+        inverse_positions[perm] = np.arange(len(perm))
         remapped = {
             s: tuple(sorted(int(inverse_positions[v - 1]) + 1 for v in s))
-            for s in set(codes.supports)
+            for s in set(supports)
         }
-        supports = tuple(remapped[s] for s in codes.supports)
-        codes_bar = SparseCodeSet(m, xbar, supports, codes.k)
-        noise = rng.standard_normal(mat.shape)
-        worst = float(np.max(np.linalg.norm(noise @ codes_bar.codes, axis=0)))
-        return base + noise * _step(eps_target, worst, family), codes_bar
-    if family == "code_jitter":
-        # one draw, scattered column by column in support order: the same
-        # stream as one standard_normal(len(support)) call per column
+        supports, mask = tuple(remapped[s] for s in supports), mask[perm]
+    return candidates[0], SparseCodeSet._on_supports(xbars[0], supports, mask, codes.k)
+
+
+def _draw(mat, codes, family, targets, rng):
+    """The candidate pairs whose worst per-sample residuals equal the
+    positive ``targets``, one level per target, up to the first level whose
+    draw fails: (candidates, codes, perms, error).
+
+    ``candidates`` is an (L, n, m) stack and ``codes`` an (L, m, N) stack of
+    candidate code matrices; the family that keeps the dictionary, or the
+    codes, gives a stack of one that serves every level. ``perms`` are
+    scaled_permuted's column permutations, (L, m), and None for the other
+    families. ``error`` is the failing level's ValueError, None when every
+    level drew.
+
+    Each level draws from ``rng`` what one perturb_instance call draws, in
+    level order: dict_jitter one standard_normal of the dictionary's shape;
+    scaled_permuted a permutation, a uniform, a sign choice and a
+    standard_normal; code_jitter one standard_normal per in-support entry,
+    column by column in support order. One standard_normal call for all
+    levels gives the numbers of one call per level. The worst-case norms,
+    steps and candidates are then taken as stacks, with each level's
+    matmul the one its pair alone would run. The candidate codes keep the
+    source's normalised supports (their rows permuted for scaled_permuted),
+    and only their entries are checked (``codes._entry_failure``).
+    """
+    n, m = mat.shape
+    levels = len(targets)
+    perms = masks = None
+    if family == "dict_jitter":
+        noise = rng.standard_normal((levels, n, m))
+        base, xbars = mat, codes.codes[None]
+        signal = noise @ codes.codes
+    elif family == "scaled_permuted":
+        perms = np.empty((levels, m), dtype=np.intp)
+        diags = np.empty((levels, m))
+        noise = np.empty((levels, n, m))
+        for level in range(levels):
+            perms[level] = rng.permutation(m)
+            diags[level] = rng.uniform(0.5, 2.0, m) * rng.choice([-1.0, 1.0], m)
+            noise[level] = rng.standard_normal((n, m))
+        base = np.ascontiguousarray(np.moveaxis(mat[:, perms], 1, 0)) * diags[:, None, :]
+        xbars = codes.codes[perms] / diags[:, :, None]
+        masks = codes.support_mask[perms]
+        signal = noise @ xbars
+    else:
+        # the same stream as one standard_normal(len(support)) call per column
         cols, rows = np.nonzero(codes.support_mask.T)
-        delta = np.zeros_like(codes.codes)
-        delta[rows, cols] = rng.standard_normal(rows.size)
-        worst = float(np.max(np.linalg.norm(mat @ delta, axis=0)))
-        codes_bar = SparseCodeSet(
-            codes.m, codes.codes + delta * _step(eps_target, worst, family),
-            codes.supports, codes.k)
-        return mat, codes_bar
-    raise ValueError(f"unknown perturbation family {family!r}")
-
-
-def _step(eps_target, worst, family):
-    """Scale that takes the worst per-sample residual ``worst`` to eps_target."""
-    if worst == 0.0:
+        delta = np.zeros((levels,) + codes.codes.shape)
+        delta[:, rows, cols] = rng.standard_normal((levels, rows.size))
+        masks = codes.support_mask[None]
+        signal = mat @ delta
+    worst = np.max(np.linalg.norm(signal, axis=1), axis=1)
+    # a level without signal gets an infinite step; it fails below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        steps = np.asarray(targets, dtype=float)[:, None, None] / worst[:, None, None]
         if family == "code_jitter":
-            raise ValueError("code_jitter: no in-support perturbation moves a sample")
-        raise ValueError(f"{family}: no sample carries signal, so no "
-                         "dictionary perturbation moves a sample")
-    return eps_target / worst
+            candidates, xbars = mat[None], codes.codes + delta * steps
+        else:
+            candidates = base + noise * steps
+    stop, error = levels, None
+    if np.any(worst == 0.0):
+        stop = int(np.argmax(worst == 0.0))
+        error = ValueError("code_jitter: no in-support perturbation moves a sample"
+                           if family == "code_jitter" else
+                           f"{family}: no sample carries signal, so no "
+                           "dictionary perturbation moves a sample")
+    if masks is not None:
+        failure = _entry_failure(xbars[:stop], masks[:stop], codes.k)
+        if failure is not None:
+            stop, error = failure[0], ValueError(failure[1])
+    return (candidates if family == "code_jitter" else candidates[:stop],
+            xbars if family == "dict_jitter" else xbars[:stop],
+            None if perms is None else perms[:stop], error)
+
+
+def _kept(stack, keep):
+    """The kept levels of a per-level stack; a stack of one serves them all."""
+    return stack if len(stack) == 1 else stack[keep]
 
 
 def run_experiment(config):
@@ -127,7 +184,9 @@ def run_experiment(config):
 
     Config keys: m, n, k, hypergraph (kind), per_support_count, noise_grid,
     trials, family, seed. Grid values at or above the per-instance
-    dictionary threshold are skipped (no guarantee exists there).
+    dictionary threshold are skipped (no guarantee exists there), as are
+    levels whose realized residual lands at or above it; their draws are
+    still taken, so the stream of every later level stays the same.
     """
     m, n, k = (_config_integer(config, key) for key in ("m", "n", "k"))
     if m > MAX_M or n > MAX_N:
@@ -140,7 +199,7 @@ def run_experiment(config):
     family = config.get("family", "dict_jitter")
     if family not in PERTURBATION_FAMILIES:
         raise ValueError(f"unknown perturbation family {family!r}")
-    grid = [float(v) for v in config["noise_grid"]]
+    grid = [as_real(v, "noise grid value") for v in config["noise_grid"]]
     if not grid:
         raise ValueError("noise grid is empty")
     # NaN is refused here; inf is skipped below, as at or above any threshold
@@ -156,19 +215,26 @@ def run_experiment(config):
         mat, codes = generate_instance(m, n, k, hypergraph, per_support, seed=seed)
         cert = build_certificate(mat, codes, hypergraph)
         rng = np.random.default_rng([base_seed, trial, 0xC0DE])
-        for eps_target in grid:
-            if cert.eps_max_dictionary is None or eps_target >= cert.eps_max_dictionary:
-                continue
-            start = time.perf_counter()
-            candidate, codes_bar = perturb_instance(mat, codes, family,
-                                                    eps_target, rng)
-            residuals = np.linalg.norm(
-                mat @ codes.codes - candidate @ codes_bar.codes, axis=0)
-            eps = float(np.max(residuals))
-            if eps >= cert.eps_max_dictionary:
-                continue
-            report = verify_theorem1(mat, codes, candidate, codes_bar, cert, eps)
-            elapsed_ms = (time.perf_counter() - start) * 1e3
+        threshold = cert.eps_max_dictionary
+        targets = [] if threshold is None else [v for v in grid if v < threshold]
+        if not targets:
+            continue
+        start = time.perf_counter()
+        candidates, xbars, _, error = _draw(mat, codes, family, targets, rng)
+        residuals = alignment._residual_norms(mat, codes.codes, candidates, xbars)
+        realized = np.max(residuals, axis=1).tolist()
+        keep = [level for level, eps in enumerate(realized) if not eps >= threshold]
+        reports = []
+        if keep:
+            reports = alignment._verify_sweep(
+                mat, codes, _kept(candidates, keep), _kept(xbars, keep), cert,
+                [realized[level] for level in keep], residuals[keep])
+        # the levels before a failed draw are verified first, as one
+        # perturb-and-verify call per level would have done
+        if error is not None:
+            raise error
+        elapsed_ms = (time.perf_counter() - start) * 1e3
+        for report in reports:
             if report.code_tier_active:
                 # uniform code bound (worst l1-norm), so the row alone decides pass6
                 max_code_err = float(np.max(report.code_errors))
@@ -178,14 +244,14 @@ def run_experiment(config):
                 max_code_err = bound6 = pass6 = None
             records.append(ExperimentRecord(
                 seed=seed,
-                eps=eps,
+                eps=report.eps,
                 max_col_err=report.max_column_error,
                 bound5=report.bound5,
                 max_code_err=max_code_err,
                 bound6=bound6,
                 pass5=bool(report.eq5_ok),
                 pass6=pass6,
-                ms=elapsed_ms,
+                ms=elapsed_ms / len(reports),
             ))
     records.sort(key=lambda r: (r.seed, r.eps))
     return records, summarize(records)

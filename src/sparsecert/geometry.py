@@ -412,17 +412,19 @@ def edge_min_singular_values(mat, edges):
 
     ``edges`` is an (E, w) array of 0-based column indices. Width zero and
     widths above the row count are rank deficient by shape and give zeros.
+    A stack of matrices (..., n, m) gives a (..., E) array from one stacked
+    SVD, each value the same as from its matrix alone.
     """
     mat = np.ascontiguousarray(mat, dtype=np.float64)
     edges = np.asarray(edges, dtype=np.intp)
     if edges.ndim != 2:
         raise ValueError("edges must be an (E, w) index array")
-    n_rows, n_cols = mat.shape
+    n_rows, n_cols = mat.shape[-2:]
     if edges.size and (edges.min() < 0 or edges.max() >= n_cols):
         raise ValueError("edge index out of range for the given matrix")
     if not 0 < edges.shape[1] <= n_rows:
-        return np.zeros(len(edges))
-    return np.linalg.svd(np.moveaxis(mat[:, edges], 1, 0), compute_uv=False)[:, -1]
+        return np.zeros(mat.shape[:-2] + (len(edges),))
+    return np.linalg.svd(np.moveaxis(mat[..., edges], -3, -2), compute_uv=False)[..., -1]
 
 
 def subset_lower_bound(mat, subsets):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -29,6 +30,18 @@ def as_integer(value, name):
             if isinstance(value, float) and value.is_integer():
                 return int(value)
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def as_real(value, name):
+    """``value`` as a float: an integer or a float, numpy's included. A string,
+    a boolean or an integer beyond the float range raises ValueError rather
+    than being converted."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def normalize_support(indices, m):

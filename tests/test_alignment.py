@@ -195,7 +195,8 @@ def test_alignment_equals_per_pair_reference(kind):
         shapes.add((np.sign(b_mat.shape[1] - a_mat.shape[1]),
                     a_mat.flags.f_contiguous, b_mat.flags.f_contiguous))
         costs, scales, usable = _reference_pair_costs(a_mat, b_mat)
-        new_costs, new_scales, new_usable = _pair_costs(a_mat, b_mat)
+        new_costs, new_scales, new_usable = (level[0] for level in
+                                             _pair_costs(a_mat, b_mat[None]))
         assert np.array_equal(new_costs, costs)
         assert np.array_equal(new_scales, scales)
         assert np.array_equal(new_usable, usable)
@@ -207,6 +208,25 @@ def test_alignment_equals_per_pair_reference(kind):
                 == _reference_align_dictionaries(a_mat, b_mat))
     if kind != "binary_duplicates":
         assert len(shapes) == 12
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "zero_and_duplicate_columns", "near_orbit"])
+def test_pair_costs_of_a_stack_equal_each_level_alone(kind):
+    # a sweep takes the costs of all its candidates in one pass; each level
+    # must get what its candidate alone gets (the per-pair reference, in
+    # the normal range; see test_alignment_equals_per_pair_reference)
+    rng = np.random.default_rng(sum(map(ord, kind)) + 1)
+    for _ in range(40):
+        a_mat, b_mat = oracle_case(kind, rng)
+        levels = np.stack([b_mat, np.zeros_like(b_mat), b_mat + 1e-9 * rng.standard_normal(
+            b_mat.shape), b_mat * 10.0 ** rng.integers(-200, 200)])
+        stacked = _pair_costs(a_mat, levels)
+        for level in range(len(levels)):
+            alone = _pair_costs(a_mat, levels[level:level + 1])
+            for got, want in zip(stacked, alone):
+                assert np.array_equal(got[level], want[0])
+        for got, want in zip(stacked, _reference_pair_costs(a_mat, levels[0])):
+            assert np.array_equal(got[0], want)
 
 
 @pytest.mark.parametrize("scale", [1e150, 1e-150, 1e155, 1e-170, 1e200, 1e-200,

@@ -414,3 +414,57 @@ def test_check_lemmas_accepts_integral_floats(tmp_path, capsys):
     }))
     assert main(["check-lemmas", "--config", str(cfg)]) == 0
     assert json.loads(capsys.readouterr().out)["distance_to_intersection"]["trials"] == 5
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"eta": True}, "eta must be a real number, got True"),
+    ({"eta": "0.1"}, "eta must be a real number, got '0.1'"),
+    ({"eta": 10 ** 400}, "eta must be a real number"),
+    ({"noise": "spher"}, "noise must be \"ball\" or \"sphere\", got 'spher'"),
+    ({"noise": None}, "noise must be \"ball\" or \"sphere\", got None"),
+])
+def test_generate_refuses_non_real_eta_and_unknown_noise(tmp_path, capsys, change, message):
+    # {"eta": true} used to write an instance with radius 1.0, and an unknown
+    # noise kind silently meant "ball"
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps(dict({"eta": 0.1}, **change)))
+    out = tmp_path / "inst"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("noise", ["ball", "sphere"])
+def test_generate_accepts_integer_eta_and_known_noise(tmp_path, noise):
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({"eta": 1, "noise": noise}))
+    out = tmp_path / "inst"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+    truth = json.loads((out / "ground_truth.json").read_text())
+    assert truth["eta"] == 1.0 and truth["noise"] == noise
+
+
+@pytest.mark.parametrize("grid", [[True], ["1e-10"], [1e-4, False]])
+def test_experiment_refuses_non_real_grid_values(tmp_path, capsys, grid):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({
+        "m": 4, "n": 4, "k": 2, "hypergraph": "cyclic",
+        "per_support_count": 7, "noise_grid": grid,
+        "trials": 1, "family": "dict_jitter", "seed": 0,
+    }))
+    assert main(["experiment", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: noise grid value must be a real number")
+
+
+def test_experiment_skips_infinite_grid_value(tmp_path, capsys):
+    config = {"m": 4, "n": 4, "k": 2, "hypergraph": "cyclic", "per_support_count": 7,
+              "noise_grid": [1e-8], "trials": 1, "family": "dict_jitter", "seed": 0}
+    csv = []
+    # JSON has no infinity; Python's json module reads the Infinity token
+    for grid in ('[1e-08]', '[1e-08, Infinity]'):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps(config).replace('[1e-08]', grid))
+        out = tmp_path / "records.csv"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
+        csv.append([line.rsplit(",", 1)[0] for line in out.read_text().splitlines()])
+    assert csv[0] == csv[1] and len(csv[0]) == 2

@@ -1,24 +1,37 @@
 """Perturbation families and the sweep runner.
 
-The per-level path runs on arrays: one support mask per code set, one
-in-support noise draw, one code-error expression. The ``_reference_*``
-helpers are the per-column code it replaced; records, code errors, code
-bounds and supports must match them bit for bit.
+A trial's noise sweep runs as one stacked pass: the levels' draws in stream
+order, one residual stack, one verification of all levels. The
+``_reference_*`` helpers are the per-level loop it replaced, with the
+per-column code-set checks, draws and code errors before that; records,
+summaries, generator states, code errors, code bounds and supports must
+match them bit for bit.
 """
 
 import dataclasses
 import importlib.util
+import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsecert import SparseCodeSet, build_cyclic, generate_instance, verify_theorem1
+from sparsecert import (
+    SparseCodeSet,
+    TheoremReport,
+    align_dictionaries,
+    build_cyclic,
+    generate_instance,
+    verify_theorem1,
+)
 from sparsecert import codes as codes_module
-from sparsecert import experiment
+from sparsecert import experiment, geometry
+from sparsecert import hypergraph as hypergraph_module
 from sparsecert.constants import build_certificate
+from sparsecert.errors import HypothesisError, ThresholdError
 from sparsecert.experiment import (
     PERTURBATION_FAMILIES,
     hypergraph_from_config,
@@ -138,7 +151,7 @@ def test_code_jitter_without_support_raises_typed_error():
                          np.random.default_rng(0))
 
 
-# -- the per-column path the array path replaced --------------------------
+# -- the per-level loop the sweep replaced, per-column where that was -------
 
 def _reference_validate(m, codes, supports, k):
     """SparseCodeSet's support checks one column at a time; the normalised
@@ -205,22 +218,82 @@ def _reference_code_tier(codes, codes_bar, report, certificate):
 
 def _reference_verify_theorem1(dictionary, codes, candidate, codes_bar,
                                certificate, eps, tol=1e-9):
-    """verify_theorem1 with its code tier taken one code at a time."""
-    report = verify_theorem1(dictionary, codes, candidate, codes_bar,
-                             certificate, eps, tol)
-    if report.code_tier_active:
-        errors, bounds = _reference_code_tier(codes, codes_bar, report, certificate)
-        report.code_errors, report.code_bounds = errors, bounds
-        report.eq6_ok = bool(np.all(errors <= bounds + tol))
+    """verify_theorem1 one level at a time, its code tier one code at a time
+    and its aligned 2k-bound from ``lower_bound_k``."""
+    a_mat = geometry.as_matrix(dictionary, "dictionary")
+    b_mat = geometry.as_matrix(candidate, "candidate")
+    if codes.n_codes != codes_bar.n_codes:
+        raise ValueError("code sets have different sample counts")
+    if not math.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps!r}")
+    if certificate.C1 is None or certificate.eps_max_dictionary is None:
+        raise HypothesisError("certificate carries no stability constant")
+    if certificate.r is None:
+        raise HypothesisError("certificate lacks a regularity degree")
+    residuals = np.linalg.norm(a_mat @ codes.codes - b_mat @ codes_bar.codes, axis=0)
+    worst = float(np.max(residuals))
+    if worst > eps * (1.0 + 1e-12) + 1e-300:
+        raise HypothesisError(f"sample residual {worst:.6g} exceeds the stated eps {eps:.6g}")
+    if eps >= certificate.eps_max_dictionary:
+        raise ThresholdError(f"eps {eps:.6g} is not below the certified threshold "
+                             f"{certificate.eps_max_dictionary:.6g}")
+    c1, r = certificate.C1, certificate.r
+    m, m_bar = a_mat.shape[1], b_mat.shape[1]
+    alignment = align_dictionaries(a_mat, b_mat)
+    bound5 = c1 * eps
+    guaranteed = None
+    if (r - 1) * m_bar < m * r:
+        guaranteed = m_bar - r * (m_bar - m)
+    if guaranteed is not None and guaranteed > 0:
+        ranked = sorted(alignment.pi, key=lambda j: alignment.column_errors[j])
+        if len(ranked) >= guaranteed:
+            subset = tuple(sorted(ranked[:guaranteed]))
+            max_err = max(alignment.column_errors[j] for j in subset)
+            eq5_ok = max_err <= bound5 + tol
+        else:
+            subset = tuple(sorted(ranked))
+            max_err, eq5_ok = alignment.max_column_error, False
+    else:
+        subset, max_err, eq5_ok = alignment.matched_source, alignment.max_column_error, None
+    report = TheoremReport(
+        eps=eps, residuals=residuals, alignment=alignment, m=m, m_bar=m_bar, r=r,
+        m_bar_ok=m_bar >= m, guaranteed_columns=guaranteed, matched_subset=subset,
+        max_column_error=max_err, bound5=bound5, eq5_ok=eq5_ok,
+        code_tier_active=bool(certificate.spark_ok
+                              and certificate.eps_max_codes is not None
+                              and eps < certificate.eps_max_codes))
+    if not report.code_tier_active:
+        return report
+    errors, bounds = _reference_code_tier(codes, codes_bar, report, certificate)
+    aligned = np.column_stack(
+        [alignment.scales[j] * b_mat[:, alignment.pi[j] - 1] for j in subset])
+    l2k_aligned = geometry.lower_bound_k(aligned, min(2 * certificate.k, aligned.shape[1]))
+    denominator = certificate.L2k - c1 * eps
+    report.code_errors, report.code_bounds = errors, bounds
+    report.eq6_ok = bool(np.all(errors <= bounds + tol))
+    report.l2k_aligned, report.l2k_floor = l2k_aligned, denominator
+    report.l2k_ok = l2k_aligned >= denominator - tol
     return report
 
 
+def _reference_step(eps_target, worst, family):
+    if worst == 0.0:
+        if family == "code_jitter":
+            raise ValueError("code_jitter: no in-support perturbation moves a sample")
+        raise ValueError(f"{family}: no sample carries signal, so no "
+                         "dictionary perturbation moves a sample")
+    return eps_target / worst
+
+
 def _reference_perturb_instance(dictionary, codes, family, eps_target, rng):
-    """perturb_instance with the per-column code-jitter draw and remap."""
+    """perturb_instance one level at a time, with the per-column code-jitter
+    draw and remap and a fully validated code set at every level."""
     mat = np.asarray(dictionary, dtype=float)
     m = mat.shape[1]
     if family == "dict_jitter":
-        return perturb_instance(mat, codes, family, eps_target, rng)
+        noise = rng.standard_normal(mat.shape)
+        worst = float(np.max(np.linalg.norm(noise @ codes.codes, axis=0)))
+        return mat + noise * _reference_step(eps_target, worst, family), codes
     if family == "scaled_permuted":
         perm = rng.permutation(m)
         diag = rng.uniform(0.5, 2.0, m) * rng.choice([-1.0, 1.0], m)
@@ -231,13 +304,52 @@ def _reference_perturb_instance(dictionary, codes, family, eps_target, rng):
         assert _reference_validate(m, xbar, supports, codes.k) == codes_bar.supports
         noise = rng.standard_normal(mat.shape)
         worst = float(np.max(np.linalg.norm(noise @ codes_bar.codes, axis=0)))
-        return base + noise * (eps_target / worst), codes_bar
+        return base + noise * _reference_step(eps_target, worst, family), codes_bar
     delta = _reference_jitter_delta(codes, rng)
     worst = float(np.max(np.linalg.norm(mat @ delta, axis=0)))
-    jittered = codes.codes + delta * (eps_target / worst)
+    jittered = codes.codes + delta * _reference_step(eps_target, worst, family)
     assert (_reference_validate(codes.m, jittered, codes.supports, codes.k)
             == codes.supports)
     return mat, SparseCodeSet(codes.m, jittered, codes.supports, codes.k)
+
+
+def _reference_run_experiment(config):
+    """run_experiment one noise level at a time: perturb, measure the
+    realized residual, skip it at or above the threshold, verify."""
+    m, n, k = config["m"], config["n"], config["k"]
+    family = config.get("family", "dict_jitter")
+    grid = [float(v) for v in config["noise_grid"]]
+    base_seed = config.get("seed", 0)
+    hypergraph = hypergraph_from_config(config.get("hypergraph", "cyclic"), m, k)
+    records = []
+    for trial in range(config["trials"]):
+        seed = base_seed + trial
+        mat, codes = generate_instance(m, n, k, hypergraph, config["per_support_count"],
+                                       seed=seed)
+        cert = build_certificate(mat, codes, hypergraph)
+        rng = np.random.default_rng([base_seed, trial, 0xC0DE])
+        for eps_target in grid:
+            if cert.eps_max_dictionary is None or eps_target >= cert.eps_max_dictionary:
+                continue
+            candidate, codes_bar = _reference_perturb_instance(mat, codes, family,
+                                                               eps_target, rng)
+            eps = float(np.max(np.linalg.norm(
+                mat @ codes.codes - candidate @ codes_bar.codes, axis=0)))
+            if eps >= cert.eps_max_dictionary:
+                continue
+            report = _reference_verify_theorem1(mat, codes, candidate, codes_bar, cert, eps)
+            if report.code_tier_active:
+                max_code_err = float(np.max(report.code_errors))
+                bound6 = float(np.max(report.code_bounds))
+                pass6 = max_code_err <= bound6 + 1e-9
+            else:
+                max_code_err = bound6 = pass6 = None
+            records.append(experiment.ExperimentRecord(
+                seed=seed, eps=eps, max_col_err=report.max_column_error,
+                bound5=report.bound5, max_code_err=max_code_err, bound6=bound6,
+                pass5=bool(report.eq5_ok), pass6=pass6, ms=0.0))
+    records.sort(key=lambda r: (r.seed, r.eps))
+    return records, summarize(records)
 
 
 def _timeless(records):
@@ -252,18 +364,64 @@ def _trial_instance(seed):
     return mat, codes, build_certificate(mat, codes, h)
 
 
+def _with_streams(monkeypatch, run, config):
+    """``run(config)`` and the final state of every generator it made."""
+    made = []
+    default_rng = np.random.default_rng
+
+    def recording(*args, **kwargs):
+        made.append(default_rng(*args, **kwargs))
+        return made[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "default_rng", recording)
+        records, summary = run(config)
+    return _timeless(records), summary, [g.bit_generator.state for g in made]
+
+
+def _assert_matches_reference(monkeypatch, config):
+    """The sweep's records (``ms`` aside), summary and final generator
+    states equal the per-level reference's; returns the records."""
+    swept = _with_streams(monkeypatch, run_experiment, config)
+    assert swept == _with_streams(monkeypatch, _reference_run_experiment, config)
+    return swept[0]
+
+
 @pytest.mark.parametrize("family", PERTURBATION_FAMILIES)
 def test_records_match_per_column_reference(monkeypatch, family):
-    for seed in (0, 1606, 7):
+    for seed in (0, 1606, 7, *range(200, 220)):
         config = dict(workloads.TRIAL_CONFIG, trials=1, seed=seed, family=family)
-        records, summary = run_experiment(config)
-        with monkeypatch.context() as patch:
-            patch.setattr(experiment, "perturb_instance", _reference_perturb_instance)
-            patch.setattr(experiment, "verify_theorem1", _reference_verify_theorem1)
-            reference, reference_summary = run_experiment(config)
+        records = _assert_matches_reference(monkeypatch, config)
         assert any(r.pass6 is not None for r in records)
-        assert _timeless(records) == _timeless(reference)
-        assert summary == reference_summary
+    # several trials in one call, on another design
+    config = dict(m=4, n=4, k=2, hypergraph="cyclic", per_support_count=7,
+                  noise_grid=[1e-4, 1e-2, 1e-6, 1e-1], trials=4, seed=3, family=family)
+    assert _assert_matches_reference(monkeypatch, config)
+
+
+@pytest.mark.parametrize("family, seed", [("dict_jitter", 0), ("scaled_permuted", 0),
+                                          ("code_jitter", 1)])
+def test_level_realized_at_threshold_is_dropped(monkeypatch, family, seed):
+    # targets just below the threshold realize residuals on both sides of it
+    threshold = _trial_instance(seed)[2].eps_max_dictionary
+    near = [threshold * (1 - 1e-10 * i) for i in range(1, 9)]
+    config = dict(workloads.TRIAL_CONFIG, trials=1, seed=seed, family=family,
+                  noise_grid=near + [1e-12])
+    records = _assert_matches_reference(monkeypatch, config)
+    assert 1 < len(records) < len(near) + 1
+    assert all(r.eps < threshold for r in records)
+    # the level after the dropped ones keeps its own stream
+    assert records[0].eps == pytest.approx(1e-12, rel=1e-6)
+
+
+@pytest.mark.parametrize("family", PERTURBATION_FAMILIES)
+def test_sweep_without_levels_below_threshold(monkeypatch, family):
+    config = dict(workloads.TRIAL_CONFIG, trials=2, seed=0, family=family,
+                  noise_grid=[1.0, float("inf")])
+    records, summary, states = _with_streams(monkeypatch, run_experiment, config)
+    assert records == [] and summary["records"] == 0
+    assert (records, summary, states) == _with_streams(
+        monkeypatch, _reference_run_experiment, config)
 
 
 @pytest.mark.parametrize("family", PERTURBATION_FAMILIES)
@@ -400,3 +558,111 @@ def test_code_set_validation_matches_reference(data):
         for col, s in enumerate(reference):
             expected[[v - 1 for v in s], col] = True
         assert np.array_equal(mask, expected)
+
+
+# -- verify_theorem1, the batch of one of the sweep verifier -----------------
+
+def _report_fields(report):
+    """A report as comparable values: arrays as bytes, the alignment as a dict."""
+    fields = dict(vars(report))
+    fields["alignment"] = vars(report.alignment)
+    for key in ("residuals", "code_errors", "code_bounds"):
+        if fields[key] is not None:
+            fields[key] = fields[key].tobytes()
+    return fields
+
+
+def _verify_outcomes(*args):
+    """verify_theorem1 and the per-level reference on the same arguments:
+    each report's fields, or the type and message of what it raised."""
+    def outcome(verify):
+        try:
+            return _report_fields(verify(*args))
+        except (ValueError, HypothesisError, ThresholdError) as exc:
+            return type(exc), str(exc)
+
+    return outcome(verify_theorem1), outcome(_reference_verify_theorem1)
+
+
+def test_oversized_candidates_match_reference(instance):
+    _, mat, codes, cert = instance
+    rng = np.random.default_rng(4)
+    for extra in (1, 2):
+        perm = rng.permutation(4 + extra)
+        junk = rng.standard_normal((4, extra))
+        candidate = np.hstack([mat, junk])[:, perm]
+        xbar = np.vstack([codes.codes, np.zeros((extra, codes.n_codes))])[perm]
+        inverse = np.argsort(perm)
+        supports = tuple(tuple(sorted(int(inverse[v - 1]) + 1 for v in s))
+                         for s in codes.supports)
+        codes_bar = SparseCodeSet(4 + extra, xbar, supports, codes.k)
+        for eps in (1e-12, cert.eps_max_dictionary / 2):
+            for layout in (candidate, np.asfortranarray(candidate)):
+                new, reference = _verify_outcomes(mat, codes, layout, codes_bar, cert, eps)
+                assert new == reference
+                assert new["m_bar"] == 4 + extra
+
+
+def test_zero_scale_through_verify_theorem1():
+    # both candidate columns are e2, so source e1 must take a target at
+    # scale 0.0, and the code tier cannot invert it
+    codes = SparseCodeSet(2, np.zeros((2, 3)), ((1,), (2,), (1, 2)), 2)
+    cert = SimpleNamespace(C1=1.0, eps_max_dictionary=1.0, r=1, spark_ok=True,
+                           eps_max_codes=1.0, L2k=1.0, k=1)
+    candidate = np.array([[0.0, 0.0], [1.0, 1.0]])
+    new, reference = _verify_outcomes(np.eye(2), codes, candidate, codes, cert, 0.5)
+    assert new == reference == (ValueError, "matched column 1 has zero scale")
+    # outside the code tier the same alignment verifies
+    cert.eps_max_codes = 0.25
+    new, reference = _verify_outcomes(np.eye(2), codes, candidate, codes, cert, 0.5)
+    assert new == reference
+    assert new["alignment"]["scales"] == {1: 0.0, 2: 1.0}
+
+
+def test_verify_theorem1_error_order(instance):
+    _, mat, codes, cert = instance
+    candidate = mat + 1e-3
+    residual = float(np.max(np.linalg.norm(
+        mat @ codes.codes - candidate @ codes.codes, axis=0)))
+    no_c1 = SimpleNamespace(**dict(vars(cert), C1=None))
+    no_r = SimpleNamespace(**dict(vars(cert), r=None))
+    low = SimpleNamespace(**dict(vars(cert), eps_max_dictionary=residual / 2))
+    bad_candidate = candidate.copy()
+    bad_candidate[0, 0] = np.nan
+    cases = [
+        # (candidate, certificate, eps, expected type, message start)
+        (bad_candidate, no_c1, math.nan, ValueError, "candidate has non-finite"),
+        (candidate, no_c1, math.nan, ValueError, "eps must be finite"),
+        (candidate, no_c1, math.inf, ValueError, "eps must be finite"),
+        (candidate, no_c1, residual / 4, HypothesisError, "certificate carries no"),
+        (candidate, no_r, residual / 4, HypothesisError, "certificate lacks"),
+        (candidate, low, residual / 4, HypothesisError, "sample residual"),
+        (candidate, low, residual, ThresholdError, "eps "),
+    ]
+    for cand, certificate, eps, kind, start in cases:
+        new, reference = _verify_outcomes(mat, codes, cand, codes, certificate, eps)
+        assert new == reference
+        assert new[0] is kind and new[1].startswith(start), (new, start)
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, "1e-10", None, [1e-4], 10 ** 400])
+def test_run_experiment_refuses_non_real_grid_values(monkeypatch, value):
+    def no_instances(*args, **kwargs):
+        raise AssertionError("an instance was generated")
+
+    monkeypatch.setattr(experiment, "generate_instance", no_instances)
+    cfg = dict(m=4, n=4, k=2, hypergraph="cyclic", per_support_count=7,
+               noise_grid=[1e-4, value], trials=1, family="dict_jitter", seed=0)
+    with pytest.raises(ValueError, match="^noise grid value must be a real number"):
+        run_experiment(cfg)
+
+
+def test_run_experiment_accepts_python_and_numpy_reals():
+    cfg = dict(m=4, n=4, k=2, hypergraph="cyclic", per_support_count=7,
+               noise_grid=[1e-4], trials=1, family="dict_jitter", seed=0)
+    records, _ = run_experiment(cfg)
+    # 1 and np.int64(1) are far above the threshold and skipped
+    for grid in ([np.float64(1e-4), 1], [1e-4, np.int64(1)], [1e-4, np.float32(1.0)]):
+        assert _timeless(run_experiment(dict(cfg, noise_grid=grid))[0]) == _timeless(records)
+    assert hypergraph_module.as_real(np.float32(0.5), "x") == 0.5
+    assert type(hypergraph_module.as_real(np.int8(3), "x")) is float

@@ -9,6 +9,7 @@ checks run here too, on workloads built as ``workloads.make`` builds them
 but without its output directory.
 """
 
+import contextlib
 import importlib.util
 from pathlib import Path
 
@@ -16,18 +17,22 @@ import numpy as np
 import pytest
 
 import sparsecert
+from sparsecert import experiment
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-workloads = _load_workloads()
+workloads = _load("workloads")
+# spans kept in memory; nothing is written
+tracing = _load("tracing")
 SEEDS = (workloads.DEFAULT_SEED, workloads.HELD_OUT_SEED)
 
 
@@ -71,9 +76,20 @@ def test_workload_output_checks_pass():
         for i in range(workload.cycle):
             assert workload.run(i, None)[1], i
     # the trial check takes the first certificate of each run_experiment
-    # call as the trial's own, so it sees which draws are certified
-    trial = workloads.TrialWorkload(seed)
-    for i in range(3):
-        assert trial.run(i, None)[1], i
+    # call as the trial's own, so it sees which draws are certified; a
+    # traced run replaces the traced functions in every sparsecert module,
+    # so the check runs in both modes, over every family
+    for traced in (False, True):
+        tracer = tracing.Tracer()
+        with tracing.installed(tracer) if traced else contextlib.nullcontext():
+            for trial_seed in SEEDS:
+                trial = workloads.TrialWorkload(trial_seed)
+                for i in range(trial.cycle):
+                    assert trial.run(i, tracer)[1], (traced, trial_seed, i)
+        if traced:
+            calls = tracer.totals()[0]
+            assert calls["experiment.run_experiment"] == 2 * trial.cycle
+            assert calls["constants.build_certificate"] == 2 * trial.cycle
+    assert experiment.build_certificate is sparsecert.build_certificate
     # run.py reads it into every run's environment record
     assert isinstance(sparsecert.kernel_backend, str)
