@@ -141,17 +141,12 @@ class _C2Plan(NamedTuple):
     factor 1, ends the table. ``levels`` holds, for the DP levels of 2 to
     r + 1 edges, subsets in colex order, the table entry of each (subset,
     member a) factor and the position of the subset without a one level
-    below.
+    below, the latter from the shared ``geometry._subset_levels``.
     """
 
     stacks: dict
     shapes: tuple
     levels: tuple
-
-
-def _colex_ranks(combos, binomials):
-    """The colex rank of each sorted row c: the sum of C(c_i, i + 1)."""
-    return binomials[combos, np.arange(1, combos.shape[1] + 1)].sum(axis=1)
 
 
 @functools.lru_cache(maxsize=8)
@@ -160,8 +155,7 @@ def _c2_plan(hypergraph, size):
     are read-only, since every caller shares them."""
     edges = [frozenset(v - 1 for v in e) for e in hypergraph.edges]
     n_edges = len(edges)
-    binomials = np.array([[math.comb(v, j) for j in range(size + 1)]
-                          for v in range(n_edges)], dtype=np.intp)
+    levels = geometry._subset_levels(n_edges, size)
     # the lattice elements, each a column set with an id; edges come first
     sets = list(edges)
     ids = {e: i for i, e in enumerate(sets)}
@@ -178,18 +172,12 @@ def _c2_plan(hypergraph, size):
             found.append(ids[meet])
         return np.array(found, dtype=np.intp)[inverse.ravel()]
 
-    # per level of s edges: the position of each subset without each member
-    # at level s - 1, and the pair (member, meet of the rest) as the key
-    # meet * n_edges + member
+    # per level of s edges, the pair (member, meet of the rest) of each
+    # subset and member as the key meet * n_edges + member
     meets = np.arange(n_edges)
-    below, keys = [], []
-    for s in range(2, size + 1):
-        combos = geometry.k_subsets(n_edges, s, cap=math.inf)
-        combos = combos[np.argsort(_colex_ranks(combos, binomials))]
-        pidx = np.column_stack([_colex_ranks(np.delete(combos, j, axis=1), binomials)
-                                for j in range(s)])
-        rest = meets[pidx]
-        below.append(pidx)
+    keys = []
+    for s, (combos, below) in enumerate(levels, 2):
+        rest = meets[below]
         keys.append(rest * n_edges + combos)
         if s < size:
             meets = meet_ids(rest[:, -1], combos[:, -1])
@@ -211,21 +199,15 @@ def _c2_plan(hypergraph, size):
         group = [table[g] for g in group]
         slots[group] = np.arange(filled, filled + len(group))
         filled += len(group)
-        plan_shapes.append((*shape, _frozen([position[pairs[j][0]] for j in group]),
-                            _frozen([position[pairs[j][1]] for j in group])))
+        plan_shapes.append((*shape,
+                            geometry._frozen([position[pairs[j][0]] for j in group]),
+                            geometry._frozen([position[pairs[j][1]] for j in group])))
     tidx = np.split(slots[inverse.ravel()], np.cumsum([key.size for key in keys])[:-1])
     return _C2Plan(
-        stacks={width: _frozen(columns) for width, columns in stacks.items()},
+        stacks={width: geometry._frozen(columns) for width, columns in stacks.items()},
         shapes=tuple(plan_shapes),
-        levels=tuple((_frozen(t.reshape(pidx.shape)), _frozen(pidx))
-                     for t, pidx in zip(tidx, below)))
-
-
-def _frozen(values):
-    """A read-only intp array of ``values``."""
-    array = np.array(values, dtype=np.intp)
-    array.flags.writeable = False
-    return array
+        levels=tuple((geometry._frozen(t.reshape(below.shape)), below)
+                     for t, (_, below) in zip(tidx, levels)))
 
 
 def _c1(c2, glp_ok, denominator):

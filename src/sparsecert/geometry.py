@@ -20,22 +20,29 @@ Friedrichs angles, meets and the xi subset DP rest on one routine,
 (I - P_W) U, whose singular values are the sines of the principal angles
 (Bjorck-Golub 1973; Knyazev-Argentati 2002). A sine at or below rank_tol is
 a meet direction, and the next smallest is the Friedrichs sine. Pairs of
-equal shape share one stacked SVD; numpy's stacked LAPACK gufuncs run the
-same routine on each matrix of a stack, with the same workspace, so every
-value is bit-identical to one factorization per pair. `friedrichs_angle` is
-a batch of one, `intersect` folds its list pair by pair, and
-`_subset_dp` runs each DP level in batches and meets each whole collection
-as `intersect` does. The stacks hold at most _STACK_BLOCK matrices, and
-bases built from a stack take the `Subspace` checks once per stack. In the
-same way `orthonormal_basis` is a batch of one of `_bases`, which factors
-matrices of equal shape in one stacked SVD. The DP serves general
-subspaces (`xi`, the Lemma-3 check); `constants.compute_C2` reads the
-sines of edge spans from its own table instead, since the meets of edge
-spans are spans of shared columns there.
+equal shape share one stacked SVD of at most _STACK_BLOCK matrices; numpy's
+stacked LAPACK gufuncs run the same routine on each matrix of a stack, with
+the same workspace, so every value is bit-identical to one factorization
+per pair. `friedrichs_angle` is a batch of one, `intersect` folds its list
+pair by pair, and `_subset_dp` runs each DP level as one batch and meets
+each whole collection as `intersect` does. In the same way
+`orthonormal_basis` is a batch of one of `_bases`, which factors matrices
+of equal shape in one stacked SVD. Inside, bases are raw orthonormal
+arrays; a `Subspace`, with its checks, is built only where a public
+function takes or returns one.
+
+One set of level arrays serves every xi recursion: `_subset_levels` lists,
+per subset size, the subsets in colex order and the position of each
+subset without each member one level below. `_subset_dp` walks them over
+general subspaces (`xi`, the Lemma-3 check), and `constants._c2_plan` walks
+the same arrays over edge spans, whose sines `constants.compute_C2` reads
+from its own table, since the meets of edge spans are spans of shared
+columns there.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -44,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapExceededError
-from .hypergraph import DEFAULT_EDGE_CAP
+from .hypergraph import DEFAULT_EDGE_CAP, as_integer
 
 # Relative rank tolerance: double-precision SVD noise floor with safety margin.
 DEFAULT_RANK_TOL = 1e-9
@@ -54,7 +61,8 @@ _ORTHO_TOL = 1e-10
 DEFAULT_ORDERING_CAP = 8
 # Guardrail on the number of determinants the spark polynomial evaluates.
 DEFAULT_MINOR_CAP = 500_000
-# Angles per batch of the subset DP; bounds the stacked LAPACK calls.
+# Matrices per stacked SVD of principal angles, in the DP and in the C2
+# table; bounds the memory of the stacked LAPACK calls.
 _STACK_BLOCK = 1024
 # Relative and absolute slack of the k-subset determinant screen: it covers
 # the rounding of the screen's own arithmetic and LAPACK's SVD error bound
@@ -72,48 +80,32 @@ def as_matrix(mat, name="matrix"):
     return arr
 
 
-def _check_bases(ambient, bases):
-    """The ``Subspace`` checks on a (G, ambient, dim) stack of bases, once for
-    the stack; returns a read-only copy."""
-    if bases.ndim != 3 or bases.shape[1] != ambient:
-        raise ValueError("basis must be an (ambient, dim) array")
-    dim = bases.shape[2]
-    if dim > ambient:
-        raise ValueError("dimension exceeds ambient dimension")
-    if not np.all(np.isfinite(bases)):
-        raise ValueError("basis has non-finite entries")
-    if dim and len(bases):
-        gram = np.swapaxes(bases, 1, 2) @ bases
-        if np.max(np.abs(gram - np.eye(dim))) > _ORTHO_TOL:
-            raise ValueError("basis columns are not orthonormal")
-    bases = bases.copy()
-    bases.flags.writeable = False
-    return bases
-
-
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of R^ambient held as an orthonormal basis (dim 0 allowed)."""
+    """A subspace of R^ambient held as an orthonormal basis (dim 0 allowed).
+
+    The basis is checked and kept as a read-only C-ordered copy; an integral
+    float ambient counts as its integer (``hypergraph.as_integer``).
+    """
 
     ambient: int
     basis: np.ndarray
 
     def __post_init__(self):
-        basis = np.asarray(self.basis, dtype=float)
-        if basis.ndim != 2:
+        ambient = as_integer(self.ambient, "ambient dimension")
+        basis = np.array(self.basis, dtype=float, order="C")
+        if basis.ndim != 2 or basis.shape[0] != ambient:
             raise ValueError("basis must be an (ambient, dim) array")
-        object.__setattr__(self, "basis", _check_bases(self.ambient, basis[None])[0])
-
-    @classmethod
-    def _stack(cls, ambient, bases):
-        """One subspace per basis of a (G, ambient, dim) stack, checked as a stack."""
-        spaces = []
-        for basis in _check_bases(ambient, np.asarray(bases, dtype=float)):
-            space = object.__new__(cls)
-            object.__setattr__(space, "ambient", ambient)
-            object.__setattr__(space, "basis", basis)
-            spaces.append(space)
-        return spaces
+        dim = basis.shape[1]
+        if dim > ambient:
+            raise ValueError("dimension exceeds ambient dimension")
+        if not np.all(np.isfinite(basis)):
+            raise ValueError("basis has non-finite entries")
+        if dim and np.max(np.abs(basis.T @ basis - np.eye(dim))) > _ORTHO_TOL:
+            raise ValueError("basis columns are not orthonormal")
+        basis.flags.writeable = False
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "basis", basis)
 
     @property
     def dim(self):
@@ -121,7 +113,7 @@ class Subspace:
 
     def project(self, x):
         """Orthogonal projection of a vector or matrix onto the subspace."""
-        return self.basis @ (self.basis.T @ x)
+        return _project(self.basis, x)
 
 
 def _check_rank_tol(rank_tol):
@@ -138,29 +130,35 @@ def orthonormal_basis(mat, rank_tol=DEFAULT_RANK_TOL):
     """
     mat = as_matrix(mat)
     _check_rank_tol(rank_tol)
-    return _bases([mat], rank_tol)[0]
+    return Subspace(mat.shape[0], _bases([mat], rank_tol)[0])
 
 
 def _bases(mats, rank_tol):
-    """``orthonormal_basis`` of each finite 2-D matrix of a list, from one
-    stacked SVD per shape; a basis is the same whatever it is stacked with."""
+    """The basis of ``orthonormal_basis`` of each finite 2-D matrix of a
+    list, as an array, from one stacked SVD per shape; a basis is the same
+    whatever it is stacked with."""
     results = [None] * len(mats)
-    for (n, _), idx in _groups([mat.shape for mat in mats]):
+    for _, idx in _groups([mat.shape for mat in mats]):
         u, s, _ = np.linalg.svd(np.stack([mats[i] for i in idx]), full_matrices=False)
         # the zero matrix has no singular value above 0, so it gets dimension 0
         ranks = np.count_nonzero(s > rank_tol * s[:, :1], axis=1)
         for rank, sub in _groups(ranks.tolist()):
-            for i, space in zip(sub, Subspace._stack(n, u[sub, :, :rank])):
-                results[idx[i]] = space
+            for i, basis in zip(sub, u[sub, :, :rank]):
+                results[idx[i]] = basis
     return results
 
 
 def column_span(mat, support, rank_tol=DEFAULT_RANK_TOL):
-    """Span of the matrix columns selected by a 1-based support set."""
+    """Span of the matrix columns selected by a 1-based support set, taken in
+    the support's order; a vertex outside [1, m] raises ValueError."""
     mat = as_matrix(mat)
-    cols = [v - 1 for v in support]
+    n, m = mat.shape
+    cols = [as_integer(v, "vertex") - 1 for v in support]
+    for c in cols:
+        if not 0 <= c < m:
+            raise ValueError(f"vertex {c + 1} outside [1, {m}]")
     if not cols:
-        return Subspace(mat.shape[0], np.zeros((mat.shape[0], 0)))
+        return Subspace(n, np.zeros((n, 0)))
     return orthonormal_basis(mat[:, cols], rank_tol)
 
 
@@ -541,7 +539,7 @@ def subspace_distance(u, v):
         raise ValueError("ambient dimensions differ")
     if u.dim == 0:
         return 0.0
-    residual = u.basis - v.basis @ (v.basis.T @ u.basis)
+    residual = u.basis - _project(v.basis, u.basis)
     top = float(np.linalg.svd(residual, compute_uv=False)[0])
     return min(top, 1.0)
 
@@ -554,43 +552,85 @@ def _groups(keys):
     return groups.items()
 
 
-def _chunks(items):
-    """Consecutive lists of at most _STACK_BLOCK items."""
-    items = iter(items)
-    while chunk := list(itertools.islice(items, _STACK_BLOCK)):
-        yield chunk
+def _frozen(values):
+    """A read-only intp array of ``values``."""
+    array = np.array(values, dtype=np.intp)
+    array.flags.writeable = False
+    return array
+
+
+@functools.lru_cache(maxsize=8)
+def _subset_levels(count, size):
+    """The levels of a subset DP over ``count`` items, for 2 to ``size``
+    members, each as read-only arrays shared by every caller.
+
+    Level s holds the s-subsets of range(count) in colex order, one sorted
+    row each, and for each member j the position one level below of the
+    subset without its j-th member. A subset's colex position, the sum of
+    C(c_i, i + 1) over its sorted members c_i, does not depend on
+    ``count``, so the subsets of range(c) for any c < count are a prefix of
+    every level. Levels above ``count`` are empty and left out.
+    """
+    binomials = np.array([[math.comb(v, j) for j in range(size + 1)]
+                          for v in range(count)], dtype=np.intp)
+
+    def ranks(combos):
+        return binomials[combos, np.arange(1, combos.shape[1] + 1)].sum(axis=1)
+
+    levels = []
+    for s in range(2, min(size, count) + 1):
+        combos = k_subsets(count, s, cap=math.inf)
+        combos = combos[np.argsort(ranks(combos))]
+        below = np.column_stack([ranks(np.delete(combos, j, axis=1)) for j in range(s)])
+        levels.append((_frozen(combos), _frozen(below)))
+    return tuple(levels)
 
 
 def _principal(pairs, rank_tol):
-    """Friedrichs sine and meet of (u, w) pairs of equal ambient dimension.
+    """Friedrichs sine and meet of (u, w) pairs of orthonormal bases of equal
+    ambient dimension.
 
-    One SVD of the residual U - W (W^T U) per pair, stacked by shape: its
-    singular values are the sines of the principal angles of u against w.
-    Those at or below rank_tol are meet directions, and U times their right
-    singular vectors is the meet basis; the next smallest is the Friedrichs
-    sine, returned with its right singular vector. The sine is 1, with no
-    vector, when the meet is all of u or either side is zero.
+    One SVD of the residual U - W (W^T U) per pair, stacked by shape in
+    stacks of at most _STACK_BLOCK: its singular values are the sines of the
+    principal angles of u against w. Those at or below rank_tol are meet
+    directions, and U times their right singular vectors is the meet basis;
+    the next smallest is the Friedrichs sine, returned with its right
+    singular vector. The sine is 1, with no vector, when the meet is all of
+    u or either side is zero.
     """
     results = [None] * len(pairs)
-    for (n, p, q), idx in _groups([(u.ambient, u.dim, w.dim) for u, w in pairs]):
+    for (n, p, q), idx in _groups([u.shape + w.shape[1:] for u, w in pairs]):
         if p == 0 or q == 0:
-            zero = Subspace(n, np.zeros((n, 0)))
+            zero = np.zeros((n, 0))
             for i in idx:
                 results[i] = (1.0, zero, None)
             continue
-        u = np.stack([pairs[i][0].basis for i in idx])
-        w = np.stack([pairs[i][1].basis for i in idx])
-        _, s, vt = np.linalg.svd(u - w @ (np.swapaxes(w, 1, 2) @ u),
-                                 full_matrices=False)
-        dims = np.count_nonzero(s <= rank_tol, axis=1)
-        for d, sub in _groups(dims.tolist()):
-            meets = Subspace._stack(n, u[sub] @ np.swapaxes(vt[sub, p - d:], 1, 2))
-            for i, meet in zip(sub, meets):
-                if d == p:
-                    results[idx[i]] = (1.0, meet, None)
-                else:
-                    results[idx[i]] = (float(s[i, p - 1 - d]), meet, vt[i, p - 1 - d])
+        for lo in range(0, len(idx), _STACK_BLOCK):
+            block = idx[lo:lo + _STACK_BLOCK]
+            u = np.stack([pairs[i][0] for i in block])
+            w = np.stack([pairs[i][1] for i in block])
+            _, s, vt = np.linalg.svd(u - w @ (np.swapaxes(w, 1, 2) @ u),
+                                     full_matrices=False)
+            dims = np.count_nonzero(s <= rank_tol, axis=1)
+            for d, sub in _groups(dims.tolist()):
+                meets = u[sub] @ np.swapaxes(vt[sub, p - d:], 1, 2)
+                for i, meet in zip(sub, meets):
+                    if d == p:
+                        results[block[i]] = (1.0, meet, None)
+                    else:
+                        results[block[i]] = (float(s[i, p - 1 - d]), meet,
+                                             vt[i, p - 1 - d])
     return results
+
+
+def _collection(subspaces):
+    """The bases of a nonempty collection of subspaces of one ambient dimension."""
+    spaces = list(subspaces)
+    if not spaces:
+        raise ValueError("empty collection")
+    if any(s.ambient != spaces[0].ambient for s in spaces):
+        raise ValueError("ambient dimensions differ")
+    return [s.basis for s in spaces]
 
 
 def intersect(subspaces, rank_tol=DEFAULT_RANK_TOL):
@@ -600,16 +640,11 @@ def intersect(subspaces, rank_tol=DEFAULT_RANK_TOL):
     ones before it, keeping the directions whose principal-angle sine is at
     or below rank_tol.
     """
-    spaces = list(subspaces)
-    if not spaces:
-        raise ValueError("empty collection")
-    n = spaces[0].ambient
-    if any(s.ambient != n for s in spaces):
-        raise ValueError("ambient dimensions differ")
-    meet = spaces[0]
-    for space in spaces[1:]:
-        meet = _principal([(space, meet)], rank_tol)[0][1]
-    return meet
+    bases = _collection(subspaces)
+    meet = bases[0]
+    for basis in bases[1:]:
+        meet = _principal([(basis, meet)], rank_tol)[0][1]
+    return Subspace(meet.shape[0], meet)
 
 
 def friedrichs_angle(u, w, rank_tol=DEFAULT_RANK_TOL):
@@ -624,7 +659,7 @@ def friedrichs_angle(u, w, rank_tol=DEFAULT_RANK_TOL):
         raise ValueError("ambient dimensions differ")
     if u.dim == 0 and w.dim == 0:
         raise ValueError("at least one subspace must be nonzero")
-    sine, _, vector = _principal([(u, w)], rank_tol)[0]
+    sine, _, vector = _principal([(u.basis, w.basis)], rank_tol)[0]
     if vector is None:
         return math.pi / 2
     cosine = float(np.linalg.norm(w.basis.T @ (u.basis @ vector)))
@@ -632,50 +667,39 @@ def friedrichs_angle(u, w, rank_tol=DEFAULT_RANK_TOL):
 
 
 def _subset_dp(collections, max_size, rank_tol):
-    """The product P of ``xi`` for every index subset of at most ``max_size``
-    spaces, one dict per collection, and the meet of each whole collection.
+    """The product P of ``xi`` for every subset of at most ``max_size``
+    members of each collection of orthonormal bases, and the meet of each
+    whole collection.
 
-    Maps frozenset(ids) to the maximum over orderings of those spaces of the
-    product of squared Friedrichs sines, by dynamic programming over subsets.
-    Each level (one subset size) takes every (space, rest) pair of every
-    collection in batches of _STACK_BLOCK; the pair whose space has the
-    largest index also gives the subset's meet for the next level, so meets
-    are intersected in sorted index order, as ``intersect`` folds the
-    collection, and the meet of a whole collection is ``intersect`` of it
-    bit for bit (None for a collection of more than ``max_size`` spaces).
-    The DP max runs over the spaces in index order. One call serves every
-    sub-collection, and every collection, with the arithmetic of a separate
-    call.
+    Per collection, one array per subset size s from 1 holds, over the
+    s-subsets in the colex order of ``_subset_levels``, the maximum over
+    orderings of the product of squared Friedrichs sines: at each level
+    best = max_j (sine_j ** 2 * best[below_j]) over the members j in index
+    order, each factor squared as a Python float. All (member, rest) pairs
+    of a level, over every collection, go to one ``_principal`` call. The
+    pair of a subset's last member gives its meet for the next level, so
+    meets are intersected in index order, as ``intersect`` folds a list,
+    and the meet of a whole collection is that of ``intersect`` bit for bit
+    (None for a collection of more than ``max_size`` bases).
     """
-    for spaces in collections:
-        n = spaces[0].ambient
-        if any(s.ambient != n for s in spaces):
-            raise ValueError("ambient dimensions differ")
-        if any(s.dim == 0 for s in spaces):
-            raise ValueError("collection contains the zero subspace")
-    bests = [{frozenset([i]): 1.0 for i in range(len(c))} for c in collections]
-    meets = [{frozenset([i]): s for i, s in enumerate(c)} for c in collections]
-    whole = [c[0] if len(c) == 1 else None for c in collections]
-    for size in range(2, max_size + 1):
-        live = [c for c in range(len(collections)) if len(collections[c]) >= size]
-        jobs = ((c, ids, a) for c in live
-                for ids in itertools.combinations(range(len(collections[c])), size)
-                for a in ids)
-        found = [{} for _ in collections]
-        for chunk in _chunks(jobs):
-            results = _principal([(collections[c][a], meets[c][frozenset(ids) - {a}])
-                                  for c, ids, a in chunk], rank_tol)
-            for (c, ids, a), (sine, meet, _) in zip(chunk, results):
-                group = frozenset(ids)
-                if a == ids[-1]:
-                    found[c][group] = meet
-                value = sine ** 2 * bests[c][group - {a}]
-                if value > bests[c].setdefault(group, 0.0):
-                    bests[c][group] = value
-        for c in live:
-            if len(collections[c]) == size:
-                whole[c] = found[c][frozenset(range(size))]
-        meets = found
+    sizes = [len(bases) for bases in collections]
+    levels = _subset_levels(max(sizes), max_size)
+    bests = [[np.ones(size)] for size in sizes]
+    meets = [list(bases) for bases in collections]
+    whole = [bases[0] if len(bases) == 1 else None for bases in collections]
+    for s, (members, below) in enumerate(levels, 2):
+        live = [(c, math.comb(size, s)) for c, size in enumerate(sizes) if size >= s]
+        results = iter(_principal(
+            [(collections[c][a], meets[c][b]) for c, count in live
+             for a, b in zip(members[:count].ravel().tolist(),
+                             below[:count].ravel().tolist())], rank_tol))
+        for c, count in live:
+            found = list(itertools.islice(results, count * s))
+            factors = np.array([sine ** 2 for sine, _, _ in found]).reshape(count, s)
+            bests[c].append((factors * bests[c][-1][below[:count]]).max(axis=1))
+            meets[c] = [meet for _, meet, _ in found[s - 1::s]]
+            if count == 1:
+                whole[c] = meets[c][0]
     return bests, whole
 
 
@@ -685,18 +709,10 @@ def _xi_from_product(product):
 
 
 def _xis(collections, rank_tol):
-    """``xi`` and the meet of each collection, from one batched subset DP."""
-    for spaces in collections:
-        if not spaces:
-            raise ValueError("empty collection")
-        if len(spaces) > DEFAULT_ORDERING_CAP:
-            raise CapExceededError(
-                f"{len(spaces)} subspaces exceed ordering cap {DEFAULT_ORDERING_CAP}"
-            )
+    """``xi`` and the meet basis of each collection of bases, from one
+    batched subset DP."""
     bests, meets = _subset_dp(collections, max(map(len, collections)), rank_tol)
-    xis = [_xi_from_product(best[frozenset(range(len(spaces)))])
-           for spaces, best in zip(collections, bests)]
-    return xis, meets
+    return [_xi_from_product(best[-1][0]) for best in bests], meets
 
 
 def xi(subspaces, rank_tol=DEFAULT_RANK_TOL):
@@ -711,10 +727,27 @@ def xi(subspaces, rank_tol=DEFAULT_RANK_TOL):
     by dynamic programming over index subsets, which enumerates
     exactly the orderings.
     """
-    return _xis([list(subspaces)], rank_tol)[0][0]
+    spaces = list(subspaces)
+    if len(spaces) > DEFAULT_ORDERING_CAP:
+        raise CapExceededError(
+            f"{len(spaces)} subspaces exceed ordering cap {DEFAULT_ORDERING_CAP}"
+        )
+    bases = _collection(spaces)
+    if any(basis.shape[1] == 0 for basis in bases):
+        raise ValueError("collection contains the zero subspace")
+    return _xis([bases], rank_tol)[0][0]
 
 
 def distance_to_subspace(x, space):
     """Euclidean distance from a point to a subspace."""
-    x = np.asarray(x, dtype=float)
-    return float(np.linalg.norm(x - space.project(x)))
+    return _distance(np.asarray(x, dtype=float), space.basis)
+
+
+def _project(basis, x):
+    """Orthogonal projection onto the span of an orthonormal basis."""
+    return basis @ (basis.T @ x)
+
+
+def _distance(x, basis):
+    """Euclidean distance from a point to the span of an orthonormal basis."""
+    return float(np.linalg.norm(x - _project(basis, x)))

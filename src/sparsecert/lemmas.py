@@ -20,7 +20,7 @@ import numpy as np
 
 from . import geometry
 from .errors import CapExceededError, HypothesisError
-from .hypergraph import has_sip, regularity
+from .hypergraph import as_integer, has_sip, regularity
 
 # Lemma-3 trials drawn together, whose bases and xi DPs share stacked
 # factorizations; bounds the memory of a check whatever its trial count.
@@ -71,8 +71,12 @@ def check_lemma3(trials=1000, ambient_dim=8, max_subspaces=4, seed=None,
     block takes all its draws first, in trial order (so the draws do not
     depend on the geometry), then the bases of all its collections from
     stacked SVDs, and each collection's xi and intersection from one
-    batched subset DP.
+    batched subset DP. The collections and their meets stay raw basis
+    arrays throughout; the counts are integers (``hypergraph.as_integer``).
     """
+    trials = as_integer(trials, "trials")
+    ambient_dim = as_integer(ambient_dim, "ambient dimension")
+    max_subspaces = as_integer(max_subspaces, "max_subspaces")
     if trials < 1:
         raise ValueError("need at least one trial")
     if ambient_dim < 1:
@@ -100,10 +104,10 @@ def check_lemma3(trials=1000, ambient_dim=8, max_subspaces=4, seed=None,
         aggregates, meets = geometry._xis(collections, rank_tol)
         for trial, (spaces, (_, x, u), aggregate, meet) in enumerate(
                 zip(collections, draws, aggregates, meets), start):
-            if meet.dim and u < 0.2:
-                x = meet.project(x)
-            lhs = geometry.distance_to_subspace(x, meet)
-            total = sum(geometry.distance_to_subspace(x, v) for v in spaces)
+            if meet.shape[1] and u < 0.2:
+                x = geometry._project(meet, x)
+            lhs = geometry._distance(x, meet)
+            total = sum(geometry._distance(x, v) for v in spaces)
             rhs = np.inf if aggregate >= 1.0 - 1e-15 else total / (1.0 - aggregate)
             margin = lhs - rhs
             worst = max(worst, margin)
@@ -199,6 +203,7 @@ def star_image_singletons(hypergraph, m_bar, images):
 
 def validate_lemma4(hypergraph, m_bar):
     """Reject a Lemma-4 input before any enumeration; returns the regularity r."""
+    m_bar = as_integer(m_bar, "m_bar")
     if m_bar < 1:
         raise ValueError("m_bar must be a positive integer")
     r = regularity(hypergraph)
@@ -245,6 +250,7 @@ def check_lemma4(hypergraph, m_bar):
     order, to the sorted ``counterexamples``; admissible - verified still
     counts every failing labelled map.
     """
+    m_bar = as_integer(m_bar, "m_bar")
     r = validate_lemma4(hypergraph, m_bar)
     m = hypergraph.m
     edges = hypergraph.edges

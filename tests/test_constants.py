@@ -68,9 +68,10 @@ def per_group_c2(mat, hypergraph):
     r = regularity(hypergraph)
     lowest = 1.0
     for group in itertools.combinations(hypergraph.edges, r + 1):
-        best, = geometry._subset_dp([[column_span(mat, e) for e in group]],
-                                    r + 1, DEFAULT_RANK_TOL)[0]
-        lowest = min(lowest, best[frozenset(range(r + 1))])
+        levels, = geometry._subset_dp([[column_span(mat, e).basis for e in group]],
+                                      r + 1, DEFAULT_RANK_TOL)[0]
+        # the top level holds the one subset, the whole group
+        lowest = min(lowest, float(levels[r][0]))
     denominator = lowest / (1.0 + math.sqrt(1.0 - lowest))
     return (r + 1) * float(np.max(np.linalg.norm(mat, axis=0))) / denominator
 
@@ -104,9 +105,10 @@ def numeric_dp_c2(mat, hypergraph, rank_tol=DEFAULT_RANK_TOL):
     r = regularity(hypergraph)
     spans = geometry._bases([mat[:, [v - 1 for v in e]] for e in hypergraph.edges],
                             rank_tol)
-    best, = geometry._subset_dp([spans], r + 1, rank_tol)[0]
-    lowest = min(min(best[frozenset(group)] for group in
-                     itertools.combinations(range(len(spans)), r + 1)), 1.0)
+    levels, = geometry._subset_dp([spans], r + 1, rank_tol)[0]
+    # the top level holds one entry per group of r + 1 edges
+    assert len(levels[r]) == math.comb(len(spans), r + 1)
+    lowest = min(float(levels[r].min()), 1.0)
     denominator = lowest / (1.0 + math.sqrt(1.0 - lowest))
     shifts = np.frexp(np.max(np.abs(mat), axis=0))[1]
     norms = np.ldexp(np.linalg.norm(np.ldexp(mat, -shifts), axis=0), shifts)

@@ -96,6 +96,30 @@ def test_subspace_validates_orthonormality():
         Subspace(2, np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+def test_subspace_ambient_is_an_integer():
+    space = Subspace(3.0, np.eye(3)[:, :1])
+    assert space.ambient == 3 and type(space.ambient) is int
+    assert Subspace(np.int64(3), np.eye(3)).ambient == 3
+    for bad in (True, 2.5, "3", math.nan):
+        with pytest.raises(ValueError, match="ambient dimension must be an integer"):
+            Subspace(bad, np.eye(3)[:, :1])
+
+
+@pytest.mark.parametrize("support", [(0,), (1, 0), (5,), (2, 5), (1.5,), (True,)])
+def test_column_span_refuses_vertices_outside_the_columns(support):
+    mat = np.random.default_rng(4).standard_normal((4, 4))
+    with pytest.raises(ValueError, match="vertex"):
+        column_span(mat, support)
+
+
+def test_column_span_keeps_the_support_order():
+    mat = np.random.default_rng(4).standard_normal((5, 4))
+    for support in [(3, 1), (1, 3), (4, 2, 1), (2.0, np.int64(4))]:
+        cols = [int(v) - 1 for v in support]
+        want = orthonormal_basis(mat[:, cols]).basis
+        assert column_span(mat, support).basis.tobytes() == want.tobytes()
+
+
 # restricted_lower_bound / lower_bound_k
 
 
@@ -545,6 +569,25 @@ def _bits(best):
     return {group: value.hex() for group, value in best.items()}
 
 
+def _by_group(levels):
+    """The DP's level arrays as {frozenset(members): product}, each entry
+    mapped to its subset by a colex enumeration of the subsets."""
+    count = len(levels[0])
+    best = {}
+    for size, level in enumerate(levels, 1):
+        groups = sorted(itertools.combinations(range(count), size),
+                        key=lambda group: group[::-1])
+        assert len(level) == len(groups)
+        best.update((frozenset(group), float(value))
+                    for group, value in zip(groups, level))
+    return best
+
+
+def _raw(collections):
+    """The basis arrays of each collection, as the subset DP takes them."""
+    return [[space.basis for space in spaces] for spaces in collections]
+
+
 def _pairwise_sine_products(spaces, max_size, rank_tol=RANK_TOL):
     """The subset DP of one collection, one ``_principal`` pair per angle and
     each meet from ``intersect`` over the sorted indices."""
@@ -556,7 +599,8 @@ def _pairwise_sine_products(spaces, max_size, rank_tol=RANK_TOL):
             for a in ids:
                 rest = group - {a}
                 meet = intersect([spaces[i] for i in sorted(rest)], rank_tol)
-                sine = geometry._principal([(spaces[a], meet)], rank_tol)[0][0]
+                sine = geometry._principal([(spaces[a].basis, meet.basis)],
+                                           rank_tol)[0][0]
                 value = sine ** 2 * best[rest]
                 if value > top:
                     top = value
@@ -608,11 +652,12 @@ def lemma3_style_collections(seed, count=40):
 @pytest.mark.parametrize("seed, block", [(0, None), (1, None), (2, None), (1606, 5)])
 def test_batched_dp_matches_reference_bit_for_bit(seed, block, monkeypatch):
     if block is not None:
-        # batches that split a group's angles and a level's meets
+        # stacks that split the pairs of one shape within a level
         monkeypatch.setattr(geometry, "_STACK_BLOCK", block)
     collections = lemma3_style_collections(seed)
-    got = geometry._subset_dp(collections, 5, RANK_TOL)[0]
-    for spaces, best in zip(collections, got):
+    got = geometry._subset_dp(_raw(collections), 5, RANK_TOL)[0]
+    for spaces, levels in zip(collections, got):
+        best = _by_group(levels)
         assert _bits(best) == _bits(_pairwise_sine_products(spaces, len(spaces)))
         _assert_close_products(best, _reference_sine_products(spaces, len(spaces)))
 
@@ -620,16 +665,16 @@ def test_batched_dp_matches_reference_bit_for_bit(seed, block, monkeypatch):
 @pytest.mark.parametrize("seed, max_size", [(0, 5), (1606, 3)])
 def test_dp_meets_are_intersect_bit_for_bit(seed, max_size):
     collections = lemma3_style_collections(seed) + [[orthonormal_basis(np.eye(3))]]
-    bests, meets = geometry._subset_dp(collections, max_size, RANK_TOL)
-    assert [_bits(best) for best in bests] == [
+    bests, meets = geometry._subset_dp(_raw(collections), max_size, RANK_TOL)
+    assert [_bits(_by_group(levels)) for levels in bests] == [
         _bits(_pairwise_sine_products(spaces, max_size)) for spaces in collections]
     for spaces, meet in zip(collections, meets):
         if len(spaces) > max_size:
             assert meet is None
             continue
         want = intersect(spaces)
-        assert meet.basis.shape == want.basis.shape
-        assert meet.basis.tobytes() == want.basis.tobytes()
+        assert meet.shape == want.basis.shape
+        assert meet.tobytes() == want.basis.tobytes()
 
 
 def _reference_basis(mat, rank_tol):
@@ -649,14 +694,13 @@ def test_stacked_bases_match_one_at_a_time():
     mats += [np.hstack([shared, rng.standard_normal((5, 1))]) for _ in range(5)]
     for rank_tol in (RANK_TOL, 0.3):
         got = geometry._bases(mats, rank_tol)
-        for mat, space in zip(mats, got):
+        for mat, basis in zip(mats, got):
             want = _reference_basis(mat, rank_tol)
-            assert space.basis.shape == want.shape
-            assert space.basis.tobytes() == np.ascontiguousarray(want).tobytes()
+            assert basis.shape == want.shape
+            assert basis.tobytes() == np.ascontiguousarray(want).tobytes()
             single = orthonormal_basis(mat, rank_tol)
-            assert single.basis.tobytes() == space.basis.tobytes()
-            assert not space.basis.flags.writeable
-    assert [s.dim for s in geometry._bases(mats[:3], RANK_TOL)] == [0, 2, 1]
+            assert single.basis.tobytes() == basis.tobytes()
+    assert [b.shape[1] for b in geometry._bases(mats[:3], RANK_TOL)] == [0, 2, 1]
 
 
 @pytest.mark.parametrize("kind, m, n, k", [
@@ -667,7 +711,8 @@ def test_batched_dp_matches_reference_on_edge_spans(kind, m, n, k):
     for seed in range(3):
         mat = np.random.default_rng([seed, m, k]).standard_normal((n, m))
         spans = [column_span(mat, e) for e in h.edges]
-        got, = geometry._subset_dp([spans], size, RANK_TOL)[0]
+        levels, = geometry._subset_dp(_raw([spans]), size, RANK_TOL)[0]
+        got = _by_group(levels)
         assert _bits(got) == _bits(_pairwise_sine_products(spans, size))
         _assert_close_products(got, _reference_sine_products(spans, size))
 
@@ -695,7 +740,7 @@ def geometry_input_pairs():
 
 def test_angle_and_intersect_match_reference_bit_for_bit():
     pairs = [ab for u, w in geometry_input_pairs() for ab in ((u, w), (w, u))]
-    batch = geometry._principal(pairs, RANK_TOL)
+    batch = geometry._principal([(u.basis, w.basis) for u, w in pairs], RANK_TOL)
     for (a, b), (sine, meet, vector) in zip(pairs, batch):
         # a batch of every pair gives the bits of a batch of one
         angle = math.pi / 2
@@ -704,8 +749,8 @@ def test_angle_and_intersect_match_reference_bit_for_bit():
             angle = math.atan2(sine, cosine)
         assert friedrichs_angle(a, b).hex() == angle.hex()
         got = intersect([b, a])
-        assert got.basis.shape == meet.basis.shape
-        assert got.basis.tobytes() == meet.basis.tobytes()
+        assert got.basis.shape == meet.shape
+        assert got.basis.tobytes() == meet.tobytes()
         assert abs(angle - _reference_friedrichs_angle(a, b)) <= ORACLE_ABS
         _assert_same_meet(got, _reference_intersect([a, b]))
 
@@ -719,33 +764,28 @@ def test_angle_with_zero_subspace_is_exactly_right():
         friedrichs_angle(z, z)
 
 
-def _error_message(build):
-    with pytest.raises(ValueError) as info:
-        build()
-    return str(info.value)
-
-
-@pytest.mark.parametrize("bad", [
-    np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]),
-    np.array([[1.0, 0.0], [0.0, np.nan], [0.0, 0.0]]),
-    np.array([[1.0, 0.0], [0.0, np.inf], [0.0, 0.0]]),
-])
-def test_stacked_constructor_keeps_every_check(bad):
-    good = np.eye(3)[:, :2]
-    single = _error_message(lambda: Subspace(3, bad))
-    stacked = _error_message(lambda: Subspace._stack(3, np.stack([good, bad])))
-    assert stacked == single
+@pytest.mark.parametrize("bad, message", [
+    (np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]), "not orthonormal"),
+    (np.array([[1.0, 0.0], [0.0, np.nan], [0.0, 0.0]]), "non-finite"),
+    (np.array([[1.0, 0.0], [0.0, np.inf], [0.0, 0.0]]), "non-finite"),
+    (np.eye(4)[:, :2], "must be an \\(ambient, dim\\) array"),
+    (np.eye(3)[:, 0], "must be an \\(ambient, dim\\) array"),
+], ids=["oblique", "nan", "inf", "rows", "vector"])
+def test_subspace_keeps_every_check(bad, message):
+    with pytest.raises(ValueError, match=message):
+        Subspace(3, bad)
 
 
 def test_stacked_bases_are_read_only():
-    bases = np.stack([np.eye(4)[:, :2], np.eye(4)[:, 2:]])
-    spaces = Subspace._stack(4, bases)
-    bases[0, 0, 0] = 5.0
-    for space, want in zip(spaces, (np.eye(4)[:, :2], np.eye(4)[:, 2:])):
+    # public bases are read-only copies, whatever stack they came from
+    basis = np.eye(4)[:, :2]
+    space = Subspace(4, basis)
+    basis[0, 0] = 5.0
+    assert np.array_equal(space.basis, np.eye(4)[:, :2])
+    e = np.eye(3)
+    spaces = [space, orthonormal_basis(e[:, :2]), column_span(e, (2, 3)),
+              intersect([orthonormal_basis(e[:, :2]), orthonormal_basis(e[:, 1:])])]
+    for space in spaces:
         assert not space.basis.flags.writeable
-        assert np.array_equal(space.basis, want)
         with pytest.raises(ValueError):
             space.basis[0, 0] = 2.0
-    e = np.eye(3)
-    meet = intersect([orthonormal_basis(e[:, :2]), orthonormal_basis(e[:, 1:])])
-    assert not meet.basis.flags.writeable

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sparsecert import (
+    DEFAULT_RANK_TOL,
     CapExceededError,
     Hypergraph,
     build_complete,
@@ -299,7 +300,8 @@ def test_lemma3_rejects_no_trials():
         check_lemma3(trials=0)
 
 
-def _reference_lemma3(trials, ambient_dim, max_subspaces, seed, slack):
+def _reference_lemma3(trials, ambient_dim, max_subspaces, seed, slack,
+                      rank_tol=DEFAULT_RANK_TOL):
     """The sequential loop: one intersect and one xi call per trial."""
     rng = np.random.default_rng(seed)
     violations, worst, failures = 0, -np.inf, []
@@ -311,15 +313,15 @@ def _reference_lemma3(trials, ambient_dim, max_subspaces, seed, slack):
         for _ in range(count):
             extra = int(rng.integers(1, max(2, ambient_dim // 2)))
             block = np.hstack([shared, rng.standard_normal((ambient_dim, extra))])
-            spaces.append(orthonormal_basis(block))
-        meet = intersect(spaces)
+            spaces.append(orthonormal_basis(block, rank_tol))
+        meet = intersect(spaces, rank_tol)
         x = rng.standard_normal(ambient_dim)
         # the planting uniform is drawn on every trial, whatever the meet
         u = rng.random()
         if meet.dim and u < 0.2:
             x = meet.project(x)
         lhs = distance_to_subspace(x, meet)
-        aggregate = xi(spaces)
+        aggregate = xi(spaces, rank_tol)
         total = sum(distance_to_subspace(x, v) for v in spaces)
         rhs = np.inf if aggregate >= 1.0 - 1e-15 else total / (1.0 - aggregate)
         margin = lhs - rhs
@@ -335,6 +337,8 @@ LEMMA3_CONFIGS = [
     {"ambient_dim": 8, "max_subspaces": 4, "seed": 0, "slack": 1e-8},
     # a negative slack turns ordinary margins into reported failures
     {"ambient_dim": 5, "max_subspaces": 5, "seed": 1606, "slack": -0.5},
+    # a coarse rank_tol makes zero and full meets common
+    {"ambient_dim": 6, "max_subspaces": 4, "seed": 7, "slack": -0.5, "rank_tol": 0.3},
 ]
 
 
@@ -399,3 +403,27 @@ def test_lemma3_rejects_nonpositive_ambient_dim(ambient_dim):
 def test_lemma4_rejects_nonpositive_m_bar(m_bar):
     with pytest.raises(ValueError, match="m_bar must be a positive integer"):
         check_lemma4(build_cyclic(3, 2), m_bar)
+
+
+def test_lemma3_counts_take_the_integer_rule():
+    report = check_lemma3(trials=3.0, ambient_dim=np.int64(5), max_subspaces=3.0,
+                          seed=0)
+    assert report.trials == 3 and type(report.trials) is int
+    assert report.worst_margin == check_lemma3(trials=3, ambient_dim=5,
+                                               max_subspaces=3, seed=0).worst_margin
+    for bad in ({"trials": True}, {"trials": 2.5}, {"ambient_dim": 3.5},
+                {"max_subspaces": 2.5}, {"max_subspaces": "3"}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            check_lemma3(**{"trials": 5, "seed": 0, **bad})
+
+
+def test_lemma4_m_bar_takes_the_integer_rule():
+    h = build_cyclic(4, 2)
+    report = check_lemma4(h, 5.0)
+    assert report.m_bar == 5 and type(report.m_bar) is int
+    assert report.admissible == check_lemma4(h, 5).admissible > 0
+    for bad in (True, 4.5, "5"):
+        with pytest.raises(ValueError, match="m_bar must be an integer"):
+            check_lemma4(h, bad)
+        with pytest.raises(ValueError, match="m_bar must be an integer"):
+            lemmas.validate_lemma4(h, bad)

@@ -646,10 +646,11 @@ def test_c2_column_norms_do_not_overflow():
 def _reference_C2(mat, h, rank_tol=geometry.DEFAULT_RANK_TOL):
     """compute_C2 with the plain column norms it took before the scaling."""
     r = regularity(h)
-    spans = [geometry.column_span(mat, e, rank_tol) for e in h.edges]
-    best, = geometry._subset_dp([spans], r + 1, rank_tol)[0]
-    lowest = min(min(best[frozenset(group)] for group in
-                     itertools.combinations(range(len(spans)), r + 1)), 1.0)
+    spans = [geometry.column_span(mat, e, rank_tol).basis for e in h.edges]
+    levels, = geometry._subset_dp([spans], r + 1, rank_tol)[0]
+    # the top level holds one entry per group of r + 1 edges
+    assert len(levels[r]) == math.comb(len(spans), r + 1)
+    lowest = min(float(levels[r].min()), 1.0)
     denominator = lowest / (1.0 + math.sqrt(1.0 - lowest))
     return (r + 1) * float(np.max(np.linalg.norm(mat, axis=0))) / denominator
 
