@@ -15,7 +15,6 @@ from .alignment import (
 from .codes import (
     Dataset,
     SparseCodeSet,
-    generate_instance,
     merge_code_sets,
     support_index_sets,
     synthesize_dataset,
@@ -37,7 +36,7 @@ from .errors import (
     SparseCertError,
     ThresholdError,
 )
-from .experiment import ExperimentRecord, perturb_instance, run_experiment
+from .experiment import ExperimentRecord, generate_instance, perturb_instance, run_experiment
 from .geometry import (
     DEFAULT_RANK_TOL,
     Subspace,

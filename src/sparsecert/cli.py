@@ -12,10 +12,11 @@ import sys
 from pathlib import Path
 
 from . import serialize
-from .codes import generate_instance, synthesize_dataset
+from .codes import synthesize_dataset
 from .constants import build_certificate
 from .errors import SparseCertError
-from .experiment import _config_integer, hypergraph_from_config, run_experiment
+from .experiment import (_config_integer, generate_instance, hypergraph_from_config,
+                         run_experiment)
 from .geometry import DEFAULT_RANK_TOL, spark_polynomial
 from .hypergraph import as_real
 from .lemmas import check_lemma3, check_lemma4, validate_lemma4

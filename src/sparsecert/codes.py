@@ -7,8 +7,7 @@ shared support with any k of them linearly independent.
 
 ``_code_checks`` is the one check of the k-subsets of every support's codes:
 general linear position (GLP) and the C1 denominator, from one screened
-subset stream per code count. ``generate_instance`` accepts a draw by its
-GLP verdict, and ``constants.build_certificate`` reports both results.
+subset stream per code count, both reported by the certificate.
 """
 
 from __future__ import annotations
@@ -20,10 +19,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import geometry
-from .errors import CapExceededError, GenerationError, HypothesisError
-from .hypergraph import has_sip, normalize_support, pairwise_unions, regularity
+from .errors import CapExceededError
+from .hypergraph import normalize_support
 
-GENERATE_MAX_RETRIES = 10
 # Guardrail on the k-subsets of one support's codes. The subsets are
 # streamed, so it bounds the work, not the memory; cyclic m=10, k=3 at 241
 # codes (2,303,960) fits.
@@ -398,52 +396,3 @@ def synthesize_dataset(dictionary, codes, eta, seed=None, worst_case=False):
         if np.any(over):
             noise[:, over] *= eta / achieved[over]
     return Dataset(clean + noise, float(eta), mat, codes, noise)
-
-
-def generate_instance(m, n, k, hypergraph, per_support_count, seed=None,
-                      rank_tol=geometry.DEFAULT_RANK_TOL):
-    """Random dictionary plus per-edge power-node codes, verified post hoc.
-
-    The dictionary has independent standard normal entries; each edge gets
-    ``per_support_count`` codes with nodes drawn from [0.5, 1.5] (distinct by
-    rejection), so every support holds exactly that many codes. The
-    hypergraph must have SIP and be regular, and ``per_support_count`` must
-    be at least k. A draw is accepted by the certificate's own checks: a
-    positive restricted lower bound over pairwise unions, the spark
-    condition, and general linear position of every support's codes
-    (``_code_checks``). Retries with fresh randomness up to
-    GENERATE_MAX_RETRIES times, then raises GenerationError. A rank_tol that is not positive and
-    finite raises ValueError before any draw.
-    """
-    geometry._check_rank_tol(rank_tol)
-    if n < min(2 * k, m):
-        raise ValueError(f"need n >= min(2k, m) = {min(2 * k, m)}, got n={n}")
-    if per_support_count < k:
-        raise ValueError(f"per_support_count must be at least k={k}, "
-                         f"got {per_support_count}")
-    if hypergraph.m != m or hypergraph.k != k:
-        raise ValueError("hypergraph does not match the requested (m, k)")
-    if not has_sip(hypergraph):
-        raise HypothesisError("hypergraph lacks the singleton intersection property")
-    if regularity(hypergraph) is None:
-        raise HypothesisError("hypergraph is not regular")
-    rng = np.random.default_rng(seed)
-    unions = pairwise_unions(hypergraph)
-    for _ in range(GENERATE_MAX_RETRIES):
-        mat = rng.standard_normal((n, m))
-        blocks = []
-        for edge in hypergraph.edges:
-            while True:
-                gammas = rng.uniform(0.5, 1.5, size=k)
-                if len(set(gammas)) == k:
-                    break
-            blocks.append(vandermonde_codes(edge, per_support_count, gammas, m=m))
-        codes = merge_code_sets(blocks)
-        smax = float(np.linalg.svd(mat, compute_uv=False)[0])
-        if (geometry.restricted_lower_bound(mat, unions) > rank_tol * smax
-                and geometry.spark_condition(mat, k, rank_tol)
-                and _code_checks(mat, codes, hypergraph,
-                                 support_index_sets(codes, hypergraph), rank_tol)[0]):
-            return mat, codes
-    raise GenerationError(
-        f"no verified instance after {GENERATE_MAX_RETRIES} attempts")

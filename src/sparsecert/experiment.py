@@ -1,11 +1,11 @@
-"""Noise-sweep harness: perturb generated instances and check the recovery bounds.
+"""Instance generation and the noise-sweep harness.
 
-Each trial generates a verified instance and certifies it, then runs its
-noise sweep as one stacked pass. The grid levels below the certified
-dictionary threshold draw their candidate pairs (B, xbar) in grid order,
-each exactly as one ``perturb_instance`` call would draw it; the realized
-worst per-sample residuals of all levels come from one residual stack; and
-the levels whose residual stays below the threshold are verified together
+Each trial keeps the certificate that accepted its draw and runs its noise
+sweep as one stacked pass. The grid levels below the certified dictionary
+threshold draw their candidate pairs (B, xbar) in grid order, each exactly
+as one ``perturb_instance`` call would draw it; the realized worst
+per-sample residuals of all levels come from one residual stack; and the
+levels whose residual stays below the threshold are verified together
 (``alignment._verify_sweep``), each at exactly its residual.
 """
 
@@ -16,10 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import alignment
-from .codes import SparseCodeSet, _entry_failure, generate_instance
+from . import alignment, geometry
+from .codes import SparseCodeSet, _entry_failure, merge_code_sets, vandermonde_codes
 from .constants import build_certificate
-from .hypergraph import as_integer, as_real, build_complete, build_cyclic, build_grid
+from .errors import GenerationError, HypothesisError
+from .hypergraph import (as_integer, as_real, build_complete, build_cyclic, build_grid,
+                         has_sip, regularity)
 
 PERTURBATION_FAMILIES = ("dict_jitter", "scaled_permuted", "code_jitter")
 
@@ -27,6 +29,7 @@ PERTURBATION_FAMILIES = ("dict_jitter", "scaled_permuted", "code_jitter")
 MAX_M = 10
 MAX_N = 64
 MAX_TRIALS = 10_000
+GENERATE_MAX_RETRIES = 10
 
 
 @dataclass
@@ -65,6 +68,56 @@ def hypergraph_from_config(kind, m, k):
     if kind == "complete":
         return build_complete(m, k)
     raise ValueError(f"unknown hypergraph kind {kind!r}")
+
+
+def generate_instance(m, n, k, hypergraph, per_support_count, seed=None,
+                      rank_tol=geometry.DEFAULT_RANK_TOL):
+    """Random dictionary plus per-edge power-node codes, verified post hoc.
+
+    The dictionary has independent standard normal entries; each edge gets
+    ``per_support_count`` codes with nodes drawn from [0.5, 1.5] (distinct by
+    rejection), so every support holds exactly that many codes. The
+    hypergraph must have SIP and be regular, and ``per_support_count`` must
+    be at least k. A draw is accepted when its certificate reads
+    ``lower_bound_ok``, ``spark_ok`` and ``glp_ok`` (not ``counts_ok``).
+    Retries with fresh randomness up to GENERATE_MAX_RETRIES times, then
+    raises GenerationError. A rank_tol that is not positive and finite
+    raises ValueError before any draw; a certificate over a cap raises
+    CapExceededError.
+    """
+    return _certified_instance(m, n, k, hypergraph, per_support_count, seed, rank_tol)[:2]
+
+
+def _certified_instance(m, n, k, hypergraph, per_support_count, seed,
+                        rank_tol=geometry.DEFAULT_RANK_TOL):
+    """``generate_instance`` and the accepted draw's certificate."""
+    geometry._check_rank_tol(rank_tol)
+    if n < min(2 * k, m):
+        raise ValueError(f"need n >= min(2k, m) = {min(2 * k, m)}, got n={n}")
+    if per_support_count < k:
+        raise ValueError(f"per_support_count must be at least k={k}, "
+                         f"got {per_support_count}")
+    if hypergraph.m != m or hypergraph.k != k:
+        raise ValueError("hypergraph does not match the requested (m, k)")
+    if not has_sip(hypergraph):
+        raise HypothesisError("hypergraph lacks the singleton intersection property")
+    if regularity(hypergraph) is None:
+        raise HypothesisError("hypergraph is not regular")
+    rng = np.random.default_rng(seed)
+    for _ in range(GENERATE_MAX_RETRIES):
+        mat = rng.standard_normal((n, m))
+        blocks = []
+        for edge in hypergraph.edges:
+            while True:
+                gammas = rng.uniform(0.5, 1.5, size=k)
+                if len(set(gammas)) == k:
+                    break
+            blocks.append(vandermonde_codes(edge, per_support_count, gammas, m=m))
+        codes = merge_code_sets(blocks)
+        cert = build_certificate(mat, codes, hypergraph, rank_tol)
+        if cert.lower_bound_ok and cert.spark_ok and cert.glp_ok:
+            return mat, codes, cert
+    raise GenerationError(f"no verified instance after {GENERATE_MAX_RETRIES} attempts")
 
 
 def perturb_instance(dictionary, codes, family, eps_target, rng):
@@ -212,8 +265,7 @@ def run_experiment(config):
     records = []
     for trial in range(trials):
         seed = base_seed + trial
-        mat, codes = generate_instance(m, n, k, hypergraph, per_support, seed=seed)
-        cert = build_certificate(mat, codes, hypergraph)
+        mat, codes, cert = _certified_instance(m, n, k, hypergraph, per_support, seed)
         rng = np.random.default_rng([base_seed, trial, 0xC0DE])
         threshold = cert.eps_max_dictionary
         targets = [] if threshold is None else [v for v in grid if v < threshold]

@@ -640,6 +640,7 @@ def intersect(subspaces, rank_tol=DEFAULT_RANK_TOL):
     ones before it, keeping the directions whose principal-angle sine is at
     or below rank_tol.
     """
+    _check_rank_tol(rank_tol)
     bases = _collection(subspaces)
     meet = bases[0]
     for basis in bases[1:]:
@@ -655,6 +656,7 @@ def friedrichs_angle(u, w, rank_tol=DEFAULT_RANK_TOL):
     The angle is atan2 of the Friedrichs sine and the cosine of the same
     principal vector, accurate at both ends of the range.
     """
+    _check_rank_tol(rank_tol)
     if u.ambient != w.ambient:
         raise ValueError("ambient dimensions differ")
     if u.dim == 0 and w.dim == 0:
@@ -727,6 +729,7 @@ def xi(subspaces, rank_tol=DEFAULT_RANK_TOL):
     by dynamic programming over index subsets, which enumerates
     exactly the orderings.
     """
+    _check_rank_tol(rank_tol)
     spaces = list(subspaces)
     if len(spaces) > DEFAULT_ORDERING_CAP:
         raise CapExceededError(

@@ -145,17 +145,19 @@ class Lemma4Report:
 
 
 def _image_masks(hypergraph, m_bar, images):
+    m_bar = as_integer(m_bar, "m_bar")
     if len(images) != len(hypergraph.edges):
         raise ValueError("one image per edge required")
     masks = []
     for image in images:
         mask = 0
         for v in image:
+            v = as_integer(v, "image element")
             if not 1 <= v <= m_bar:
                 raise ValueError(f"image element {v} outside [1, {m_bar}]")
             mask |= 1 << (v - 1)
         masks.append(mask)
-    return masks
+    return m_bar, masks
 
 
 def is_admissible_map(hypergraph, m_bar, images):
@@ -169,7 +171,7 @@ def is_admissible_map(hypergraph, m_bar, images):
     if r is None:
         raise HypothesisError("hypergraph is not regular")
     edges = hypergraph.edges
-    masks = _image_masks(hypergraph, m_bar, images)
+    _, masks = _image_masks(hypergraph, m_bar, images)
     edge_masks = [sum(1 << (v - 1) for v in e) for e in edges]
     if sum(mask.bit_count() for mask in masks) < sum(len(e) for e in edges):
         return False
@@ -189,7 +191,7 @@ def is_admissible_map(hypergraph, m_bar, images):
 
 def star_image_singletons(hypergraph, m_bar, images):
     """Vertices whose star images intersect in exactly one element, and that element."""
-    masks = _image_masks(hypergraph, m_bar, images)
+    m_bar, masks = _image_masks(hypergraph, m_bar, images)
     result = {}
     for i in range(1, hypergraph.m + 1):
         meet = (1 << m_bar) - 1

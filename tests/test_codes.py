@@ -23,7 +23,7 @@ from sparsecert import (
     synthesize_dataset,
     vandermonde_codes,
 )
-from sparsecert import codes as codes_module, geometry
+from sparsecert import codes as codes_module, experiment, geometry
 
 
 def _glp(codes, support):
@@ -231,7 +231,7 @@ def _reference_generate(m, n, k, hypergraph, per_support_count, seed,
     spark check and an exhaustive GLP check of every support."""
     rng = np.random.default_rng(seed)
     unions = pairwise_unions(hypergraph)
-    for _ in range(codes_module.GENERATE_MAX_RETRIES):
+    for _ in range(experiment.GENERATE_MAX_RETRIES):
         mat = rng.standard_normal((n, m))
         blocks = []
         for edge in hypergraph.edges:
@@ -248,7 +248,7 @@ def _reference_generate(m, n, k, hypergraph, per_support_count, seed,
                         for ids in support_index_sets(codes, hypergraph).values())):
             return mat, codes
     raise GenerationError("no verified instance after "
-                          f"{codes_module.GENERATE_MAX_RETRIES} attempts")
+                          f"{experiment.GENERATE_MAX_RETRIES} attempts")
 
 
 def _outcome(generate, *args):

@@ -365,9 +365,10 @@ def test_certificate_computes_c2_once(monkeypatch):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(constants, "compute_C2", counted)
     h = build_cyclic(4, 2)
+    # generation certifies its draws, so the count starts after it
     mat, codes = generate_instance(4, 4, 2, h, 7, seed=1)
+    monkeypatch.setattr(constants, "compute_C2", counted)
     cert = build_certificate(mat, codes, h)
     assert len(calls) == 1
     denominator = codes_module._code_checks(mat, codes, h, support_index_sets(codes, h),

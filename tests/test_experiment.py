@@ -20,15 +20,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsecert import (
+    CapExceededError,
     SparseCodeSet,
     TheoremReport,
     align_dictionaries,
+    build_complete,
     build_cyclic,
     generate_instance,
     verify_theorem1,
 )
 from sparsecert import codes as codes_module
-from sparsecert import experiment, geometry
+from sparsecert import constants, experiment, geometry
 from sparsecert import hypergraph as hypergraph_module
 from sparsecert.constants import build_certificate
 from sparsecert.errors import HypothesisError, ThresholdError
@@ -125,7 +127,7 @@ def test_run_experiment_refuses_nan_grid_and_skips_inf(monkeypatch):
         raise AssertionError("an instance was generated")
 
     # a NaN used to pass the check and fail later on a non-finite candidate
-    monkeypatch.setattr(experiment, "generate_instance", no_instances)
+    monkeypatch.setattr(experiment, "_certified_instance", no_instances)
     with pytest.raises(ValueError, match="noise grid values must be positive"):
         run_experiment(dict(cfg, noise_grid=[1e-4, float("nan")]))
 
@@ -650,7 +652,7 @@ def test_run_experiment_refuses_non_real_grid_values(monkeypatch, value):
     def no_instances(*args, **kwargs):
         raise AssertionError("an instance was generated")
 
-    monkeypatch.setattr(experiment, "generate_instance", no_instances)
+    monkeypatch.setattr(experiment, "_certified_instance", no_instances)
     cfg = dict(m=4, n=4, k=2, hypergraph="cyclic", per_support_count=7,
                noise_grid=[1e-4, value], trials=1, family="dict_jitter", seed=0)
     with pytest.raises(ValueError, match="^noise grid value must be a real number"):
@@ -666,3 +668,57 @@ def test_run_experiment_accepts_python_and_numpy_reals():
         assert _timeless(run_experiment(dict(cfg, noise_grid=grid))[0]) == _timeless(records)
     assert hypergraph_module.as_real(np.float32(0.5), "x") == 0.5
     assert type(hypergraph_module.as_real(np.int8(3), "x")) is float
+
+
+def _counted_checks(monkeypatch):
+    """Counts of the certificates and k-subset screens made from now on,
+    every module name a check is called by wrapped."""
+    counts = {"certificates": 0, "screens": 0}
+
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(experiment, "build_certificate",
+                        counting("certificates", experiment.build_certificate))
+    screen = counting("screens", codes_module._code_checks)
+    monkeypatch.setattr(codes_module, "_code_checks", screen)
+    monkeypatch.setattr(constants, "_code_checks", screen)
+    return counts
+
+
+# stream 1606, operation 18,491 of the trial workload: its first draw fails GLP
+REJECTED_FIRST_DRAW = 1606 * 100_000 + 18_491
+
+
+@pytest.mark.parametrize("seed, draws", [(0, 1), (1606 * 100_000, 1),
+                                         (REJECTED_FIRST_DRAW, 2)])
+def test_trial_certifies_each_draw_once(monkeypatch, seed, draws):
+    counts = _counted_checks(monkeypatch)
+    records, _ = run_experiment(dict(workloads.TRIAL_CONFIG, seed=seed))
+    assert records
+    assert counts == {"certificates": draws, "screens": draws}
+
+
+def test_generation_refuses_a_draw_above_the_c2_group_cap(monkeypatch):
+    # complete m=7, k=2 has C(21, 7) = 116,280 groups of r + 1 = 7 edges; the
+    # draw's certificate refuses it, as certify would
+    counts = _counted_checks(monkeypatch)
+    with pytest.raises(CapExceededError, match="edge groups exceed cap"):
+        generate_instance(7, 7, 2, build_complete(7, 2), 2, seed=0)
+    assert counts["certificates"] == 1
+
+
+@pytest.mark.parametrize("stream", [0, 1606])
+def test_trial_workload_accepts_its_first_draws(monkeypatch, stream):
+    # the benchmark's trial check reads the first certificate of each
+    # operation as the trial's own, which holds while its first draw passes
+    families = PERTURBATION_FAMILIES
+    counts = _counted_checks(monkeypatch)
+    for i in range(100):
+        counts["certificates"] = 0
+        experiment.run_experiment(dict(workloads.TRIAL_CONFIG, seed=stream * 100_000 + i,
+                                       family=families[i % len(families)]))
+        assert counts["certificates"] == 1, i

@@ -423,6 +423,27 @@ def test_span_intersection_identity_random():
 # xi
 
 
+@pytest.mark.parametrize("rank_tol", [math.nan, math.inf, 0.0, -1.0])
+def test_xi_intersect_and_angle_reject_bad_rank_tol(rank_tol):
+    # three 3-dim spans in R^6 sharing the first direction: NaN or -1 used to
+    # give xi = 1, an empty meet and an angle of 0, and inf xi = 0 with a
+    # 3-dim meet
+    e = np.eye(6)
+    spaces = [orthonormal_basis(e[:, [0, 1 + 2 * i, 2 + 2 * i]]) for i in range(2)]
+    spaces.append(orthonormal_basis(e[:, [0, 1, 3]] + e[:, [0, 5, 4]]))
+    with pytest.raises(ValueError, match="rank_tol must be positive and finite"):
+        xi(spaces, rank_tol)
+    with pytest.raises(ValueError, match="rank_tol must be positive and finite"):
+        intersect(spaces, rank_tol)
+    with pytest.raises(ValueError, match="rank_tol must be positive and finite"):
+        friedrichs_angle(spaces[0], spaces[1], rank_tol)
+    # a single subspace needs no principal angles and is refused all the same
+    with pytest.raises(ValueError, match="rank_tol must be positive and finite"):
+        xi(spaces[:1], rank_tol)
+    with pytest.raises(ValueError, match="rank_tol must be positive and finite"):
+        intersect(spaces[:1], rank_tol)
+
+
 def test_xi_single_subspace():
     assert xi([orthonormal_basis(np.eye(3)[:, :2])]) == 0.0
 

@@ -79,6 +79,22 @@ def test_lemma4_size_condition():
     assert not is_admissible_map(h, 4, images)
 
 
+@pytest.mark.parametrize("m_bar, images", [
+    (5.5, [(1, 2), (2, 3), (3, 4), (1, 5)]),
+    (True, [(1,), (1,), (1,), (1,)]),
+    (4, [(1, 2), (2, 3), (3, 4), (1, 1.5)]),
+    (4, [(1, 2), (2, 3), (3, 4), (1, True)]),
+])
+def test_lemma4_map_checks_refuse_non_integers(m_bar, images):
+    # these used to return a verdict or raise TypeError; 4.0 counts as 4
+    h = build_cyclic(4, 2)
+    for check in (is_admissible_map, star_image_singletons):
+        with pytest.raises(ValueError, match="must be an integer"):
+            check(h, m_bar, images)
+    assert star_image_singletons(h, 4.0, list(h.edges)) == {1: 1, 2: 2, 3: 3, 4: 4}
+    assert is_admissible_map(h, np.int64(4), [(1.0, 2), (1, 4), (2, 3), (3, 4)])
+
+
 def test_lemma4_exhaustive_m4_mbar5():
     report = check_lemma4(build_cyclic(4, 2), 5)
     assert report.ok
