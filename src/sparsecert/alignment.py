@@ -298,13 +298,6 @@ class TheoremReport:
     l2k_floor: float | None = None
     l2k_ok: bool | None = None
 
-    @property
-    def all_ok(self):
-        checks = [self.m_bar_ok, self.eq5_ok]
-        if self.code_tier_active:
-            checks += [self.eq6_ok, self.l2k_ok]
-        return all(c for c in checks if c is not None)
-
 
 def verify_theorem1(dictionary, codes, candidate, codes_bar, certificate, eps,
                     tol=1e-9):

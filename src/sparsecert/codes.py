@@ -2,8 +2,10 @@
 code family.
 
 Codes live in columns of an m x N matrix, each column carrying an explicit
-support set. The power-node construction produces, for any count, codes on a
-shared support with any k of them linearly independent.
+support set. The power-node construction, the paper's witness, gives any
+count of codes on a shared support with any k of them independent in exact
+arithmetic; it is exponentially ill-conditioned in the count, so
+``experiment.generate_instance`` draws Gaussian codes instead.
 
 ``_code_checks`` is the one check of the k-subsets of every support's codes:
 general linear position (GLP) and the C1 denominator, from one screened

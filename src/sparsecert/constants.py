@@ -21,7 +21,7 @@ import numpy as np
 from . import geometry
 from .codes import _code_checks, support_index_sets
 from .errors import CapExceededError, HypothesisError
-from .hypergraph import has_sip, pairwise_unions, regularity
+from .hypergraph import as_integer, has_sip, pairwise_unions, regularity
 
 # Groups of r+1 edges are enumerated when maximizing xi.
 DEFAULT_GROUP_CAP = 100_000
@@ -233,19 +233,22 @@ def epsilon_for(delta1, delta2, c1, l2k, max_l1):
     """Residual threshold guaranteeing recovery within (delta1, delta2).
 
     min(delta1 / c1, delta2 * l2k / (1 + c1 * (delta2 + max_l1))); strictly
-    positive whenever both deltas are.
+    positive whenever both deltas are. A NaN or an infinite input raises
+    ValueError.
     """
-    if delta1 < 0 or delta2 < 0:
-        raise ValueError("deltas must be nonnegative")
-    if c1 <= 0 or l2k <= 0:
-        raise ValueError("c1 and l2k must be positive")
-    if max_l1 < 0:
-        raise ValueError("max_l1 must be nonnegative")
+    # a NaN fails every comparison
+    if not (0 <= delta1 < math.inf and 0 <= delta2 < math.inf):
+        raise ValueError("deltas must be nonnegative and finite")
+    if not (0 < c1 < math.inf and 0 < l2k < math.inf):
+        raise ValueError("c1 and l2k must be positive and finite")
+    if not 0 <= max_l1 < math.inf:
+        raise ValueError("max_l1 must be nonnegative and finite")
     return min(delta1 / c1, delta2 * l2k / (1.0 + c1 * (delta2 + max_l1)))
 
 
 def sample_size_cor1(m, k, hypergraph):
     """Sufficient total sample count: |H| * ((k-1) * C(m, k) + 1)."""
+    m, k = as_integer(m, "m"), as_integer(k, "k")
     if hypergraph.k != k:
         raise ValueError("hypergraph is not k-uniform for the given k")
     if hypergraph.m != m:
@@ -263,6 +266,7 @@ def sample_size_thm2(m_bar, k, hypergraph):
 
     Per support: (k-1) * (C(m_bar, k) + |H| * k * C(m_bar, k-1)) + 1.
     """
+    m_bar, k = as_integer(m_bar, "m_bar"), as_integer(k, "k")
     if m_bar < 1 or k < 1:
         raise ValueError("m_bar and k must be positive")
     edges = len(hypergraph.edges)

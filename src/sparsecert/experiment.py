@@ -1,11 +1,12 @@
 """Instance generation and the noise-sweep harness.
 
-Each trial keeps the certificate that accepted its draw and runs its noise
-sweep as one stacked pass. The grid levels below the certified dictionary
-threshold draw their candidate pairs (B, xbar) in grid order, each exactly
-as one ``perturb_instance`` call would draw it; the realized worst
-per-sample residuals of all levels come from one residual stack; and the
-levels whose residual stays below the threshold are verified together
+An instance is a Gaussian dictionary and codes, accepted by its own
+certificate, which its trial keeps. Each trial runs its noise sweep as one
+stacked pass: the grid levels below the certified dictionary threshold draw
+their candidate pairs (B, xbar) in grid order, each as one
+``perturb_instance`` call would; the realized worst per-sample residuals of
+all levels come from one residual stack; and the levels whose residual
+stays below the threshold are verified together
 (``alignment._verify_sweep``), each at exactly its residual.
 """
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import alignment, geometry
-from .codes import SparseCodeSet, _entry_failure, merge_code_sets, vandermonde_codes
+from .codes import SparseCodeSet, _entry_failure
 from .constants import build_certificate
 from .errors import GenerationError, HypothesisError
 from .hypergraph import (as_integer, as_real, build_complete, build_cyclic, build_grid,
@@ -72,11 +73,11 @@ def hypergraph_from_config(kind, m, k):
 
 def generate_instance(m, n, k, hypergraph, per_support_count, seed=None,
                       rank_tol=geometry.DEFAULT_RANK_TOL):
-    """Random dictionary plus per-edge power-node codes, verified post hoc.
+    """Gaussian dictionary and codes on every edge, verified post hoc.
 
-    The dictionary has independent standard normal entries; each edge gets
-    ``per_support_count`` codes with nodes drawn from [0.5, 1.5] (distinct by
-    rejection), so every support holds exactly that many codes. The
+    Each draw is a standard normal dictionary, then one standard normal
+    call for the code entries: ``per_support_count`` columns per edge, in
+    edge order, each column's k entries in support order. The
     hypergraph must have SIP and be regular, and ``per_support_count`` must
     be at least k. A draw is accepted when its certificate reads
     ``lower_bound_ok``, ``spark_ok`` and ``glp_ok`` (not ``counts_ok``).
@@ -104,16 +105,14 @@ def _certified_instance(m, n, k, hypergraph, per_support_count, seed,
     if regularity(hypergraph) is None:
         raise HypothesisError("hypergraph is not regular")
     rng = np.random.default_rng(seed)
+    supports = tuple(e for e in hypergraph.edges for _ in range(per_support_count))
+    rows = np.subtract(supports, 1).ravel()
+    cols = np.repeat(np.arange(len(supports)), k)
     for _ in range(GENERATE_MAX_RETRIES):
         mat = rng.standard_normal((n, m))
-        blocks = []
-        for edge in hypergraph.edges:
-            while True:
-                gammas = rng.uniform(0.5, 1.5, size=k)
-                if len(set(gammas)) == k:
-                    break
-            blocks.append(vandermonde_codes(edge, per_support_count, gammas, m=m))
-        codes = merge_code_sets(blocks)
+        x = np.zeros((m, len(supports)))
+        x[rows, cols] = rng.standard_normal(rows.size)
+        codes = SparseCodeSet(m, x, supports, k)
         cert = build_certificate(mat, codes, hypergraph, rank_tol)
         if cert.lower_bound_ok and cert.spark_ok and cert.glp_ok:
             return mat, codes, cert

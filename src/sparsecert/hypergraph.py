@@ -80,6 +80,7 @@ class Hypergraph:
 
 def build_cyclic(m, k):
     """Hypergraph of the m consecutive length-k intervals in cyclic vertex order."""
+    m, k = as_integer(m, "m"), as_integer(k, "k")
     if not 1 <= k < m:
         raise ValueError(f"need 1 <= k < m, got k={k}, m={m}")
     edges = [
@@ -90,6 +91,7 @@ def build_cyclic(m, k):
 
 def build_complete(m, k):
     """All size-k subsets of [1, m]."""
+    m, k = as_integer(m, "m"), as_integer(k, "k")
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
     count = math.comb(m, k)
@@ -100,6 +102,7 @@ def build_complete(m, k):
 
 def build_grid(m):
     """Rows and columns of [1, m] arranged into a square grid (m a perfect square)."""
+    m = as_integer(m, "m")
     k = math.isqrt(m)
     if k * k != m or k < 2:
         raise ValueError(f"m={m} is not a perfect square >= 4")
@@ -110,6 +113,7 @@ def build_grid(m):
 
 def star(hypergraph, i):
     """The edges containing vertex i."""
+    i = as_integer(i, "vertex")
     if not 1 <= i <= hypergraph.m:
         raise ValueError(f"vertex {i} outside [1, {hypergraph.m}]")
     return [e for e in hypergraph.edges if i in e]

@@ -227,20 +227,20 @@ def _reference_independent(x, k, rank_tol=geometry.DEFAULT_RANK_TOL):
 
 def _reference_generate(m, n, k, hypergraph, per_support_count, seed,
                         rank_tol=geometry.DEFAULT_RANK_TOL):
-    """The draw loop of generate_instance, each draw accepted by L2H, the
+    """The draw loop of generate_instance, each draw's codes filled by one
+    standard_normal(k) call per column, and each draw accepted by L2H, the
     spark check and an exhaustive GLP check of every support."""
     rng = np.random.default_rng(seed)
     unions = pairwise_unions(hypergraph)
     for _ in range(experiment.GENERATE_MAX_RETRIES):
         mat = rng.standard_normal((n, m))
-        blocks = []
+        x = np.zeros((m, len(hypergraph.edges) * per_support_count))
+        supports = []
         for edge in hypergraph.edges:
-            while True:
-                gammas = rng.uniform(0.5, 1.5, size=k)
-                if len(set(gammas)) == k:
-                    break
-            blocks.append(vandermonde_codes(edge, per_support_count, gammas, m=m))
-        codes = merge_code_sets(blocks)
+            for _ in range(per_support_count):
+                x[[v - 1 for v in edge], len(supports)] = rng.standard_normal(k)
+                supports.append(edge)
+        codes = SparseCodeSet(m, x, tuple(supports), k)
         smax = float(np.linalg.svd(mat, compute_uv=False)[0])
         if (restricted_lower_bound(mat, unions) > rank_tol * smax
                 and spark_condition(mat, k, rank_tol)
@@ -279,13 +279,14 @@ def test_generate_instance_equals_exhaustive_reference(m, count):
 
 
 def test_generate_instance_raises_when_no_draw_is_in_general_position():
-    # power-node codes at 41 per support of cyclic m=6, k=3 are too
-    # ill-conditioned to pass GLP
+    # at rank_tol 0.999 no draw passes: a k-subset of a support's 41 codes
+    # would need its least singular value within 0.1% of the support's
+    # largest, and L2H <= smax / sqrt(k) fails the lower bound as well
     h = build_cyclic(6, 3)
     with pytest.raises(GenerationError):
-        generate_instance(6, 6, 3, h, 41, seed=0)
+        generate_instance(6, 6, 3, h, 41, seed=0, rank_tol=0.999)
     with pytest.raises(GenerationError):
-        _reference_generate(6, 6, 3, h, 41, 0)
+        _reference_generate(6, 6, 3, h, 41, 0, rank_tol=0.999)
 
 
 def test_generate_instance_seed_variation():

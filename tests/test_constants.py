@@ -292,6 +292,16 @@ def test_epsilon_rejects_negative():
         epsilon_for(-0.1, 0.1, 1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("position", range(5))
+def test_epsilon_refuses_non_finite_inputs(position, bad):
+    # a NaN delta, l2k or max_l1 used to give 1.0, and a NaN delta1 or c1 NaN
+    args = [0.3, 0.1, 3.0, 0.5, 1.0]
+    args[position] = bad
+    with pytest.raises(ValueError, match="finite"):
+        epsilon_for(*args)
+
+
 # sample sizes
 
 

@@ -14,6 +14,8 @@ from sparsecert import (
     has_sip,
     pairwise_unions,
     regularity,
+    sample_size_cor1,
+    sample_size_thm2,
     star,
 )
 from sparsecert import hypergraph as hypergraph_module
@@ -219,3 +221,29 @@ def test_star_regularity_consistency(m, data):
         assert set(degrees.values()) == {r}
     else:
         assert len(set(degrees.values())) != 1 or set(degrees.values()) == {0}
+
+
+_CYCLIC_4 = build_cyclic(4, 2)
+
+
+@pytest.mark.parametrize("call, count", [
+    (lambda c: build_cyclic(c, 2), 4),
+    (lambda c: build_cyclic(4, c), 2),
+    (lambda c: build_complete(c, 2), 4),
+    (lambda c: build_complete(4, c), 2),
+    (build_grid, 9),
+    (lambda c: star(_CYCLIC_4, c), 1),
+    (lambda c: sample_size_cor1(c, 2, _CYCLIC_4), 4),
+    (lambda c: sample_size_cor1(4, c, _CYCLIC_4), 2),
+    (lambda c: sample_size_thm2(c, 2, _CYCLIC_4), 6),
+    (lambda c: sample_size_thm2(6, c, _CYCLIC_4), 2),
+], ids=["cyclic-m", "cyclic-k", "complete-m", "complete-k", "grid-m", "star-vertex",
+        "cor1-m", "cor1-k", "thm2-m_bar", "thm2-k"])
+def test_count_arguments_follow_the_integer_rule(call, count):
+    # floats used to raise TypeError, and a boolean was taken as 1 (or a
+    # fractional vertex found no star)
+    assert call(float(count)) == call(count)
+    assert call(np.int64(count)) == call(count)
+    for bad in (count + 0.5, True, str(count)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call(bad)
