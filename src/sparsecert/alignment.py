@@ -339,7 +339,7 @@ def _verify_sweep(a_mat, codes, candidates, xbars, certificate, eps,
     """
     finite = np.isfinite(candidates).all(axis=(1, 2))
     costs = worsts = None
-    alignments, aligned, k_subsets = {}, {}, {}
+    alignments, aligned, tables = {}, {}, {}
     reports, sources = [], []
     for level, level_eps in enumerate(eps):
         source = level if len(candidates) > 1 else 0
@@ -389,10 +389,10 @@ def _verify_sweep(a_mat, codes, candidates, xbars, certificate, eps,
                 raise ValueError("dictionary has non-finite entries")
             aligned[source] = matrix
         width = len(subset)
-        if width not in k_subsets:
-            k_subsets[width] = geometry.k_subsets(
-                width, min(2 * certificate.k, width), geometry.DEFAULT_EDGE_CAP)
-    _code_tier(codes, xbars, certificate, eps, reports, sources, aligned, k_subsets, tol)
+        if width not in tables:
+            tables[width] = geometry._column_table([geometry.k_subsets(
+                width, min(2 * certificate.k, width)).tolist()])
+    _code_tier(codes, xbars, certificate, eps, reports, sources, aligned, tables, tol)
     return reports
 
 
@@ -441,8 +441,7 @@ def _dictionary_tier(alignment, m, m_bar, certificate, eps, residuals, tol):
     )
 
 
-def _code_tier(codes, xbars, certificate, eps, reports, sources, aligned, k_subsets,
-               tol):
+def _code_tier(codes, xbars, certificate, eps, reports, sources, aligned, tables, tol):
     """Fill in eq. (6) and the aligned 2k-bound of every code-tier report.
 
     Level i's candidate is ``sources[i]``, and ``aligned`` maps each
@@ -450,9 +449,10 @@ def _code_tier(codes, xbars, certificate, eps, reports, sources, aligned, k_subs
     grouped by the size of their matched subset (one group unless some
     candidate has zero columns). Per group, the code errors come from one
     gather (``_l1_errors``), and the restricted lower bounds of the aligned
-    candidates from one stacked SVD over their 2k-subsets
-    (``geometry.edge_min_singular_values``), each value as
-    ``geometry.lower_bound_k`` of that candidate alone gives it.
+    candidates from one stacked SVD over their 2k-subsets, the ``tables``
+    of ``geometry._column_table`` by width (``geometry._table_bounds``),
+    each value as ``geometry.lower_bound_k`` of that candidate alone gives
+    it.
     """
     groups = {}
     for level, report in enumerate(reports):
@@ -477,11 +477,8 @@ def _code_tier(codes, xbars, certificate, eps, reports, sources, aligned, k_subs
                   / np.array(denominators)[:, None])
         eq6 = np.all(errors <= bounds + tol, axis=1).tolist()
         candidates = list(dict.fromkeys(sources[level] for level in levels))
-        subsets = k_subsets[width]
-        sv = geometry.edge_min_singular_values(
-            np.stack([aligned[c] for c in candidates]), subsets)
-        lower = dict(zip(candidates,
-                         np.min(sv / np.sqrt(subsets.shape[1]), axis=1).tolist()))
+        lower = dict(zip(candidates, geometry._table_bounds(
+            np.stack([aligned[c] for c in candidates]), tables[width])[0]))
         for row, (level, report) in enumerate(zip(levels, group)):
             report.code_errors = errors[row]
             report.code_bounds = bounds[row]

@@ -6,6 +6,11 @@ denominator, come from the one screen in ``codes._code_checks``; ``C1`` is
 a field of the certificate, never computed on its own. ``C2`` runs the xi
 subset DP over the edge spans with every factor read from one table of
 Friedrichs sines over (edge, edge intersection) pairs (``compute_C2``).
+``L2``, ``L2k`` and ``L2H`` are read from one ``geometry._column_table``
+per hypergraph (``_bound_plan``): the column pairs, the min(2k, m)-sets and
+the pairwise unions of the edges, each distinct set factored once per
+certificate. Both plans hold read-only index arrays only and are cached per
+hypergraph, so equal hypergraphs share them.
 """
 
 from __future__ import annotations
@@ -135,13 +140,14 @@ class _C2Plan(NamedTuple):
 
     ``stacks`` maps a width to the (G, width) array of 0-based column sets
     of that width whose bases the table needs: every edge, then the lattice
-    elements I of the table's pairs. ``shapes`` holds, per (|S_a|, |I|,
-    |I & S_a|) shape, the positions in the width stacks of the edge and of
-    the I of each table pair, in table order; one more entry, the exact
-    factor 1, ends the table. ``levels`` holds, for the DP levels of 2 to
-    r + 1 edges, subsets in colex order, the table entry of each (subset,
-    member a) factor and the position of the subset without a one level
-    below, the latter from the shared ``geometry._subset_levels``.
+    elements I of the table's pairs, as ``geometry._column_table`` lists
+    them. ``shapes`` holds, per (|S_a|, |I|, |I & S_a|) shape, the
+    positions in the width stacks of the edge and of the I of each table
+    pair, in table order; one more entry, the exact factor 1, ends the
+    table. ``levels`` holds, for the DP levels of 2 to r + 1 edges, subsets
+    in colex order, the table entry of each (subset, member a) factor and
+    the position of the subset without a one level below, the latter from
+    the shared ``geometry._subset_levels``.
     """
 
     stacks: dict
@@ -187,12 +193,10 @@ def _c2_plan(hypergraph, size):
     shapes = [(len(edges[a]), len(sets[i]), len(edges[a] & sets[i])) for a, i in pairs]
     # the factor is exactly 1 when one of S_a and I contains the other
     table = [j for j, (p, q, d) in enumerate(shapes) if d not in (p, q)]
-    stacks, position = {}, {}
-    for i in itertools.chain(range(n_edges), sorted({pairs[j][1] for j in table})):
-        if i not in position:
-            stack = stacks.setdefault(len(sets[i]), [])
-            position[i] = len(stack)
-            stack.append(sorted(sets[i]))
+    listed = [*range(n_edges), *sorted({pairs[j][1] for j in table})]
+    stacks, (rows,) = geometry._column_table([[sorted(sets[i]) for i in listed]])
+    starts = dict(zip(stacks, itertools.accumulate(map(len, stacks.values()), initial=0)))
+    position = {i: row - starts[len(sets[i])] for i, row in zip(listed, rows.tolist())}
     slots = np.full(len(pairs), len(table), dtype=np.intp)
     plan_shapes, filled = [], 0
     for shape, group in geometry._groups([shapes[j] for j in table]):
@@ -204,10 +208,22 @@ def _c2_plan(hypergraph, size):
                             geometry._frozen([position[pairs[j][1]] for j in group])))
     tidx = np.split(slots[inverse.ravel()], np.cumsum([key.size for key in keys])[:-1])
     return _C2Plan(
-        stacks={width: geometry._frozen(columns) for width, columns in stacks.items()},
+        stacks=stacks,
         shapes=tuple(plan_shapes),
         levels=tuple((geometry._frozen(t.reshape(below.shape)), below)
                      for t, (_, below) in zip(tidx, levels)))
+
+
+@functools.lru_cache(maxsize=8)
+def _bound_plan(hypergraph):
+    """The ``geometry._column_table`` of L2, L2k and L2H over a uniform
+    hypergraph, in that order: every 2-subset and every min(2k, m)-subset
+    of the columns, and the pairwise unions of the edges. Its arrays are
+    read-only, since every caller shares them."""
+    m, k = hypergraph.m, hypergraph.k
+    return geometry._column_table(
+        [geometry.k_subsets(m, min(width, m)).tolist() for width in (2, 2 * k)]
+        + [[[v - 1 for v in union] for union in pairwise_unions(hypergraph).edges]])
 
 
 def _c1(c2, glp_ok, denominator):
@@ -323,8 +339,9 @@ def build_certificate(dictionary, codes, hypergraph,
     Never raises on failed hypotheses: flags record what failed and the
     constants that remain computable are still reported (C1/C2 are None when
     their own preconditions break; C2's, edge spans that meet only in their
-    shared columns, holds wherever lower_bound_ok does). ``compute_C2`` is
-    called once. GLP and the C1 denominator share one
+    shared columns, holds wherever lower_bound_ok does). L2, L2k and L2H
+    come from one kernel call per column-set width (``_bound_plan``), and
+    ``compute_C2`` is called once. GLP and the C1 denominator share one
     exhaustive, screened k-subset stream per support code count
     (``codes._code_checks``).
 
@@ -333,9 +350,14 @@ def build_certificate(dictionary, codes, hypergraph,
     C(m, min(2k, m))), more than 1M edge pairs for L2H, a support whose
     codes have more than codes.SUBSET_WORK_CAP (10M) k-subsets, and more than
     DEFAULT_GROUP_CAP (100,000) groups of r + 1 edges for C2. A rank_tol
-    that is not positive and finite raises ValueError before any check runs.
+    that is not positive and finite, or an m_bar other than None that is
+    not a positive integer (``hypergraph.as_integer``), raises ValueError
+    before any check runs.
     """
     geometry._check_rank_tol(rank_tol)
+    m_bar = None if m_bar is None else as_integer(m_bar, "m_bar")
+    if m_bar is not None and m_bar < 1:
+        raise ValueError("m_bar must be a positive integer")
     mat = geometry.as_matrix(dictionary, "dictionary")
     n, m = mat.shape
     if hypergraph.m != m:
@@ -350,9 +372,7 @@ def build_certificate(dictionary, codes, hypergraph,
     sip_ok = has_sip(hypergraph)
     smax = float(np.linalg.svd(mat, compute_uv=False)[0])
 
-    l2 = geometry.lower_bound_k(mat, min(2, m))
-    l2k = geometry.lower_bound_k(mat, min(2 * k, m))
-    l2h = geometry.restricted_lower_bound(mat, pairwise_unions(hypergraph))
+    l2, l2k, l2h = geometry._table_bounds(mat, _bound_plan(hypergraph))
     lower_bound_ok = l2h > rank_tol * smax
     spark_ok = geometry.spark_from_bound(l2k, min(2 * k, m), smax, rank_tol)
 

@@ -82,7 +82,8 @@ def generate_instance(m, n, k, hypergraph, per_support_count, seed=None,
     be at least k. A draw is accepted when its certificate reads
     ``lower_bound_ok``, ``spark_ok`` and ``glp_ok`` (not ``counts_ok``).
     Retries with fresh randomness up to GENERATE_MAX_RETRIES times, then
-    raises GenerationError. A rank_tol that is not positive and finite
+    raises GenerationError. A rank_tol that is not positive and finite, or
+    an m, n, k or per_support_count that fails ``hypergraph.as_integer``,
     raises ValueError before any draw; a certificate over a cap raises
     CapExceededError.
     """
@@ -93,6 +94,8 @@ def _certified_instance(m, n, k, hypergraph, per_support_count, seed,
                         rank_tol=geometry.DEFAULT_RANK_TOL):
     """``generate_instance`` and the accepted draw's certificate."""
     geometry._check_rank_tol(rank_tol)
+    m, n, k = as_integer(m, "m"), as_integer(n, "n"), as_integer(k, "k")
+    per_support_count = as_integer(per_support_count, "per_support_count")
     if n < min(2 * k, m):
         raise ValueError(f"need n >= min(2k, m) = {min(2 * k, m)}, got n={n}")
     if per_support_count < k:

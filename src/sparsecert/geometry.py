@@ -5,6 +5,15 @@ sine-product aggregate, and numerical subspace intersection.
 Every restricted-singular-value quantity funnels through one kernel,
 `edge_min_singular_values` (numpy's batched LAPACK SVD over one (E, w)
 column-index array); callers look it up on this module at call time.
+The restricted lower bounds, least sigma_min(A_S) / sqrt(|S|) over a family
+of column sets S, are read from one table: `_column_table` lists the
+distinct sets of several families once by width, with the rows that each
+family reads, and `_table_bounds` makes one kernel call per width and takes
+each family's least value. `lower_bound_k` and `restricted_lower_bound` are
+tables of one family; the certificate's `L2`, `L2k` and `L2H` share one
+table per hypergraph (`constants._bound_plan`). A value of a stacked SVD
+does not depend on what it is stacked with, so every bound is the same bits
+as from its family alone.
 The k-subset checks on codes walk the subsets in first-index blocks
 (`subset_tails`, `subset_blocks`): a block pairs a run of first indices
 with one slice of the lexicographic list of (k-1)-subset tails. Each
@@ -425,10 +434,32 @@ def edge_min_singular_values(mat, edges):
     return np.linalg.svd(np.moveaxis(mat[..., edges], -3, -2), compute_uv=False)[..., -1]
 
 
-def subset_lower_bound(mat, subsets):
-    """Least smallest singular value over the (E, w) column subsets, over sqrt(w)."""
-    sv = edge_min_singular_values(mat, subsets)
-    return float(np.min(sv / np.sqrt(subsets.shape[1])))
+def _column_table(families):
+    """The distinct column sets of ``families`` by width, and where each
+    family reads them.
+
+    A family is a list of sequences of 0-based column indices. Returns a
+    dict from each width, in first-seen order, to the (G, width) array of
+    its distinct sets in first-seen order, and per family the position of
+    each of its sets in those arrays laid end to end, in the dict's order.
+    Every array is read-only, so a cached table can be shared.
+    """
+    stacks = {}
+    for columns in itertools.chain.from_iterable(families):
+        stacks.setdefault(len(columns), {})[tuple(columns)] = None
+    position = {c: row for row, c in enumerate(itertools.chain(*stacks.values()))}
+    return ({width: _frozen(list(rows)) for width, rows in stacks.items()},
+            tuple(_frozen([position[tuple(c)] for c in family]) for family in families))
+
+
+def _table_bounds(mat, table):
+    """Per family of a ``_column_table``, the least smallest singular value
+    of its column sets over the square root of their width, from one kernel
+    call per width. A stack of matrices (..., n, m) gives, per family, the
+    nested list of the bound of each matrix."""
+    values = np.concatenate([edge_min_singular_values(mat, sets) / np.sqrt(width)
+                             for width, sets in table[0].items()], axis=-1)
+    return [np.min(values[..., rows], axis=-1).tolist() for rows in table[1]]
 
 
 def restricted_lower_bound(mat, hypergraph):
@@ -448,16 +479,16 @@ def restricted_lower_bound(mat, hypergraph):
         raise ValueError("empty hypergraph")
     if any(len(e) == 0 for e in hypergraph.edges):
         raise ValueError("empty support set in hypergraph")
-    by_width = {}
-    for edge in hypergraph.edges:
-        by_width.setdefault(len(edge), []).append([v - 1 for v in edge])
-    return min(subset_lower_bound(mat, np.array(g)) for g in by_width.values())
+    columns = [[v - 1 for v in edge] for edge in hypergraph.edges]
+    return _table_bounds(mat, _column_table([columns]))[0]
 
 
 def lower_bound_k(mat, k):
-    """Restricted lower bound over all size-k column subsets."""
+    """Restricted lower bound over all size-k column subsets; an integral
+    float k counts as its integer (``hypergraph.as_integer``)."""
     mat = as_matrix(mat, "dictionary")
-    return subset_lower_bound(mat, k_subsets(mat.shape[1], k, DEFAULT_EDGE_CAP))
+    subsets = k_subsets(mat.shape[1], as_integer(k, "k")).tolist()
+    return _table_bounds(mat, _column_table([subsets]))[0]
 
 
 def spark_from_bound(bound, width, smax, rank_tol=DEFAULT_RANK_TOL):
@@ -472,6 +503,7 @@ def spark_condition(mat, k, rank_tol=DEFAULT_RANK_TOL):
     the rank-scaled threshold rank_tol * (largest singular value of mat).
     """
     mat = as_matrix(mat, "dictionary")
+    k = as_integer(k, "k")
     if k < 1:
         raise ValueError("sparsity level must be positive")
     width = min(2 * k, mat.shape[1])
@@ -496,6 +528,7 @@ def spark_polynomial(mat, k):
     """
     mat = as_matrix(mat, "dictionary")
     n, m = mat.shape
+    k = as_integer(k, "k")
     if k < 1:
         raise ValueError("sparsity level must be positive")
     width = 2 * k

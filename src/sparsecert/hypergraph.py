@@ -148,12 +148,8 @@ def has_sip(hypergraph):
 
 def pairwise_unions(hypergraph):
     """All unions of unordered edge pairs, including each edge with itself."""
-    n_edges = len(hypergraph.edges)
-    n_pairs = n_edges * (n_edges + 1) // 2
+    n_pairs = math.comb(len(hypergraph.edges) + 1, 2)
     if n_pairs > DEFAULT_EDGE_CAP:
         raise CapExceededError(f"{n_pairs} edge pairs exceed cap {DEFAULT_EDGE_CAP}")
-    unions = {
-        tuple(sorted(set(a) | set(b)))
-        for a, b in itertools.combinations_with_replacement(hypergraph.edges, 2)
-    }
-    return Hypergraph(hypergraph.m, unions)
+    pairs = itertools.combinations_with_replacement(hypergraph.edges, 2)
+    return Hypergraph(hypergraph.m, {frozenset(a).union(b) for a, b in pairs})

@@ -226,7 +226,7 @@ def test_certify_bad_tol_exits_2_before_any_check(instance_dir, tol, monkeypatch
     def no_checks(*args, **kwargs):
         raise AssertionError("a check ran")
 
-    monkeypatch.setattr(constants.geometry, "lower_bound_k", no_checks)
+    monkeypatch.setattr(constants.geometry, "edge_min_singular_values", no_checks)
     code = main(["certify", "--dict", str(instance_dir / "dictionary.json"),
                  "--codes", str(instance_dir / "codes.json"),
                  "--hypergraph", str(instance_dir / "hypergraph.json"),

@@ -206,6 +206,30 @@ def test_generate_instance_refuses_fewer_codes_than_k(count, monkeypatch):
         generate_instance(6, 6, 3, build_cyclic(6, 3), count, seed=0)
 
 
+def test_generate_instance_counts_take_integral_floats():
+    # 7.0 and n=4.0 used to raise TypeError
+    h = build_cyclic(4, 2)
+    mat, codes = generate_instance(4, 4, 2, h, 7, seed=8)
+    for args in [(4, 4, 2, h, 7.0), (4.0, 4.0, 2.0, h, 7)]:
+        other_mat, other_codes = generate_instance(*args, seed=8)
+        assert np.array_equal(other_mat, mat)
+        assert np.array_equal(other_codes.codes, codes.codes)
+        assert other_codes.supports == codes.supports
+
+
+@pytest.mark.parametrize("position", range(4), ids=["m", "n", "k", "per_support_count"])
+def test_generate_instance_refuses_boolean_counts_before_any_draw(position, monkeypatch):
+    # per_support_count=True used to be reported as "must be at least k=2"
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a generator was made")
+
+    monkeypatch.setattr(codes_module.np.random, "default_rng", no_draws)
+    args = [4, 4, 2, build_cyclic(4, 2), 7]
+    args[position if position < 3 else 4] = True
+    with pytest.raises(ValueError, match="must be an integer, got True"):
+        generate_instance(*args, seed=0)
+
+
 @pytest.mark.parametrize("rank_tol", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
 def test_generate_instance_rejects_bad_rank_tol_before_any_draw(rank_tol, monkeypatch):
     # a NaN used to spend every draw, and zero or a negative value accepted one

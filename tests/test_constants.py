@@ -393,9 +393,30 @@ def test_certificate_rejects_bad_rank_tol_before_any_check(rank_tol, monkeypatch
 
     h = build_cyclic(4, 2)
     mat, codes = generate_instance(4, 4, 2, h, 7, seed=1)
-    monkeypatch.setattr(constants.geometry, "lower_bound_k", no_checks)
+    monkeypatch.setattr(constants.geometry, "edge_min_singular_values", no_checks)
     with pytest.raises(ValueError, match="rank_tol must be positive and finite"):
         build_certificate(mat, codes, h, rank_tol=rank_tol)
+
+
+@pytest.mark.parametrize("m_bar", ["x", 2.5, True, -3, 0])
+def test_certificate_rejects_bad_m_bar_before_any_check(m_bar, monkeypatch):
+    # these used to be stored as given and written into the certificate JSON
+    def no_checks(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    h = build_cyclic(4, 2)
+    mat, codes = generate_instance(4, 4, 2, h, 7, seed=1)
+    monkeypatch.setattr(constants.geometry, "edge_min_singular_values", no_checks)
+    with pytest.raises(ValueError, match="m_bar must be"):
+        build_certificate(mat, codes, h, m_bar=m_bar)
+
+
+def test_certificate_takes_an_integral_m_bar():
+    h = build_cyclic(4, 2)
+    mat, codes = generate_instance(4, 4, 2, h, 7, seed=1)
+    assert build_certificate(mat, codes, h).m_bar is None
+    m_bar = build_certificate(mat, codes, h, m_bar=6.0).m_bar
+    assert m_bar == 6 and type(m_bar) is int
 
 
 def test_certificate_without_c1_is_not_ok(monkeypatch):
@@ -552,14 +573,87 @@ def test_certificate_submits_each_subset_once(monkeypatch):
             monkeypatch.setattr(module, "build_complete", recorded)
     cert = build_certificate(mat, codes, h)
     m, k = 4, 2
-    # L2, L2k and L2H on the dictionary itself, as before the screen
-    assert len(on_dictionary) == (math.comb(m, 2) + math.comb(m, min(2 * k, m))
-                                  + len(pairwise_unions(h).edges))
+    # L2, L2k and L2H on the dictionary itself: each distinct column set of
+    # the three families once, 6 pairs, 1 four-set and 4 triples
+    wanted = {tuple(c) for width in (2, min(2 * k, m))
+              for c in itertools.combinations(range(m), width)}
+    wanted |= {tuple(v - 1 for v in union) for union in pairwise_unions(h).edges}
+    assert len(on_dictionary) == len(set(on_dictionary)) == len(wanted) == 11
+    assert {columns for _, columns in on_dictionary} == wanted
     # the code checks: no subset of a code or product matrix twice, and at
     # most one exact SVD per subset and check
     per_support = sum(math.comb(count, k) for count in cert.support_counts.values())
     assert len(set(on_codes)) == len(on_codes) <= 2 * per_support
     assert completes == []
+
+
+CHAIN_HYPERGRAPHS = [build_cyclic(6, 2), build_cyclic(8, 3), build_complete(5, 2),
+                     build_grid(9)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 1606])
+@pytest.mark.parametrize("h", CHAIN_HYPERGRAPHS,
+                         ids=["cyclic6k2", "cyclic8k3", "complete5k2", "grid9"])
+def test_certificate_bounds_interlace(h, seed):
+    # sigma_min of a column set is at least that of any superset (Cauchy
+    # interlacing). Every pair lies in a union of two supports, and every
+    # union in a 2k-set (2k <= m), so L2 >= L2H >= L2k; a table that reads
+    # one family's rows for another breaks the chain or the views
+    rng = np.random.default_rng(seed)
+    m, k = h.m, h.k
+    mat = rng.standard_normal((m, m))
+    x = np.zeros((m, (k + 1) * len(h.edges)))
+    for index, edge in enumerate(h.edges):
+        x[[v - 1 for v in edge], index * (k + 1):(index + 1) * (k + 1)] = (
+            rng.standard_normal((k, k + 1)))
+    supports = tuple(edge for edge in h.edges for _ in range(k + 1))
+    cert = build_certificate(mat, SparseCodeSet(m, x, supports, k), h)
+    assert cert.L2 >= cert.L2H >= cert.L2k > 0.0
+    assert (cert.L2, cert.L2k, cert.L2H) == (
+        lower_bound_k(mat, 2), lower_bound_k(mat, 2 * k),
+        restricted_lower_bound(mat, pairwise_unions(h)))
+
+
+def test_bound_plan_is_shared_by_equal_hypergraphs(monkeypatch):
+    constants._bound_plan.cache_clear()
+    mat, codes, first = gaussian_instance(0, "cyclic", 4, 2, 7)
+    second = build_cyclic(4, 2)
+    assert first is not second
+    cert = build_certificate(mat, codes, first)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return pairwise_unions(*args, **kwargs)
+
+    monkeypatch.setattr(constants, "pairwise_unions", counted)
+    assert build_certificate(mat, codes, second) == cert
+    assert calls == []
+    info = constants._bound_plan.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("h", CHAIN_HYPERGRAPHS + [
+    Hypergraph(6, [(1, 2, 3), (4, 5, 6), (1, 4), (2, 5), (3, 6)])],
+    ids=["cyclic6k2", "cyclic8k3", "complete5k2", "grid9", "mixed6"])
+def test_cached_plans_hold_only_read_only_arrays(h):
+    arrays = []
+
+    def walk(value):
+        if isinstance(value, np.ndarray):
+            arrays.append(value)
+        elif isinstance(value, (tuple, dict)):
+            for item in value.values() if isinstance(value, dict) else value:
+                walk(item)
+        else:
+            # a width or a (|S_a|, |I|, |I & S_a|) shape entry
+            assert type(value) is int
+
+    walk(constants._c2_plan(h, regularity(h) + 1))
+    if h.k is not None:
+        walk(constants._bound_plan(h))
+    assert arrays
+    assert not any(array.flags.writeable for array in arrays)
 
 
 def test_planted_dependence_found_exhaustively():

@@ -217,6 +217,16 @@ def oracle_polynomial(mat, k):
     return total
 
 
+@pytest.mark.parametrize("call", [lower_bound_k, spark_condition, spark_polynomial])
+def test_sparsity_level_follows_the_integer_rule(call):
+    # 2.0 used to raise TypeError in lower_bound_k, and True was taken as 1
+    mat = np.random.default_rng(3).standard_normal((6, 6))
+    assert float(call(mat, 2.0)).hex() == float(call(mat, 2)).hex()
+    for bad in (True, 2.5, "2"):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            call(mat, bad)
+
+
 def test_polynomial_identity2():
     assert spark_polynomial(np.eye(2), 1) == 1.0
 

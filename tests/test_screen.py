@@ -58,7 +58,8 @@ def _reference_code_checks(mat, codes, hypergraph, index_sets, rank_tol):
         smax = float(np.linalg.svd(x, compute_uv=False)[0])
         sv = geometry.edge_min_singular_values(x, subsets)
         glp_ok = bool(np.min(sv) > rank_tol * smax) and glp_ok
-        denominator = min(denominator, geometry.subset_lower_bound(mat @ x, subsets))
+        lowest = geometry.edge_min_singular_values(mat @ x, subsets) / np.sqrt(k)
+        denominator = min(denominator, float(np.min(lowest)))
     return glp_ok, denominator
 
 
