@@ -9,25 +9,19 @@ from .alignment import (
     AlignmentResult,
     TheoremReport,
     align_dictionaries,
-    code_alignment_error,
     verify_theorem1,
 )
 from .codes import (
     Dataset,
     SparseCodeSet,
-    merge_code_sets,
     support_index_sets,
     synthesize_dataset,
-    vandermonde_codes,
 )
 from .constants import (
-    SampleRequirement,
     StabilityCertificate,
     build_certificate,
     compute_C2,
-    epsilon_for,
     sample_size_cor1,
-    sample_size_thm2,
 )
 from .errors import (
     CapExceededError,
@@ -40,14 +34,11 @@ from .experiment import ExperimentRecord, generate_instance, perturb_instance, r
 from .geometry import (
     DEFAULT_RANK_TOL,
     Subspace,
-    column_span,
-    distance_to_subspace,
     friedrichs_angle,
     intersect,
     lower_bound_k,
     orthonormal_basis,
     restricted_lower_bound,
-    spark_condition,
     spark_polynomial,
     subspace_distance,
     xi,
@@ -68,8 +59,6 @@ from .lemmas import (
     Lemma4Report,
     check_lemma3,
     check_lemma4,
-    is_admissible_map,
-    star_image_singletons,
 )
 from .serialize import TOOLKIT_VERSION as __version__
 

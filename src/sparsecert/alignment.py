@@ -226,35 +226,6 @@ def _match(costs, scales, usable):
     )
 
 
-def code_alignment_error(x, xbar, alignment, subset=None):
-    """l1 distance between codes and the back-transformed candidate codes.
-
-    Sums |x_j - xbar_pi(j) / c_j| over the matched source columns (or the
-    given 1-based subset of them), in increasing j. ``x`` and ``xbar`` are
-    one code each, shape (m,), giving a float, or N codes as columns, shape
-    (m, N), giving an (N,) array. Every column summed must be matched, and
-    zero scales cannot be inverted.
-    """
-    x = np.asarray(x, dtype=float)
-    xbar = np.asarray(xbar, dtype=float)
-    columns = sorted(alignment.pi) if subset is None else sorted(subset)
-    unmatched = [j for j in columns if j not in alignment.pi]
-    if unmatched:
-        raise ValueError(f"column {unmatched[0]} is not matched")
-    scales = np.array([alignment.scales[j] for j in columns], dtype=float)
-    zero = np.flatnonzero(scales == 0.0)
-    if zero.size:
-        raise ValueError(f"matched column {columns[zero[0]]} has zero scale")
-    source = np.array([[j - 1 for j in columns]], dtype=np.intp)
-    target = np.array([[alignment.pi[j] - 1 for j in columns]], dtype=np.intp)
-    single = x.ndim == 1
-    if single:
-        x, xbar = x[:, None], xbar[:, None]
-    total = _l1_errors(x, xbar[None], np.zeros(1, dtype=np.intp), source, target,
-                       scales[None])[0]
-    return float(total[0]) if single else total
-
-
 def _l1_errors(x, xbars, levels, source, target, scales):
     """Row t: the l1 distances, one per code, between ``x`` and the code
     matrix ``xbars[levels[t]]`` back-transformed through the (T, s) source

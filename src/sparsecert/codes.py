@@ -2,10 +2,8 @@
 code family.
 
 Codes live in columns of an m x N matrix, each column carrying an explicit
-support set. The power-node construction, the paper's witness, gives any
-count of codes on a shared support with any k of them independent in exact
-arithmetic; it is exponentially ill-conditioned in the count, so
-``experiment.generate_instance`` draws Gaussian codes instead.
+support set; ``experiment.generate_instance`` draws them Gaussian, which stay
+well conditioned at the counts Corollary 1 asks for.
 
 ``_code_checks`` is the one check of the k-subsets of every support's codes:
 general linear position (GLP) and the C1 denominator, from one screened
@@ -121,49 +119,6 @@ def _entry_failure(codes, masks, k):
     if oversize[index if len(oversize) > 1 else 0, col]:
         return index, f"support of column {col} larger than k={k}"
     return index, f"column {col} has entries outside its support"
-
-
-def merge_code_sets(code_sets):
-    """Concatenate code sets over a common vertex count."""
-    sets = list(code_sets)
-    if not sets:
-        raise ValueError("nothing to merge")
-    m = sets[0].m
-    if any(cs.m != m for cs in sets):
-        raise ValueError("vertex counts differ")
-    codes = np.hstack([cs.codes for cs in sets])
-    supports = tuple(s for cs in sets for s in cs.supports)
-    return SparseCodeSet(m, codes, supports, max(cs.k for cs in sets))
-
-
-def vandermonde_codes(support, count, gammas, m=None):
-    """Codes gamma_i^j (j = 1..count) placed on a shared support.
-
-    For distinct positive nodes any k = |support| of the resulting columns
-    are linearly independent. Nodes must be distinct and nonzero; counts that
-    would push gamma^count outside [1e-300, 1e300] are rejected.
-    """
-    if m is None:
-        m = max(support)
-    support = normalize_support(support, m)
-    gammas = [float(g) for g in gammas]
-    if len(gammas) != len(support):
-        raise ValueError("need one node per support vertex")
-    if count < 1:
-        raise ValueError("count must be positive")
-    if any(g == 0.0 for g in gammas):
-        raise ValueError("nodes must be nonzero")
-    if len(set(gammas)) != len(gammas):
-        raise ValueError("nodes must be distinct")
-    for g in gammas:
-        magnitude = count * math.log10(abs(g))
-        if magnitude < -300 or magnitude > 300:
-            raise ValueError(f"|{g}|^{count} outside the representable range")
-    codes = np.zeros((m, count))
-    powers = np.arange(1, count + 1)
-    for row, g in zip((v - 1 for v in support), gammas):
-        codes[row] = g ** powers
-    return SparseCodeSet(m, codes, (support,) * count, len(support))
 
 
 def _independent(mat, subsets, floor, smax, rank_tol):

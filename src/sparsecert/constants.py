@@ -1,5 +1,5 @@
-"""Stability constants, recovery thresholds, sample-size formulas, and the
-certificate that bundles them with the hypothesis checks.
+"""Stability constants, recovery thresholds, the Corollary-1 sample count, and
+the certificate that bundles them with the hypothesis checks.
 
 The checks of the codes' k-subsets, general linear position and the C1
 denominator, come from the one screen in ``codes._code_checks``; ``C1`` is
@@ -245,23 +245,6 @@ def _c1(c2, glp_ok, denominator):
     return c1
 
 
-def epsilon_for(delta1, delta2, c1, l2k, max_l1):
-    """Residual threshold guaranteeing recovery within (delta1, delta2).
-
-    min(delta1 / c1, delta2 * l2k / (1 + c1 * (delta2 + max_l1))); strictly
-    positive whenever both deltas are. A NaN or an infinite input raises
-    ValueError.
-    """
-    # a NaN fails every comparison
-    if not (0 <= delta1 < math.inf and 0 <= delta2 < math.inf):
-        raise ValueError("deltas must be nonnegative and finite")
-    if not (0 < c1 < math.inf and 0 < l2k < math.inf):
-        raise ValueError("c1 and l2k must be positive and finite")
-    if not 0 <= max_l1 < math.inf:
-        raise ValueError("max_l1 must be nonnegative and finite")
-    return min(delta1 / c1, delta2 * l2k / (1.0 + c1 * (delta2 + max_l1)))
-
-
 def sample_size_cor1(m, k, hypergraph):
     """Sufficient total sample count: |H| * ((k-1) * C(m, k) + 1)."""
     m, k = as_integer(m, "m"), as_integer(k, "k")
@@ -270,24 +253,6 @@ def sample_size_cor1(m, k, hypergraph):
     if hypergraph.m != m:
         raise ValueError("hypergraph vertex count differs from m")
     return len(hypergraph.edges) * ((k - 1) * math.comb(m, k) + 1)
-
-
-class SampleRequirement(NamedTuple):
-    per_support: int
-    total: int
-
-
-def sample_size_thm2(m_bar, k, hypergraph):
-    """Per-support and total counts for the minimal-support-size formulation.
-
-    Per support: (k-1) * (C(m_bar, k) + |H| * k * C(m_bar, k-1)) + 1.
-    """
-    m_bar, k = as_integer(m_bar, "m_bar"), as_integer(k, "k")
-    if m_bar < 1 or k < 1:
-        raise ValueError("m_bar and k must be positive")
-    edges = len(hypergraph.edges)
-    per_support = (k - 1) * (math.comb(m_bar, k) + edges * k * math.comb(m_bar, k - 1)) + 1
-    return SampleRequirement(per_support, edges * per_support)
 
 
 @dataclass

@@ -12,6 +12,7 @@ stays below the threshold are verified together
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -129,11 +130,15 @@ def perturb_instance(dictionary, codes, family, eps_target, rng):
     codes; scaled_permuted first moves to a random point of the ambiguity
     orbit and then jitters the dictionary; code_jitter perturbs code
     coefficients inside their supports and keeps the dictionary. The batch
-    of one of a sweep's draw step.
+    of one of a sweep's draw step. An eps_target that is not a real number
+    (``hypergraph.as_real``), or is negative or not finite, raises
+    ValueError before any draw.
     """
     mat = np.asarray(dictionary, dtype=float)
-    if eps_target < 0:
-        raise ValueError("eps_target must be nonnegative")
+    eps_target = as_real(eps_target, "eps_target")
+    # a NaN fails both comparisons
+    if not 0.0 <= eps_target < math.inf:
+        raise ValueError(f"eps_target must be nonnegative and finite, got {eps_target!r}")
     if family not in PERTURBATION_FAMILIES:
         raise ValueError(f"unknown perturbation family {family!r}")
     if eps_target == 0.0:

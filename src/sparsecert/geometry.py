@@ -1,6 +1,7 @@
-"""Matrix and subspace geometry: restricted lower bounds, spark checks, the
-spark polynomial, subspace distance, Friedrichs angles, the ordering-maximized
-sine-product aggregate, and numerical subspace intersection.
+"""Matrix and subspace geometry: restricted lower bounds, the spark verdict
+read from them and the spark polynomial, subspace distance, Friedrichs angles,
+the ordering-maximized sine-product aggregate, and numerical subspace
+intersection.
 
 Every restricted-singular-value quantity funnels through one kernel,
 `edge_min_singular_values` (numpy's batched LAPACK SVD over one (E, w)
@@ -155,20 +156,6 @@ def _bases(mats, rank_tol):
             for i, basis in zip(sub, u[sub, :, :rank]):
                 results[idx[i]] = basis
     return results
-
-
-def column_span(mat, support, rank_tol=DEFAULT_RANK_TOL):
-    """Span of the matrix columns selected by a 1-based support set, taken in
-    the support's order; a vertex outside [1, m] raises ValueError."""
-    mat = as_matrix(mat)
-    n, m = mat.shape
-    cols = [as_integer(v, "vertex") - 1 for v in support]
-    for c in cols:
-        if not 0 <= c < m:
-            raise ValueError(f"vertex {c + 1} outside [1, {m}]")
-    if not cols:
-        return Subspace(n, np.zeros((n, 0)))
-    return orthonormal_basis(mat[:, cols], rank_tol)
 
 
 def k_subsets(count, k, cap=DEFAULT_EDGE_CAP):
@@ -492,23 +479,14 @@ def lower_bound_k(mat, k):
 
 
 def spark_from_bound(bound, width, smax, rank_tol=DEFAULT_RANK_TOL):
-    """Spark verdict from the lower bound over all ``width``-column subsets."""
-    return bound * math.sqrt(width) > rank_tol * smax
+    """Spark verdict from the lower bound over all ``width``-column subsets.
 
-
-def spark_condition(mat, k, rank_tol=DEFAULT_RANK_TOL):
-    """True iff every set of min(2k, m) columns is linearly independent.
-
-    Equivalent to the restricted lower bound over min(2k, m)-subsets clearing
-    the rank-scaled threshold rank_tol * (largest singular value of mat).
+    True iff every ``width`` columns are independent at ``rank_tol``: the
+    least sigma_min over them clears rank_tol times ``smax``, the largest
+    singular value of the dictionary. The certificate's ``spark_ok`` reads
+    it at width min(2k, m).
     """
-    mat = as_matrix(mat, "dictionary")
-    k = as_integer(k, "k")
-    if k < 1:
-        raise ValueError("sparsity level must be positive")
-    width = min(2 * k, mat.shape[1])
-    smax = float(np.linalg.svd(mat, compute_uv=False)[0])
-    return spark_from_bound(lower_bound_k(mat, width), width, smax, rank_tol)
+    return bound * math.sqrt(width) > rank_tol * smax
 
 
 def spark_polynomial(mat, k):
@@ -772,11 +750,6 @@ def xi(subspaces, rank_tol=DEFAULT_RANK_TOL):
     if any(basis.shape[1] == 0 for basis in bases):
         raise ValueError("collection contains the zero subspace")
     return _xis([bases], rank_tol)[0][0]
-
-
-def distance_to_subspace(x, space):
-    """Euclidean distance from a point to a subspace."""
-    return _distance(np.asarray(x, dtype=float), space.basis)
 
 
 def _project(basis, x):

@@ -138,10 +138,8 @@ def has_sip(hypergraph):
     Vertices with an empty star fail the check.
     """
     for i in range(1, hypergraph.m + 1):
-        containing = [set(e) for e in hypergraph.edges if i in e]
-        if not containing:
-            return False
-        if set.intersection(*containing) != {i}:
+        containing = star(hypergraph, i)
+        if not containing or set(containing[0]).intersection(*containing[1:]) != {i}:
             return False
     return True
 

@@ -144,65 +144,6 @@ class Lemma4Report:
         return self.admissible == self.verified and not self.counterexamples
 
 
-def _image_masks(hypergraph, m_bar, images):
-    m_bar = as_integer(m_bar, "m_bar")
-    if len(images) != len(hypergraph.edges):
-        raise ValueError("one image per edge required")
-    masks = []
-    for image in images:
-        mask = 0
-        for v in image:
-            v = as_integer(v, "image element")
-            if not 1 <= v <= m_bar:
-                raise ValueError(f"image element {v} outside [1, {m_bar}]")
-            mask |= 1 << (v - 1)
-        masks.append(mask)
-    return m_bar, masks
-
-
-def is_admissible_map(hypergraph, m_bar, images):
-    """Whether an edge map (edge order -> vertex subsets of [1, m_bar]) is admissible.
-
-    Admissible means the summed image sizes reach the summed edge sizes and
-    every group of r or r+1 edges has |intersection of images| bounded by
-    |intersection of edges|.
-    """
-    r = regularity(hypergraph)
-    if r is None:
-        raise HypothesisError("hypergraph is not regular")
-    edges = hypergraph.edges
-    _, masks = _image_masks(hypergraph, m_bar, images)
-    edge_masks = [sum(1 << (v - 1) for v in e) for e in edges]
-    if sum(mask.bit_count() for mask in masks) < sum(len(e) for e in edges):
-        return False
-    for size in (r, r + 1):
-        if size > len(edges):
-            continue
-        for group in itertools.combinations(range(len(edges)), size):
-            meet = masks[group[0]]
-            edge_meet = edge_masks[group[0]]
-            for idx in group[1:]:
-                meet &= masks[idx]
-                edge_meet &= edge_masks[idx]
-            if meet.bit_count() > edge_meet.bit_count():
-                return False
-    return True
-
-
-def star_image_singletons(hypergraph, m_bar, images):
-    """Vertices whose star images intersect in exactly one element, and that element."""
-    m_bar, masks = _image_masks(hypergraph, m_bar, images)
-    result = {}
-    for i in range(1, hypergraph.m + 1):
-        meet = (1 << m_bar) - 1
-        for idx, edge in enumerate(hypergraph.edges):
-            if i in edge:
-                meet &= masks[idx]
-        if meet.bit_count() == 1:
-            result[i] = meet.bit_length()
-    return result
-
-
 def validate_lemma4(hypergraph, m_bar):
     """Reject a Lemma-4 input before any enumeration; returns the regularity r."""
     m_bar = as_integer(m_bar, "m_bar")

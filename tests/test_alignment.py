@@ -8,18 +8,16 @@ import pytest
 
 from sparsecert import (
     HypothesisError,
+    SparseCodeSet,
     ThresholdError,
     align_dictionaries,
     build_complete,
     build_cyclic,
-    code_alignment_error,
     generate_instance,
-    merge_code_sets,
-    vandermonde_codes,
     verify_theorem1,
 )
 from sparsecert import geometry
-from sparsecert.alignment import AlignmentResult, _augment, _pair_costs
+from sparsecert.alignment import AlignmentResult, _augment, _l1_errors, _pair_costs
 from sparsecert.constants import build_certificate
 
 
@@ -394,6 +392,23 @@ def test_undersized_candidate_leaves_sources_unmatched():
     assert len(res.unmatched_source) == 2
 
 
+def code_errors(x, xbar, alignment, subset=None):
+    """The code errors of verify_theorem1's code tier (``_l1_errors``) for
+    one code, shape (m,), or N codes as columns, shape (m, N), over the
+    matched columns or the given 1-based subset of them."""
+    columns = sorted(alignment.pi) if subset is None else sorted(subset)
+    source = np.array([[j - 1 for j in columns]], dtype=np.intp)
+    target = np.array([[alignment.pi[j] - 1 for j in columns]], dtype=np.intp)
+    scales = np.array([[alignment.scales[j] for j in columns]])
+    x, xbar = np.asarray(x, dtype=float), np.asarray(xbar, dtype=float)
+    single = x.ndim == 1
+    if single:
+        x, xbar = x[:, None], xbar[:, None]
+    total = _l1_errors(x, xbar[None], np.zeros(1, dtype=np.intp), source, target,
+                       scales)[0]
+    return float(total[0]) if single else total
+
+
 def test_code_error_exact_transform():
     rng = np.random.default_rng(5)
     a_mat, b_mat, perm, diag = random_orbit_pair(rng, 5, 4)
@@ -402,7 +417,7 @@ def test_code_error_exact_transform():
     xbar = np.empty(4)
     for l in range(4):
         xbar[l] = x[perm[l]] / diag[l]
-    assert code_alignment_error(x, xbar, res) <= 1e-10
+    assert code_errors(x, xbar, res) <= 1e-10
 
 
 def test_code_error_k1_consistent_rescale():
@@ -413,7 +428,7 @@ def test_code_error_k1_consistent_rescale():
     assert res.scales[1] == pytest.approx(2.0)
     x = np.array([1.0, 0.0, 0.0])
     xbar = np.array([2.0, 0.0, 0.0])
-    assert code_alignment_error(x, xbar, res) == 0.0
+    assert code_errors(x, xbar, res) == 0.0
 
 
 def test_code_error_matches_direct_formula():
@@ -425,7 +440,7 @@ def test_code_error_matches_direct_formula():
     direct = sum(
         abs(x[j - 1] - xbar[res.pi[j] - 1] / res.scales[j]) for j in res.pi
     )
-    assert code_alignment_error(x, xbar, res) == pytest.approx(direct, rel=1e-12)
+    assert code_errors(x, xbar, res) == pytest.approx(direct, rel=1e-12)
 
 
 @pytest.mark.parametrize("m, m_bar, subset", [
@@ -440,10 +455,9 @@ def test_code_error_columns_equal_single_codes(m, m_bar, subset):
     res = align_dictionaries(a_mat, b_mat)
     x = rng.standard_normal((m, 9))
     xbar = rng.standard_normal((m_bar, 9))
-    errors = code_alignment_error(x, xbar, res, subset)
+    errors = code_errors(x, xbar, res, subset)
     assert errors.shape == (9,)
-    singles = [code_alignment_error(x[:, i], xbar[:, i], res, subset)
-               for i in range(9)]
+    singles = [code_errors(x[:, i], xbar[:, i], res, subset) for i in range(9)]
     assert all(type(e) is float for e in singles)
     assert errors.tolist() == singles
     ordered = sorted(res.pi) if subset is None else sorted(subset)
@@ -452,29 +466,6 @@ def test_code_error_columns_equal_single_codes(m, m_bar, subset):
         for j in ordered:
             total += abs(x[j - 1, i] - xbar[res.pi[j] - 1, i] / res.scales[j])
         assert singles[i] == total
-
-
-def test_code_error_zero_scale_names_column():
-    res = AlignmentResult(pi={1: 2, 2: 1, 3: 3}, scales={1: 1.0, 2: 0.0, 3: 0.0},
-                          column_errors={1: 0.0, 2: 0.0, 3: 0.0},
-                          max_column_error=0.0, unmatched_source=(),
-                          unmatched_target=())
-    for x in (np.ones(3), np.ones((3, 4))):
-        with pytest.raises(ValueError, match="^matched column 2 has zero scale$"):
-            code_alignment_error(x, x, res)
-        with pytest.raises(ValueError, match="^matched column 3 has zero scale$"):
-            code_alignment_error(x, x, res, subset=(3, 1))
-    assert code_alignment_error(np.ones(3), np.ones(3), res, subset=(1,)) == 0.0
-
-
-def test_code_error_unmatched_column_named():
-    res = align_dictionaries(np.eye(3), np.eye(3)[:, :2])
-    assert res.unmatched_source == (3,)
-    for x, xbar in ((np.ones(3), np.ones(2)), (np.ones((3, 4)), np.ones((2, 4)))):
-        with pytest.raises(ValueError, match="^column 3 is not matched$"):
-            code_alignment_error(x, xbar, res, subset=[3])
-        with pytest.raises(ValueError, match="^column 3 is not matched$"):
-            code_alignment_error(x, xbar, res, subset=(2, 3, 1))
 
 
 def test_orbit_invariance_of_code_reconstruction():
@@ -574,9 +565,7 @@ def test_verify_refuses_non_finite_eps(eps):
 def necessity_instance(m):
     """Identity dictionary, singleton codes, and the merged-column candidate."""
     a_mat = np.eye(m)
-    codes = merge_code_sets([
-        vandermonde_codes((i,), 1, (1.0,), m=m) for i in range(1, m + 1)
-    ])
+    codes = SparseCodeSet(m, np.eye(m), tuple((i,) for i in range(1, m + 1)), 1)
     b_mat = np.eye(m).copy()
     b_mat[:, 0] = 0.0
     b_mat[:, 1] = 0.5 * (a_mat[:, 0] + a_mat[:, 1])
@@ -591,8 +580,6 @@ def necessity_instance(m):
             col[i] = 1.0
             supports.append((i + 1,))
         xbar_cols.append(col)
-    from sparsecert import SparseCodeSet
-
     codes_bar = SparseCodeSet(m, np.column_stack(xbar_cols), tuple(supports), 1)
     return a_mat, codes, b_mat, codes_bar
 

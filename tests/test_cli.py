@@ -7,6 +7,8 @@ import pytest
 from sparsecert import HypothesisError, cli, constants, lemmas, serialize
 from sparsecert.cli import main
 
+from oracles import power_node_codes
+
 
 @pytest.fixture()
 def instance_dir(tmp_path):
@@ -78,13 +80,12 @@ def test_certify_repeated_column_exits_1(tmp_path, capsys):
     # coincide: C2 is refused and no certificate is issued
     import numpy as np
 
-    from sparsecert import build_cyclic, merge_code_sets, vandermonde_codes
+    from sparsecert import build_cyclic
 
     h = build_cyclic(4, 2)
     mat = np.random.default_rng(5).standard_normal((4, 4))
     mat[:, 2] = mat[:, 0]
-    codes = merge_code_sets(
-        [vandermonde_codes(e, 7, (0.8, 1.25), m=4) for e in h.edges])
+    codes = power_node_codes(h.edges, 7, (0.8, 1.25), m=4)
     (tmp_path / "dict.json").write_text(json.dumps(
         serialize.matrix_to_json_dict(mat)))
     (tmp_path / "codes.json").write_text(json.dumps(
@@ -131,11 +132,10 @@ def test_certify_identity_instance_constant(tmp_path, capsys):
     # geometry gives the bare (r + 1) constant
     import numpy as np
 
-    from sparsecert import build_cyclic, merge_code_sets, vandermonde_codes
+    from sparsecert import build_cyclic
 
     h = build_cyclic(4, 2)
-    codes = merge_code_sets(
-        [vandermonde_codes(e, 7, (0.8, 1.25), m=4) for e in h.edges])
+    codes = power_node_codes(h.edges, 7, (0.8, 1.25), m=4)
     (tmp_path / "dict.json").write_text(json.dumps(
         serialize.matrix_to_json_dict(np.eye(4))))
     (tmp_path / "codes.json").write_text(json.dumps(
@@ -156,13 +156,12 @@ def test_certify_non_spark_dictionary_exit_zero(tmp_path, capsys):
     # certificate is still issued, with the code tier withheld
     import numpy as np
 
-    from sparsecert import build_cyclic, merge_code_sets, vandermonde_codes
+    from sparsecert import build_cyclic
 
     eye = np.eye(5)
     mat = np.hstack([eye, (eye[:, 0] + eye[:, 2] + eye[:, 4])[:, None]])
     h = build_cyclic(6, 2)
-    codes = merge_code_sets(
-        [vandermonde_codes(e, 16, (0.75, 1.25), m=6) for e in h.edges])
+    codes = power_node_codes(h.edges, 16, (0.75, 1.25), m=6)
     (tmp_path / "dict.json").write_text(json.dumps(
         serialize.matrix_to_json_dict(mat)))
     (tmp_path / "codes.json").write_text(json.dumps(

@@ -15,15 +15,14 @@ from sparsecert import (
     build_complete,
     build_cyclic,
     generate_instance,
-    merge_code_sets,
     pairwise_unions,
     restricted_lower_bound,
-    spark_condition,
     support_index_sets,
     synthesize_dataset,
-    vandermonde_codes,
 )
 from sparsecert import codes as codes_module, experiment, geometry
+
+from oracles import power_node_codes, spark_verdict
 
 
 def _glp(codes, support):
@@ -36,7 +35,7 @@ def _glp(codes, support):
 
 
 def test_vandermonde_example_powers():
-    codes = vandermonde_codes((1, 2), 3, (1.0, 2.0), m=4)
+    codes = power_node_codes([(1, 2)], 3, (1.0, 2.0), m=4)
     assert codes.codes.shape == (4, 3)
     np.testing.assert_array_equal(codes.codes[0], [1.0, 1.0, 1.0])
     np.testing.assert_array_equal(codes.codes[1], [2.0, 4.0, 8.0])
@@ -45,7 +44,7 @@ def test_vandermonde_example_powers():
 
 
 def test_vandermonde_scalar_powers():
-    codes = vandermonde_codes((3,), 4, (0.5,), m=3)
+    codes = power_node_codes([(3,)], 4, (0.5,), m=3)
     np.testing.assert_allclose(codes.codes[2], [0.5, 0.25, 0.125, 0.0625])
 
 
@@ -58,17 +57,8 @@ def test_vandermonde_always_general_position():
         while len(set(gammas)) < k:
             gammas = sorted(rng.uniform(0.5, 1.5, k))
         support = tuple(sorted(rng.choice(6, size=k, replace=False) + 1))
-        codes = vandermonde_codes(support, count, gammas, m=6)
+        codes = power_node_codes([support], count, gammas, m=6)
         assert _glp(codes, support)
-
-
-def test_vandermonde_rejects_bad_nodes():
-    with pytest.raises(ValueError):
-        vandermonde_codes((1, 2), 3, (1.0, 1.0), m=3)
-    with pytest.raises(ValueError):
-        vandermonde_codes((1, 2), 3, (0.0, 1.0), m=3)
-    with pytest.raises(ValueError):
-        vandermonde_codes((1,), 2000, (2.0,), m=2)
 
 
 @settings(max_examples=30, deadline=None)
@@ -82,7 +72,7 @@ def test_vandermonde_general_position_property(data):
             min_size=k, max_size=k, unique=True,
         )
     )
-    codes = vandermonde_codes(tuple(range(1, k + 1)), count, gammas, m=k + 1)
+    codes = power_node_codes([tuple(range(1, k + 1))], count, gammas, m=k + 1)
     assert _glp(codes, tuple(range(1, k + 1)))
 
 
@@ -97,7 +87,7 @@ def test_glp_parallel_vectors():
 
 
 def test_support_index_sets_single_support():
-    codes = vandermonde_codes((1, 2), 5, (0.8, 1.2), m=4)
+    codes = power_node_codes([(1, 2)], 5, (0.8, 1.2), m=4)
     sets = support_index_sets(codes, build_cyclic(4, 2))
     assert sets[(1, 2)] == list(range(5))
     assert sets[(2, 3)] == []
@@ -106,7 +96,7 @@ def test_support_index_sets_single_support():
 
 
 def test_support_index_sets_containment():
-    codes = vandermonde_codes((2,), 2, (1.5,), m=3)
+    codes = power_node_codes([(2,)], 2, (1.5,), m=3)
     from sparsecert.hypergraph import Hypergraph
     sets = support_index_sets(codes, Hypergraph(3, [(1, 2), (2, 3)]))
     assert sets[(1, 2)] == [0, 1]
@@ -267,7 +257,7 @@ def _reference_generate(m, n, k, hypergraph, per_support_count, seed,
         codes = SparseCodeSet(m, x, tuple(supports), k)
         smax = float(np.linalg.svd(mat, compute_uv=False)[0])
         if (restricted_lower_bound(mat, unions) > rank_tol * smax
-                and spark_condition(mat, k, rank_tol)
+                and spark_verdict(mat, k, rank_tol)
                 and all(_reference_independent(codes.codes[:, ids], k, rank_tol)
                         for ids in support_index_sets(codes, hypergraph).values())):
             return mat, codes
@@ -323,19 +313,3 @@ def test_generate_instance_seed_variation():
 def test_code_set_validates_support():
     with pytest.raises(ValueError):
         SparseCodeSet(3, np.ones((3, 1)), ((1, 2),), 2)
-
-
-def test_merge_code_sets():
-    a = vandermonde_codes((1,), 2, (1.1,), m=3)
-    b = vandermonde_codes((2, 3), 3, (0.7, 1.3), m=3)
-    merged = merge_code_sets([a, b])
-    assert merged.n_codes == 5
-    assert merged.k == 2
-    assert merged.supports[:2] == ((1,), (1,))
-
-
-def test_merge_code_sets_rejects_mixed_ambient():
-    a = vandermonde_codes((1,), 2, (1.1,), m=3)
-    b = vandermonde_codes((1,), 2, (1.1,), m=4)
-    with pytest.raises(ValueError):
-        merge_code_sets([a, b])

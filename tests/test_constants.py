@@ -12,36 +12,31 @@ from sparsecert import (
     HypothesisError,
     SparseCodeSet,
     StabilityCertificate,
-    column_span,
     build_certificate,
     build_complete,
     build_cyclic,
     build_grid,
     compute_C2,
-    epsilon_for,
     generate_instance,
     has_sip,
     lower_bound_k,
-    merge_code_sets,
     pairwise_unions,
     restricted_lower_bound,
     sample_size_cor1,
-    sample_size_thm2,
     support_index_sets,
-    vandermonde_codes,
     xi,
 )
 from sparsecert import constants, geometry
 from sparsecert import codes as codes_module
 from sparsecert.hypergraph import Hypergraph, regularity
 
+from oracles import column_span, power_node_codes
+
 
 def singleton_codes(coefficients):
     m = len(coefficients)
-    return merge_code_sets([
-        vandermonde_codes((i + 1,), 1, (c,), m=m)
-        for i, c in enumerate(coefficients)
-    ])
+    return SparseCodeSet(m, np.diag(np.asarray(coefficients, dtype=float)),
+                         tuple((i,) for i in range(1, m + 1)), 1)
 
 
 # compute_C2
@@ -245,61 +240,15 @@ def test_c1_singleton_footnote_bound():
 def test_c1_decreases_when_codes_scale_up():
     h = build_cyclic(4, 2)
     mat, codes = generate_instance(4, 4, 2, h, 7, seed=0)
-    doubled = merge_code_sets([codes])
-    doubled.codes = 2 * doubled.codes
+    doubled = SparseCodeSet(codes.m, 2 * codes.codes, codes.supports, codes.k)
     assert build_certificate(mat, doubled, h).C1 < build_certificate(mat, codes, h).C1
 
 
 def test_c1_requires_codes_everywhere():
-    codes = vandermonde_codes((1, 2), 3, (1.0, 2.0), m=4)
+    codes = power_node_codes([(1, 2)], 3, (1.0, 2.0), m=4)
     cert = build_certificate(np.eye(4), codes, build_cyclic(4, 2))
     assert not cert.glp_ok
     assert cert.C1 is None
-
-
-# epsilon_for
-
-
-def test_epsilon_zero_deltas():
-    assert epsilon_for(0.0, 0.0, 3.0, 0.5, 1.0) == 0.0
-
-
-def test_epsilon_example_value():
-    got = epsilon_for(0.3, 0.1, 3.0, 0.5, 1.0)
-    assert got == pytest.approx(min(0.1, 0.05 / 4.3), abs=1e-15)
-
-
-def test_epsilon_large_delta1_hits_second_branch():
-    got = epsilon_for(1e9, 0.1, 3.0, 0.5, 1.0)
-    assert got == pytest.approx(0.05 / 4.3, abs=1e-15)
-
-
-def test_epsilon_monotone_and_positive():
-    grid = [0.0, 1e-3, 0.1, 1.0, 10.0]
-    values = [[epsilon_for(d1, d2, 2.0, 0.3, 1.5) for d2 in grid] for d1 in grid]
-    for i, d1 in enumerate(grid):
-        for j, d2 in enumerate(grid):
-            if d1 > 0 and d2 > 0:
-                assert values[i][j] > 0
-            if i + 1 < len(grid):
-                assert values[i + 1][j] >= values[i][j]
-            if j + 1 < len(grid):
-                assert values[i][j + 1] >= values[i][j]
-
-
-def test_epsilon_rejects_negative():
-    with pytest.raises(ValueError):
-        epsilon_for(-0.1, 0.1, 1.0, 1.0, 1.0)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-@pytest.mark.parametrize("position", range(5))
-def test_epsilon_refuses_non_finite_inputs(position, bad):
-    # a NaN delta, l2k or max_l1 used to give 1.0, and a NaN delta1 or c1 NaN
-    args = [0.3, 0.1, 3.0, 0.5, 1.0]
-    args[position] = bad
-    with pytest.raises(ValueError, match="finite"):
-        epsilon_for(*args)
 
 
 # sample sizes
@@ -323,22 +272,6 @@ def test_cor1_intro_identity():
     for m, k in [(5, 2), (6, 3), (7, 2)]:
         h = build_cyclic(m, k)
         assert sample_size_cor1(m, k, h) == m * (k - 1) * math.comb(m, k) + m
-
-
-def test_thm2_5_2():
-    got = sample_size_thm2(5, 2, build_cyclic(5, 2))
-    assert got.per_support == 61
-    assert got.total == 305
-
-
-def test_thm2_k1():
-    assert sample_size_thm2(5, 1, build_cyclic(5, 1)).per_support == 1
-
-
-def test_thm2_4_2():
-    got = sample_size_thm2(4, 2, build_cyclic(4, 2))
-    assert got.per_support == 39
-    assert got.total == 156
 
 
 def test_sample_sizes_are_exact_integers():
@@ -450,8 +383,7 @@ def test_certificate_non_spark_dictionary_still_certifies():
     eye = np.eye(5)
     mat = np.hstack([eye, (eye[:, 0] + eye[:, 2] + eye[:, 4])[:, None]])
     h = build_cyclic(6, 2)
-    blocks = [vandermonde_codes(e, 16, (0.75, 1.25), m=6) for e in h.edges]
-    cert = build_certificate(mat, merge_code_sets(blocks), h)
+    cert = build_certificate(mat, power_node_codes(h.edges, 16, (0.75, 1.25), m=6), h)
     assert not cert.spark_ok
     assert cert.lower_bound_ok
     assert cert.hypotheses_ok
@@ -469,8 +401,7 @@ def test_certificate_grid_design():
 
 def test_certificate_counts_flag():
     h = build_cyclic(4, 2)
-    blocks = [vandermonde_codes(e, 3, (0.8, 1.2), m=4) for e in h.edges]
-    cert = build_certificate(np.eye(4), merge_code_sets(blocks), h)
+    cert = build_certificate(np.eye(4), power_node_codes(h.edges, 3, (0.8, 1.2), m=4), h)
     assert not cert.counts_ok
     assert cert.required_per_support == 7
 

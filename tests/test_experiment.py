@@ -69,6 +69,19 @@ def test_realized_residual_matches_target(instance, family):
     assert codes_bar.k == codes.k
 
 
+@pytest.mark.parametrize("family", PERTURBATION_FAMILIES)
+@pytest.mark.parametrize("eps_target", [math.nan, math.inf, -1.0, True, "x"])
+def test_perturb_refuses_bad_targets_before_any_draw(instance, family, eps_target):
+    # NaN and inf used to give a non-finite candidate dictionary, or a
+    # misleading "codes have non-finite entries" from code_jitter
+    _, mat, codes, _ = instance
+    rng = np.random.default_rng(7)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="eps_target must be"):
+        perturb_instance(mat, codes, family, eps_target, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_zero_perturbation_returns_exact_instance(instance):
     _, mat, codes, cert = instance
     rng = np.random.default_rng(6)
@@ -192,8 +205,8 @@ def _reference_remap(supports, perm):
     )
 
 
-def _reference_code_alignment_error(x, xbar, alignment, subset=None):
-    """code_alignment_error on one code, one matched column at a time."""
+def _reference_code_error(x, xbar, alignment, subset=None):
+    """verify_theorem1's code error on one code, one matched column at a time."""
     columns = sorted(alignment.pi) if subset is None else sorted(subset)
     total = 0.0
     for j in columns:
@@ -212,7 +225,7 @@ def _reference_code_tier(codes, codes_bar, report, certificate):
     bounds = np.empty(codes.n_codes)
     l1 = codes.l1_norms()
     for i in range(codes.n_codes):
-        errors[i] = _reference_code_alignment_error(
+        errors[i] = _reference_code_error(
             codes.codes[:, i], codes_bar.codes[:, i], report.alignment,
             report.matched_subset)
         bounds[i] = (1.0 + c1 * l1[i]) * eps / denominator

@@ -16,20 +16,20 @@ from sparsecert import (
     Subspace,
     build_complete,
     build_cyclic,
-    column_span,
     friedrichs_angle,
     intersect,
     lower_bound_k,
     orthonormal_basis,
     pairwise_unions,
     restricted_lower_bound,
-    spark_condition,
     spark_polynomial,
     regularity,
     subspace_distance,
     xi,
 )
 from sparsecert import geometry
+
+from oracles import column_span, spark_verdict
 
 RANK_TOL = 1e-9
 
@@ -105,21 +105,6 @@ def test_subspace_ambient_is_an_integer():
             Subspace(bad, np.eye(3)[:, :1])
 
 
-@pytest.mark.parametrize("support", [(0,), (1, 0), (5,), (2, 5), (1.5,), (True,)])
-def test_column_span_refuses_vertices_outside_the_columns(support):
-    mat = np.random.default_rng(4).standard_normal((4, 4))
-    with pytest.raises(ValueError, match="vertex"):
-        column_span(mat, support)
-
-
-def test_column_span_keeps_the_support_order():
-    mat = np.random.default_rng(4).standard_normal((5, 4))
-    for support in [(3, 1), (1, 3), (4, 2, 1), (2.0, np.int64(4))]:
-        cols = [int(v) - 1 for v in support]
-        want = orthonormal_basis(mat[:, cols]).basis
-        assert column_span(mat, support).basis.tobytes() == want.tobytes()
-
-
 # restricted_lower_bound / lower_bound_k
 
 
@@ -175,31 +160,31 @@ def test_lower_bound_monotone_in_k():
             assert small >= large - 1e-10
 
 
-# spark_condition
+# the spark verdict: geometry.spark_from_bound of lower_bound_k
 
 
 def test_spark_identity():
-    assert spark_condition(np.eye(6), 2)
-    assert spark_condition(np.eye(6), 3)
+    assert spark_verdict(np.eye(6), 2)
+    assert spark_verdict(np.eye(6), 3)
 
 
 def test_spark_section2_fails():
-    assert not spark_condition(section2_matrix(), 2)
+    assert not spark_verdict(section2_matrix(), 2)
 
 
 def test_spark_duplicate_column():
     rng = np.random.default_rng(2)
     mat = rng.standard_normal((4, 4))
     mat[:, 2] = mat[:, 0]
-    assert not spark_condition(mat, 1)
+    assert not spark_verdict(mat, 1)
 
 
 def test_spark_wide_sparsity_uses_all_columns():
     # 2k > m: all three columns must be independent
-    assert spark_condition(np.eye(3), 2)
+    assert spark_verdict(np.eye(3), 2)
     mat = np.eye(3).copy()
     mat[:, 2] = mat[:, 0] + mat[:, 1]
-    assert not spark_condition(mat, 2)
+    assert not spark_verdict(mat, 2)
 
 
 # spark_polynomial
@@ -217,7 +202,7 @@ def oracle_polynomial(mat, k):
     return total
 
 
-@pytest.mark.parametrize("call", [lower_bound_k, spark_condition, spark_polynomial])
+@pytest.mark.parametrize("call", [lower_bound_k, spark_polynomial])
 def test_sparsity_level_follows_the_integer_rule(call):
     # 2.0 used to raise TypeError in lower_bound_k, and True was taken as 1
     mat = np.random.default_rng(3).standard_normal((6, 6))
@@ -242,7 +227,7 @@ def test_polynomial_matches_rank_verdicts_random():
         mat = rng.standard_normal((4, 4))
         poly = spark_polynomial(mat, 1)
         assert poly == pytest.approx(oracle_polynomial(mat, 1), rel=1e-9)
-        assert (poly > 0) == spark_condition(mat, 1)
+        assert (poly > 0) == spark_verdict(mat, 1)
 
 
 def test_polynomial_size_caps(monkeypatch):
@@ -258,7 +243,7 @@ def test_polynomial_size_caps(monkeypatch):
 @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4, 6)])
 def test_polynomial_survives_extreme_scales(shape, scale):
     mat = np.random.default_rng(0).standard_normal(shape)
-    assert spark_condition(mat * scale, 1)
+    assert spark_verdict(mat * scale, 1)
     poly = spark_polynomial(mat * scale, 1)
     # each column pair's sum of squared minors scales by scale^4: in range
     # for 2 x 2 at every scale and 3 x 3 at 1e+-20, out of it for the rest

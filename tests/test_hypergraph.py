@@ -15,7 +15,6 @@ from sparsecert import (
     pairwise_unions,
     regularity,
     sample_size_cor1,
-    sample_size_thm2,
     star,
 )
 from sparsecert import hypergraph as hypergraph_module
@@ -235,10 +234,8 @@ _CYCLIC_4 = build_cyclic(4, 2)
     (lambda c: star(_CYCLIC_4, c), 1),
     (lambda c: sample_size_cor1(c, 2, _CYCLIC_4), 4),
     (lambda c: sample_size_cor1(4, c, _CYCLIC_4), 2),
-    (lambda c: sample_size_thm2(c, 2, _CYCLIC_4), 6),
-    (lambda c: sample_size_thm2(6, c, _CYCLIC_4), 2),
 ], ids=["cyclic-m", "cyclic-k", "complete-m", "complete-k", "grid-m", "star-vertex",
-        "cor1-m", "cor1-k", "thm2-m_bar", "thm2-k"])
+        "cor1-m", "cor1-k"])
 def test_count_arguments_follow_the_integer_rule(call, count):
     # floats used to raise TypeError, and a boolean was taken as 1 (or a
     # fractional vertex found no star)

@@ -1,6 +1,7 @@
-"""Package-level properties: what ``import sparsecert`` pulls in, and the
-README's list of what it exports."""
+"""Package-level properties: what ``import sparsecert`` pulls in, the
+README's list of what it exports, and private code that nothing names."""
 
+import ast
 import inspect
 import os
 import re
@@ -37,3 +38,23 @@ def test_readme_lists_every_export():
     listed = re.findall(r"^- `(\w+)`:", section, flags=re.MULTILINE)
     assert len(listed) == len(set(listed))
     assert set(listed) == exported
+
+
+def test_every_private_function_and_class_is_named_in_the_package():
+    # a module-level private function or class that no module names (a call,
+    # an attribute, an import) is dead code, left behind by a deletion
+    package = Path(sparsecert.__file__).parent
+    defined, named = [], set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined += [(path.name, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    assert [f"{module}: {name}" for module, name in defined if name not in named] == []

@@ -32,6 +32,8 @@ from sparsecert import constants, geometry
 from sparsecert.hypergraph import regularity
 from sparsecert import codes as codes_module
 
+from oracles import column_span
+
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
@@ -647,7 +649,7 @@ def test_c2_column_norms_do_not_overflow():
 def _reference_C2(mat, h, rank_tol=geometry.DEFAULT_RANK_TOL):
     """compute_C2 with the plain column norms it took before the scaling."""
     r = regularity(h)
-    spans = [geometry.column_span(mat, e, rank_tol).basis for e in h.edges]
+    spans = [column_span(mat, e, rank_tol).basis for e in h.edges]
     levels, = geometry._subset_dp([spans], r + 1, rank_tol)[0]
     # the top level holds one entry per group of r + 1 edges
     assert len(levels[r]) == math.comb(len(spans), r + 1)
