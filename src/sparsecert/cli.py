@@ -23,8 +23,14 @@ from .lemmas import check_lemma3, check_lemma4, validate_lemma4
 
 
 def _load_json(path):
+    """The JSON object in the file at ``path``."""
     with open(path) as fh:
-        return json.load(fh)
+        return serialize._json_object(json.load(fh), path)
+
+
+def _section(config, key):
+    """The JSON object under ``key`` of a config, empty when it is absent."""
+    return serialize._json_object(config.get(key, {}), key)
 
 
 def _emit(text, out):
@@ -122,13 +128,13 @@ def cmd_experiment(args):
 def cmd_check_lemmas(args):
     config = _load_json(args.config) if args.config else {}
     # the Lemma-4 input is rejected before any Lemma-3 sampling is paid for
-    l4_cfg = config.get("lemma4", {})
+    l4_cfg = _section(config, "lemma4")
     m = _config_integer(l4_cfg, "m", 4, "lemma4.m")
     k = _config_integer(l4_cfg, "k", 2, "lemma4.k")
     hypergraph = hypergraph_from_config(l4_cfg.get("hypergraph", "cyclic"), m, k)
     m_bar = _config_integer(l4_cfg, "m_bar", m + 1, "lemma4.m_bar")
     validate_lemma4(hypergraph, m_bar)
-    l3_cfg = config.get("lemma3", {})
+    l3_cfg = _section(config, "lemma3")
     seed = args.seed
     if seed is None and l3_cfg.get("seed") is not None:
         seed = _config_integer(l3_cfg, "seed", None, "lemma3.seed")

@@ -5,13 +5,28 @@ Codes live in columns of an m x N matrix, each column carrying an explicit
 support set; ``experiment.generate_instance`` draws them Gaussian, which stay
 well conditioned at the counts Corollary 1 asks for.
 
-``_code_checks`` is the one check of the k-subsets of every support's codes:
-general linear position (GLP) and the C1 denominator, from one screened
-subset stream per code count, both reported by the certificate.
+``_code_checks`` is the one check of the k-subsets T of every support S's
+codes, and both of its results are reported by the certificate: general
+linear position (GLP), X_T independent against the top singular value of
+X_S, and the C1 denominator, the least sigma_min(A X_T). Both come from one
+screen. The supports with equal code counts are stacked side by side
+(``_Stack``) and walk one stream of first-index blocks (``_subset_tails``,
+``_subset_blocks``): a block pairs a run of first indices with one slice of
+the lexicographic list of (k-1)-subset tails. Each subset's determinant
+comes from its first column against the minors of its tail, computed once
+per support (``_tail_minors``, ``_hadamard_floor``; LU from k = 4). A
+determinant above its support's settling floor (``_settling_floor``) proves
+the subset for both checks on its own. The others get their full floors
+(``_sigma_floor``, ``_c1_floor``), and only the subsets that those leave
+open reach the kernel, so the results equal those of one exact SVD per
+subset. The settling floor is sound only while ``_settling`` lists its
+factors in the order in which ``_sigma_floor`` and ``_c1_floor`` round their
+products.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -31,6 +46,10 @@ SUBSET_WORK_CAP = 10_000_000
 # its determinant grid holds at most this many doubles (128 KB); from k = 4
 # the gathered k x k blocks take k^2 times that.
 SCREEN_ROWS = 1 << 14
+# Relative and absolute slack of the k-subset determinant screen: it covers
+# the rounding of the screen's own arithmetic and LAPACK's SVD error bound
+# p eps sigma_max for any p up to about 2e6.
+SCREEN_SLACK = 2.0 ** -32
 # Exact SVDs that seed the C1 denominator's least value among the subsets
 # of a block that the screen leaves wide open.
 _SEED_SUBSETS = 16
@@ -78,17 +97,6 @@ class SparseCodeSet:
         if failure is not None:
             raise ValueError(failure[1])
 
-    @classmethod
-    def _on_supports(cls, codes, supports, support_mask, k):
-        """A code set on supports that are already normalised, with their
-        mask, whose entries have passed ``_entry_failure``; nothing is
-        normalised or checked again."""
-        code_set = cls.__new__(cls)
-        code_set.m = support_mask.shape[0]
-        code_set.codes, code_set.supports, code_set.k = codes, supports, k
-        code_set.support_mask = support_mask
-        return code_set
-
     @property
     def n_codes(self):
         return self.codes.shape[1]
@@ -121,6 +129,185 @@ def _entry_failure(codes, masks, k):
     return index, f"column {col} has entries outside its support"
 
 
+def _subset_tails(count, k):
+    """The (k-1)-subsets of range(count), the tails, and where each first
+    index's tails begin.
+
+    Returns the tails in lexicographic order as a (T, k-1) array, and for
+    each first index i the position start[i] of the first tail whose entries
+    all exceed i. The k-subsets with first index i are (i, *tail) for the
+    tails from start[i] on, so the k-subsets in lexicographic order are the
+    first indices in turn, each against a suffix of one tail list. At k = 1
+    the one tail is empty. Needs 1 <= k <= count.
+    """
+    if k == 1:
+        return np.zeros((1, 0), dtype=np.intp), np.zeros(count, dtype=np.intp)
+    if k == 3:
+        tails = np.column_stack(np.triu_indices(count, 1))
+    else:
+        tails = geometry.k_subsets(count, k - 1, cap=math.inf)
+    return tails, np.searchsorted(tails[:, 0], np.arange(count), side="right")
+
+
+def _subset_blocks(tails, start, budget, rows=None):
+    """The k-subsets of ``_subset_tails`` with first index in ``rows`` (a
+    range, all by default) in lexicographic order, as blocks of consecutive
+    first indices of at most ``budget`` grid entries each.
+
+    A block (first, cut, valid) holds the k-subsets (i, *tails[c]) for the
+    first indices i in the slice ``first`` and the tail positions c in the
+    slice ``cut``, as a (rows, width) grid in row-major order. A block of
+    first indices [s, e) takes the tails from start[s] on, and its ``valid``
+    mask drops, for each later row, the tails before its own start; it is
+    None when every grid entry is a subset. A row whose tails alone exceed
+    the budget is split into blocks of tails.
+    """
+    n_tails = len(tails)
+    rows = range(len(start)) if rows is None else rows
+    last = min(rows.stop, int(np.searchsorted(start, n_tails)))
+    s = rows.start
+    while s < last:
+        lo = int(start[s])
+        width = n_tails - lo
+        if width > budget:
+            for c in range(lo, n_tails, budget):
+                yield slice(s, s + 1), slice(c, min(c + budget, n_tails)), None
+            s += 1
+            continue
+        e = min(s + budget // width, last)
+        valid = None if e == s + 1 else np.arange(lo, n_tails) >= start[s:e, None]
+        yield slice(s, e), slice(lo, n_tails), valid
+        s = e
+
+
+def _block_subsets(tails, first, cut, flat):
+    """The (E, k) index array of the grid entries at row-major positions
+    ``flat`` of the block (first, cut) of ``_subset_blocks``."""
+    rows, cols = np.divmod(flat, cut.stop - cut.start)
+    return np.column_stack([first.start + rows, tails[cut][cols]])
+
+
+def _tail_minors(units, tails):
+    """The first-column cofactors of every tail's k x k blocks, (..., k, T).
+
+    ``units`` is a (..., k, N) stack of unit columns. A k-subset (i, *tail)
+    has |det| = |sum_j (-1)^j units[j, i] minors[j, tail]|: at k = 1 the
+    minor is 1, at k = 2 the tail's entries b_1 and b_0, and at k = 3 the
+    2 x 2 minors of the tail's two columns. From k = 4 there are none: the
+    LU determinant gathers each block's tail columns instead.
+    """
+    k = units.shape[-2]
+    if k == 1:
+        return np.ones(units.shape[:-2] + (1, len(tails)))
+    b = units[..., tails[:, 0]]
+    if k == 2:
+        return b[..., ::-1, :]
+    if k == 3:
+        c = units[..., tails[:, 1]]
+        return np.stack([b[..., 1, :] * c[..., 2, :] - b[..., 2, :] * c[..., 1, :],
+                         b[..., 0, :] * c[..., 2, :] - b[..., 2, :] * c[..., 0, :],
+                         b[..., 0, :] * c[..., 1, :] - b[..., 1, :] * c[..., 0, :]],
+                        axis=-2)
+    return None
+
+
+def _hadamard_floor(units, minors, tails, first, cut):
+    """Lower bound on |det| of each k-subset's block of ``units``, as a
+    (..., rows, width) grid over the block (first, cut) of
+    ``_subset_blocks``.
+
+    ``units`` is a (..., k, N) stack with unit columns, so each determinant
+    is a Hadamard ratio in [0, 1] and every entry is in [-1, 1]. For k <= 3
+    the determinant of (i, *tail) is the first-column Laplace expansion
+    a_0 M_0 - a_1 M_1 + a_2 M_2 of the block's first columns a against the
+    tails' ``minors`` (``_tail_minors``), summed left to right. These are
+    the operations, in their order, of a_0 b_1 - a_1 b_0 at k = 2 and of the
+    cofactor expansion along the first column at k = 3; at k = 1 the
+    product with the minor 1 is exact, so |u_0| comes out bit for bit. Each
+    of the k! Leibniz products then carries at most 2k - 1 roundings (k - 1
+    products, the subtraction inside a 2 x 2 minor, k - 1 sums), so the
+    forward error is at most k! gamma_{2k-1} with unit roundoff eps/2
+    (Higham 2002, Sec. 3.1): about 2 eps at k = 2 and 15 eps at k = 3, and
+    none at k = 1. From k = 4 (``minors`` None) one batched LU determinant
+    covers the block's k x k blocks, gathered with the subset's columns as
+    rows, with backward error k^3 (k+1) 2^k eps (partial pivoting, growth at
+    most 2^(k-1); Higham 2002, Thm 9.3). That one absolute term, 4, 96 and
+    864 eps at k = 1, 2, 3, covers both evaluations with room for the few
+    eps by which a stored unit column's entries can exceed 1, and the floor
+    also allows relative SCREEN_SLACK for the determinant's rounding. NaN
+    blocks give NaN. Grid entries outside the block's ``valid`` mask are
+    not subsets and mean nothing.
+    """
+    k = units.shape[-2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if minors is None:
+            columns = np.swapaxes(units, -1, -2)
+            head = columns[..., first, :]
+            blocks = np.empty(head.shape[:-1] + (cut.stop - cut.start, k, k))
+            blocks[..., 0, :] = head[..., :, None, :]
+            blocks[..., 1:, :] = columns[..., None, tails[cut], :]
+            det = np.abs(np.linalg.det(blocks))
+        else:
+            a = units[..., first]
+            m = minors[..., cut]
+            det = a[..., 0, :, None] * m[..., 0, None, :]
+            for j in range(1, k):
+                term = a[..., j, :, None] * m[..., j, None, :]
+                if j % 2:
+                    det -= term
+                else:
+                    det += term
+            np.abs(det, out=det)
+    det *= 1.0 - SCREEN_SLACK
+    det -= k ** 3 * (k + 1) * 2.0 ** k * np.finfo(float).eps
+    return det
+
+
+def _sigma_floor(hadamard, norms, subsets):
+    """Lower bound on the smallest singular value of each k-column matrix M_T.
+
+    ``hadamard`` bounds vol(M_T) / prod of its column norms from below, per
+    row T of subsets, and ``norms`` are the column norms of M. Then
+    sigma_min(M_T) >= hadamard ((k-1)/k)^((k-1)/2) min_{j in T} norms[j]
+    (Hong & Pan 1992, on the column-normalised M_T), less SCREEN_SLACK
+    relative for the rounding of this product.
+    """
+    k = subsets.shape[1]
+    least = norms[subsets[:, 0]]
+    for j in range(1, k):
+        least = np.minimum(least, norms[subsets[:, j]])
+    return hadamard * _sigma_scale(k) * least
+
+
+def _sigma_scale(k):
+    """The factor ((k-1)/k)^((k-1)/2) (1 - SCREEN_SLACK) of ``_sigma_floor``."""
+    return ((k - 1) / k) ** ((k - 1) / 2) * (1.0 - SCREEN_SLACK)
+
+
+def _settling_floor(target, factors):
+    """Per stacked support, a Hadamard floor above which every subset's floor
+    exceeds ``target``, so that a block settles on its determinants alone.
+
+    A subset's floor is its Hadamard floor h times nonnegative factors, one
+    rounded product at a time: for ``_sigma_floor`` the scale, then the
+    least column norm. ``factors`` are, in that order, lower bounds on them
+    per support. Rounding to nearest is monotone, so for h >= t >= 0 the
+    floor is at least the same products of t with each factor at its bound,
+    and the returned t is one for which that product exceeds ``target`` in
+    the same arithmetic. Where no t is proved, as with a NaN, infinite or
+    zero factor or target, it is inf.
+    """
+    with np.errstate(all="ignore"):
+        product = 1.0
+        for factor in factors:
+            product = product * factor
+        least = target / product * (1.0 + 2.0 ** -40)
+        bound = least
+        for factor in factors:
+            bound = bound * factor
+        return np.where(bound > target, least, np.inf)
+
+
 def _independent(mat, subsets, floor, smax, rank_tol):
     """Whether every subset clears the GLP threshold, given lower bounds
     ``floor`` on their smallest singular values and the top singular value
@@ -128,7 +315,7 @@ def _independent(mat, subsets, floor, smax, rank_tol):
     exact SVD settles each subset that the bound does not prove
     independent."""
     smax = np.broadcast_to(smax, floor.shape)
-    proved = (floor > (rank_tol + geometry.SCREEN_SLACK) * smax) & (floor < math.inf)
+    proved = (floor > (rank_tol + SCREEN_SLACK) * smax) & (floor < math.inf)
     if proved.all():
         return True
     sv = geometry.edge_min_singular_values(mat, subsets[~proved])
@@ -163,7 +350,7 @@ def _stack(mat, codes, edges, index_sets):
     sv = np.zeros((len(edges), k))
     found = np.linalg.svd(np.moveaxis(mat[:, rows], 1, 0), compute_uv=False)
     sv[:, :found.shape[1]] = found
-    slack = geometry.SCREEN_SLACK * sv[:, 0]
+    slack = SCREEN_SLACK * sv[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         weights = norms / product_norms
     return _Stack(
@@ -185,12 +372,12 @@ def _settling(stack, k, rank_tol):
     def least(values):
         return values.reshape(len(stack.units), -1).min(axis=1)
 
-    scale = geometry.sigma_scale(k)
+    scale = _sigma_scale(k)
     factors = least(stack.weights)[:, None] * stack.spectrum
     product = factors[:, 0]
     for j in range(1, k):
         product = product * factors[:, j]
-    glp = geometry.settling_floor((rank_tol + geometry.SCREEN_SLACK) * stack.smax,
+    glp = _settling_floor((rank_tol + SCREEN_SLACK) * stack.smax,
                                   [scale, least(stack.norms)])
     return glp, [product, scale, least(stack.product_norms)]
 
@@ -207,7 +394,7 @@ def _c1_floor(stack, owners, subsets, hadamard):
         scale = stack.weights[subsets[:, 0]] * stack.spectrum[owners, 0]
         for j in range(1, subsets.shape[1]):
             scale *= stack.weights[subsets[:, j]] * stack.spectrum[owners, j]
-        return geometry.sigma_floor(hadamard * scale, stack.product_norms, subsets)
+        return _sigma_floor(hadamard * scale, stack.product_norms, subsets)
 
 
 def _lowest(stack, owners, subsets, hadamard, lowest):
@@ -243,24 +430,15 @@ def _exact_lowest(stack, subsets, lowest):
 
 
 def _code_checks(mat, codes, hypergraph, index_sets, rank_tol):
-    """(glp_ok, C1 denominator) from one screened k-subset stream per code count.
+    """(glp_ok, C1 denominator) from one screened k-subset stream per code
+    count (the screen of the module docstring).
 
-    On each edge S the k-subsets T of its codes serve both checks: X_T
-    independent against the top singular value of X_S, and the restricted
-    lower bound of A X_T. The supports with equal code counts are stacked
-    and walk one stream of first-index blocks (``geometry.unsettled_subsets``):
-    per block, the determinants of every support's subsets come from the
-    block's first columns against the tail minors
-    (``geometry.hadamard_floor``). A subset whose determinant clears its
-    support's settling floor (``geometry.settling_floor``) is proved for
-    both checks by that alone. The few others, of all supports at once, get
-    their full floors from their index tuples (``geometry.sigma_floor``,
-    ``_lowest``), and only the subsets that those leave open get the exact
-    SVD, so the results equal those of one SVD per subset. The first block
-    with a dependent subset ends the check with (False, 0.0): once GLP
-    fails, the denominator is not used. A support with fewer than k codes
-    fails both; one with more than SUBSET_WORK_CAP k-subsets raises
-    CapExceededError before any subset is checked.
+    The C1 settling floor falls with the least value found so far, so it is
+    taken again before each block. The first block with a dependent subset
+    ends the check with (False, 0.0): once GLP fails, the denominator is not
+    used. A support with fewer than k codes fails both; one with more than
+    SUBSET_WORK_CAP k-subsets raises CapExceededError before any subset is
+    checked.
     """
     k = hypergraph.k
     by_count = {}
@@ -275,19 +453,30 @@ def _code_checks(mat, codes, hypergraph, index_sets, rank_tol):
             raise CapExceededError(f"{n_subsets} {k}-subsets of one support's codes "
                                    f"exceed cap {SUBSET_WORK_CAP}")
     lowest = math.inf
-    for edges in by_count.values():
+    for count, edges in by_count.items():
         stack = _stack(mat, codes, edges, index_sets)
         glp_settle, c1_factors = _settling(stack, k, rank_tol)
-
-        def settle():
-            # read before each block: the C1 target falls with the least value
-            c1 = geometry.settling_floor(lowest + stack.margin, c1_factors)
-            return np.maximum(c1, glp_settle)
-
-        for owners, subsets, floor in geometry.unsettled_subsets(stack.units,
-                                                                 SCREEN_ROWS, settle):
+        tails, start = _subset_tails(count, k)
+        minors = _tail_minors(stack.units, tails)
+        budget = max(SCREEN_ROWS // len(edges), 1)
+        # the first row comes alone, so that the C1 settling floor, which
+        # falls with what it finds, settles the larger blocks after it
+        blocks = itertools.chain(_subset_blocks(tails, start, budget, range(1)),
+                                 _subset_blocks(tails, start, budget, range(1, count)))
+        for first, cut, valid in blocks:
+            hadamard = _hadamard_floor(stack.units, minors, tails, first, cut)
+            settle = np.maximum(_settling_floor(lowest + stack.margin, c1_factors),
+                                glp_settle)
+            still_open = ~(hadamard > settle[:, None, None])
+            if valid is not None:
+                still_open &= valid
+            owners, flat = np.nonzero(still_open.reshape(len(edges), -1))
+            if not len(flat):
+                continue
+            subsets = _block_subsets(tails, first, cut, flat) + (owners * count)[:, None]
+            floor = hadamard.reshape(len(edges), -1)[owners, flat]
             if not _independent(stack.codes, subsets,
-                                geometry.sigma_floor(floor, stack.norms, subsets),
+                                _sigma_floor(floor, stack.norms, subsets),
                                 stack.smax[owners], rank_tol):
                 return False, 0.0
             lowest = _lowest(stack, owners, subsets, floor, lowest)

@@ -227,7 +227,7 @@ def _bound_plan(hypergraph):
 
 
 def _c1(c2, glp_ok, denominator):
-    """C2 over the code bound, refused when the bound vanished or C1 overflows.
+    """C2 over the code bound; None when the bound vanished or C1 overflows.
 
     The bound is the least, over edges S, of the restricted lower bound (at
     the uniform edge size) of dictionary @ codes restricted to the codes
@@ -236,13 +236,12 @@ def _c1(c2, glp_ok, denominator):
     degenerate; no absolute cut applies, so C1 is unchanged when the
     dictionary is scaled and scales as 1/s when the codes are.
     """
+    # the bound vanishes with fewer than k codes on a support, or codes not
+    # in general linear position
     if not (glp_ok and denominator > 0.0):
-        raise HypothesisError("per-support code bound vanished (fewer than k codes "
-                              "on a support, or codes not in general linear position)")
+        return None
     c1 = c2 / denominator
-    if c1 == math.inf:
-        raise HypothesisError("C1 overflows the floating-point range")
-    return c1
+    return None if c1 == math.inf else c1
 
 
 def sample_size_cor1(m, k, hypergraph):
@@ -312,9 +311,10 @@ def build_certificate(dictionary, codes, hypergraph,
 
     CapExceededError is raised only on size, never on a verdict, in four
     places: more than 1M column subsets for L2 or L2k (C(m, 2) or
-    C(m, min(2k, m))), more than 1M edge pairs for L2H, a support whose
-    codes have more than codes.SUBSET_WORK_CAP (10M) k-subsets, and more than
-    DEFAULT_GROUP_CAP (100,000) groups of r + 1 edges for C2. A rank_tol
+    C(m, min(2k, m))), more than 1M edge pairs for L2H, more than
+    DEFAULT_GROUP_CAP (100,000) groups of r + 1 edges for C2, and a support
+    whose codes have more than codes.SUBSET_WORK_CAP (10M) k-subsets, in
+    that order: C2 runs before the code screen. A rank_tol
     that is not positive and finite, or an m_bar other than None that is
     not a positive integer (``hypergraph.as_integer``), raises ValueError
     before any check runs.
@@ -341,19 +341,21 @@ def build_certificate(dictionary, codes, hypergraph,
     lower_bound_ok = l2h > rank_tol * smax
     spark_ok = geometry.spark_from_bound(l2k, min(2 * k, m), smax, rank_tol)
 
+    # C2 before the code checks, so that its group cap refuses before their
+    # work is paid for
+    c2 = None
+    try:
+        c2 = compute_C2(mat, hypergraph, rank_tol)
+    except HypothesisError:
+        pass
+
     index_sets = support_index_sets(codes, hypergraph)
     support_counts = {edge: len(ids) for edge, ids in index_sets.items()}
     # the Corollary-1 count, per support
     required = sample_size_cor1(m, k, hypergraph) // len(hypergraph.edges)
     counts_ok = all(count >= required for count in support_counts.values())
     glp_ok, denominator = _code_checks(mat, codes, hypergraph, index_sets, rank_tol)
-
-    c2 = c1 = None
-    try:
-        c2 = compute_C2(mat, hypergraph, rank_tol)
-        c1 = _c1(c2, glp_ok, denominator)
-    except HypothesisError:
-        pass
+    c1 = None if c2 is None else _c1(c2, glp_ok, denominator)
 
     eps_dict = l2 / c1 if c1 else None
     eps_codes = l2k / c1 if (c1 and spark_ok) else None

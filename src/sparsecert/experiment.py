@@ -130,11 +130,14 @@ def perturb_instance(dictionary, codes, family, eps_target, rng):
     codes; scaled_permuted first moves to a random point of the ambiguity
     orbit and then jitters the dictionary; code_jitter perturbs code
     coefficients inside their supports and keeps the dictionary. The batch
-    of one of a sweep's draw step. An eps_target that is not a real number
-    (``hypergraph.as_real``), or is negative or not finite, raises
+    of one of a sweep's draw step. A dictionary that is not a finite 2-D
+    array with one column per code row, or an eps_target that is not a real
+    number (``hypergraph.as_real``), or is negative or not finite, raises
     ValueError before any draw.
     """
-    mat = np.asarray(dictionary, dtype=float)
+    mat = geometry.as_matrix(dictionary, "dictionary")
+    if mat.shape[1] != codes.m:
+        raise ValueError("dictionary columns and code rows differ")
     eps_target = as_real(eps_target, "eps_target")
     # a NaN fails both comparisons
     if not 0.0 <= eps_target < math.inf:
@@ -148,7 +151,7 @@ def perturb_instance(dictionary, codes, family, eps_target, rng):
         raise error
     if family == "dict_jitter":
         return candidates[0], codes
-    supports, mask = codes.supports, codes.support_mask
+    supports = codes.supports
     if family == "scaled_permuted":
         perm = perms[0]
         inverse_positions = np.empty(len(perm), dtype=int)
@@ -157,8 +160,8 @@ def perturb_instance(dictionary, codes, family, eps_target, rng):
             s: tuple(sorted(int(inverse_positions[v - 1]) + 1 for v in s))
             for s in set(supports)
         }
-        supports, mask = tuple(remapped[s] for s in supports), mask[perm]
-    return candidates[0], SparseCodeSet._on_supports(xbars[0], supports, mask, codes.k)
+        supports = tuple(remapped[s] for s in supports)
+    return candidates[0], SparseCodeSet(codes.m, xbars[0], supports, codes.k)
 
 
 def _draw(mat, codes, family, targets, rng):
@@ -259,7 +262,12 @@ def run_experiment(config):
     family = config.get("family", "dict_jitter")
     if family not in PERTURBATION_FAMILIES:
         raise ValueError(f"unknown perturbation family {family!r}")
-    grid = [as_real(v, "noise grid value") for v in config["noise_grid"]]
+    try:
+        grid = list(config["noise_grid"])
+    except TypeError:
+        raise ValueError(f"noise_grid must be a list of numbers, "
+                         f"got {config['noise_grid']!r}") from None
+    grid = [as_real(v, "noise grid value") for v in grid]
     if not grid:
         raise ValueError("noise grid is empty")
     # NaN is refused here; inf is skipped below, as at or above any threshold

@@ -15,15 +15,6 @@ tables of one family; the certificate's `L2`, `L2k` and `L2H` share one
 table per hypergraph (`constants._bound_plan`). A value of a stacked SVD
 does not depend on what it is stacked with, so every bound is the same bits
 as from its family alone.
-The k-subset checks on codes walk the subsets in first-index blocks
-(`subset_tails`, `subset_blocks`): a block pairs a run of first indices
-with one slice of the lexicographic list of (k-1)-subset tails. Each
-subset's determinant comes from its first column against the minors of its
-tail, computed once per support (`tail_minors`, `hadamard_floor`; LU from
-k = 4). A determinant above the support's `settling_floor` proves the
-subset's check on its own (`unsettled_subsets` yields the rest); the others
-get their full lower bound (`sigma_floor`), and only the subsets that the
-bound cannot settle reach the kernel.
 
 Friedrichs angles, meets and the xi subset DP rest on one routine,
 `_principal`, with one tolerance: for a (u, w) pair it takes one SVD of
@@ -56,7 +47,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -74,10 +64,6 @@ DEFAULT_MINOR_CAP = 500_000
 # Matrices per stacked SVD of principal angles, in the DP and in the C2
 # table; bounds the memory of the stacked LAPACK calls.
 _STACK_BLOCK = 1024
-# Relative and absolute slack of the k-subset determinant screen: it covers
-# the rounding of the screen's own arithmetic and LAPACK's SVD error bound
-# p eps sigma_max for any p up to about 2e6.
-SCREEN_SLACK = 2.0 ** -32
 
 
 def as_matrix(mat, name="matrix"):
@@ -169,72 +155,6 @@ def k_subsets(count, k, cap=DEFAULT_EDGE_CAP):
     return np.fromiter(flat, dtype=np.intp, count=n_subsets * k).reshape(n_subsets, k)
 
 
-def subset_tails(count, k):
-    """The (k-1)-subsets of range(count), the tails, and where each first
-    index's tails begin.
-
-    Returns the tails in lexicographic order as a (T, k-1) array, and for
-    each first index i the position start[i] of the first tail whose entries
-    all exceed i. The k-subsets with first index i are (i, *tail) for the
-    tails from start[i] on, so the k-subsets in lexicographic order are the
-    first indices in turn, each against a suffix of one tail list. At k = 1
-    the one tail is empty. Needs 1 <= k <= count.
-    """
-    if k == 1:
-        return np.zeros((1, 0), dtype=np.intp), np.zeros(count, dtype=np.intp)
-    if k == 3:
-        tails = np.column_stack(np.triu_indices(count, 1))
-    else:
-        tails = k_subsets(count, k - 1, cap=math.inf)
-    return tails, np.searchsorted(tails[:, 0], np.arange(count), side="right")
-
-
-class SubsetBlock(NamedTuple):
-    """The k-subsets (i, *columns[c]) for the first indices i in ``first``
-    and the tails ``columns``, at positions ``tails`` of the tail list, as a
-    (rows, width) grid in lexicographic row-major order. ``valid`` masks the
-    grid where a tail does not exceed its row's first index; it is None when
-    every entry is a subset."""
-
-    first: slice
-    tails: slice
-    columns: np.ndarray
-    valid: np.ndarray | None
-
-    def subsets(self, flat):
-        """The (E, k) index array of the grid entries at row-major ``flat``."""
-        rows, cols = np.divmod(flat, len(self.columns))
-        return np.column_stack([self.first.start + rows, self.columns[cols]])
-
-
-def subset_blocks(tails, start, budget, rows=None):
-    """The k-subsets of ``subset_tails`` with first index in ``rows`` (a
-    range, all by default) in lexicographic order, as blocks of consecutive
-    first indices of at most ``budget`` grid entries each.
-
-    A block of first indices [s, e) takes the tails from start[s] on, and its
-    ``valid`` mask drops, for each later row, the tails before its own start.
-    A row whose tails alone exceed the budget is split into blocks of tails.
-    """
-    n_tails = len(tails)
-    rows = range(len(start)) if rows is None else rows
-    last = min(rows.stop, int(np.searchsorted(start, n_tails)))
-    s = rows.start
-    while s < last:
-        lo = int(start[s])
-        width = n_tails - lo
-        if width > budget:
-            for c in range(lo, n_tails, budget):
-                hi = min(c + budget, n_tails)
-                yield SubsetBlock(slice(s, s + 1), slice(c, hi), tails[c:hi], None)
-            s += 1
-            continue
-        e = min(s + budget // width, last)
-        valid = None if e == s + 1 else np.arange(lo, n_tails) >= start[s:e, None]
-        yield SubsetBlock(slice(s, e), slice(lo, n_tails), tails[lo:], valid)
-        s = e
-
-
 def unit_columns(mat):
     """Columns of ``mat`` scaled to unit norm, and their norms.
 
@@ -248,157 +168,6 @@ def unit_columns(mat):
         norms = np.linalg.norm(units, axis=-2)
         units = units / norms[..., None, :]
     return units, norms * peaks
-
-
-def tail_minors(units, tails):
-    """The first-column cofactors of every tail's k x k blocks, (..., k, T).
-
-    ``units`` is a (..., k, N) stack of unit columns. A k-subset (i, *tail)
-    has |det| = |sum_j (-1)^j units[j, i] minors[j, tail]|: at k = 1 the
-    minor is 1, at k = 2 the tail's entries b_1 and b_0, and at k = 3 the
-    2 x 2 minors of the tail's two columns. From k = 4 there are none: the
-    LU determinant gathers each block's tail columns instead.
-    """
-    k = units.shape[-2]
-    if k == 1:
-        return np.ones(units.shape[:-2] + (1, len(tails)))
-    b = units[..., tails[:, 0]]
-    if k == 2:
-        return b[..., ::-1, :]
-    if k == 3:
-        c = units[..., tails[:, 1]]
-        return np.stack([b[..., 1, :] * c[..., 2, :] - b[..., 2, :] * c[..., 1, :],
-                         b[..., 0, :] * c[..., 2, :] - b[..., 2, :] * c[..., 0, :],
-                         b[..., 0, :] * c[..., 1, :] - b[..., 1, :] * c[..., 0, :]],
-                        axis=-2)
-    return None
-
-
-def hadamard_floor(units, minors, block):
-    """Lower bound on |det| of each k-subset's block of ``units``, as a
-    (..., rows, width) grid over the ``block``.
-
-    ``units`` is a (..., k, N) stack with unit columns, so each determinant
-    is a Hadamard ratio in [0, 1] and every entry is in [-1, 1]. For k <= 3
-    the determinant of (i, *tail) is the first-column Laplace expansion
-    a_0 M_0 - a_1 M_1 + a_2 M_2 of the block's first columns a against the
-    tails' ``minors`` (``tail_minors``), summed left to right. These are
-    the operations, in their order, of a_0 b_1 - a_1 b_0 at k = 2 and of the
-    cofactor expansion along the first column at k = 3; at k = 1 the
-    product with the minor 1 is exact, so |u_0| comes out bit for bit. Each
-    of the k! Leibniz products then carries at most 2k - 1 roundings (k - 1
-    products, the subtraction inside a 2 x 2 minor, k - 1 sums), so the
-    forward error is at most k! gamma_{2k-1} with unit roundoff eps/2
-    (Higham 2002, Sec. 3.1): about 2 eps at k = 2 and 15 eps at k = 3, and
-    none at k = 1. From k = 4 (``minors`` None) one batched LU determinant
-    covers the block's k x k blocks, gathered with the subset's columns as
-    rows, with backward error k^3 (k+1) 2^k eps (partial pivoting, growth at
-    most 2^(k-1); Higham 2002, Thm 9.3). That one absolute term, 4, 96 and
-    864 eps at k = 1, 2, 3, covers both evaluations with room for the few
-    eps by which a stored unit column's entries can exceed 1, and the floor
-    also allows relative SCREEN_SLACK for the determinant's rounding. NaN
-    blocks give NaN. Grid entries outside ``block.valid`` are not subsets
-    and mean nothing.
-    """
-    k = units.shape[-2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if minors is None:
-            columns = np.swapaxes(units, -1, -2)
-            first = columns[..., block.first, :]
-            blocks = np.empty(first.shape[:-1] + (len(block.columns), k, k))
-            blocks[..., 0, :] = first[..., :, None, :]
-            blocks[..., 1:, :] = columns[..., None, block.columns, :]
-            det = np.abs(np.linalg.det(blocks))
-        else:
-            a = units[..., block.first]
-            m = minors[..., block.tails]
-            det = a[..., 0, :, None] * m[..., 0, None, :]
-            for j in range(1, k):
-                term = a[..., j, :, None] * m[..., j, None, :]
-                if j % 2:
-                    det -= term
-                else:
-                    det += term
-            np.abs(det, out=det)
-    det *= 1.0 - SCREEN_SLACK
-    det -= k ** 3 * (k + 1) * 2.0 ** k * np.finfo(float).eps
-    return det
-
-
-def sigma_floor(hadamard, norms, subsets):
-    """Lower bound on the smallest singular value of each k-column matrix M_T.
-
-    ``hadamard`` bounds vol(M_T) / prod of its column norms from below, per
-    row T of subsets, and ``norms`` are the column norms of M. Then
-    sigma_min(M_T) >= hadamard ((k-1)/k)^((k-1)/2) min_{j in T} norms[j]
-    (Hong & Pan 1992, on the column-normalised M_T), less SCREEN_SLACK
-    relative for the rounding of this product.
-    """
-    k = subsets.shape[1]
-    least = norms[subsets[:, 0]]
-    for j in range(1, k):
-        least = np.minimum(least, norms[subsets[:, j]])
-    return hadamard * sigma_scale(k) * least
-
-
-def sigma_scale(k):
-    """The factor ((k-1)/k)^((k-1)/2) (1 - SCREEN_SLACK) of ``sigma_floor``."""
-    return ((k - 1) / k) ** ((k - 1) / 2) * (1.0 - SCREEN_SLACK)
-
-
-def settling_floor(target, factors):
-    """Per stacked matrix, a Hadamard floor above which every subset's floor
-    exceeds ``target``, so that a block settles on its determinants alone.
-
-    A subset's floor is its Hadamard floor h times nonnegative factors, one
-    rounded product at a time: for ``sigma_floor`` the scale, then the least
-    column norm. ``factors`` are, in that order, lower bounds on them per
-    matrix. Rounding to nearest is monotone, so for h >= t >= 0 the floor
-    is at least the same products of t with each factor at its bound, and
-    the returned t is one for which that product exceeds ``target`` in the
-    same arithmetic. Where no t is proved, as with a NaN, infinite or zero
-    factor or target, it is inf.
-    """
-    with np.errstate(all="ignore"):
-        product = 1.0
-        for factor in factors:
-            product = product * factor
-        least = target / product * (1.0 + 2.0 ** -40)
-        bound = least
-        for factor in factors:
-            bound = bound * factor
-        return np.where(bound > target, least, np.inf)
-
-
-def unsettled_subsets(units, budget, settle):
-    """The k-subsets of the columns of each stacked support that their
-    determinants do not settle, block by block.
-
-    ``units`` is an (S, k, N) stack of unit columns and ``settle()`` gives,
-    before each block, the (S,) settling floors (``settling_floor``) that a
-    Hadamard floor must exceed. The blocks (``subset_blocks``) hold at most
-    ``budget`` grid entries over the stack; the first row comes alone, so
-    that floors that fall with what it finds settle the larger blocks after
-    it.
-    Yields, for each block with subsets left open, their supports, their
-    index tuples into the supports' columns side by side (support s at
-    s N to s N + N - 1), and their Hadamard floors.
-    """
-    count = units.shape[2]
-    tails, start = subset_tails(count, units.shape[1])
-    minors = tail_minors(units, tails)
-    budget = max(budget // len(units), 1)
-    blocks = itertools.chain(subset_blocks(tails, start, budget, range(1)),
-                             subset_blocks(tails, start, budget, range(1, count)))
-    for block in blocks:
-        hadamard = hadamard_floor(units, minors, block)
-        still_open = ~(hadamard > settle()[:, None, None])
-        if block.valid is not None:
-            still_open &= block.valid
-        owners, flat = np.nonzero(still_open.reshape(len(units), -1))
-        if len(flat):
-            yield (owners, block.subsets(flat) + (owners * count)[:, None],
-                   hadamard.reshape(len(units), -1)[owners, flat])
 
 
 def edge_min_singular_values(mat, edges):

@@ -22,6 +22,20 @@ TOOLKIT_VERSION = "0.1.0"
 EXPERIMENT_CSV_HEADER = "seed,eps,max_col_err,bound5,max_code_err,bound6,pass5,pass6,ms"
 
 
+def _json_object(value, name):
+    """``value`` when it is a JSON object; anything else raises ValueError."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _json_array(value, name):
+    """``value`` when it is a JSON array; anything else raises ValueError."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
 def save_matrix_csv(path, mat):
     np.savetxt(path, np.asarray(mat, dtype=float), delimiter=",", fmt="%.17g")
 
@@ -40,9 +54,10 @@ def matrix_to_json_dict(mat):
 
 
 def matrix_from_json_dict(payload):
+    _json_object(payload, "matrix payload")
     rows = as_integer(payload["rows"], "rows")
     cols = as_integer(payload["cols"], "cols")
-    data = np.asarray(payload["data"], dtype=float)
+    data = np.asarray(_json_array(payload["data"], "matrix data"), dtype=float)
     if data.size != rows * cols:
         raise ValueError("matrix payload has wrong length")
     return data.reshape(rows, cols)
@@ -53,7 +68,9 @@ def hypergraph_to_json_dict(hypergraph):
 
 
 def hypergraph_from_json_dict(payload):
-    return Hypergraph(payload["m"], payload["edges"])
+    _json_object(payload, "hypergraph payload")
+    edges = [_json_array(e, "edge") for e in _json_array(payload["edges"], "edges")]
+    return Hypergraph(payload["m"], edges)
 
 
 def code_set_to_json_dict(codes):
@@ -66,10 +83,12 @@ def code_set_to_json_dict(codes):
 
 
 def code_set_from_json_dict(payload):
+    _json_object(payload, "code set payload")
     return SparseCodeSet(
         as_integer(payload["m"], "m"),
         matrix_from_json_dict(payload["codes"]),
-        tuple(tuple(s) for s in payload["supports"]),
+        tuple(tuple(_json_array(s, "support"))
+              for s in _json_array(payload["supports"], "supports")),
         as_integer(payload["k"], "k"),
     )
 

@@ -467,3 +467,32 @@ def test_experiment_skips_infinite_grid_value(tmp_path, capsys):
         assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
         csv.append([line.rsplit(",", 1)[0] for line in out.read_text().splitlines()])
     assert csv[0] == csv[1] and len(csv[0]) == 2
+
+
+_EXPERIMENT = {"m": 4, "n": 4, "k": 2, "hypergraph": "cyclic", "per_support_count": 7,
+               "noise_grid": [1e-8], "trials": 1, "family": "dict_jitter", "seed": 0}
+
+
+@pytest.mark.parametrize("command, name, change", [
+    ("certify", "dictionary.json", lambda old: [1.0, 2.0]),
+    ("certify", "hypergraph.json", lambda old: dict(old, edges=[1, 2])),
+    ("certify", "codes.json", lambda old: dict(old, supports=3)),
+    ("check-lemmas", "config.json", lambda old: {"lemma4": [1]}),
+    ("experiment", "config.json", lambda old: [_EXPERIMENT]),
+    ("experiment", "config.json", lambda old: dict(_EXPERIMENT, noise_grid=5)),
+], ids=["dict_list", "edges_ints", "supports_int", "lemma4_list", "config_list",
+        "grid_number"])
+def test_malformed_input_files_exit_2(instance_dir, capsys, command, name, change):
+    # each used to raise TypeError or AttributeError out of main: exit 1
+    path = instance_dir / name
+    path.write_text(json.dumps(change(json.loads(path.read_text())
+                                      if path.exists() else None)))
+    if command == "certify":
+        args = ["--dict", str(instance_dir / "dictionary.json"),
+                "--codes", str(instance_dir / "codes.json"),
+                "--hypergraph", str(instance_dir / "hypergraph.json")]
+    else:
+        args = ["--config", str(path)]
+    assert main([command, *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

@@ -9,6 +9,7 @@ import pytest
 
 from sparsecert import (
     DEFAULT_RANK_TOL,
+    CapExceededError,
     HypothesisError,
     SparseCodeSet,
     StabilityCertificate,
@@ -317,6 +318,22 @@ def test_certificate_computes_c2_once(monkeypatch):
     denominator = codes_module._code_checks(mat, codes, h, support_index_sets(codes, h),
                                             DEFAULT_RANK_TOL)[1]
     assert cert.C1 == cert.C2 / denominator
+
+
+def test_group_cap_refuses_before_the_code_screen(monkeypatch):
+    # complete m=7, k=2 is 6-regular: C(21, 7) = 116,280 groups of 7 edges
+    def no_screen(*args, **kwargs):
+        raise AssertionError("the code screen ran")
+
+    h = build_complete(7, 2)
+    rng = np.random.default_rng(12)
+    x = np.zeros((7, 16 * len(h.edges)))
+    for e, edge in enumerate(h.edges):
+        x[[v - 1 for v in edge], 16 * e:16 * (e + 1)] = rng.standard_normal((2, 16))
+    codes = SparseCodeSet(7, x, tuple(e for e in h.edges for _ in range(16)), 2)
+    monkeypatch.setattr(constants, "_code_checks", no_screen)
+    with pytest.raises(CapExceededError, match="edge groups exceed cap"):
+        build_certificate(rng.standard_normal((7, 7)), codes, h)
 
 
 @pytest.mark.parametrize("rank_tol", [math.nan, math.inf, 0.0, -1e-9])

@@ -82,6 +82,28 @@ def test_perturb_refuses_bad_targets_before_any_draw(instance, family, eps_targe
     assert rng.bit_generator.state == state
 
 
+@pytest.mark.parametrize("family", PERTURBATION_FAMILIES)
+@pytest.mark.parametrize("bad, message", [
+    ("nan", "dictionary has non-finite entries"),
+    ("narrow", "dictionary columns and code rows differ"),
+], ids=["nan", "narrow"])
+def test_perturb_refuses_bad_dictionaries_before_any_draw(instance, family, bad, message):
+    # a NaN entry used to give a non-finite candidate, or code_jitter's
+    # "codes have non-finite entries"; 3 columns against 4 code rows an
+    # IndexError or numpy's matmul message
+    _, mat, codes, _ = instance
+    mat = mat.copy()
+    if bad == "nan":
+        mat[1, 2] = math.nan
+    else:
+        mat = mat[:, :3]
+    rng = np.random.default_rng(7)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        perturb_instance(mat, codes, family, 1e-6, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_zero_perturbation_returns_exact_instance(instance):
     _, mat, codes, cert = instance
     rng = np.random.default_rng(6)

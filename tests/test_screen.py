@@ -92,12 +92,12 @@ def _reference_hadamard_floor(units, subsets):
         else:
             det = np.abs(np.linalg.det(units.T[subsets]))
     lu_error = k ** 3 * (k + 1) * 2.0 ** k * np.finfo(float).eps
-    return det * (1.0 - geometry.SCREEN_SLACK) - lu_error
+    return det * (1.0 - codes_module.SCREEN_SLACK) - lu_error
 
 
 def _reference_sigma_floor(hadamard, norms, subsets):
     k = subsets.shape[1]
-    scale = ((k - 1) / k) ** ((k - 1) / 2) * (1.0 - geometry.SCREEN_SLACK)
+    scale = ((k - 1) / k) ** ((k - 1) / 2) * (1.0 - codes_module.SCREEN_SLACK)
     least = norms[subsets[:, 0]]
     for j in range(1, k):
         least = np.minimum(least, norms[subsets[:, j]])
@@ -356,20 +356,21 @@ def _exact_abs_det(block):
     return abs(total)
 
 
-def _grid_entries(block, grid):
+def _grid_entries(valid, grid):
     """The entries of a (rows, width) block grid that are k-subsets, in
     lexicographic order."""
-    return grid.ravel() if block.valid is None else grid[block.valid]
+    return grid.ravel() if valid is None else grid[valid]
 
 
 def _block_hadamard_floors(units, budget=codes_module.SCREEN_ROWS):
-    """``geometry.hadamard_floor`` of every k-subset of the columns, in
+    """``codes._hadamard_floor`` of every k-subset of the columns, in
     lexicographic order."""
-    tails, start = geometry.subset_tails(units.shape[1], units.shape[0])
-    minors = geometry.tail_minors(units[None], tails)
+    tails, start = codes_module._subset_tails(units.shape[1], units.shape[0])
+    minors = codes_module._tail_minors(units[None], tails)
     return np.concatenate([
-        _grid_entries(block, geometry.hadamard_floor(units[None], minors, block)[0])
-        for block in geometry.subset_blocks(tails, start, budget)])
+        _grid_entries(valid, codes_module._hadamard_floor(units[None], minors, tails,
+                                                          first, cut)[0])
+        for first, cut, valid in codes_module._subset_blocks(tails, start, budget)])
 
 
 def _assert_floor_sound(units):
@@ -469,17 +470,18 @@ def test_block_floors_bit_identical_to_index_arrays(k, budget):
     for count in counts:
         stack = _two_supports(k, count, 100 * k + count)
         subsets = geometry.k_subsets(count, k, cap=math.inf)
-        tails, start = geometry.subset_tails(count, k)
-        minors = geometry.tail_minors(stack.units, tails)
-        blocks = geometry.subset_blocks(tails, start, budget // 2)
+        tails, start = codes_module._subset_tails(count, k)
+        minors = codes_module._tail_minors(stack.units, tails)
+        blocks = codes_module._subset_blocks(tails, start, budget // 2)
         hadamard = np.concatenate([
-            np.stack([_grid_entries(block, grid)
-                      for grid in geometry.hadamard_floor(stack.units, minors, block)])
-            for block in blocks], axis=1)
+            np.stack([_grid_entries(valid, grid)
+                      for grid in codes_module._hadamard_floor(stack.units, minors,
+                                                               tails, first, cut)])
+            for first, cut, valid in blocks], axis=1)
         # the full floors of every subset, from the block determinants
         owners = np.repeat([0, 1], len(subsets))
         columns = np.concatenate([subsets, subsets + count])
-        glp = geometry.sigma_floor(hadamard.ravel(), stack.norms, columns)
+        glp = codes_module._sigma_floor(hadamard.ravel(), stack.norms, columns)
         c1 = codes_module._c1_floor(stack, owners, columns, hadamard.ravel())
         reference = _reference_screen_floors(stack, subsets)
         assert _same_bits(hadamard, reference[0]), count
@@ -541,25 +543,25 @@ def test_block_layout_is_lexicographic():
     for k in (1, 2, 3, 4):
         for count in range(k, 15):
             for budget in (1, 5, 64, 8192):
-                tails, start = geometry.subset_tails(count, k)
+                tails, start = codes_module._subset_tails(count, k)
                 listed = np.concatenate([
-                    block.subsets(np.flatnonzero(
-                        np.ones((block.first.stop - block.first.start,
-                                 len(block.columns)), bool)
-                        if block.valid is None else block.valid))
-                    for block in geometry.subset_blocks(tails, start, budget)])
+                    codes_module._block_subsets(tails, first, cut, np.flatnonzero(
+                        np.ones((first.stop - first.start, cut.stop - cut.start), bool)
+                        if valid is None else valid))
+                    for first, cut, valid in codes_module._subset_blocks(tails, start,
+                                                                         budget)])
                 assert listed.tolist() == geometry.k_subsets(count, k).tolist()
 
 
 def _planted_positions(count, n_supports):
     """Subsets at the first and the last row of a multi-row block, and the
     last subset, for the k = 3 stream of ``n_supports`` stacked supports."""
-    tails, start = geometry.subset_tails(count, 3)
-    blocks = list(geometry.subset_blocks(tails, start,
-                                         codes_module.SCREEN_ROWS // n_supports))
-    block = next(b for b in blocks if b.valid is not None)
-    last_row = block.first.stop - 1
-    return [(block.first.start, *tails[block.tails.start]),
+    tails, start = codes_module._subset_tails(count, 3)
+    blocks = list(codes_module._subset_blocks(tails, start,
+                                              codes_module.SCREEN_ROWS // n_supports))
+    first, cut, _ = next(b for b in blocks if b[2] is not None)
+    last_row = first.stop - 1
+    return [(first.start, *tails[cut.start]),
             (last_row, *tails[start[last_row]]),
             (count - 3, count - 2, count - 1)]
 
@@ -694,7 +696,7 @@ def test_settling_floor_is_sound(data):
     target = data.draw(values)
     factors = [np.float64(f) for f in data.draw(st.lists(values, min_size=1,
                                                          max_size=3))]
-    settle = float(geometry.settling_floor(np.float64(target), factors))
+    settle = float(codes_module._settling_floor(np.float64(target), factors))
     assert settle > 0.0
     if settle < math.inf:
         above = data.draw(st.floats(settle, float(np.finfo(float).max)))
@@ -704,8 +706,9 @@ def test_settling_floor_is_sound(data):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
 def test_settling_floor_settles_nothing_on_bad_factors(bad):
-    assert geometry.settling_floor(np.float64(1e-3), [np.float64(0.5), bad]) == math.inf
-    assert geometry.settling_floor(np.float64(bad), [np.float64(0.5)]) == math.inf
+    assert (codes_module._settling_floor(np.float64(1e-3), [np.float64(0.5), bad])
+            == math.inf)
+    assert codes_module._settling_floor(np.float64(bad), [np.float64(0.5)]) == math.inf
 
 
 @pytest.mark.parametrize("seed", [0, 1606])
@@ -723,20 +726,20 @@ def test_settled_subsets_clear_their_full_floors(seed):
         glp_settle, c1_factors = codes_module._settling(stack, k,
                                                         geometry.DEFAULT_RANK_TOL)
         c1_target = lowest + stack.margin
-        c1_settle = geometry.settling_floor(c1_target, c1_factors)
+        c1_settle = codes_module._settling_floor(c1_target, c1_factors)
         assert np.all(glp_settle < math.inf) and np.all(c1_settle < math.inf)
-        tails, start = geometry.subset_tails(count, k)
-        minors = geometry.tail_minors(stack.units, tails)
+        tails, start = codes_module._subset_tails(count, k)
+        minors = codes_module._tail_minors(stack.units, tails)
         settled = 0
-        for block in geometry.subset_blocks(tails, start, 1000):
-            hadamard = geometry.hadamard_floor(stack.units, minors, block)
+        for first, cut, valid in codes_module._subset_blocks(tails, start, 1000):
+            hadamard = codes_module._hadamard_floor(stack.units, minors, tails, first, cut)
             for s, grid in enumerate(hadamard):
-                flat = np.flatnonzero(np.ones(grid.shape, bool) if block.valid is None
-                                      else block.valid)
-                subsets = block.subsets(flat) + s * count
+                flat = np.flatnonzero(np.ones(grid.shape, bool) if valid is None
+                                      else valid)
+                subsets = codes_module._block_subsets(tails, first, cut, flat) + s * count
                 floor = grid.ravel()[flat]
-                glp = geometry.sigma_floor(floor, stack.norms, subsets)
-                glp_target = ((geometry.DEFAULT_RANK_TOL + geometry.SCREEN_SLACK)
+                glp = codes_module._sigma_floor(floor, stack.norms, subsets)
+                glp_target = ((geometry.DEFAULT_RANK_TOL + codes_module.SCREEN_SLACK)
                               * stack.smax[s])
                 assert np.all(glp[floor > glp_settle[s]] > glp_target)
                 c1 = codes_module._c1_floor(stack, np.full(len(flat), s), subsets, floor)
