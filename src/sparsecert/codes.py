@@ -10,23 +10,25 @@ codes, and both of its results are reported by the certificate: general
 linear position (GLP), X_T independent against the top singular value of
 X_S, and the C1 denominator, the least sigma_min(A X_T). Both come from one
 screen. The supports with equal code counts are stacked side by side
-(``_Stack``) and walk one stream of first-index blocks (``_subset_tails``,
-``_subset_blocks``): a block pairs a run of first indices with one slice of
-the lexicographic list of (k-1)-subset tails. Each subset's determinant
-comes from its first column against the minors of its tail, computed once
-per support (``_tail_minors``, ``_hadamard_floor``; LU from k = 4). A
-determinant above its support's settling floor (``_settling_floor``) proves
-the subset for both checks on its own. The others get their full floors
-(``_sigma_floor``, ``_c1_floor``), and only the subsets that those leave
-open reach the kernel, so the results equal those of one exact SVD per
-subset. The settling floor is sound only while ``_settling`` lists its
-factors in the order in which ``_sigma_floor`` and ``_c1_floor`` round their
-products.
+(``_Stack``) and walk one stream of first-index blocks, laid out once per
+code count, order and stack size (``_screen_plan``): a block pairs a run of
+first indices with one slice of the lexicographic list of (k-1)-subset
+tails. Each subset's determinant comes from its first column against the
+minors of its tail, computed once per support, in one matmul per block
+(``_tail_minors``, ``_hadamard_floor``; LU from k = 4). The exact SVDs of
+the first block's lowest determinants seed the least value, and from then
+on a determinant above its support's settling floor (``_settling_floor``)
+proves the subset for both checks on its own, in every block. The others
+get their full floors (``_sigma_floor``, ``_c1_floor``), and only the
+subsets that those leave open reach the kernel, so the results equal those
+of one exact SVD per subset. The settling floor is sound only while
+``_settling`` lists its factors in the order in which ``_sigma_floor`` and
+``_c1_floor`` round their products.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -43,15 +45,16 @@ from .hypergraph import normalize_support
 SUBSET_WORK_CAP = 10_000_000
 # Grid entries per block of the subset stream, over all stacked supports. A
 # block pairs a run of first indices with one slice of the tail list, so
-# its determinant grid holds at most this many doubles (128 KB); from k = 4
+# its determinant grid holds at most this many doubles (256 KB); from k = 4
 # the gathered k x k blocks take k^2 times that.
-SCREEN_ROWS = 1 << 14
+SCREEN_ROWS = 1 << 15
 # Relative and absolute slack of the k-subset determinant screen: it covers
 # the rounding of the screen's own arithmetic and LAPACK's SVD error bound
 # p eps sigma_max for any p up to about 2e6.
 SCREEN_SLACK = 2.0 ** -32
-# Exact SVDs that seed the C1 denominator's least value among the subsets
-# of a block that the screen leaves wide open.
+# Exact SVDs that seed the C1 denominator's least value: of the first
+# block's lowest determinants, and of the lowest-floor subsets of a block
+# that the screen leaves wide open.
 _SEED_SUBSETS = 16
 
 
@@ -129,66 +132,78 @@ def _entry_failure(codes, masks, k):
     return index, f"column {col} has entries outside its support"
 
 
-def _subset_tails(count, k):
-    """The (k-1)-subsets of range(count), the tails, and where each first
-    index's tails begin.
+class _ScreenPlan(NamedTuple):
+    """The layout of one k-subset stream; its arrays are read-only, since
+    every caller shares them.
 
-    Returns the tails in lexicographic order as a (T, k-1) array, and for
-    each first index i the position start[i] of the first tail whose entries
-    all exceed i. The k-subsets with first index i are (i, *tail) for the
-    tails from start[i] on, so the k-subsets in lexicographic order are the
-    first indices in turn, each against a suffix of one tail list. At k = 1
-    the one tail is empty. Needs 1 <= k <= count.
+    ``tails`` are the (k-1)-subsets of range(count) in lexicographic order,
+    (T, k-1), and ``start[i]`` is the position of the first tail whose
+    entries all exceed i: the k-subsets with first index i are (i, *tail)
+    for the tails from start[i] on, so the k-subsets in lexicographic order
+    are the first indices in turn, each against a suffix of one tail list.
+    At k = 1 the one tail is empty. ``blocks`` walk them in that order: a
+    block (first, cut, valid) holds the k-subsets (i, *tails[c]) for the
+    first indices i in the slice ``first`` and the tail positions c in the
+    slice ``cut``, as a (rows, width) grid in row-major order. Its ``valid``
+    mask drops, for each later row, the tails before its own start; it is
+    None when every grid entry is a subset.
+    """
+
+    tails: np.ndarray
+    start: np.ndarray
+    blocks: tuple
+
+
+@functools.lru_cache(maxsize=8)
+def _screen_plan(count, k, supports, rows):
+    """The ``_ScreenPlan`` of the k-subsets of ``count`` codes, for a stack
+    of ``supports`` supports whose blocks hold at most ``rows`` grid entries
+    over the stack (``SCREEN_ROWS``, passed so that the cache key holds it).
+    A block takes a run of consecutive first indices; a row whose tails
+    alone exceed its share is split into blocks of tails. Needs
+    1 <= k <= count.
     """
     if k == 1:
-        return np.zeros((1, 0), dtype=np.intp), np.zeros(count, dtype=np.intp)
-    if k == 3:
-        tails = np.column_stack(np.triu_indices(count, 1))
+        tails = np.zeros((1, 0), dtype=np.intp)
+        start = np.zeros(count, dtype=np.intp)
     else:
-        tails = geometry.k_subsets(count, k - 1, cap=math.inf)
-    return tails, np.searchsorted(tails[:, 0], np.arange(count), side="right")
-
-
-def _subset_blocks(tails, start, budget, rows=None):
-    """The k-subsets of ``_subset_tails`` with first index in ``rows`` (a
-    range, all by default) in lexicographic order, as blocks of consecutive
-    first indices of at most ``budget`` grid entries each.
-
-    A block (first, cut, valid) holds the k-subsets (i, *tails[c]) for the
-    first indices i in the slice ``first`` and the tail positions c in the
-    slice ``cut``, as a (rows, width) grid in row-major order. A block of
-    first indices [s, e) takes the tails from start[s] on, and its ``valid``
-    mask drops, for each later row, the tails before its own start; it is
-    None when every grid entry is a subset. A row whose tails alone exceed
-    the budget is split into blocks of tails.
-    """
+        tails = (np.column_stack(np.triu_indices(count, 1)) if k == 3
+                 else geometry.k_subsets(count, k - 1, cap=math.inf))
+        start = np.searchsorted(tails[:, 0], np.arange(count), side="right")
+    budget = max(rows // supports, 1)
     n_tails = len(tails)
-    rows = range(len(start)) if rows is None else rows
-    last = min(rows.stop, int(np.searchsorted(start, n_tails)))
-    s = rows.start
+    last = int(np.searchsorted(start, n_tails))
+    blocks, s = [], 0
     while s < last:
         lo = int(start[s])
         width = n_tails - lo
         if width > budget:
-            for c in range(lo, n_tails, budget):
-                yield slice(s, s + 1), slice(c, min(c + budget, n_tails)), None
+            blocks += [(slice(s, s + 1), slice(c, min(c + budget, n_tails)), None)
+                       for c in range(lo, n_tails, budget)]
             s += 1
             continue
         e = min(s + budget // width, last)
         valid = None if e == s + 1 else np.arange(lo, n_tails) >= start[s:e, None]
-        yield slice(s, e), slice(lo, n_tails), valid
+        blocks.append((slice(s, e), slice(lo, n_tails), valid))
         s = e
+    for array in (tails, start, *(valid for _, _, valid in blocks if valid is not None)):
+        array.flags.writeable = False
+    return _ScreenPlan(tails, start, tuple(blocks))
 
 
-def _block_subsets(tails, first, cut, flat):
-    """The (E, k) index array of the grid entries at row-major positions
-    ``flat`` of the block (first, cut) of ``_subset_blocks``."""
+def _block_subsets(tails, first, cut, at, count):
+    """The supports and the (E, k) stack column indices of the entries at
+    row-major positions ``at`` of a stack's (S, rows, width) grid over the
+    block (first, cut) of a ``_ScreenPlan``, for ``count`` codes per
+    support."""
+    owners, flat = np.divmod(at, (first.stop - first.start) * (cut.stop - cut.start))
     rows, cols = np.divmod(flat, cut.stop - cut.start)
-    return np.column_stack([first.start + rows, tails[cut][cols]])
+    subsets = np.column_stack([first.start + rows, tails[cut][cols]])
+    return owners, subsets + (owners * count)[:, None]
 
 
 def _tail_minors(units, tails):
-    """The first-column cofactors of every tail's k x k blocks, (..., k, T).
+    """The first-column minors of every tail's k x k blocks, (..., k, T).
 
     ``units`` is a (..., k, N) stack of unit columns. A k-subset (i, *tail)
     has |det| = |sum_j (-1)^j units[j, i] minors[j, tail]|: at k = 1 the
@@ -213,27 +228,31 @@ def _tail_minors(units, tails):
 
 def _hadamard_floor(units, minors, tails, first, cut):
     """Lower bound on |det| of each k-subset's block of ``units``, as a
-    (..., rows, width) grid over the block (first, cut) of
-    ``_subset_blocks``.
+    (..., rows, width) grid over the block (first, cut) of a
+    ``_ScreenPlan``.
 
     ``units`` is a (..., k, N) stack with unit columns, so each determinant
     is a Hadamard ratio in [0, 1] and every entry is in [-1, 1]. For k <= 3
     the determinant of (i, *tail) is the first-column Laplace expansion
-    a_0 M_0 - a_1 M_1 + a_2 M_2 of the block's first columns a against the
-    tails' ``minors`` (``_tail_minors``), summed left to right. These are
-    the operations, in their order, of a_0 b_1 - a_1 b_0 at k = 2 and of the
-    cofactor expansion along the first column at k = 3; at k = 1 the
-    product with the minor 1 is exact, so |u_0| comes out bit for bit. Each
-    of the k! Leibniz products then carries at most 2k - 1 roundings (k - 1
-    products, the subtraction inside a 2 x 2 minor, k - 1 sums), so the
-    forward error is at most k! gamma_{2k-1} with unit roundoff eps/2
-    (Higham 2002, Sec. 3.1): about 2 eps at k = 2 and 15 eps at k = 3, and
-    none at k = 1. From k = 4 (``minors`` None) one batched LU determinant
-    covers the block's k x k blocks, gathered with the subset's columns as
-    rows, with backward error k^3 (k+1) 2^k eps (partial pivoting, growth at
-    most 2^(k-1); Higham 2002, Thm 9.3). That one absolute term, 4, 96 and
-    864 eps at k = 1, 2, 3, covers both evaluations with room for the few
-    eps by which a stored unit column's entries can exceed 1, and the floor
+    sum_j (-1)^j a_j M_j of the block's first columns a against the tails'
+    ``minors`` (``_tail_minors``), one stacked matmul of the sign-alternated
+    first columns (..., rows, k) against the minors (..., k, width). BLAS
+    may sum the k products in any order, fused or not; any such inner
+    product is within gamma_k sum_j |a_j| |M_j| of its exact value, with
+    unit roundoff eps/2 (Higham 2002, Sec. 3.1). On unit columns
+    sum_j |a_j| |M_j| <= ||a|| ||M|| <= 1, since the squares of the 2 x 2
+    minors of two unit columns sum to at most 1 (Cauchy-Binet), and the
+    rounding of the minors themselves (two products and a subtraction
+    each) adds at most gamma_2 sum_{p != q} |b_p| |c_q| <= k gamma_2. So the
+    forward error is at most about gamma_k + k gamma_2: none at k = 1,
+    where the product with the minor 1 is exact and |u_0| comes out bit for
+    bit, about 1 eps at k = 2, whose minors are entries, and some 5 eps at
+    k = 3. From k = 4 (``minors`` None) one batched LU determinant covers
+    the block's k x k blocks, gathered with the subset's columns as rows,
+    with backward error k^3 (k+1) 2^k eps (partial pivoting, growth at most
+    2^(k-1); Higham 2002, Thm 9.3). That one absolute term, 4, 96 and 864
+    eps at k = 1, 2, 3, covers both evaluations with room for the few eps
+    by which a stored unit column's entries can exceed 1, and the floor
     also allows relative SCREEN_SLACK for the determinant's rounding. NaN
     blocks give NaN. Grid entries outside the block's ``valid`` mask are
     not subsets and mean nothing.
@@ -248,16 +267,8 @@ def _hadamard_floor(units, minors, tails, first, cut):
             blocks[..., 1:, :] = columns[..., None, tails[cut], :]
             det = np.abs(np.linalg.det(blocks))
         else:
-            a = units[..., first]
-            m = minors[..., cut]
-            det = a[..., 0, :, None] * m[..., 0, None, :]
-            for j in range(1, k):
-                term = a[..., j, :, None] * m[..., j, None, :]
-                if j % 2:
-                    det -= term
-                else:
-                    det += term
-            np.abs(det, out=det)
+            heads = np.swapaxes(units[..., first], -1, -2) * [1.0, -1.0, 1.0][:k]
+            det = np.abs(heads @ minors[..., cut])
     det *= 1.0 - SCREEN_SLACK
     det -= k ** 3 * (k + 1) * 2.0 ** k * np.finfo(float).eps
     return det
@@ -343,20 +354,22 @@ def _stack(mat, codes, edges, index_sets):
     column scalings run on stacks, matrix by matrix."""
     k = len(edges[0])
     rows = np.array([[v - 1 for v in edge] for edge in edges])
-    x = np.stack([codes.codes[:, index_sets[edge]] for edge in edges])
-    units, norms = geometry.unit_columns(np.take_along_axis(x, rows[:, :, None], axis=1))
-    product = np.stack([mat @ support for support in x])
+    columns = np.array([index_sets[edge] for edge in edges])
+    x = codes.codes[:, columns.ravel()]
+    units, norms = geometry.unit_columns(codes.codes[rows[:, :, None], columns[:, None, :]])
+    product = mat @ x
     product_norms = geometry.unit_columns(product)[1]
     sv = np.zeros((len(edges), k))
     found = np.linalg.svd(np.moveaxis(mat[:, rows], 1, 0), compute_uv=False)
     sv[:, :found.shape[1]] = found
     slack = SCREEN_SLACK * sv[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        weights = norms / product_norms
+        weights = norms.ravel() / product_norms
+    supports = np.moveaxis(x.reshape(codes.m, *columns.shape), 1, 0)
     return _Stack(
-        codes=np.concatenate(x, axis=1), smax=np.linalg.svd(x, compute_uv=False)[:, 0],
-        units=units, norms=norms.ravel(), product=np.concatenate(product, axis=1),
-        product_norms=product_norms.ravel(), weights=weights.ravel(),
+        codes=x, smax=np.linalg.svd(supports, compute_uv=False)[:, 0],
+        units=units, norms=norms.ravel(), product=product,
+        product_norms=product_norms, weights=weights,
         spectrum=np.maximum(sv - slack[:, None], 0.0),
         margin=slack * math.sqrt(k) * np.max(norms, axis=1),
     )
@@ -397,6 +410,15 @@ def _c1_floor(stack, owners, subsets, hadamard):
         return _sigma_floor(hadamard * scale, stack.product_norms, subsets)
 
 
+def _lowest_of(values, candidates):
+    """The _SEED_SUBSETS positions among ``candidates`` with the lowest
+    ``values``; all of them when there are no more."""
+    if len(candidates) <= _SEED_SUBSETS:
+        return candidates
+    return candidates[np.argpartition(values[candidates], _SEED_SUBSETS - 1)
+                      [:_SEED_SUBSETS]]
+
+
 def _lowest(stack, owners, subsets, hadamard, lowest):
     """The least of ``lowest`` and the smallest singular values of A X_T.
 
@@ -414,8 +436,7 @@ def _lowest(stack, owners, subsets, hadamard, lowest):
     still_open = open_subsets(lowest)
     candidates = np.flatnonzero(still_open)
     if len(candidates) > _SEED_SUBSETS:
-        seeds = candidates[np.argpartition(floor[candidates], _SEED_SUBSETS - 1)
-                           [:_SEED_SUBSETS]]
+        seeds = _lowest_of(floor, candidates)
         lowest = _exact_lowest(stack, subsets[seeds], lowest)
         still_open[seeds] = False
         still_open &= open_subsets(lowest)
@@ -433,12 +454,14 @@ def _code_checks(mat, codes, hypergraph, index_sets, rank_tol):
     """(glp_ok, C1 denominator) from one screened k-subset stream per code
     count (the screen of the module docstring).
 
-    The C1 settling floor falls with the least value found so far, so it is
-    taken again before each block. The first block with a dependent subset
-    ends the check with (False, 0.0): once GLP fails, the denominator is not
-    used. A support with fewer than k codes fails both; one with more than
-    SUBSET_WORK_CAP k-subsets raises CapExceededError before any subset is
-    checked.
+    While no least value is known, the exact SVDs of the block's
+    _SEED_SUBSETS lowest determinants give one first; those subsets do not
+    reach the kernel again for the denominator. The C1 settling floor falls
+    with the least value found so far, so it is taken again before each
+    block. The first block with a dependent subset ends the check with
+    (False, 0.0): once GLP fails, the denominator is not used. A support
+    with fewer than k codes fails both; one with more than SUBSET_WORK_CAP
+    k-subsets raises CapExceededError before any subset is checked.
     """
     k = hypergraph.k
     by_count = {}
@@ -456,30 +479,34 @@ def _code_checks(mat, codes, hypergraph, index_sets, rank_tol):
     for count, edges in by_count.items():
         stack = _stack(mat, codes, edges, index_sets)
         glp_settle, c1_factors = _settling(stack, k, rank_tol)
-        tails, start = _subset_tails(count, k)
-        minors = _tail_minors(stack.units, tails)
-        budget = max(SCREEN_ROWS // len(edges), 1)
-        # the first row comes alone, so that the C1 settling floor, which
-        # falls with what it finds, settles the larger blocks after it
-        blocks = itertools.chain(_subset_blocks(tails, start, budget, range(1)),
-                                 _subset_blocks(tails, start, budget, range(1, count)))
-        for first, cut, valid in blocks:
-            hadamard = _hadamard_floor(stack.units, minors, tails, first, cut)
+        plan = _screen_plan(count, k, len(edges), SCREEN_ROWS)
+        minors = _tail_minors(stack.units, plan.tails)
+        for first, cut, valid in plan.blocks:
+            hadamard = _hadamard_floor(stack.units, minors, plan.tails, first, cut)
+            seeds = []
+            if lowest == math.inf:
+                entries = (np.arange(hadamard.size) if valid is None else
+                           np.flatnonzero(np.broadcast_to(valid, hadamard.shape)))
+                seeds = _lowest_of(hadamard.ravel(), entries)
+                lowest = _exact_lowest(
+                    stack, _block_subsets(plan.tails, first, cut, seeds, count)[1], lowest)
             settle = np.maximum(_settling_floor(lowest + stack.margin, c1_factors),
                                 glp_settle)
             still_open = ~(hadamard > settle[:, None, None])
             if valid is not None:
                 still_open &= valid
-            owners, flat = np.nonzero(still_open.reshape(len(edges), -1))
-            if not len(flat):
+            at = np.flatnonzero(still_open)
+            if not len(at):
                 continue
-            subsets = _block_subsets(tails, first, cut, flat) + (owners * count)[:, None]
-            floor = hadamard.reshape(len(edges), -1)[owners, flat]
+            owners, subsets = _block_subsets(plan.tails, first, cut, at, count)
+            floor = hadamard.ravel()[at]
             if not _independent(stack.codes, subsets,
                                 _sigma_floor(floor, stack.norms, subsets),
                                 stack.smax[owners], rank_tol):
                 return False, 0.0
-            lowest = _lowest(stack, owners, subsets, floor, lowest)
+            still_open.flat[seeds] = False
+            fresh = still_open.ravel()[at]
+            lowest = _lowest(stack, owners[fresh], subsets[fresh], floor[fresh], lowest)
     return True, lowest / math.sqrt(k)
 
 

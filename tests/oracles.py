@@ -1,14 +1,24 @@
 """Fixtures and reference checks that the tests share and the package does not
-export: the power-node code family, spans of dictionary columns, a point's
-distance to a subspace, the certificate's spark verdict on a bare matrix, and
-the brute-force admissibility check of one Lemma-4 edge map."""
+export: the benchmark's workload module, the power-node code family, spans of
+dictionary columns, a point's distance to a subspace, the certificate's spark
+verdict on a bare matrix, and the brute-force admissibility check of one
+Lemma-4 edge map."""
 
+import importlib.util
 import itertools
+from pathlib import Path
 
 import numpy as np
 
 from sparsecert import SparseCodeSet, Subspace, lower_bound_k, orthonormal_basis, regularity
 from sparsecert import geometry
+
+# the benchmark's instances and records, read from its source file
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_workloads",
+    Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 
 def power_node_codes(supports, count, gammas, m):

@@ -31,7 +31,7 @@ from sparsecert import constants, geometry
 from sparsecert import codes as codes_module
 from sparsecert.hypergraph import Hypergraph, regularity
 
-from oracles import column_span, power_node_codes
+from oracles import column_span, power_node_codes, workloads
 
 
 def singleton_codes(coefficients):
@@ -502,7 +502,6 @@ def test_lower_bound_k_bit_identical_to_complete_path():
 
 
 def test_certificate_submits_each_subset_once(monkeypatch):
-    mat, codes, h = gaussian_instance(0, "complete", 4, 2, 7)
     on_dictionary, on_codes, completes = [], [], []
     kernel = geometry.edge_min_singular_values
 
@@ -519,19 +518,28 @@ def test_certificate_submits_each_subset_once(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("sparsecert") and hasattr(module, "build_complete"):
             monkeypatch.setattr(module, "build_complete", recorded)
-    cert = build_certificate(mat, codes, h)
-    m, k = 4, 2
-    # L2, L2k and L2H on the dictionary itself: each distinct column set of
-    # the three families once, 6 pairs, 1 four-set and 4 triples
-    wanted = {tuple(c) for width in (2, min(2 * k, m))
-              for c in itertools.combinations(range(m), width)}
-    wanted |= {tuple(v - 1 for v in union) for union in pairwise_unions(h).edges}
-    assert len(on_dictionary) == len(set(on_dictionary)) == len(wanted) == 11
-    assert {columns for _, columns in on_dictionary} == wanted
-    # the code checks: no subset of a code or product matrix twice, and at
-    # most one exact SVD per subset and check
-    per_support = sum(math.comb(count, k) for count in cert.support_counts.values())
-    assert len(set(on_codes)) == len(on_codes) <= 2 * per_support
+    # complete m=4, k=2, and the first instance of the certify_k3 pool
+    instances = [gaussian_instance(0, "complete", 4, 2, 7),
+                 workloads.pool_instances(2, 0, workloads.K3_POOL)[0]]
+    for mat, codes, h in instances:
+        on_dictionary.clear()
+        on_codes.clear()
+        cert = build_certificate(mat, codes, h)
+        m, k = h.m, h.k
+        # L2, L2k and L2H on the dictionary itself: each distinct column set
+        # of the three families once; at m = 4, k = 2, 6 pairs, 1 four-set
+        # and 4 triples
+        wanted = {tuple(c) for width in (2, min(2 * k, m))
+                  for c in itertools.combinations(range(m), width)}
+        wanted |= {tuple(v - 1 for v in union) for union in pairwise_unions(h).edges}
+        assert len(on_dictionary) == len(set(on_dictionary)) == len(wanted)
+        assert m != 4 or len(wanted) == 11
+        assert {columns for _, columns in on_dictionary} == wanted
+        # the code checks: no subset of a code or product matrix twice (the
+        # seeds of the C1 least value included), and at most one exact SVD
+        # per subset and check
+        per_support = sum(math.comb(count, k) for count in cert.support_counts.values())
+        assert 0 < len(set(on_codes)) == len(on_codes) <= 2 * per_support
     assert completes == []
 
 

@@ -9,9 +9,7 @@ match them bit for bit.
 """
 
 import dataclasses
-import importlib.util
 import math
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -44,10 +42,7 @@ from sparsecert.experiment import (
 )
 from sparsecert.hypergraph import normalize_support
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-_spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-workloads = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(workloads)
+from oracles import workloads
 
 
 @pytest.fixture(scope="module")

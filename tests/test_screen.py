@@ -9,11 +9,9 @@ fails, the screen stops at the first failing block with (False, 0.0), and
 the verdict and the certificate must be the same.
 """
 
-import importlib.util
 import itertools
 import math
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,19 +30,7 @@ from sparsecert import constants, geometry
 from sparsecert.hypergraph import regularity
 from sparsecert import codes as codes_module
 
-from oracles import column_span
-
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-
-
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-workloads = _load_workloads()
+from oracles import column_span, workloads
 
 
 def _reference_code_checks(mat, codes, hypergraph, index_sets, rank_tol):
@@ -104,15 +90,14 @@ def _reference_sigma_floor(hadamard, norms, subsets):
     return hadamard * scale * least
 
 
-def _reference_screen_floors(stack, subsets):
-    """The determinant, GLP and C1 floors of each support of a
-    ``codes._Stack`` over an (E, k) index array of its subsets, (S, E)
-    each, as the index-array screen took them."""
+def _reference_screen_floors(stack, subsets, hadamard):
+    """The GLP and C1 floors of each support of a ``codes._Stack`` over an
+    (E, k) index array of its subsets, (S, E) each, from the determinant
+    floors ``hadamard`` (S, E) as the index-array screen took them."""
     count = stack.units.shape[2]
-    hadamard, glp, c1 = [], [], []
-    for s, units in enumerate(stack.units):
+    glp, c1 = [], []
+    for s, det in enumerate(hadamard):
         columns = s * count
-        det = _reference_hadamard_floor(units, subsets)
         norms = stack.norms[columns:columns + count]
         weights = stack.weights[columns:columns + count]
         with np.errstate(invalid="ignore"):
@@ -122,8 +107,7 @@ def _reference_screen_floors(stack, subsets):
             glp.append(_reference_sigma_floor(det, norms, subsets))
             c1.append(_reference_sigma_floor(
                 det * scale, stack.product_norms[columns:columns + count], subsets))
-        hadamard.append(det)
-    return np.array(hadamard), np.array(glp), np.array(c1)
+    return np.array(glp), np.array(c1)
 
 
 def _both(mat, codes, hypergraph, rank_tol=geometry.DEFAULT_RANK_TOL):
@@ -194,6 +178,21 @@ def test_pools_bit_identical_to_exhaustive(name, seed):
         assert _bits(screened) == _bits(reference)
         record, expected = _records(mat, codes, h, reference)
         assert record == expected
+
+
+@pytest.mark.parametrize("seed", [0, 1606, 7])
+@pytest.mark.parametrize("name", ["certify_k2", "certify_k3"])
+def test_few_code_check_subsets_reach_the_kernel(name, seed, monkeypatch):
+    # the bit tests would pass as well if the screen sent every subset to the
+    # exact SVD; on these pools 16 to 21 of the 252 to 127,920 code-check
+    # subsets of a certificate (one per subset and check) reach the kernel
+    rows = _count_kernel_rows(monkeypatch)
+    for mat, codes, h in _pool(name, seed):
+        rows.clear()
+        screened = codes_module._code_checks(mat, codes, h, support_index_sets(codes, h),
+                                             geometry.DEFAULT_RANK_TOL)
+        assert screened[0]
+        assert 0 < sum(map(len, rows)) <= 64
 
 
 @pytest.mark.parametrize("m, k, count", [(4, 1, 5), (5, 2, 12), (6, 4, 14)],
@@ -363,23 +362,33 @@ def _grid_entries(valid, grid):
 
 
 def _block_hadamard_floors(units, budget=codes_module.SCREEN_ROWS):
-    """``codes._hadamard_floor`` of every k-subset of the columns, in
-    lexicographic order."""
-    tails, start = codes_module._subset_tails(units.shape[1], units.shape[0])
-    minors = codes_module._tail_minors(units[None], tails)
+    """``codes._hadamard_floor`` of every k-subset of the columns of each
+    support of an (S, k, N) stack, (S, subsets) in lexicographic order, over
+    the blocks of the screen's plan for ``budget`` grid entries."""
+    supports, k, count = units.shape
+    plan = codes_module._screen_plan(count, k, supports, budget)
+    minors = codes_module._tail_minors(units, plan.tails)
     return np.concatenate([
-        _grid_entries(valid, codes_module._hadamard_floor(units[None], minors, tails,
-                                                          first, cut)[0])
-        for first, cut, valid in codes_module._subset_blocks(tails, start, budget)])
+        np.stack([_grid_entries(valid, grid)
+                  for grid in codes_module._hadamard_floor(units, minors, plan.tails,
+                                                           first, cut)])
+        for first, cut, valid in plan.blocks], axis=1)
 
 
-def _assert_floor_sound(units):
-    subsets = geometry.k_subsets(units.shape[1], units.shape[0])
-    floor = _block_hadamard_floors(units)
-    assert floor.shape == (len(subsets),)
-    assert not np.isnan(floor).any()
-    for subset, bound in zip(subsets, floor.tolist()):
-        assert Fraction(bound) <= _exact_abs_det(units[:, subset])
+def _assert_floor_sound(units, budget=codes_module.SCREEN_ROWS):
+    """Each floor of an (S, k, N) stack is at most its exact |det|, and is
+    NaN, which settles nothing, where a zero column left NaN units."""
+    supports, k, count = units.shape
+    subsets = geometry.k_subsets(count, k)
+    floors = _block_hadamard_floors(units, budget)
+    assert floors.shape == (supports, len(subsets))
+    for support, floor in zip(units, floors):
+        zero = np.isnan(support).any(axis=0)
+        for subset, bound in zip(subsets, floor.tolist()):
+            if zero[subset].any():
+                assert math.isnan(bound)
+            else:
+                assert Fraction(bound) <= _exact_abs_det(support[:, subset])
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -387,20 +396,31 @@ def test_hadamard_floor_below_exact_determinant(k):
     rng = np.random.default_rng(40 + k)
     for _ in range(5):
         x = rng.standard_normal((k, 8))
-        _assert_floor_sound(geometry.unit_columns(x)[0])
+        _assert_floor_sound(geometry.unit_columns(x)[0][None])
         if k == 1:
             continue  # every nonzero 1 x 1 block is nonsingular
         # a planted sum, one nearly dependent to within 1e-8, and an exact
         # repeat of a stored unit column, whose determinant is exactly 0
         x[:, 6] = x[:, 0] - 2.0 * x[:, 1]
         x[:, 7] = x[:, 2] + 0.5 * x[:, 3] + 1e-8 * rng.standard_normal(k)
-        units = geometry.unit_columns(x)[0]
-        units[:, 5] = units[:, 4]
+        units = geometry.unit_columns(x)[0][None]
+        units[..., 5] = units[..., 4]
         _assert_floor_sound(units)
         # the blocks hold each subset in lexicographic order
         repeated = sorted([4, 5, 0, 1][:k])
         subsets = geometry.k_subsets(8, k).tolist()
-        assert _block_hadamard_floors(units)[subsets.index(repeated)] < 0
+        assert _block_hadamard_floors(units)[0, subsets.index(repeated)] < 0
+    # three stacked supports in blocks of 12 grid entries per support, so
+    # that short rows share masked multi-row blocks; zero columns, and
+    # columns scaled by 1e110 and -1e110
+    x = rng.standard_normal((3, k, 10))
+    x[0, :, 3] = 0.0
+    x[1, :, [2, 7]] *= 1e110
+    x[2, :, 5] *= -1e110
+    x[2, :, 0] = 0.0
+    plan = codes_module._screen_plan(10, k, 3, 36)
+    assert any(valid is not None for _, _, valid in plan.blocks)
+    _assert_floor_sound(geometry.unit_columns(x)[0], budget=36)
 
 
 @settings(max_examples=60, deadline=None)
@@ -412,7 +432,7 @@ def test_hadamard_floor_sound_on_arbitrary_unit_columns(data):
         st.floats(-1.0, 1.0, allow_nan=False), min_size=k * count,
         max_size=k * count))).reshape(k, count)
     assume(np.all(np.any(x != 0.0, axis=0)))
-    _assert_floor_sound(geometry.unit_columns(x)[0])
+    _assert_floor_sound(geometry.unit_columns(x)[0][None])
 
 
 def test_closed_form_determinants_skip_lu(monkeypatch):
@@ -460,6 +480,14 @@ def _two_supports(k, count, seed):
     return codes_module._stack(rng.standard_normal((m + 1, m)), codes, edges, index_sets)
 
 
+# The block determinants against the closed form: the matmul sums the
+# Laplace expansion in its own order, so at k = 2 and 3 they may differ by
+# the two forward error bounds together (about 2 + 1 eps at k = 2 and
+# 15 + 5 eps at k = 3, on unit columns); at k = 1 the product with the minor
+# 1 is exact, and from k = 4 both take the same LU.
+_CLOSED_FORM_EPS = {2: 8, 3: 32}
+
+
 @pytest.mark.parametrize("budget", [codes_module.SCREEN_ROWS, 37],
                          ids=["default", "split"])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -470,24 +498,24 @@ def test_block_floors_bit_identical_to_index_arrays(k, budget):
     for count in counts:
         stack = _two_supports(k, count, 100 * k + count)
         subsets = geometry.k_subsets(count, k, cap=math.inf)
-        tails, start = codes_module._subset_tails(count, k)
-        minors = codes_module._tail_minors(stack.units, tails)
-        blocks = codes_module._subset_blocks(tails, start, budget // 2)
-        hadamard = np.concatenate([
-            np.stack([_grid_entries(valid, grid)
-                      for grid in codes_module._hadamard_floor(stack.units, minors,
-                                                               tails, first, cut)])
-            for first, cut, valid in blocks], axis=1)
+        hadamard = _block_hadamard_floors(stack.units, budget)
         # the full floors of every subset, from the block determinants
         owners = np.repeat([0, 1], len(subsets))
         columns = np.concatenate([subsets, subsets + count])
         glp = codes_module._sigma_floor(hadamard.ravel(), stack.norms, columns)
         c1 = codes_module._c1_floor(stack, owners, columns, hadamard.ravel())
-        reference = _reference_screen_floors(stack, subsets)
-        assert _same_bits(hadamard, reference[0]), count
-        assert _same_bits(glp.reshape(2, -1), reference[1]), count
-        assert _same_bits(c1.reshape(2, -1), reference[2]), count
-        assert np.isnan(reference[0]).any()
+        reference = _reference_screen_floors(stack, subsets, hadamard)
+        assert _same_bits(glp.reshape(2, -1), reference[0]), count
+        assert _same_bits(c1.reshape(2, -1), reference[1]), count
+        closed = np.array([_reference_hadamard_floor(units, subsets)
+                           for units in stack.units])
+        assert np.isnan(closed).any()
+        if k in _CLOSED_FORM_EPS:
+            assert np.array_equal(np.isnan(hadamard), np.isnan(closed)), count
+            gap = np.abs(hadamard - closed)[~np.isnan(closed)]
+            assert np.all(gap <= _CLOSED_FORM_EPS[k] * np.finfo(float).eps), count
+        else:
+            assert _same_bits(hadamard, closed), count
 
 
 @pytest.mark.parametrize("m, k, count", [(4, 1, 50), (5, 2, 30), (6, 3, 25), (6, 4, 12)],
@@ -501,20 +529,35 @@ def test_small_blocks_bit_identical(m, k, count, monkeypatch):
         assert _bits(screened) == _bits(reference)
 
 
-def test_glp_failure_settled_by_neither_floor_alone():
+def test_glp_failure_settled_by_neither_floor_alone(monkeypatch):
     # columns 3 and 4 of the dictionary agree to 1e-12, so the C1 target is
-    # down to its margin after the first row. A short triple of support
-    # (1, 2, 3) whose codes are dependent to 8e-9 then has a determinant
+    # down to its margin once the seeds are in. A short triple of support
+    # (1, 2, 3) whose codes are dependent to 3.5e-9 then has a determinant
     # above its C1 settling floor but below its GLP one, and must fail GLP.
     mat, codes, h = _gaussian(5, 6, 3, 41)
     mat[:, 3] = mat[:, 2] + 1e-12 * np.random.default_rng(6).standard_normal(6)
     i, p, q = _planted_positions(41, len(h.edges))[1]
     x = codes.codes.copy()
     x[:3, [i, p]] *= 0.1
-    x[:3, q] = x[:3, i] - 0.5 * x[:3, p] + 8e-9 * np.array([1.0, -1.0, 2.0])
+    x[:3, q] = x[:3, i] - 0.5 * x[:3, p] + 3.5e-9 * np.array([1.0, -1.0, 2.0])
     codes = SparseCodeSet(6, x, codes.supports, 3)
+    # the settling floors the screen takes: the GLP one first, then the C1
+    # one of each block in turn
+    settles = []
+    settling_floor = codes_module._settling_floor
+
+    def recorded(target, factors):
+        settles.append(settling_floor(target, factors))
+        return settles[-1]
+
+    monkeypatch.setattr(codes_module, "_settling_floor", recorded)
     screened, reference = _both(mat, codes, h)
     _assert_same_glp_failure(mat, codes, h, screened, reference)
+    plan = codes_module._screen_plan(41, 3, len(h.edges), codes_module.SCREEN_ROWS)
+    block = next(b for b, (first, _, _) in enumerate(plan.blocks) if i < first.stop)
+    units = codes_module._stack(mat, codes, h.edges, support_index_sets(codes, h)).units
+    det = _reference_hadamard_floor(units[0], np.array([[i, p, q]]))[0]
+    assert settles[1 + block][0] < det < settles[0][0]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -543,26 +586,24 @@ def test_block_layout_is_lexicographic():
     for k in (1, 2, 3, 4):
         for count in range(k, 15):
             for budget in (1, 5, 64, 8192):
-                tails, start = codes_module._subset_tails(count, k)
+                plan = codes_module._screen_plan(count, k, 1, budget)
                 listed = np.concatenate([
-                    codes_module._block_subsets(tails, first, cut, np.flatnonzero(
+                    codes_module._block_subsets(plan.tails, first, cut, np.flatnonzero(
                         np.ones((first.stop - first.start, cut.stop - cut.start), bool)
-                        if valid is None else valid))
-                    for first, cut, valid in codes_module._subset_blocks(tails, start,
-                                                                         budget)])
+                        if valid is None else valid), count)[1]
+                    for first, cut, valid in plan.blocks])
                 assert listed.tolist() == geometry.k_subsets(count, k).tolist()
 
 
 def _planted_positions(count, n_supports):
-    """Subsets at the first and the last row of a multi-row block, and the
-    last subset, for the k = 3 stream of ``n_supports`` stacked supports."""
-    tails, start = codes_module._subset_tails(count, 3)
-    blocks = list(codes_module._subset_blocks(tails, start,
-                                              codes_module.SCREEN_ROWS // n_supports))
-    first, cut, _ = next(b for b in blocks if b[2] is not None)
+    """Subsets at the first and the last row of the screen's first multi-row
+    block, and the last subset, for the k = 3 stream of ``n_supports``
+    stacked supports."""
+    plan = codes_module._screen_plan(count, 3, n_supports, codes_module.SCREEN_ROWS)
+    first, cut, _ = next(b for b in plan.blocks if b[2] is not None)
     last_row = first.stop - 1
-    return [(first.start, *tails[cut.start]),
-            (last_row, *tails[start[last_row]]),
+    return [(first.start, *plan.tails[cut.start]),
+            (last_row, *plan.tails[plan.start[last_row]]),
             (count - 3, count - 2, count - 1)]
 
 
@@ -589,8 +630,11 @@ def test_planted_dependence_at_block_edges(which, monkeypatch):
 def test_dependent_first_block_ends_the_stream(monkeypatch):
     # one dependent triple in the stream's first block (first index 0) and
     # one far into it: the check stops after the first block, so no subset
-    # with a later first index reaches the kernel
+    # of a later block reaches the kernel
     mat, codes, h = _gaussian(11, 6, 3, 41)
+    rows_first = codes_module._screen_plan(41, 3, len(h.edges),
+                                           codes_module.SCREEN_ROWS).blocks[0][0]
+    assert rows_first.start == 0 and rows_first.stop <= 20
     x = codes.codes.copy()
     rows = [v - 1 for v in h.edges[2]]
     first = 2 * 41
@@ -603,7 +647,7 @@ def test_dependent_first_block_ends_the_stream(monkeypatch):
     assert screened == (False, 0.0)
     subsets = np.concatenate(seen)
     assert len(subsets) > 0
-    assert np.all(subsets[:, 0] % 41 == 0)
+    assert np.all(subsets[:, 0] % 41 < rows_first.stop)
 
 
 # C1 moves with the rounding of A @ X wherever the least sigma_min(A X_T) is
@@ -728,15 +772,17 @@ def test_settled_subsets_clear_their_full_floors(seed):
         c1_target = lowest + stack.margin
         c1_settle = codes_module._settling_floor(c1_target, c1_factors)
         assert np.all(glp_settle < math.inf) and np.all(c1_settle < math.inf)
-        tails, start = codes_module._subset_tails(count, k)
-        minors = codes_module._tail_minors(stack.units, tails)
+        plan = codes_module._screen_plan(count, k, 1, 1000)
+        minors = codes_module._tail_minors(stack.units, plan.tails)
         settled = 0
-        for first, cut, valid in codes_module._subset_blocks(tails, start, 1000):
-            hadamard = codes_module._hadamard_floor(stack.units, minors, tails, first, cut)
+        for first, cut, valid in plan.blocks:
+            hadamard = codes_module._hadamard_floor(stack.units, minors, plan.tails,
+                                                    first, cut)
             for s, grid in enumerate(hadamard):
                 flat = np.flatnonzero(np.ones(grid.shape, bool) if valid is None
                                       else valid)
-                subsets = codes_module._block_subsets(tails, first, cut, flat) + s * count
+                subsets = codes_module._block_subsets(plan.tails, first, cut, flat,
+                                                      count)[1] + s * count
                 floor = grid.ravel()[flat]
                 glp = codes_module._sigma_floor(floor, stack.norms, subsets)
                 glp_target = ((geometry.DEFAULT_RANK_TOL + codes_module.SCREEN_SLACK)
