@@ -2,6 +2,11 @@
 noise-sweep experiments, and run the subspace/counting property checks.
 
 Exit codes: 0 success, 1 hypothesis or inequality failure, 2 usage/parse error.
+
+Each command imports the modules it runs when it runs, so a ``certify``
+child never loads ``alignment``, ``experiment`` or ``lemmas``, and a
+``check-lemmas`` child never loads ``alignment``, ``experiment``,
+``constants`` or ``codes``.
 """
 
 from __future__ import annotations
@@ -12,14 +17,9 @@ import sys
 from pathlib import Path
 
 from . import serialize
-from .codes import synthesize_dataset
-from .constants import build_certificate
 from .errors import SparseCertError
-from .experiment import (_config_integer, generate_instance, hypergraph_from_config,
-                         run_experiment)
 from .geometry import DEFAULT_RANK_TOL, spark_polynomial
-from .hypergraph import as_real
-from .lemmas import check_lemma3, check_lemma4, validate_lemma4
+from .hypergraph import _config_integer, as_real, hypergraph_from_config
 
 
 def _load_json(path):
@@ -41,6 +41,8 @@ def _emit(text, out):
 
 
 def cmd_certify(args):
+    from .constants import build_certificate
+
     dict_payload = _load_json(args.dict)
     codes_payload = _load_json(args.codes)
     hyper_payload = _load_json(args.hypergraph)
@@ -66,6 +68,9 @@ def cmd_certify(args):
 
 
 def cmd_generate(args):
+    from .codes import synthesize_dataset
+    from .experiment import generate_instance
+
     config = _load_json(args.config) if args.config else {}
     m = _config_integer(config, "m", 4)
     n = _config_integer(config, "n", 4)
@@ -107,6 +112,8 @@ def cmd_generate(args):
 
 
 def cmd_experiment(args):
+    from .experiment import run_experiment
+
     config = _load_json(args.config)
     if args.seed is not None:
         config["seed"] = args.seed
@@ -126,6 +133,8 @@ def cmd_experiment(args):
 
 
 def cmd_check_lemmas(args):
+    from .lemmas import check_lemma3, check_lemma4, validate_lemma4
+
     config = _load_json(args.config) if args.config else {}
     # the Lemma-4 input is rejected before any Lemma-3 sampling is paid for
     l4_cfg = _section(config, "lemma4")

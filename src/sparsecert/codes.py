@@ -516,12 +516,14 @@ def support_index_sets(codes, hypergraph):
     A column belongs to S when its support mask has no row outside S.
     """
     edges = hypergraph.edges
-    outside = np.ones((len(edges), codes.m), dtype=bool)
+    outside = np.ones((len(edges), codes.m), dtype=np.float32)
     for e, edge in enumerate(edges):
-        outside[e, [v - 1 for v in edge if v <= codes.m]] = False
-    # boolean matmul: entry (e, i) is True iff column i has a row outside edge e
-    spills = outside @ codes.support_mask
-    return {edge: np.flatnonzero(~row).tolist() for edge, row in zip(edges, spills)}
+        outside[e, [v - 1 for v in edge if v <= codes.m]] = 0.0
+    # entry (e, i) counts the rows of column i outside edge e. A float32
+    # matmul runs on BLAS, where a boolean one does not, and a sum of 0/1
+    # products is zero exactly when every product is, so the test is exact.
+    inside = outside @ codes.support_mask.astype(np.float32) == 0.0
+    return {edge: np.flatnonzero(row).tolist() for edge, row in zip(edges, inside)}
 
 
 @dataclass

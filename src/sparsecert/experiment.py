@@ -8,6 +8,10 @@ their candidate pairs (B, xbar) in grid order, each as one
 all levels come from one residual stack; and the levels whose residual
 stays below the threshold are verified together
 (``alignment._verify_sweep``), each at exactly its residual.
+
+A config's integers and its hypergraph kind are read by
+``hypergraph._config_integer`` and ``hypergraph.hypergraph_from_config``,
+which the CLI shares.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from . import alignment, geometry
 from .codes import SparseCodeSet, _entry_failure
 from .constants import build_certificate
 from .errors import GenerationError, HypothesisError
-from .hypergraph import (as_integer, as_real, build_complete, build_cyclic, build_grid,
-                         has_sip, regularity)
+from .hypergraph import (_config_integer, as_integer, as_real, has_sip,
+                         hypergraph_from_config, regularity)
 
 PERTURBATION_FAMILIES = ("dict_jitter", "scaled_permuted", "code_jitter")
 
@@ -53,23 +57,6 @@ class ExperimentRecord:
     pass5: bool
     pass6: bool | None
     ms: float
-
-
-def _config_integer(section, key, default=None, name=None):
-    """An integer from a JSON config section (``hypergraph.as_integer``). A key
-    without a default must be present."""
-    value = section[key] if default is None else section.get(key, default)
-    return as_integer(value, name or key)
-
-
-def hypergraph_from_config(kind, m, k):
-    if kind == "cyclic":
-        return build_cyclic(m, k)
-    if kind == "grid":
-        return build_grid(m)
-    if kind == "complete":
-        return build_complete(m, k)
-    raise ValueError(f"unknown hypergraph kind {kind!r}")
 
 
 def generate_instance(m, n, k, hypergraph, per_support_count, seed=None,

@@ -1,5 +1,10 @@
 """Support-set hypergraphs: construction, regularity, and star-intersection checks.
 
+Also the JSON config readers that the CLI and the experiment harness share:
+``_config_integer`` and ``hypergraph_from_config``. They live here, beside
+``as_integer``, so that ``sparsecert check-lemmas`` reads its config without
+loading ``experiment``.
+
 Vertices are numbered 1..m everywhere callers can see them. Edges are kept as
 sorted duplicate-free tuples and the edge list itself is sorted, so equal
 hypergraphs compare equal and set operations are deterministic.
@@ -42,6 +47,13 @@ def as_real(value, name):
         except OverflowError:
             pass
     raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
+def _config_integer(section, key, default=None, name=None):
+    """An integer from a JSON config section (``as_integer``). A key without a
+    default must be present."""
+    value = section[key] if default is None else section.get(key, default)
+    return as_integer(value, name or key)
 
 
 def normalize_support(indices, m):
@@ -109,6 +121,17 @@ def build_grid(m):
     rows = [tuple(r * k + c + 1 for c in range(k)) for r in range(k)]
     cols = [tuple(r * k + c + 1 for r in range(k)) for c in range(k)]
     return Hypergraph(m, rows + cols)
+
+
+def hypergraph_from_config(kind, m, k):
+    """The hypergraph a config names: "cyclic", "grid" or "complete"."""
+    if kind == "cyclic":
+        return build_cyclic(m, k)
+    if kind == "grid":
+        return build_grid(m)
+    if kind == "complete":
+        return build_complete(m, k)
+    raise ValueError(f"unknown hypergraph kind {kind!r}")
 
 
 def star(hypergraph, i):

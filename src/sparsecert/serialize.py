@@ -14,10 +14,8 @@ import json
 
 import numpy as np
 
-from .codes import SparseCodeSet
+from . import __version__ as TOOLKIT_VERSION
 from .hypergraph import Hypergraph, as_integer
-
-TOOLKIT_VERSION = "0.1.0"
 
 EXPERIMENT_CSV_HEADER = "seed,eps,max_col_err,bound5,max_code_err,bound6,pass5,pass6,ms"
 
@@ -83,6 +81,9 @@ def code_set_to_json_dict(codes):
 
 
 def code_set_from_json_dict(payload):
+    # imported here so that reading the other formats does not load ``codes``
+    from .codes import SparseCodeSet
+
     _json_object(payload, "code set payload")
     return SparseCodeSet(
         as_integer(payload["m"], "m"),

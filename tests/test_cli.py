@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from sparsecert import HypothesisError, cli, constants, lemmas, serialize
+from sparsecert import HypothesisError, constants, lemmas, serialize
 from sparsecert.cli import main
 
 from oracles import power_node_codes
@@ -360,7 +360,7 @@ def test_check_lemmas_ordering_cap_exits_1_before_sampling(tmp_path, monkeypatch
 
 def test_check_lemmas_rejects_lemma4_before_lemma3(tmp_path, monkeypatch, capsys):
     calls = []
-    monkeypatch.setattr(cli, "check_lemma3", lambda **kwargs: calls.append(kwargs))
+    monkeypatch.setattr(lemmas, "check_lemma3", lambda **kwargs: calls.append(kwargs))
     cfg = tmp_path / "lemmas.json"
     cfg.write_text(json.dumps({"lemma4": {"m": 7, "m_bar": 8}}))
     code = main(["check-lemmas", "--config", str(cfg)])
@@ -371,7 +371,7 @@ def test_check_lemmas_rejects_lemma4_before_lemma3(tmp_path, monkeypatch, capsys
 
 def test_check_lemmas_edge_cap_exits_1_before_sampling(tmp_path, monkeypatch, capsys):
     calls = []
-    monkeypatch.setattr(cli, "check_lemma3", lambda **kwargs: calls.append(kwargs))
+    monkeypatch.setattr(lemmas, "check_lemma3", lambda **kwargs: calls.append(kwargs))
     cfg = tmp_path / "lemmas.json"
     cfg.write_text(json.dumps(
         {"lemma4": {"hypergraph": "complete", "m": 5, "k": 2, "m_bar": 6}}))

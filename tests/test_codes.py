@@ -135,6 +135,19 @@ def test_support_index_sets_match_containment(data):
     assert all(type(col) is int for ids in sets.values() for col in ids)
 
 
+@pytest.mark.parametrize("h_m", [10, 12])
+def test_support_index_sets_match_containment_at_scale(h_m):
+    # thousands of random supports of every size up to k, against every
+    # 3-subset of [1, h_m]; at h_m = 12 some edges hold vertices past m
+    m, k = 10, 3
+    rng = np.random.default_rng(h_m)
+    supports = [tuple(rng.choice(np.arange(1, m + 1), size=rng.integers(0, k + 1),
+                                 replace=False)) for _ in range(3000)]
+    codes = SparseCodeSet(m, np.zeros((m, len(supports))), supports, k)
+    h = build_complete(h_m, k)
+    assert support_index_sets(codes, h) == _reference_support_index_sets(codes, h)
+
+
 def test_synthesize_noiseless():
     h = build_cyclic(4, 2)
     mat, codes = generate_instance(4, 4, 2, h, 7, seed=5)

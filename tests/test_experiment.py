@@ -35,12 +35,11 @@ from sparsecert.constants import build_certificate
 from sparsecert.errors import HypothesisError, ThresholdError
 from sparsecert.experiment import (
     PERTURBATION_FAMILIES,
-    hypergraph_from_config,
     perturb_instance,
     run_experiment,
     summarize,
 )
-from sparsecert.hypergraph import normalize_support
+from sparsecert.hypergraph import hypergraph_from_config, normalize_support
 
 from oracles import workloads
 
