@@ -10,20 +10,31 @@ codes, and both of its results are reported by the certificate: general
 linear position (GLP), X_T independent against the top singular value of
 X_S, and the C1 denominator, the least sigma_min(A X_T). Both come from one
 screen. The supports with equal code counts are stacked side by side
-(``_Stack``) and walk one stream of first-index blocks, laid out once per
-code count, order and stack size (``_screen_plan``): a block pairs a run of
-first indices with one slice of the lexicographic list of (k-1)-subset
-tails. Each subset's determinant comes from its first column against the
+(``_Stack``) and walk one stream of blocks, laid out once per code count,
+order and stack size (``_screen_plan``): a block pairs a run of head
+indices with one slice of a list of (k-1)-subset tails, and at k = 3 it
+groups the triples on their middle index, so that nearly every grid entry
+is a subset. Each subset's |det| comes from its head column against the
 minors of its tail, computed once per support, in one matmul per block
-(``_tail_minors``, ``_hadamard_floor``; LU from k = 4). The exact SVDs of
-the first block's lowest determinants seed the least value, and from then
-on a determinant above its support's settling floor (``_settling_floor``)
-proves the subset for both checks on its own, in every block. The others
-get their full floors (``_sigma_floor``, ``_c1_floor``), and only the
-subsets that those leave open reach the kernel, so the results equal those
-of one exact SVD per subset. The settling floor is sound only while
-``_settling`` lists its factors in the order in which ``_sigma_floor`` and
-``_c1_floor`` round their products.
+(``_tail_minors``, ``_block_determinants``; LU from k = 4). The exact SVDs
+of the first block's lowest row minima seed the least value, and from then
+on one comparison per grid entry settles a subset for both checks on its
+own, in every block: its raw |det| against its support's threshold
+(``_settling_threshold``). The others get their full floors
+(``_hadamard_floor``, then ``_sigma_floor`` and ``_c1_floor``), and only
+the subsets that those leave open reach the kernel, so the results equal
+those of one exact SVD per subset.
+
+Three roundings have to agree for a comparison to settle only what the
+full floors would. The settling floor (``_settling_floor``) bounds the
+Hadamard floor above which every full floor exceeds its target, and it is
+sound only while ``_settling`` lists its factors in the order in which
+``_sigma_floor`` and ``_c1_floor`` round their products. The threshold
+folds the Hadamard floor's relative slack and absolute term into it,
+rounded upward by a margin that a short rounding argument covers: the
+Hadamard floor is monotone in |det|, so a |det| above the threshold has a
+floor above the settling floor. A NaN |det|, from a zero column, never
+clears it.
 """
 
 from __future__ import annotations
@@ -44,7 +55,7 @@ from .hypergraph import normalize_support
 # codes (2,303,960) fits.
 SUBSET_WORK_CAP = 10_000_000
 # Grid entries per block of the subset stream, over all stacked supports. A
-# block pairs a run of first indices with one slice of the tail list, so
+# block pairs a run of head indices with one slice of the tail list, so
 # its determinant grid holds at most this many doubles (256 KB); from k = 4
 # the gathered k x k blocks take k^2 times that.
 SCREEN_ROWS = 1 << 15
@@ -52,9 +63,9 @@ SCREEN_ROWS = 1 << 15
 # the rounding of the screen's own arithmetic and LAPACK's SVD error bound
 # p eps sigma_max for any p up to about 2e6.
 SCREEN_SLACK = 2.0 ** -32
-# Exact SVDs that seed the C1 denominator's least value: of the first
-# block's lowest determinants, and of the lowest-floor subsets of a block
-# that the screen leaves wide open.
+# Exact SVDs that seed the C1 denominator's least value: of the subsets at
+# the first block's lowest row minima, and of the lowest-floor subsets of a
+# block that the screen leaves wide open.
 _SEED_SUBSETS = 16
 
 
@@ -132,26 +143,40 @@ def _entry_failure(codes, masks, k):
     return index, f"column {col} has entries outside its support"
 
 
+class _Block(NamedTuple):
+    """One block of a ``_ScreenPlan``: the k-subsets {h} | tails[c] for the
+    head indices h in the slice ``heads`` and the tail positions c in the
+    slice ``cut``, as a (rows, width) grid in row-major order. The head is
+    the subset's least index, or its greatest when ``head_last`` is set.
+    The ``valid`` mask drops the grid entries that are not such subsets; it
+    is None when every entry is one, and every row holds at least one.
+    """
+
+    heads: slice
+    cut: slice
+    valid: np.ndarray | None
+    head_last: bool
+
+
 class _ScreenPlan(NamedTuple):
     """The layout of one k-subset stream; its arrays are read-only, since
     every caller shares them.
 
-    ``tails`` are the (k-1)-subsets of range(count) in lexicographic order,
-    (T, k-1), and ``start[i]`` is the position of the first tail whose
-    entries all exceed i: the k-subsets with first index i are (i, *tail)
-    for the tails from start[i] on, so the k-subsets in lexicographic order
-    are the first indices in turn, each against a suffix of one tail list.
-    At k = 1 the one tail is empty. ``blocks`` walk them in that order: a
-    block (first, cut, valid) holds the k-subsets (i, *tails[c]) for the
-    first indices i in the slice ``first`` and the tail positions c in the
-    slice ``cut``, as a (rows, width) grid in row-major order. Its ``valid``
-    mask drops, for each later row, the tails before its own start; it is
-    None when every grid entry is a subset.
+    ``tails`` is a (T, k-1) list of (k-1)-subsets of range(count), and the
+    ``blocks`` (``_Block``) cover every k-subset exactly once. At k = 1 the
+    one tail is empty. For k = 2 and from k = 4 the tails are in
+    lexicographic order and a block pairs a run of least indices with a
+    suffix of them. At k = 3 a subset i < j < l is grouped on its middle
+    index j (``_middle_blocks``).
     """
 
     tails: np.ndarray
-    start: np.ndarray
     blocks: tuple
+
+
+# Grid entries that are not subsets, at most this fraction of a k = 3
+# block's subsets.
+_MIDDLE_WASTE = 1 / 8
 
 
 @functools.lru_cache(maxsize=8)
@@ -159,54 +184,125 @@ def _screen_plan(count, k, supports, rows):
     """The ``_ScreenPlan`` of the k-subsets of ``count`` codes, for a stack
     of ``supports`` supports whose blocks hold at most ``rows`` grid entries
     over the stack (``SCREEN_ROWS``, passed so that the cache key holds it).
-    A block takes a run of consecutive first indices; a row whose tails
-    alone exceed its share is split into blocks of tails. Needs
-    1 <= k <= count.
+    Outside k = 3 a block takes a run of consecutive least indices, each
+    against the tails whose entries all exceed it; a row whose tails alone
+    exceed its share is split into blocks of tails. Needs 1 <= k <= count.
     """
-    if k == 1:
-        tails = np.zeros((1, 0), dtype=np.intp)
-        start = np.zeros(count, dtype=np.intp)
-    else:
-        tails = (np.column_stack(np.triu_indices(count, 1)) if k == 3
-                 else geometry.k_subsets(count, k - 1, cap=math.inf))
-        start = np.searchsorted(tails[:, 0], np.arange(count), side="right")
     budget = max(rows // supports, 1)
-    n_tails = len(tails)
-    last = int(np.searchsorted(start, n_tails))
-    blocks, s = [], 0
-    while s < last:
-        lo = int(start[s])
-        width = n_tails - lo
-        if width > budget:
-            blocks += [(slice(s, s + 1), slice(c, min(c + budget, n_tails)), None)
-                       for c in range(lo, n_tails, budget)]
-            s += 1
-            continue
-        e = min(s + budget // width, last)
-        valid = None if e == s + 1 else np.arange(lo, n_tails) >= start[s:e, None]
-        blocks.append((slice(s, e), slice(lo, n_tails), valid))
-        s = e
-    for array in (tails, start, *(valid for _, _, valid in blocks if valid is not None)):
+    if k == 3:
+        tails, blocks = _middle_blocks(count, budget)
+    else:
+        if k == 1:
+            tails = np.zeros((1, 0), dtype=np.intp)
+            start = np.zeros(count, dtype=np.intp)
+        else:
+            tails = geometry.k_subsets(count, k - 1, cap=math.inf)
+            start = np.searchsorted(tails[:, 0], np.arange(count), side="right")
+        n_tails = len(tails)
+        last = int(np.searchsorted(start, n_tails))
+        blocks, s = [], 0
+        while s < last:
+            lo = int(start[s])
+            width = n_tails - lo
+            if width > budget:
+                blocks += [_Block(slice(s, s + 1), slice(c, min(c + budget, n_tails)),
+                                  None, False)
+                           for c in range(lo, n_tails, budget)]
+                s += 1
+                continue
+            e = min(s + budget // width, last)
+            valid = None if e == s + 1 else np.arange(lo, n_tails) >= start[s:e, None]
+            blocks.append(_Block(slice(s, e), slice(lo, n_tails), valid, False))
+            s = e
+    for array in (tails, *(b.valid for b in blocks if b.valid is not None)):
         array.flags.writeable = False
-    return _ScreenPlan(tails, start, tuple(blocks))
+    return _ScreenPlan(tails, tuple(blocks))
 
 
-def _block_subsets(tails, first, cut, at, count):
-    """The supports and the (E, k) stack column indices of the entries at
-    row-major positions ``at`` of a stack's (S, rows, width) grid over the
-    block (first, cut) of a ``_ScreenPlan``, for ``count`` codes per
+def _middle_blocks(count, budget):
+    """The tails and blocks of the k = 3 plan, grouped on the middle index.
+
+    The triples i < j < l with one middle j fill a j x (count-1-j) grid
+    exactly: the heads l > j against the pairs (i, j), or the heads i < j
+    against the pairs (j, l). Below the middle ``half`` the heads come last,
+    against the pairs of range(half) in colexicographic order (grouped on
+    their greater index); from ``half`` on they come first, against the
+    pairs of range(half, count) in lexicographic order (grouped on their
+    lesser one). A block takes a run of middles against the heads that any
+    of them needs, and grows while it holds at most ``budget`` entries and
+    at most _MIDDLE_WASTE of them are not subsets; a middle whose grid alone
+    exceeds the budget is split into blocks of pairs.
+    """
+    half = count // 2
+    low = np.column_stack(np.triu_indices(half, 1))
+    low = low[np.lexsort((low[:, 0], low[:, 1]))]
+    high = np.column_stack(np.triu_indices(count - half, 1)) + half
+    tails = np.concatenate([low, high])
+    # per middle j, the positions of its pairs start at first[j], and the
+    # triples of the middles before j number before[j]
+    middles = np.arange(count)
+    first = np.concatenate([[0], np.cumsum(np.minimum(middles, count - 1 - middles))])
+    before = np.concatenate([[0], np.cumsum(middles * (count - 1 - middles))])
+
+    def heads(s, e):
+        return slice(0, e - 1) if s >= half else slice(s + 1, count)
+
+    def grid(s, e):
+        rows = heads(s, e)
+        return int(first[e] - first[s]) * (rows.stop - rows.start)
+
+    blocks, s = [], 1
+    while s < count - 1:
+        e = s + 1
+        limit = count - 1 if s >= half else half
+        while (e < limit and grid(s, e + 1) <= budget
+               and grid(s, e + 1) <= (1 + _MIDDLE_WASTE) * (before[e + 1] - before[s])):
+            e += 1
+        rows, last = heads(s, e), s >= half
+        lo, hi = int(first[s]), int(first[e])
+        if grid(s, e) > budget:
+            step = max(budget // (rows.stop - rows.start), 1)
+            blocks += [_Block(rows, slice(c, min(c + step, hi)), None, not last)
+                       for c in range(lo, hi, step)]
+        else:
+            index = np.arange(rows.start, rows.stop)[:, None]
+            valid = index < tails[lo:hi, 0] if last else index > tails[lo:hi, 1]
+            blocks.append(_Block(rows, slice(lo, hi), None if valid.all() else valid,
+                                 not last))
+        s = e
+    return tails, blocks
+
+
+def _block_subsets(tails, block, at, count):
+    """The supports and the (E, k) sorted stack column indices of the
+    entries at row-major positions ``at`` of a stack's (S, rows, width)
+    grid over ``block`` of a ``_ScreenPlan``, for ``count`` codes per
     support."""
-    owners, flat = np.divmod(at, (first.stop - first.start) * (cut.stop - cut.start))
-    rows, cols = np.divmod(flat, cut.stop - cut.start)
-    subsets = np.column_stack([first.start + rows, tails[cut][cols]])
+    rows = block.heads.stop - block.heads.start
+    width = block.cut.stop - block.cut.start
+    owners, flat = np.divmod(at, rows * width)
+    row, col = np.divmod(flat, width)
+    parts = [tails[block.cut][col], block.heads.start + row]
+    subsets = np.column_stack(parts if block.head_last else parts[::-1])
     return owners, subsets + (owners * count)[:, None]
 
 
-def _tail_minors(units, tails):
-    """The first-column minors of every tail's k x k blocks, (..., k, T).
+def _head_columns(units):
+    """The (..., N, k) stack of the unit columns of a (..., k, N) stack as
+    rows, with their j-th entries times (-1)^j: the head columns of the
+    Laplace expansion against ``_tail_minors``. The LU path takes them as
+    they are: flipping the signs of whole columns of a k x k block keeps
+    |det|, and partial pivoting then makes the same choices and rounds the
+    same magnitudes, so |det| comes out bit for bit."""
+    return np.swapaxes(units, -1, -2) * (-1.0) ** np.arange(units.shape[-2])
 
-    ``units`` is a (..., k, N) stack of unit columns. A k-subset (i, *tail)
-    has |det| = |sum_j (-1)^j units[j, i] minors[j, tail]|: at k = 1 the
+
+def _tail_minors(units, tails):
+    """The minors of every tail's columns against which a head column's
+    Laplace expansion gives |det|, (..., k, T).
+
+    ``units`` is a (..., k, N) stack of unit columns. A k-subset {h} | tail
+    has |det| = |sum_j (-1)^j units[j, h] minors[j, tail]|: at k = 1 the
     minor is 1, at k = 2 the tail's entries b_1 and b_0, and at k = 3 the
     2 x 2 minors of the tail's two columns. From k = 4 there are none: the
     LU determinant gathers each block's tail columns instead.
@@ -226,52 +322,84 @@ def _tail_minors(units, tails):
     return None
 
 
-def _hadamard_floor(units, minors, tails, first, cut):
-    """Lower bound on |det| of each k-subset's block of ``units``, as a
-    (..., rows, width) grid over the block (first, cut) of a
-    ``_ScreenPlan``.
+def _block_determinants(columns, minors, tails, block):
+    """|det| of each k-subset's block of unit columns, as a
+    (..., rows, width) grid over ``block`` of a ``_ScreenPlan``.
 
-    ``units`` is a (..., k, N) stack with unit columns, so each determinant
+    ``columns`` (``_head_columns``) hold unit columns, so each determinant
     is a Hadamard ratio in [0, 1] and every entry is in [-1, 1]. For k <= 3
-    the determinant of (i, *tail) is the first-column Laplace expansion
-    sum_j (-1)^j a_j M_j of the block's first columns a against the tails'
-    ``minors`` (``_tail_minors``), one stacked matmul of the sign-alternated
-    first columns (..., rows, k) against the minors (..., k, width). BLAS
-    may sum the k products in any order, fused or not; any such inner
-    product is within gamma_k sum_j |a_j| |M_j| of its exact value, with
-    unit roundoff eps/2 (Higham 2002, Sec. 3.1). On unit columns
+    it is the Laplace expansion sum_j (-1)^j a_j M_j of the head column a
+    against the tail's ``minors`` (``_tail_minors``), one stacked matmul of
+    the sign-alternated head columns (..., rows, k) against the minors
+    (..., k, width); a head that comes last is a cyclic shift of the
+    columns at k = 3, which keeps |det|. BLAS may sum the k products in any
+    order, fused or not; any such inner product is within
+    gamma_k sum_j |a_j| |M_j| of its exact value, with unit roundoff eps/2
+    (Higham 2002, Sec. 3.1). On unit columns
     sum_j |a_j| |M_j| <= ||a|| ||M|| <= 1, since the squares of the 2 x 2
     minors of two unit columns sum to at most 1 (Cauchy-Binet), and the
-    rounding of the minors themselves (two products and a subtraction
-    each) adds at most gamma_2 sum_{p != q} |b_p| |c_q| <= k gamma_2. So the
+    rounding of the minors themselves (two products and a subtraction each)
+    adds at most gamma_2 sum_{p != q} |b_p| |c_q| <= k gamma_2. So the
     forward error is at most about gamma_k + k gamma_2: none at k = 1,
     where the product with the minor 1 is exact and |u_0| comes out bit for
     bit, about 1 eps at k = 2, whose minors are entries, and some 5 eps at
     k = 3. From k = 4 (``minors`` None) one batched LU determinant covers
     the block's k x k blocks, gathered with the subset's columns as rows,
     with backward error k^3 (k+1) 2^k eps (partial pivoting, growth at most
-    2^(k-1); Higham 2002, Thm 9.3). That one absolute term, 4, 96 and 864
-    eps at k = 1, 2, 3, covers both evaluations with room for the few eps
-    by which a stored unit column's entries can exceed 1, and the floor
-    also allows relative SCREEN_SLACK for the determinant's rounding. NaN
-    blocks give NaN. Grid entries outside the block's ``valid`` mask are
-    not subsets and mean nothing.
+    2^(k-1); Higham 2002, Thm 9.3); ``_hadamard_floor`` allows for both.
+    NaN blocks give NaN. Grid entries outside the block's ``valid`` mask
+    are not subsets and mean nothing.
     """
-    k = units.shape[-2]
+    head = columns[..., block.heads, :]
+    if minors is not None:
+        det = head @ minors[..., block.cut]
+        return np.abs(det, out=det)
+    k = columns.shape[-1]
+    blocks = np.empty(head.shape[:-1] + (block.cut.stop - block.cut.start, k, k))
+    blocks[..., 0, :] = head[..., :, None, :]
+    blocks[..., 1:, :] = columns[..., None, tails[block.cut], :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        if minors is None:
-            columns = np.swapaxes(units, -1, -2)
-            head = columns[..., first, :]
-            blocks = np.empty(head.shape[:-1] + (cut.stop - cut.start, k, k))
-            blocks[..., 0, :] = head[..., :, None, :]
-            blocks[..., 1:, :] = columns[..., None, tails[cut], :]
-            det = np.abs(np.linalg.det(blocks))
-        else:
-            heads = np.swapaxes(units[..., first], -1, -2) * [1.0, -1.0, 1.0][:k]
-            det = np.abs(heads @ minors[..., cut])
-    det *= 1.0 - SCREEN_SLACK
-    det -= k ** 3 * (k + 1) * 2.0 ** k * np.finfo(float).eps
-    return det
+        return np.abs(np.linalg.det(blocks))
+
+
+def _absolute_error(k):
+    """The absolute term k^3 (k+1) 2^k eps of ``_hadamard_floor``, with
+    eps = 2^-52."""
+    return k ** 3 * (k + 1) * 2.0 ** (k - 52)
+
+
+def _hadamard_floor(det, k):
+    """Lower bound on the Hadamard ratio of each k-subset from its computed
+    |det| (``_block_determinants``): det (1 - SCREEN_SLACK) less the
+    absolute term k^3 (k+1) 2^k eps, one rounded operation at a time.
+
+    That term, 4, 96 and 864 eps at k = 1, 2, 3, covers the LU backward
+    error and the forward error of the closed forms, with room for the few
+    eps by which a stored unit column's entries can exceed 1, and the
+    relative slack covers the determinant's rounding. NaN gives NaN.
+    """
+    return det * (1.0 - SCREEN_SLACK) - _absolute_error(k)
+
+
+def _settling_threshold(floor, k):
+    """Per support, a bound on the computed |det| above which the subset's
+    ``_hadamard_floor`` exceeds the settling floor ``floor``, so that one
+    comparison of the raw |det| settles it.
+
+    The floor is monotone in |det|: each of its two rounded operations is.
+    So a threshold t whose own floor exceeds ``floor`` settles only what
+    the floor itself would settle. t is fl(fl(f + c) (1 + 2^-31)) for the
+    settling floor f >= 0 (``_settling_floor`` gives no negative one) and
+    the absolute term c. With unit roundoff u = 2^-53 and SCREEN_SLACK =
+    2^-32, its floor's first product is at least
+    (f + c) (1 - u)^3 (1 + 2^-31) (1 - 2^-32) > (f + c) (1 + 2^-33), so the
+    subtraction leaves at least f + (f + c) 2^-33, more than half an ulp
+    above f, and rounds above it. An infinite floor gives an infinite t
+    and a NaN floor a NaN one, and no |det| clears either; t overflows to
+    inf only where no |det| could clear it.
+    """
+    with np.errstate(over="ignore"):
+        return (floor + _absolute_error(k)) * (1.0 + 2.0 ** -31)
 
 
 def _sigma_floor(hadamard, norms, subsets):
@@ -454,11 +582,16 @@ def _code_checks(mat, codes, hypergraph, index_sets, rank_tol):
     """(glp_ok, C1 denominator) from one screened k-subset stream per code
     count (the screen of the module docstring).
 
-    While no least value is known, the exact SVDs of the block's
-    _SEED_SUBSETS lowest determinants give one first; those subsets do not
-    reach the kernel again for the denominator. The C1 settling floor falls
-    with the least value found so far, so it is taken again before each
-    block. The first block with a dependent subset ends the check with
+    Per grid entry a block costs one matmul output, one comparison of the
+    raw |det| against its support's folded threshold and one
+    ``flatnonzero``, with a pass of the block's mask where it has one; the
+    floors are taken only on the entries left open. While no least value is
+    known, the block's rows give it first: the minimum of each grid row,
+    and the exact SVDs of the subsets at the _SEED_SUBSETS lowest of them
+    (``_row_minimum_seeds``); those subsets do not reach the kernel again
+    for the denominator. The C1 settling floor falls with the least value
+    found so far, so it and the threshold are taken again whenever that
+    value falls. The first block with a dependent subset ends the check with
     (False, 0.0): once GLP fails, the denominator is not used. A support
     with fewer than k codes fails both; one with more than SUBSET_WORK_CAP
     k-subsets raises CapExceededError before any subset is checked.
@@ -480,34 +613,54 @@ def _code_checks(mat, codes, hypergraph, index_sets, rank_tol):
         stack = _stack(mat, codes, edges, index_sets)
         glp_settle, c1_factors = _settling(stack, k, rank_tol)
         plan = _screen_plan(count, k, len(edges), SCREEN_ROWS)
+        columns = _head_columns(stack.units)
         minors = _tail_minors(stack.units, plan.tails)
-        for first, cut, valid in plan.blocks:
-            hadamard = _hadamard_floor(stack.units, minors, plan.tails, first, cut)
-            seeds = []
+        target = None
+        for block in plan.blocks:
+            det = _block_determinants(columns, minors, plan.tails, block)
+            seeds = None
             if lowest == math.inf:
-                entries = (np.arange(hadamard.size) if valid is None else
-                           np.flatnonzero(np.broadcast_to(valid, hadamard.shape)))
-                seeds = _lowest_of(hadamard.ravel(), entries)
+                seeds = _row_minimum_seeds(det, block.valid)
                 lowest = _exact_lowest(
-                    stack, _block_subsets(plan.tails, first, cut, seeds, count)[1], lowest)
-            settle = np.maximum(_settling_floor(lowest + stack.margin, c1_factors),
-                                glp_settle)
-            still_open = ~(hadamard > settle[:, None, None])
-            if valid is not None:
-                still_open &= valid
+                    stack, _block_subsets(plan.tails, block, seeds, count)[1], lowest)
+            if lowest != target:
+                target = lowest
+                threshold = _settling_threshold(np.maximum(
+                    _settling_floor(lowest + stack.margin, c1_factors), glp_settle), k)
+            still_open = ~(det > threshold[:, None, None])
+            if block.valid is not None:
+                still_open &= block.valid
             at = np.flatnonzero(still_open)
             if not len(at):
                 continue
-            owners, subsets = _block_subsets(plan.tails, first, cut, at, count)
-            floor = hadamard.ravel()[at]
+            owners, subsets = _block_subsets(plan.tails, block, at, count)
+            floor = _hadamard_floor(det.ravel()[at], k)
             if not _independent(stack.codes, subsets,
                                 _sigma_floor(floor, stack.norms, subsets),
                                 stack.smax[owners], rank_tol):
                 return False, 0.0
-            still_open.flat[seeds] = False
-            fresh = still_open.ravel()[at]
+            fresh = slice(None)
+            if seeds is not None:
+                still_open.flat[seeds] = False
+                fresh = still_open.ravel()[at]
             lowest = _lowest(stack, owners[fresh], subsets[fresh], floor[fresh], lowest)
     return True, lowest / math.sqrt(k)
+
+
+def _row_minimum_seeds(det, valid):
+    """The row-major positions of the _SEED_SUBSETS lowest row minima of a
+    stack's (S, rows, width) determinant grid over a block, among the
+    entries of its ``valid`` mask: all the rows' minima when there are no
+    more rows."""
+    if valid is not None:
+        det = np.where(valid, det, np.inf)
+    width = det.shape[-1]
+    det = det.reshape(-1, width)
+    # argmin along a row runs several times faster than min
+    at = np.argmin(det, axis=1)
+    rows = np.arange(len(det))
+    rows = _lowest_of(det[rows, at], rows)
+    return rows * width + at[rows]
 
 
 def support_index_sets(codes, hypergraph):

@@ -53,11 +53,11 @@ def compute_C2(dictionary, hypergraph, rank_tol=geometry.DEFAULT_RANK_TOL):
     at most r edges; it is exactly 1 when one of S_a and I contains the
     other, the empty I included. The table holds the other (a, I) pairs:
     their meet is span A[:, I & S_a], so the Friedrichs sine is the
-    (|I & S_a| + 1)-th smallest singular value of (I - P_I) Q_a, taken from
-    stacked SVDs per (|S_a|, |I|, |I & S_a|) shape, of at most
-    geometry._STACK_BLOCK pairs each, on bases from one stacked SVD per
-    width. The DP's index arrays depend on the hypergraph only and are kept
-    per hypergraph (``_c2_plan``).
+    (|I & S_a| + 1)-th smallest singular value of (I - P_I) Q_a. That
+    residual is n x |S_a| whatever I is, so the pairs of one edge width
+    share stacked SVDs of at most geometry._STACK_BLOCK pairs each, on
+    bases from one stacked SVD per width. The DP's index arrays depend on
+    the hypergraph only and are kept per hypergraph (``_c2_plan``).
 
     That precondition is checked on the table's own SVDs: an edge or
     lattice column set whose span is rank deficient at rank_tol, or a table
@@ -94,21 +94,25 @@ def compute_C2(dictionary, hypergraph, rank_tol=geometry.DEFAULT_RANK_TOL):
                     "are dependent at rank_tol")
             bases[width] = u
         sines = []
-        for p, q, d, edge_at, meet_at in plan.shapes:
+        for p, edge_at, meet_at, meet_width, shared in plan.widths:
             # stacks of at most _STACK_BLOCK pairs bound the memory of
             # hypergraphs with large lattices
             for lo in range(0, len(edge_at), geometry._STACK_BLOCK):
-                a = edge_at[lo:lo + geometry._STACK_BLOCK]
-                i = meet_at[lo:lo + geometry._STACK_BLOCK]
-                qa, qi = bases[p][a], bases[q][i]
-                sine = np.linalg.svd(qa - qi @ (np.swapaxes(qi, 1, 2) @ qa),
-                                     compute_uv=False)[:, p - 1 - d]
+                block = slice(lo, lo + geometry._STACK_BLOCK)
+                a, i, q = edge_at[block], meet_at[block], meet_width[block]
+                runs = [0, *(np.flatnonzero(np.diff(q)) + 1).tolist(), len(q)]
+                residuals = []
+                for start, stop in zip(runs, runs[1:]):
+                    qa, qi = bases[p][a[start:stop]], bases[q[start]][i[start:stop]]
+                    residuals.append(qa - qi @ (np.swapaxes(qi, 1, 2) @ qa))
+                sine = np.linalg.svd(np.concatenate(residuals), compute_uv=False)
+                sine = sine[np.arange(len(sine)), p - 1 - shared[block]]
                 if not np.all(sine > rank_tol):
                     bad = np.argmin(sine)
                     raise HypothesisError(
                         f"the span of edge {_vertices(plan.stacks[p][a[bad]])} meets "
-                        f"that of columns {_vertices(plan.stacks[q][i[bad]])} beyond "
-                        "their shared columns")
+                        f"that of columns {_vertices(plan.stacks[q[bad]][i[bad]])} "
+                        "beyond their shared columns")
                 sines.append(sine)
         factors = np.concatenate(sines + [np.ones(1)]) ** 2
         best = np.ones(len(hypergraph.edges))
@@ -141,17 +145,18 @@ class _C2Plan(NamedTuple):
     ``stacks`` maps a width to the (G, width) array of 0-based column sets
     of that width whose bases the table needs: every edge, then the lattice
     elements I of the table's pairs, as ``geometry._column_table`` lists
-    them. ``shapes`` holds, per (|S_a|, |I|, |I & S_a|) shape, the
-    positions in the width stacks of the edge and of the I of each table
-    pair, in table order; one more entry, the exact factor 1, ends the
-    table. ``levels`` holds, for the DP levels of 2 to r + 1 edges, subsets
-    in colex order, the table entry of each (subset, member a) factor and
-    the position of the subset without a one level below, the latter from
-    the shared ``geometry._subset_levels``.
+    them. ``widths`` holds, per edge width |S_a|, the positions in the
+    width stacks of the edge and of the I of each table pair, with |I| and
+    |I & S_a|, in table order: the pairs of one width are consecutive, and
+    so are those of one (|I|, |I & S_a|) shape. One more entry, the exact
+    factor 1, ends the table. ``levels`` holds, for the DP levels of 2 to
+    r + 1 edges, subsets in colex order, the table entry of each
+    (subset, member a) factor and the position of the subset without a one
+    level below, the latter from the shared ``geometry._subset_levels``.
     """
 
     stacks: dict
-    shapes: tuple
+    widths: tuple
     levels: tuple
 
 
@@ -198,18 +203,20 @@ def _c2_plan(hypergraph, size):
     starts = dict(zip(stacks, itertools.accumulate(map(len, stacks.values()), initial=0)))
     position = {i: row - starts[len(sets[i])] for i, row in zip(listed, rows.tolist())}
     slots = np.full(len(pairs), len(table), dtype=np.intp)
-    plan_shapes, filled = [], 0
-    for shape, group in geometry._groups([shapes[j] for j in table]):
-        group = [table[g] for g in group]
-        slots[group] = np.arange(filled, filled + len(group))
-        filled += len(group)
-        plan_shapes.append((*shape,
-                            geometry._frozen([position[pairs[j][0]] for j in group]),
-                            geometry._frozen([position[pairs[j][1]] for j in group])))
+    order = [table[g]
+             for _, group in sorted(geometry._groups([shapes[j] for j in table]))
+             for g in group]
+    slots[order] = np.arange(len(order))
+    widths = []
+    for p, group in geometry._groups([shapes[j][0] for j in order]):
+        group = [order[g] for g in group]
+        widths.append((p, *(geometry._frozen(column) for column in zip(
+            *[(position[pairs[j][0]], position[pairs[j][1]], *shapes[j][1:])
+              for j in group]))))
     tidx = np.split(slots[inverse.ravel()], np.cumsum([key.size for key in keys])[:-1])
     return _C2Plan(
         stacks=stacks,
-        shapes=tuple(plan_shapes),
+        widths=tuple(widths),
         levels=tuple((geometry._frozen(t.reshape(below.shape)), below)
                      for t, (_, below) in zip(tidx, levels)))
 

@@ -1,7 +1,7 @@
 """Package-level properties: what ``import sparsecert`` and each CLI command
 pull in, the README's list of what the package exports, private code that
-nothing names, and the test configuration's handling of a failing
-hypothesis test."""
+nothing names, the read-only arrays of the cached plans, and the test
+configuration's handling of a failing hypothesis test."""
 
 import ast
 import inspect
@@ -12,8 +12,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import sparsecert
-from sparsecert import build_cyclic, generate_instance, serialize
+from sparsecert import build_complete, build_cyclic, generate_instance, serialize
+from sparsecert import codes, constants, geometry
+from sparsecert.hypergraph import regularity
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -116,6 +120,32 @@ def test_every_private_function_and_class_is_named_in_the_package():
             elif isinstance(node, ast.alias):
                 named.add(node.name)
     assert [f"{module}: {name}" for module, name in defined if name not in named] == []
+
+
+def _arrays(value):
+    """Every numpy array inside nested tuples, lists and dicts."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _arrays(item)
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+
+
+def test_cached_plan_arrays_are_read_only():
+    # every caller shares what an lru_cache plan returns, so a write to one
+    # of its arrays would change the plans of later calls
+    plans = [codes._screen_plan(count, k, 3, budget)
+             for k in (1, 2, 3, 4) for count in (k, 9, 30) for budget in (40, 1 << 15)]
+    for h in (build_cyclic(6, 2), build_cyclic(6, 3), build_complete(5, 2)):
+        plans += [constants._bound_plan(h), constants._c2_plan(h, regularity(h) + 1)]
+    plans += [geometry._subset_levels(count, size)
+              for count in (4, 9) for size in (2, 4)]
+    arrays = list(_arrays(plans))
+    assert any(a.ndim == 2 and a.dtype == bool for a in arrays)
+    assert [a.shape for a in arrays if a.flags.writeable] == []
 
 
 FAILING_PROPERTY = """

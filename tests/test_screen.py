@@ -184,7 +184,7 @@ def test_pools_bit_identical_to_exhaustive(name, seed):
 @pytest.mark.parametrize("name", ["certify_k2", "certify_k3"])
 def test_few_code_check_subsets_reach_the_kernel(name, seed, monkeypatch):
     # the bit tests would pass as well if the screen sent every subset to the
-    # exact SVD; on these pools 16 to 21 of the 252 to 127,920 code-check
+    # exact SVD; on these pools 16 to 35 of the 252 to 127,920 code-check
     # subsets of a certificate (one per subset and check) reach the kernel
     rows = _count_kernel_rows(monkeypatch)
     for mat, codes, h in _pool(name, seed):
@@ -355,24 +355,32 @@ def _exact_abs_det(block):
     return abs(total)
 
 
-def _grid_entries(valid, grid):
-    """The entries of a (rows, width) block grid that are k-subsets, in
-    lexicographic order."""
-    return grid.ravel() if valid is None else grid[valid]
+def _block_entries(plan, block, count):
+    """The grid positions of a block's k-subsets, and the subsets."""
+    grid = np.ones((block.heads.stop - block.heads.start,
+                    block.cut.stop - block.cut.start), bool)
+    at = np.flatnonzero(grid if block.valid is None else block.valid)
+    return at, codes_module._block_subsets(plan.tails, block, at, count)[1]
 
 
 def _block_hadamard_floors(units, budget=codes_module.SCREEN_ROWS):
-    """``codes._hadamard_floor`` of every k-subset of the columns of each
-    support of an (S, k, N) stack, (S, subsets) in lexicographic order, over
-    the blocks of the screen's plan for ``budget`` grid entries."""
+    """``codes._hadamard_floor`` of ``codes._block_determinants`` for every
+    k-subset of the columns of each support of an (S, k, N) stack,
+    (S, subsets) in lexicographic order, over the blocks of the screen's
+    plan for ``budget`` grid entries."""
     supports, k, count = units.shape
     plan = codes_module._screen_plan(count, k, supports, budget)
+    columns = codes_module._head_columns(units)
     minors = codes_module._tail_minors(units, plan.tails)
-    return np.concatenate([
-        np.stack([_grid_entries(valid, grid)
-                  for grid in codes_module._hadamard_floor(units, minors, plan.tails,
-                                                           first, cut)])
-        for first, cut, valid in plan.blocks], axis=1)
+    floors, subsets = [], []
+    for block in plan.blocks:
+        at, listed = _block_entries(plan, block, count)
+        det = codes_module._block_determinants(columns, minors, plan.tails, block)
+        floors.append(codes_module._hadamard_floor(det.reshape(supports, -1)[:, at], k))
+        subsets.append(listed)
+    subsets = np.concatenate(subsets)
+    order = np.lexsort(subsets.T[::-1])
+    return np.concatenate(floors, axis=1)[:, order]
 
 
 def _assert_floor_sound(units, budget=codes_module.SCREEN_ROWS):
@@ -406,11 +414,11 @@ def test_hadamard_floor_below_exact_determinant(k):
         units = geometry.unit_columns(x)[0][None]
         units[..., 5] = units[..., 4]
         _assert_floor_sound(units)
-        # the blocks hold each subset in lexicographic order
+        # the subset that holds both copies of the column floors below 0
         repeated = sorted([4, 5, 0, 1][:k])
         subsets = geometry.k_subsets(8, k).tolist()
         assert _block_hadamard_floors(units)[0, subsets.index(repeated)] < 0
-    # three stacked supports in blocks of 12 grid entries per support, so
+    # three stacked supports in blocks of 40 grid entries per support, so
     # that short rows share masked multi-row blocks; zero columns, and
     # columns scaled by 1e110 and -1e110
     x = rng.standard_normal((3, k, 10))
@@ -418,9 +426,9 @@ def test_hadamard_floor_below_exact_determinant(k):
     x[1, :, [2, 7]] *= 1e110
     x[2, :, 5] *= -1e110
     x[2, :, 0] = 0.0
-    plan = codes_module._screen_plan(10, k, 3, 36)
-    assert any(valid is not None for _, _, valid in plan.blocks)
-    _assert_floor_sound(geometry.unit_columns(x)[0], budget=36)
+    plan = codes_module._screen_plan(10, k, 3, 120)
+    assert any(block.valid is not None for block in plan.blocks)
+    _assert_floor_sound(geometry.unit_columns(x)[0], budget=120)
 
 
 @settings(max_examples=60, deadline=None)
@@ -492,8 +500,9 @@ _CLOSED_FORM_EPS = {2: 8, 3: 32}
                          ids=["default", "split"])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_block_floors_bit_identical_to_index_arrays(k, budget):
-    # a budget of 37 splits long rows into blocks of tails and gives
-    # multi-row blocks with masks at every k; two supports are stacked
+    # a budget of 37 splits long rows into blocks of tails, and with either
+    # budget some multi-row blocks have masks at every k; two supports are
+    # stacked
     counts = range(k, 61) if k <= 3 else range(k, 13)
     for count in counts:
         stack = _two_supports(k, count, 100 * k + count)
@@ -541,23 +550,36 @@ def test_glp_failure_settled_by_neither_floor_alone(monkeypatch):
     x[:3, [i, p]] *= 0.1
     x[:3, q] = x[:3, i] - 0.5 * x[:3, p] + 3.5e-9 * np.array([1.0, -1.0, 2.0])
     codes = SparseCodeSet(6, x, codes.supports, 3)
-    # the settling floors the screen takes: the GLP one first, then the C1
-    # one of each block in turn
-    settles = []
+    # the settling floors the screen takes and the blocks it evaluates, in
+    # turn
+    events = []
     settling_floor = codes_module._settling_floor
+    determinants = codes_module._block_determinants
 
     def recorded(target, factors):
-        settles.append(settling_floor(target, factors))
-        return settles[-1]
+        events.append(settling_floor(target, factors))
+        return events[-1]
+
+    def marked(*args):
+        events.append("block")
+        return determinants(*args)
 
     monkeypatch.setattr(codes_module, "_settling_floor", recorded)
+    monkeypatch.setattr(codes_module, "_block_determinants", marked)
     screened, reference = _both(mat, codes, h)
+    screen_events = events[:]
     _assert_same_glp_failure(mat, codes, h, screened, reference)
     plan = codes_module._screen_plan(41, 3, len(h.edges), codes_module.SCREEN_ROWS)
-    block = next(b for b, (first, _, _) in enumerate(plan.blocks) if i < first.stop)
+    block = _block_of(plan, 41, (i, p, q))
+    # the failing block is the last one evaluated
+    marks = [e for e, event in enumerate(screen_events) if isinstance(event, str)]
+    assert len(marks) == block + 1
+    # the GLP floor is taken first, and the C1 floor in effect is the last
+    glp_settle, *_, c1_settle = [event for event in screen_events
+                                 if not isinstance(event, str)]
     units = codes_module._stack(mat, codes, h.edges, support_index_sets(codes, h)).units
     det = _reference_hadamard_floor(units[0], np.array([[i, p, q]]))[0]
-    assert settles[1 + block][0] < det < settles[0][0]
+    assert c1_settle[0] < det < glp_settle[0]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -582,29 +604,74 @@ def test_stacked_glp_matches_each_matrix(k):
     assert verdicts == [False, True, False]
 
 
-def test_block_layout_is_lexicographic():
+def test_block_layout_covers_every_subset_once():
+    # each subset once, with its indices in increasing order, and no more
+    # than the budget in a block; every grid row holds a subset
     for k in (1, 2, 3, 4):
         for count in range(k, 15):
             for budget in (1, 5, 64, 8192):
                 plan = codes_module._screen_plan(count, k, 1, budget)
-                listed = np.concatenate([
-                    codes_module._block_subsets(plan.tails, first, cut, np.flatnonzero(
-                        np.ones((first.stop - first.start, cut.stop - cut.start), bool)
-                        if valid is None else valid), count)[1]
-                    for first, cut, valid in plan.blocks])
-                assert listed.tolist() == geometry.k_subsets(count, k).tolist()
+                listed = []
+                for block in plan.blocks:
+                    rows = block.heads.stop - block.heads.start
+                    width = block.cut.stop - block.cut.start
+                    assert rows * width <= budget or rows == 1 or width == 1
+                    if block.valid is not None:
+                        assert block.valid.shape == (rows, width)
+                        assert block.valid.any(axis=1).all()
+                    listed.append(_block_entries(plan, block, count)[1])
+                listed = np.concatenate(listed)
+                assert np.all(np.diff(listed, axis=1) > 0)
+                assert (sorted(map(tuple, listed.tolist()))
+                        == list(map(tuple, geometry.k_subsets(count, k).tolist())))
+
+
+def _grid_entries_per_certificate(name, seed, monkeypatch):
+    """The determinant grid entries that each certificate of a pool
+    evaluates."""
+    sizes = []
+    determinants = codes_module._block_determinants
+
+    def counted(*args):
+        det = determinants(*args)
+        sizes.append(det.size)
+        return det
+
+    monkeypatch.setattr(codes_module, "_block_determinants", counted)
+    counts = []
+    for mat, codes, h in _pool(name, seed):
+        sizes.clear()
+        assert build_certificate(mat, codes, h).hypotheses_ok
+        counts.append(sum(sizes))
+    return counts
+
+
+def test_k3_grid_holds_few_entries_beyond_its_subsets(monkeypatch):
+    # 6 supports x C(41, 3) = 63,960 subsets per certify_k3 certificate,
+    # in 71,172 grid entries: grouped on the middle index, where grouped on
+    # the least one the grid held 96,324
+    subsets = 6 * math.comb(41, 3)
+    counts = _grid_entries_per_certificate("certify_k3", 0, monkeypatch)
+    assert counts == [71_172, 71_172]
+    assert max(counts) <= 1.15 * subsets
+
+
+def _block_of(plan, count, subset):
+    """The position in ``plan.blocks`` of the block holding ``subset``."""
+    for b, block in enumerate(plan.blocks):
+        if list(subset) in _block_entries(plan, block, count)[1].tolist():
+            return b
+    raise AssertionError(f"no block holds {subset}")
 
 
 def _planted_positions(count, n_supports):
-    """Subsets at the first and the last row of the screen's first multi-row
-    block, and the last subset, for the k = 3 stream of ``n_supports``
-    stacked supports."""
+    """The first and the last subset of the screen's first masked block, and
+    the last subset, for the k = 3 stream of ``n_supports`` stacked
+    supports."""
     plan = codes_module._screen_plan(count, 3, n_supports, codes_module.SCREEN_ROWS)
-    first, cut, _ = next(b for b in plan.blocks if b[2] is not None)
-    last_row = first.stop - 1
-    return [(first.start, *plan.tails[cut.start]),
-            (last_row, *plan.tails[plan.start[last_row]]),
-            (count - 3, count - 2, count - 1)]
+    block = next(b for b in plan.blocks if b.valid is not None)
+    listed = _block_entries(plan, block, count)[1]
+    return [tuple(listed[0]), tuple(listed[-1]), (count - 3, count - 2, count - 1)]
 
 
 @pytest.mark.parametrize("which", [0, 1, 2], ids=["block_first_row",
@@ -628,13 +695,13 @@ def test_planted_dependence_at_block_edges(which, monkeypatch):
 
 
 def test_dependent_first_block_ends_the_stream(monkeypatch):
-    # one dependent triple in the stream's first block (first index 0) and
-    # one far into it: the check stops after the first block, so no subset
-    # of a later block reaches the kernel
+    # one dependent triple in the stream's first block and one far into it:
+    # the check stops after the first block, so no subset of a later block
+    # reaches the kernel
     mat, codes, h = _gaussian(11, 6, 3, 41)
-    rows_first = codes_module._screen_plan(41, 3, len(h.edges),
-                                           codes_module.SCREEN_ROWS).blocks[0][0]
-    assert rows_first.start == 0 and rows_first.stop <= 20
+    plan = codes_module._screen_plan(41, 3, len(h.edges), codes_module.SCREEN_ROWS)
+    first_block = set(map(tuple, _block_entries(plan, plan.blocks[0], 41)[1].tolist()))
+    assert (0, 1, 2) in first_block and (20, 30, 40) not in first_block
     x = codes.codes.copy()
     rows = [v - 1 for v in h.edges[2]]
     first = 2 * 41
@@ -647,7 +714,7 @@ def test_dependent_first_block_ends_the_stream(monkeypatch):
     assert screened == (False, 0.0)
     subsets = np.concatenate(seen)
     assert len(subsets) > 0
-    assert np.all(subsets[:, 0] % 41 < rows_first.stop)
+    assert set(map(tuple, (subsets % 41).tolist())) <= first_block
 
 
 # C1 moves with the rounding of A @ X wherever the least sigma_min(A X_T) is
@@ -748,6 +815,46 @@ def test_settling_floor_is_sound(data):
             assert _chain(np.float64(h), factors) > target
 
 
+_MAGNITUDES = st.one_of(
+    st.floats(0.0, math.inf),
+    st.sampled_from([0.0, 5e-324, 2.0 ** -1060, 2.2250738585072014e-308, 1.0,
+                     math.inf, math.nan]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_folded_threshold_settles_only_what_the_floor_settles(data):
+    # any raw |det|, subnormal, infinite and NaN ones included, against any
+    # settling floor: the raw value clears the folded threshold only where
+    # the floor taken from it, fl(fl(|det| (1 - SCREEN_SLACK)) - term),
+    # exceeds the settling floor; a NaN never clears it
+    k = data.draw(st.integers(1, 4))
+    floor = np.float64(data.draw(_MAGNITUDES))
+    threshold = codes_module._settling_threshold(np.array([floor]), k)[0]
+    absolute = k ** 3 * (k + 1) * 2.0 ** k * np.finfo(float).eps
+    raws = [np.float64(v)
+            for v in data.draw(st.lists(_MAGNITUDES, min_size=1, max_size=8))]
+    if math.isfinite(threshold):
+        raws += [threshold, np.nextafter(threshold, math.inf),
+                 np.nextafter(threshold, 0.0)]
+    for raw in raws:
+        with np.errstate(invalid="ignore"):
+            parent = raw * (1.0 - codes_module.SCREEN_SLACK) - absolute
+            if raw > threshold:
+                assert parent > floor
+        if math.isnan(raw):
+            assert not raw > threshold
+    # and it gives up almost nothing that the floor would settle
+    if 0.0 <= floor < 1e300:
+        assert threshold <= (floor + absolute) * (1.0 + 2.0 ** -30)
+
+
+def test_folded_threshold_settles_nothing_on_bad_floors():
+    thresholds = codes_module._settling_threshold(np.array([math.inf, math.nan]), 3)
+    raws = np.array([0.0, 1.0, 1e300, math.inf, math.nan])
+    assert not np.any(raws[:, None] > thresholds)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
 def test_settling_floor_settles_nothing_on_bad_factors(bad):
     assert (codes_module._settling_floor(np.float64(1e-3), [np.float64(0.5), bad])
@@ -773,22 +880,23 @@ def test_settled_subsets_clear_their_full_floors(seed):
         c1_settle = codes_module._settling_floor(c1_target, c1_factors)
         assert np.all(glp_settle < math.inf) and np.all(c1_settle < math.inf)
         plan = codes_module._screen_plan(count, k, 1, 1000)
+        columns = codes_module._head_columns(stack.units)
         minors = codes_module._tail_minors(stack.units, plan.tails)
+        glp_threshold = codes_module._settling_threshold(glp_settle, k)
+        c1_threshold = codes_module._settling_threshold(c1_settle, k)
         settled = 0
-        for first, cut, valid in plan.blocks:
-            hadamard = codes_module._hadamard_floor(stack.units, minors, plan.tails,
-                                                    first, cut)
-            for s, grid in enumerate(hadamard):
-                flat = np.flatnonzero(np.ones(grid.shape, bool) if valid is None
-                                      else valid)
-                subsets = codes_module._block_subsets(plan.tails, first, cut, flat,
-                                                      count)[1] + s * count
-                floor = grid.ravel()[flat]
+        for block in plan.blocks:
+            flat, listed = _block_entries(plan, block, count)
+            det = codes_module._block_determinants(columns, minors, plan.tails, block)
+            for s, grid in enumerate(det):
+                subsets = listed + s * count
+                raw = grid.ravel()[flat]
+                floor = codes_module._hadamard_floor(raw, k)
                 glp = codes_module._sigma_floor(floor, stack.norms, subsets)
                 glp_target = ((geometry.DEFAULT_RANK_TOL + codes_module.SCREEN_SLACK)
                               * stack.smax[s])
-                assert np.all(glp[floor > glp_settle[s]] > glp_target)
+                assert np.all(glp[raw > glp_threshold[s]] > glp_target)
                 c1 = codes_module._c1_floor(stack, np.full(len(flat), s), subsets, floor)
-                assert np.all(c1[floor > c1_settle[s]] > c1_target[s])
-                settled += np.count_nonzero(floor > c1_settle[s])
+                assert np.all(c1[raw > c1_threshold[s]] > c1_target[s])
+                settled += np.count_nonzero(raw > c1_threshold[s])
         assert settled > 0.9 * len(h.edges) * math.comb(count, k)
