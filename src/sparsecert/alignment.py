@@ -31,6 +31,11 @@ import numpy as np
 from . import geometry
 from .errors import HypothesisError, ThresholdError
 
+# Absolute slack of every recovery check: eq. (5) and eq. (6) pass at
+# achieved <= bound + BOUND_SLACK, and the aligned 2k-bound at
+# l2k_aligned >= floor - BOUND_SLACK. Read at call time.
+BOUND_SLACK = 1e-9
+
 
 @dataclass
 class AlignmentResult:
@@ -270,21 +275,21 @@ class TheoremReport:
     l2k_ok: bool | None = None
 
 
-def verify_theorem1(dictionary, codes, candidate, codes_bar, certificate, eps,
-                    tol=1e-9):
+def verify_theorem1(dictionary, codes, candidate, codes_bar, certificate, eps):
     """Check the dictionary- and code-recovery inequalities at residual level eps.
 
     Raises HypothesisError when some sample violates ||A x_i - B xbar_i|| <= eps
     and ThresholdError when eps is not strictly below the certified dictionary
     threshold (no guarantee exists there, so the check refuses to run). A
-    non-finite eps raises ValueError. The batch of one of ``_verify_sweep``.
+    non-finite eps raises ValueError. Each inequality is decided up to the
+    absolute slack BOUND_SLACK. The batch of one of ``_verify_sweep``.
     """
     a_mat = geometry.as_matrix(dictionary, "dictionary")
     b_mat = geometry.as_matrix(candidate, "candidate")
     if codes.n_codes != codes_bar.n_codes:
         raise ValueError("code sets have different sample counts")
     return _verify_sweep(a_mat, codes, b_mat[None], codes_bar.codes[None],
-                         certificate, [eps], tol=tol)[0]
+                         certificate, [eps])[0]
 
 
 def _residual_norms(a_mat, x, candidates, xbars):
@@ -295,7 +300,7 @@ def _residual_norms(a_mat, x, candidates, xbars):
 
 
 def _verify_sweep(a_mat, codes, candidates, xbars, certificate, eps,
-                  residuals=None, tol=1e-9):
+                  residuals=None):
     """The TheoremReport of ``verify_theorem1`` at every level of a sweep.
 
     Level i checks the candidate ``candidates[i]`` (an (L, n, m_bar) stack)
@@ -343,7 +348,7 @@ def _verify_sweep(a_mat, codes, candidates, xbars, certificate, eps,
             alignments[source] = _match(costs[source], scales[source], usable[source])
         report = _dictionary_tier(alignments[source], a_mat.shape[1],
                                   candidates.shape[2], certificate, level_eps,
-                                  residuals[level], tol)
+                                  residuals[level])
         reports.append(report)
         if not report.code_tier_active:
             continue
@@ -363,11 +368,11 @@ def _verify_sweep(a_mat, codes, candidates, xbars, certificate, eps,
         if width not in tables:
             tables[width] = geometry._column_table([geometry.k_subsets(
                 width, min(2 * certificate.k, width)).tolist()])
-    _code_tier(codes, xbars, certificate, eps, reports, sources, aligned, tables, tol)
+    _code_tier(codes, xbars, certificate, eps, reports, sources, aligned, tables)
     return reports
 
 
-def _dictionary_tier(alignment, m, m_bar, certificate, eps, residuals, tol):
+def _dictionary_tier(alignment, m, m_bar, certificate, eps, residuals):
     """One level's report with eq. (5) decided and the code tier not yet run."""
     c1 = certificate.C1
     r = certificate.r
@@ -381,7 +386,7 @@ def _dictionary_tier(alignment, m, m_bar, certificate, eps, residuals, tol):
         if len(ranked) >= guaranteed:
             subset = tuple(sorted(ranked[:guaranteed]))
             max_err = max(alignment.column_errors[j] for j in subset)
-            eq5_ok = max_err <= bound5 + tol
+            eq5_ok = max_err <= bound5 + BOUND_SLACK
         else:
             subset = tuple(sorted(ranked))
             max_err = alignment.max_column_error
@@ -412,7 +417,7 @@ def _dictionary_tier(alignment, m, m_bar, certificate, eps, residuals, tol):
     )
 
 
-def _code_tier(codes, xbars, certificate, eps, reports, sources, aligned, tables, tol):
+def _code_tier(codes, xbars, certificate, eps, reports, sources, aligned, tables):
     """Fill in eq. (6) and the aligned 2k-bound of every code-tier report.
 
     Level i's candidate is ``sources[i]``, and ``aligned`` maps each
@@ -446,7 +451,7 @@ def _code_tier(codes, xbars, certificate, eps, reports, sources, aligned, tables
         denominators = [l2k - c1 * eps[level] for level in levels]
         bounds = (weights * np.array([eps[level] for level in levels], dtype=float)[:, None]
                   / np.array(denominators)[:, None])
-        eq6 = np.all(errors <= bounds + tol, axis=1).tolist()
+        eq6 = np.all(errors <= bounds + BOUND_SLACK, axis=1).tolist()
         candidates = list(dict.fromkeys(sources[level] for level in levels))
         lower = dict(zip(candidates, geometry._table_bounds(
             np.stack([aligned[c] for c in candidates]), tables[width])[0]))
@@ -456,4 +461,4 @@ def _code_tier(codes, xbars, certificate, eps, reports, sources, aligned, tables
             report.eq6_ok = eq6[row]
             report.l2k_aligned = lower[sources[level]]
             report.l2k_floor = denominators[row]
-            report.l2k_ok = report.l2k_aligned >= denominators[row] - tol
+            report.l2k_ok = report.l2k_aligned >= denominators[row] - BOUND_SLACK

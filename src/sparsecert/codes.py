@@ -484,7 +484,10 @@ def _stack(mat, codes, edges, index_sets):
     rows = np.array([[v - 1 for v in edge] for edge in edges])
     columns = np.array([index_sets[edge] for edge in edges])
     x = codes.codes[:, columns.ravel()]
-    units, norms = geometry.unit_columns(codes.codes[rows[:, :, None], columns[:, None, :]])
+    # a support's codes are zero off its k rows, so these rows alone carry
+    # its singular values
+    support_rows = codes.codes[rows[:, :, None], columns[:, None, :]]
+    units, norms = geometry.unit_columns(support_rows)
     product = mat @ x
     product_norms = geometry.unit_columns(product)[1]
     sv = np.zeros((len(edges), k))
@@ -493,9 +496,8 @@ def _stack(mat, codes, edges, index_sets):
     slack = SCREEN_SLACK * sv[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         weights = norms.ravel() / product_norms
-    supports = np.moveaxis(x.reshape(codes.m, *columns.shape), 1, 0)
     return _Stack(
-        codes=x, smax=np.linalg.svd(supports, compute_uv=False)[:, 0],
+        codes=x, smax=np.linalg.svd(support_rows, compute_uv=False)[:, 0],
         units=units, norms=norms.ravel(), product=product,
         product_norms=product_norms, weights=weights,
         spectrum=np.maximum(sv - slack[:, None], 0.0),

@@ -273,7 +273,6 @@ class StabilityCertificate:
     m: int
     n: int
     k: int
-    m_bar: int | None
     r: int | None
     L2: float
     L2k: float
@@ -304,7 +303,7 @@ class StabilityCertificate:
 
 
 def build_certificate(dictionary, codes, hypergraph,
-                      rank_tol=geometry.DEFAULT_RANK_TOL, m_bar=None):
+                      rank_tol=geometry.DEFAULT_RANK_TOL):
     """Run every hypothesis check and assemble the stability certificate.
 
     Never raises on failed hypotheses: flags record what failed and the
@@ -321,15 +320,10 @@ def build_certificate(dictionary, codes, hypergraph,
     C(m, min(2k, m))), more than 1M edge pairs for L2H, more than
     DEFAULT_GROUP_CAP (100,000) groups of r + 1 edges for C2, and a support
     whose codes have more than codes.SUBSET_WORK_CAP (10M) k-subsets, in
-    that order: C2 runs before the code screen. A rank_tol
-    that is not positive and finite, or an m_bar other than None that is
-    not a positive integer (``hypergraph.as_integer``), raises ValueError
-    before any check runs.
+    that order: C2 runs before the code screen. A rank_tol that is not
+    positive and finite raises ValueError before any check runs.
     """
     geometry._check_rank_tol(rank_tol)
-    m_bar = None if m_bar is None else as_integer(m_bar, "m_bar")
-    if m_bar is not None and m_bar < 1:
-        raise ValueError("m_bar must be a positive integer")
     mat = geometry.as_matrix(dictionary, "dictionary")
     n, m = mat.shape
     if hypergraph.m != m:
@@ -369,7 +363,7 @@ def build_certificate(dictionary, codes, hypergraph,
     max_l1 = float(np.max(codes.l1_norms())) if codes.n_codes else 0.0
 
     return StabilityCertificate(
-        m=m, n=n, k=k, m_bar=m_bar, r=r,
+        m=m, n=n, k=k, r=r,
         L2=l2, L2k=l2k, L2H=l2h,
         C2=c2, C1=c1,
         eps_max_dictionary=eps_dict,

@@ -43,7 +43,8 @@ class ExperimentRecord:
     """One (seed, eps) verification outcome.
 
     The code-tier fields are None when eps was not below the code threshold;
-    pass flags equal achieved <= bound + 1e-9 for their inequality. ``ms``
+    pass flags equal achieved <= bound + ``alignment.BOUND_SLACK`` for their
+    inequality, the slack ``verify_theorem1`` applies. ``ms``
     is the wall time of the trial's sweep (draws and verification of all its
     levels) divided by the number of levels it verified.
     """
@@ -59,8 +60,7 @@ class ExperimentRecord:
     ms: float
 
 
-def generate_instance(m, n, k, hypergraph, per_support_count, seed=None,
-                      rank_tol=geometry.DEFAULT_RANK_TOL):
+def generate_instance(m, n, k, hypergraph, per_support_count, seed=None):
     """Gaussian dictionary and codes on every edge, verified post hoc.
 
     Each draw is a standard normal dictionary, then one standard normal
@@ -70,18 +70,15 @@ def generate_instance(m, n, k, hypergraph, per_support_count, seed=None,
     be at least k. A draw is accepted when its certificate reads
     ``lower_bound_ok``, ``spark_ok`` and ``glp_ok`` (not ``counts_ok``).
     Retries with fresh randomness up to GENERATE_MAX_RETRIES times, then
-    raises GenerationError. A rank_tol that is not positive and finite, or
-    an m, n, k or per_support_count that fails ``hypergraph.as_integer``,
-    raises ValueError before any draw; a certificate over a cap raises
-    CapExceededError.
+    raises GenerationError. An m, n, k or per_support_count that fails
+    ``hypergraph.as_integer`` raises ValueError before any draw; a
+    certificate over a cap raises CapExceededError.
     """
-    return _certified_instance(m, n, k, hypergraph, per_support_count, seed, rank_tol)[:2]
+    return _certified_instance(m, n, k, hypergraph, per_support_count, seed)[:2]
 
 
-def _certified_instance(m, n, k, hypergraph, per_support_count, seed,
-                        rank_tol=geometry.DEFAULT_RANK_TOL):
+def _certified_instance(m, n, k, hypergraph, per_support_count, seed):
     """``generate_instance`` and the accepted draw's certificate."""
-    geometry._check_rank_tol(rank_tol)
     m, n, k = as_integer(m, "m"), as_integer(n, "n"), as_integer(k, "k")
     per_support_count = as_integer(per_support_count, "per_support_count")
     if n < min(2 * k, m):
@@ -104,7 +101,7 @@ def _certified_instance(m, n, k, hypergraph, per_support_count, seed,
         x = np.zeros((m, len(supports)))
         x[rows, cols] = rng.standard_normal(rows.size)
         codes = SparseCodeSet(m, x, supports, k)
-        cert = build_certificate(mat, codes, hypergraph, rank_tol)
+        cert = build_certificate(mat, codes, hypergraph)
         if cert.lower_bound_ok and cert.spark_ok and cert.glp_ok:
             return mat, codes, cert
     raise GenerationError(f"no verified instance after {GENERATE_MAX_RETRIES} attempts")
@@ -293,7 +290,7 @@ def run_experiment(config):
                 # uniform code bound (worst l1-norm), so the row alone decides pass6
                 max_code_err = float(np.max(report.code_errors))
                 bound6 = float(np.max(report.code_bounds))
-                pass6 = max_code_err <= bound6 + 1e-9
+                pass6 = max_code_err <= bound6 + alignment.BOUND_SLACK
             else:
                 max_code_err = bound6 = pass6 = None
             records.append(ExperimentRecord(

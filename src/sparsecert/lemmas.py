@@ -27,6 +27,9 @@ from .hypergraph import as_integer, has_sip, regularity
 # check_lemma3(200) takes about 0.8x the time at 128 as at 32, and no less
 # at 256 (one pinned CPU).
 LEMMA3_BLOCK = 128
+# A Lemma-3 sample violates the bound when its margin exceeds this slack;
+# read at call time, as is the rank cut geometry.DEFAULT_RANK_TOL.
+LEMMA3_SLACK = 1e-8
 LEMMA4_MAX_M = 6
 LEMMA4_MAX_EXTRA = 2
 # The type count grows with the edges: complete m=4, k=2 at m_bar=6 (6 edges)
@@ -59,20 +62,20 @@ def _lemma3_draws(rng, ambient_dim, max_subspaces):
     return mats, rng.standard_normal(ambient_dim), rng.random()
 
 
-def check_lemma3(trials=1000, ambient_dim=8, max_subspaces=4, seed=None,
-                 slack=1e-8, rank_tol=geometry.DEFAULT_RANK_TOL):
+def check_lemma3(trials=1000, ambient_dim=8, max_subspaces=4, seed=None):
     """Sample subspace collections and points; check the intersection bound.
 
     For each sample: dist(x, intersection) must not exceed
-    sum_i dist(x, V_i) / (1 - xi) plus the slack. Roughly half the
-    collections share a planted common subspace so the intersection is
-    nontrivial; a point is planted inside a nonzero intersection when its
-    uniform draw is below 0.2. The trials run in blocks of LEMMA3_BLOCK: a
-    block takes all its draws first, in trial order (so the draws do not
-    depend on the geometry), then the bases of all its collections from
-    stacked SVDs, and each collection's xi and intersection from one
-    batched subset DP. The collections and their meets stay raw basis
-    arrays throughout; the counts are integers (``hypergraph.as_integer``).
+    sum_i dist(x, V_i) / (1 - xi) plus LEMMA3_SLACK, with ranks cut at
+    geometry.DEFAULT_RANK_TOL. Roughly half the collections share a planted
+    common subspace so the intersection is nontrivial; a point is planted
+    inside a nonzero intersection when its uniform draw is below 0.2. The
+    trials run in blocks of LEMMA3_BLOCK: a block takes all its draws
+    first, in trial order (so the draws do not depend on the geometry),
+    then the bases of all its collections from stacked SVDs, and each
+    collection's xi and intersection from one batched subset DP. The
+    collections and their meets stay raw basis arrays throughout; the
+    counts are integers (``hypergraph.as_integer``).
     """
     trials = as_integer(trials, "trials")
     ambient_dim = as_integer(ambient_dim, "ambient dimension")
@@ -83,14 +86,11 @@ def check_lemma3(trials=1000, ambient_dim=8, max_subspaces=4, seed=None,
         raise ValueError("ambient dimension must be positive")
     if max_subspaces < 2:
         raise ValueError("need at least two subspaces per collection")
-    if not math.isfinite(slack):
-        raise ValueError("slack must be finite")
     if max_subspaces > geometry.DEFAULT_ORDERING_CAP:
         raise CapExceededError(
             f"{max_subspaces} subspaces exceed ordering cap "
             f"{geometry.DEFAULT_ORDERING_CAP}"
         )
-    geometry._check_rank_tol(rank_tol)
     rng = np.random.default_rng(seed)
     violations = 0
     worst = -np.inf
@@ -99,9 +99,9 @@ def check_lemma3(trials=1000, ambient_dim=8, max_subspaces=4, seed=None,
         draws = [_lemma3_draws(rng, ambient_dim, max_subspaces)
                  for _ in range(start, min(start + LEMMA3_BLOCK, trials))]
         bases = iter(geometry._bases([mat for mats, _, _ in draws for mat in mats],
-                                     rank_tol))
+                                     geometry.DEFAULT_RANK_TOL))
         collections = [[next(bases) for _ in mats] for mats, _, _ in draws]
-        aggregates, meets = geometry._xis(collections, rank_tol)
+        aggregates, meets = geometry._xis(collections, geometry.DEFAULT_RANK_TOL)
         for trial, (spaces, (_, x, u), aggregate, meet) in enumerate(
                 zip(collections, draws, aggregates, meets), start):
             if meet.shape[1] and u < 0.2:
@@ -111,7 +111,7 @@ def check_lemma3(trials=1000, ambient_dim=8, max_subspaces=4, seed=None,
             rhs = np.inf if aggregate >= 1.0 - 1e-15 else total / (1.0 - aggregate)
             margin = lhs - rhs
             worst = max(worst, margin)
-            if margin > slack:
+            if margin > LEMMA3_SLACK:
                 violations += 1
                 failures.append({"trial": trial, "lhs": lhs, "rhs": rhs,
                                  "xi": aggregate, "count": len(spaces)})

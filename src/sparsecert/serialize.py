@@ -8,6 +8,7 @@ reason.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -101,36 +102,19 @@ def canonical_digest(payload):
 
 
 def certificate_to_json_dict(cert, input_digests=None, diagnostics=None):
-    counts = [
-        {"support": list(edge), "count": count}
-        for edge, count in sorted(cert.support_counts.items())
-    ]
-    payload = {
-        "version": TOOLKIT_VERSION,
-        "m": cert.m,
-        "n": cert.n,
-        "k": cert.k,
-        "m_bar": cert.m_bar,
-        "r": cert.r,
-        "L2": cert.L2,
-        "L2k": cert.L2k,
-        "L2H": cert.L2H,
-        "C2": cert.C2,
-        "C1": cert.C1,
-        "eps_max_dictionary": cert.eps_max_dictionary,
-        "eps_max_codes": cert.eps_max_codes,
-        "max_code_l1": cert.max_code_l1,
-        "required_per_support": cert.required_per_support,
-        "support_counts": counts,
-        "flags": {
-            "sip_ok": cert.sip_ok,
-            "regular_ok": cert.regular_ok,
-            "lower_bound_ok": cert.lower_bound_ok,
-            "glp_ok": cert.glp_ok,
-            "spark_ok": cert.spark_ok,
-            "counts_ok": cert.counts_ok,
-        },
-    }
+    """Every field of a ``StabilityCertificate``, with the ``*_ok`` flags
+    under ``"flags"`` and ``support_counts`` as a list of (support, count)
+    objects sorted by support."""
+    payload = {"version": TOOLKIT_VERSION, "flags": {}}
+    for field in dataclasses.fields(cert):
+        value = getattr(cert, field.name)
+        if field.name == "support_counts":
+            value = [{"support": list(edge), "count": count}
+                     for edge, count in sorted(value.items())]
+        if field.name.endswith("_ok"):
+            payload["flags"][field.name] = value
+        else:
+            payload[field.name] = value
     if input_digests:
         payload["inputs"] = dict(input_digests)
     if diagnostics:

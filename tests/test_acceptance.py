@@ -26,7 +26,7 @@ from sparsecert import (
     subspace_distance,
     verify_theorem1,
 )
-from sparsecert import geometry
+from sparsecert import geometry, lemmas
 from sparsecert.codes import SparseCodeSet
 from sparsecert.constants import build_certificate
 from sparsecert.experiment import PERTURBATION_FAMILIES, perturb_instance
@@ -111,10 +111,10 @@ def test_criterion_04_distance_symmetry_and_dimension():
 
 def test_criterion_05_distance_to_intersection_inequality():
     start = time.perf_counter()
-    result = check_lemma3(trials=1000, ambient_dim=8, max_subspaces=4,
-                          seed=303, slack=1e-8)
+    result = check_lemma3(trials=1000, ambient_dim=8, max_subspaces=4, seed=303)
     elapsed = time.perf_counter() - start
-    ok = result.violations == 0 and elapsed < 30.0
+    ok = (result.violations == 0 and elapsed < 30.0
+          and lemmas.LEMMA3_SLACK == 1e-8)
     assert report(5, ok, f"1000 collections, {result.violations} violations, "
                          f"worst margin {result.worst_margin:.2e}, {elapsed:.1f}s")
 

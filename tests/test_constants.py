@@ -348,27 +348,6 @@ def test_certificate_rejects_bad_rank_tol_before_any_check(rank_tol, monkeypatch
         build_certificate(mat, codes, h, rank_tol=rank_tol)
 
 
-@pytest.mark.parametrize("m_bar", ["x", 2.5, True, -3, 0])
-def test_certificate_rejects_bad_m_bar_before_any_check(m_bar, monkeypatch):
-    # these used to be stored as given and written into the certificate JSON
-    def no_checks(*args, **kwargs):
-        raise AssertionError("a check ran")
-
-    h = build_cyclic(4, 2)
-    mat, codes = generate_instance(4, 4, 2, h, 7, seed=1)
-    monkeypatch.setattr(constants.geometry, "edge_min_singular_values", no_checks)
-    with pytest.raises(ValueError, match="m_bar must be"):
-        build_certificate(mat, codes, h, m_bar=m_bar)
-
-
-def test_certificate_takes_an_integral_m_bar():
-    h = build_cyclic(4, 2)
-    mat, codes = generate_instance(4, 4, 2, h, 7, seed=1)
-    assert build_certificate(mat, codes, h).m_bar is None
-    m_bar = build_certificate(mat, codes, h, m_bar=6.0).m_bar
-    assert m_bar == 6 and type(m_bar) is int
-
-
 def test_certificate_without_c1_is_not_ok(monkeypatch):
     def refuse(*args, **kwargs):
         raise HypothesisError("degenerate")
@@ -472,7 +451,7 @@ def separate_path_certificate(mat, codes, h, rank_tol=DEFAULT_RANK_TOL):
     c2 = compute_C2(mat, h, rank_tol)
     c1 = c2 / denominator if glp_ok and denominator > 0.0 else None
     return StabilityCertificate(
-        m=m, n=n, k=k, m_bar=None, r=r, L2=l2, L2k=l2k, L2H=l2h, C2=c2, C1=c1,
+        m=m, n=n, k=k, r=r, L2=l2, L2k=l2k, L2H=l2h, C2=c2, C1=c1,
         eps_max_dictionary=l2 / c1 if c1 else None,
         eps_max_codes=l2k / c1 if (c1 and spark_ok) else None,
         max_code_l1=float(np.max(codes.l1_norms())),

@@ -29,7 +29,7 @@ from sparsecert import (
     verify_theorem1,
 )
 from sparsecert import codes as codes_module
-from sparsecert import constants, experiment, geometry
+from sparsecert import alignment, constants, experiment, geometry
 from sparsecert import hypergraph as hypergraph_module
 from sparsecert.constants import build_certificate
 from sparsecert.errors import HypothesisError, ThresholdError
@@ -123,6 +123,28 @@ def test_run_experiment_passes_and_sorted():
     # of achieved error against eps stays below it
     c1_values = [r.bound5 / r.eps for r in records]
     assert summary["error_vs_eps_slope"] <= max(c1_values)
+
+
+@pytest.mark.parametrize("family", PERTURBATION_FAMILIES)
+def test_verifier_and_records_read_one_slack(monkeypatch, family):
+    # at a slack of -1 no achieved error of these sweeps is within its
+    # bound, so every inequality fails wherever it is decided
+    reports = []
+    sweep = alignment._verify_sweep
+
+    def recorded(*args, **kwargs):
+        found = sweep(*args, **kwargs)
+        reports.extend(found)
+        return found
+
+    monkeypatch.setattr(alignment, "_verify_sweep", recorded)
+    monkeypatch.setattr(alignment, "BOUND_SLACK", -1.0)
+    records, _ = run_experiment(dict(workloads.TRIAL_CONFIG, seed=0, family=family))
+    assert len(records) == len(reports) > 0
+    assert [r.eq5_ok for r in reports] == [r.pass5 for r in records] == [False] * len(records)
+    code_tier = [r for r in reports if r.code_tier_active]
+    assert code_tier and not any(r.eq6_ok for r in code_tier)
+    assert [r.pass6 for r in records if r.pass6 is not None] == [False] * len(code_tier)
 
 
 def test_run_experiment_rejects_oversize():

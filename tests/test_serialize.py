@@ -1,5 +1,6 @@
 """Round-trip and schema tests for the file formats."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -64,6 +65,13 @@ def test_certificate_payload_fields():
                 "flags", "inputs"):
         assert key in payload
     assert payload["flags"]["sip_ok"] is True
+    # every certificate field, and no other, is written
+    names = [field.name for field in dataclasses.fields(cert)]
+    assert sorted(payload["flags"]) == sorted(n for n in names if n.endswith("_ok"))
+    assert sorted(payload) == sorted(
+        [n for n in names if not n.endswith("_ok")] + ["version", "flags", "inputs"])
+    assert payload["support_counts"] == [
+        {"support": list(edge), "count": 7} for edge in sorted(h.edges)]
     json.dumps(payload)  # must be serializable as-is
 
 
