@@ -14,11 +14,13 @@ matching.
 The recovery inequalities are checked by one sweep verifier,
 ``_verify_sweep``, over all levels of a noise sweep: candidates and
 candidate codes come as stacks with a leading level axis, and the pair
-costs, the code errors and the aligned 2k-bound are each taken for all
-levels at once, with the same BLAS and LAPACK calls per level as one level
-alone makes. The matching and the checks that can raise run level by level,
-in order. ``verify_theorem1`` and ``align_dictionaries`` are its batches of
-one.
+costs and the code errors are each taken for all levels at once, with the
+same BLAS calls per level as one level alone makes. The matching and the
+checks that can raise run level by level, in order. ``verify_theorem1`` and
+``align_dictionaries`` are its batches of one. The sweep computes only what
+a noise-sweep record reads; the aligned candidate's 2k-bound (the report's
+``l2k_*`` fields) is taken by ``verify_theorem1`` alone, as
+``geometry.lower_bound_k`` of its aligned columns.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from . import geometry
 from .errors import HypothesisError, ThresholdError
 
 # Absolute slack of every recovery check: eq. (5) and eq. (6) pass at
-# achieved <= bound + BOUND_SLACK, and the aligned 2k-bound at
+# achieved <= bound + BOUND_SLACK, and verify_theorem1's aligned 2k-bound at
 # l2k_aligned >= floor - BOUND_SLACK. Read at call time.
 BOUND_SLACK = 1e-9
 
@@ -282,14 +284,30 @@ def verify_theorem1(dictionary, codes, candidate, codes_bar, certificate, eps):
     and ThresholdError when eps is not strictly below the certified dictionary
     threshold (no guarantee exists there, so the check refuses to run). A
     non-finite eps raises ValueError. Each inequality is decided up to the
-    absolute slack BOUND_SLACK. The batch of one of ``_verify_sweep``.
+    absolute slack BOUND_SLACK. The batch of one of ``_verify_sweep``; in
+    the code tier it adds the ``l2k_*`` fields, the restricted lower bound
+    of the aligned columns over their min(2k, width)-subsets
+    (``geometry.lower_bound_k``) against the floor L2k - C1 * eps.
     """
     a_mat = geometry.as_matrix(dictionary, "dictionary")
     b_mat = geometry.as_matrix(candidate, "candidate")
     if codes.n_codes != codes_bar.n_codes:
         raise ValueError("code sets have different sample counts")
-    return _verify_sweep(a_mat, codes, b_mat[None], codes_bar.codes[None],
-                         certificate, [eps])[0]
+    report = _verify_sweep(a_mat, codes, b_mat[None], codes_bar.codes[None],
+                           certificate, [eps])[0]
+    if report.code_tier_active:
+        aligned = _aligned_columns(b_mat, report.alignment, report.matched_subset)
+        report.l2k_aligned = geometry.lower_bound_k(
+            aligned, min(2 * certificate.k, aligned.shape[1]))
+        report.l2k_floor = certificate.L2k - certificate.C1 * eps
+        report.l2k_ok = report.l2k_aligned >= report.l2k_floor - BOUND_SLACK
+    return report
+
+
+def _aligned_columns(candidate, alignment, subset):
+    """The candidate's columns matched to ``subset``, each times its scale."""
+    columns = [alignment.pi[j] - 1 for j in subset]
+    return candidate[:, columns] * np.array([alignment.scales[j] for j in subset])
 
 
 def _residual_norms(a_mat, x, candidates, xbars):
@@ -310,16 +328,16 @@ def _verify_sweep(a_mat, codes, candidates, xbars, certificate, eps,
     checked in order, and a level raises what verify_theorem1 would raise
     for it before any later level is checked. The pair costs come from one
     stacked pass, the matching runs per distinct candidate, and the code
-    errors and the aligned 2k-bound of all code-tier levels are taken at the
-    end, in one gather and one stacked SVD per subset size.
+    errors of all code-tier levels are taken at the end, in one gather per
+    subset size. The sweep makes no LAPACK call; the aligned 2k-bound is
+    ``verify_theorem1``'s.
     """
     finite = np.isfinite(candidates).all(axis=(1, 2))
     costs = worsts = None
-    alignments, aligned, tables = {}, {}, {}
-    reports, sources = [], []
+    alignments, checked = {}, set()
+    reports = []
     for level, level_eps in enumerate(eps):
         source = level if len(candidates) > 1 else 0
-        sources.append(source)
         if not finite[source]:
             raise ValueError("candidate has non-finite entries")
         if not math.isfinite(level_eps):
@@ -357,18 +375,12 @@ def _verify_sweep(a_mat, codes, candidates, xbars, certificate, eps,
         zero = [j for j in subset if alignment.scales[j] == 0.0]
         if zero:
             raise ValueError(f"matched column {zero[0]} has zero scale")
-        if source not in aligned:
-            columns = [alignment.pi[j] - 1 for j in subset]
-            matrix = candidates[source][:, columns] * np.array(
-                [alignment.scales[j] for j in subset])
-            if not np.all(np.isfinite(matrix)):
+        if source not in checked:
+            if not np.all(np.isfinite(_aligned_columns(candidates[source],
+                                                       alignment, subset))):
                 raise ValueError("dictionary has non-finite entries")
-            aligned[source] = matrix
-        width = len(subset)
-        if width not in tables:
-            tables[width] = geometry._column_table([geometry.k_subsets(
-                width, min(2 * certificate.k, width)).tolist()])
-    _code_tier(codes, xbars, certificate, eps, reports, sources, aligned, tables)
+            checked.add(source)
+    _code_tier(codes, xbars, certificate, eps, reports)
     return reports
 
 
@@ -417,18 +429,12 @@ def _dictionary_tier(alignment, m, m_bar, certificate, eps, residuals):
     )
 
 
-def _code_tier(codes, xbars, certificate, eps, reports, sources, aligned, tables):
-    """Fill in eq. (6) and the aligned 2k-bound of every code-tier report.
+def _code_tier(codes, xbars, certificate, eps, reports):
+    """Fill in eq. (6) of every code-tier report.
 
-    Level i's candidate is ``sources[i]``, and ``aligned`` maps each
-    candidate of a code-tier level to its aligned columns. The levels are
-    grouped by the size of their matched subset (one group unless some
-    candidate has zero columns). Per group, the code errors come from one
-    gather (``_l1_errors``), and the restricted lower bounds of the aligned
-    candidates from one stacked SVD over their 2k-subsets, the ``tables``
-    of ``geometry._column_table`` by width (``geometry._table_bounds``),
-    each value as ``geometry.lower_bound_k`` of that candidate alone gives
-    it.
+    The levels are grouped by the size of their matched subset (one group
+    unless some candidate has zero columns), and per group the code errors
+    come from one gather (``_l1_errors``).
     """
     groups = {}
     for level, report in enumerate(reports):
@@ -438,7 +444,7 @@ def _code_tier(codes, xbars, certificate, eps, reports, sources, aligned, tables
         return
     c1, l2k = certificate.C1, certificate.L2k
     weights = 1.0 + c1 * codes.l1_norms()
-    for width, levels in groups.items():
+    for levels in groups.values():
         group = [reports[level] for level in levels]
         source = np.array([[j - 1 for j in r.matched_subset] for r in group],
                           dtype=np.intp)
@@ -452,13 +458,7 @@ def _code_tier(codes, xbars, certificate, eps, reports, sources, aligned, tables
         bounds = (weights * np.array([eps[level] for level in levels], dtype=float)[:, None]
                   / np.array(denominators)[:, None])
         eq6 = np.all(errors <= bounds + BOUND_SLACK, axis=1).tolist()
-        candidates = list(dict.fromkeys(sources[level] for level in levels))
-        lower = dict(zip(candidates, geometry._table_bounds(
-            np.stack([aligned[c] for c in candidates]), tables[width])[0]))
-        for row, (level, report) in enumerate(zip(levels, group)):
+        for row, report in enumerate(group):
             report.code_errors = errors[row]
             report.code_bounds = bounds[row]
             report.eq6_ok = eq6[row]
-            report.l2k_aligned = lower[sources[level]]
-            report.l2k_floor = denominators[row]
-            report.l2k_ok = report.l2k_aligned >= denominators[row] - BOUND_SLACK

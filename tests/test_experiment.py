@@ -395,7 +395,7 @@ def _reference_run_experiment(config):
             if report.code_tier_active:
                 max_code_err = float(np.max(report.code_errors))
                 bound6 = float(np.max(report.code_bounds))
-                pass6 = max_code_err <= bound6 + 1e-9
+                pass6 = report.eq6_ok
             else:
                 max_code_err = bound6 = pass6 = None
             records.append(experiment.ExperimentRecord(
@@ -481,22 +481,66 @@ def test_sweep_without_levels_below_threshold(monkeypatch, family):
 
 @pytest.mark.parametrize("family", PERTURBATION_FAMILIES)
 def test_code_tier_matches_per_column_reference(family):
-    mat, codes, cert = _trial_instance(0)
-    eps_target = min(workloads.TRIAL_CONFIG["noise_grid"])
-    candidate, codes_bar = perturb_instance(
-        mat, codes, family, eps_target, np.random.default_rng(3))
-    ref_candidate, ref_codes_bar = _reference_perturb_instance(
-        mat, codes, family, eps_target, np.random.default_rng(3))
-    assert np.array_equal(candidate, ref_candidate)
-    assert np.array_equal(codes_bar.codes, ref_codes_bar.codes)
-    assert codes_bar.supports == ref_codes_bar.supports
-    eps = float(np.max(np.linalg.norm(
-        mat @ codes.codes - candidate @ codes_bar.codes, axis=0)))
-    report = verify_theorem1(mat, codes, candidate, codes_bar, cert, eps)
-    assert report.code_tier_active
-    errors, bounds = _reference_code_tier(codes, codes_bar, report, cert)
-    assert np.array_equal(report.code_errors, errors)
-    assert np.array_equal(report.code_bounds, bounds)
+    # every report field, the aligned 2k-bound included, at one level far
+    # below the code threshold and one just below it
+    for seed in (0, 1606, 7):
+        mat, codes, cert = _trial_instance(seed)
+        for eps_target in (min(workloads.TRIAL_CONFIG["noise_grid"]),
+                           cert.eps_max_codes * (1 - 1e-6)):
+            candidate, codes_bar = perturb_instance(
+                mat, codes, family, eps_target, np.random.default_rng(3))
+            ref_candidate, ref_codes_bar = _reference_perturb_instance(
+                mat, codes, family, eps_target, np.random.default_rng(3))
+            assert np.array_equal(candidate, ref_candidate)
+            assert np.array_equal(codes_bar.codes, ref_codes_bar.codes)
+            assert codes_bar.supports == ref_codes_bar.supports
+            eps = float(np.max(np.linalg.norm(
+                mat @ codes.codes - candidate @ codes_bar.codes, axis=0)))
+            new, reference = _verify_outcomes(mat, codes, candidate, codes_bar,
+                                              cert, eps)
+            assert new == reference
+            assert new["code_tier_active"] and new["l2k_aligned"] is not None
+
+
+@pytest.mark.parametrize("family", PERTURBATION_FAMILIES)
+def test_pass6_is_the_per_sample_eq6(monkeypatch, family):
+    # at a slack equal to the first code-tier record's margin between its
+    # worst code error and its largest bound, that worst error is within
+    # the largest bound, yet some sample breaks its own, smaller bound
+    config = dict(workloads.TRIAL_CONFIG, seed=0, family=family)
+    records, _ = run_experiment(config)
+    first = next(r for r in records if r.pass6 is not None)
+    monkeypatch.setattr(alignment, "BOUND_SLACK", first.max_code_err - first.bound6)
+    again, _ = run_experiment(config)
+    same = next(r for r in again if r.eps == first.eps)
+    assert same.max_code_err <= same.bound6 + alignment.BOUND_SLACK
+    assert same.pass6 is False
+
+
+@pytest.mark.parametrize("family", PERTURBATION_FAMILIES)
+def test_sweep_makes_no_svd(monkeypatch, family):
+    # the aligned 2k-bound is verify_theorem1's alone; a trial's sweep reads
+    # no singular value
+    inside, svds = [], []
+    sweep, svd = alignment._verify_sweep, np.linalg.svd
+
+    def counted_sweep(*args, **kwargs):
+        inside.append(True)
+        try:
+            return sweep(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counted_svd(*args, **kwargs):
+        if inside:
+            svds.append(True)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(alignment, "_verify_sweep", counted_sweep)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    records, _ = run_experiment(dict(workloads.TRIAL_CONFIG, seed=0, family=family))
+    assert any(r.pass6 is not None for r in records)
+    assert svds == []
 
 
 def test_jitter_draw_is_the_per_column_stream():
