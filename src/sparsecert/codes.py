@@ -16,11 +16,11 @@ indices with one slice of a list of (k-1)-subset tails, and at k = 3 it
 groups the triples on their middle index, so that nearly every grid entry
 is a subset. Each subset's |det| comes from its head column against the
 minors of its tail, computed once per support, in one matmul per block
-(``_tail_minors``, ``_block_determinants``; LU from k = 4). The exact SVDs
-of the first block's lowest row minima seed the least value, and from then
-on one comparison per grid entry settles a subset for both checks on its
-own, in every block: its raw |det| against its support's threshold
-(``_settling_threshold``). The others get their full floors
+(``_tail_minors``, ``_block_determinants``; LU from k = 4). In each stack
+the exact SVDs of the first block's lowest row minima seed the least value,
+and from then on one comparison per grid entry settles a subset for both
+checks on its own, in every block: its raw |det| against its support's
+threshold (``_settling_threshold``). The others get their full floors
 (``_hadamard_floor``, then ``_sigma_floor`` and ``_c1_floor``), and only
 the subsets that those leave open reach the kernel, so the results equal
 those of one exact SVD per subset.
@@ -63,9 +63,8 @@ SCREEN_ROWS = 1 << 15
 # the rounding of the screen's own arithmetic and LAPACK's SVD error bound
 # p eps sigma_max for any p up to about 2e6.
 SCREEN_SLACK = 2.0 ** -32
-# Exact SVDs that seed the C1 denominator's least value: of the subsets at
-# the first block's lowest row minima, and of the lowest-floor subsets of a
-# block that the screen leaves wide open.
+# Exact SVDs that seed the C1 denominator's least value in each code-count
+# stack: of the subsets at its first block's lowest row minima.
 _SEED_SUBSETS = 16
 
 
@@ -540,36 +539,15 @@ def _c1_floor(stack, owners, subsets, hadamard):
         return _sigma_floor(hadamard * scale, stack.product_norms, subsets)
 
 
-def _lowest_of(values, candidates):
-    """The _SEED_SUBSETS positions among ``candidates`` with the lowest
-    ``values``; all of them when there are no more."""
-    if len(candidates) <= _SEED_SUBSETS:
-        return candidates
-    return candidates[np.argpartition(values[candidates], _SEED_SUBSETS - 1)
-                      [:_SEED_SUBSETS]]
-
-
 def _lowest(stack, owners, subsets, hadamard, lowest):
     """The least of ``lowest`` and the smallest singular values of A X_T.
 
     A subset whose floor (``_c1_floor``) exceeds the running least by its
-    support's margin cannot lower it. When more than _SEED_SUBSETS are left
-    open, the exact SVDs of the lowest-floor ones come first, and the rest
-    are screened again against the least they give.
+    support's margin cannot lower it; the others take one exact SVD each,
+    in one kernel call.
     """
     floor = _c1_floor(stack, owners, subsets, hadamard)
-    margin = stack.margin[owners]
-
-    def open_subsets(least):
-        return ~((floor > least + margin) & (floor < math.inf))
-
-    still_open = open_subsets(lowest)
-    candidates = np.flatnonzero(still_open)
-    if len(candidates) > _SEED_SUBSETS:
-        seeds = _lowest_of(floor, candidates)
-        lowest = _exact_lowest(stack, subsets[seeds], lowest)
-        still_open[seeds] = False
-        still_open &= open_subsets(lowest)
+    still_open = ~((floor > lowest + stack.margin[owners]) & (floor < math.inf))
     if still_open.any():
         lowest = _exact_lowest(stack, subsets[still_open], lowest)
     return lowest
@@ -587,16 +565,19 @@ def _code_checks(mat, codes, hypergraph, index_sets, rank_tol):
     Per grid entry a block costs one matmul output, one comparison of the
     raw |det| against its support's folded threshold and one
     ``flatnonzero``, with a pass of the block's mask where it has one; the
-    floors are taken only on the entries left open. While no least value is
-    known, the block's rows give it first: the minimum of each grid row,
-    and the exact SVDs of the subsets at the _SEED_SUBSETS lowest of them
-    (``_row_minimum_seeds``); those subsets do not reach the kernel again
-    for the denominator. The C1 settling floor falls with the least value
-    found so far, so it and the threshold are taken again whenever that
-    value falls. The first block with a dependent subset ends the check with
-    (False, 0.0): once GLP fails, the denominator is not used. A support
-    with fewer than k codes fails both; one with more than SUBSET_WORK_CAP
-    k-subsets raises CapExceededError before any subset is checked.
+    floors are taken only on the entries left open. The first block of each
+    stack seeds the least value before anything is settled: the minimum of
+    each grid row, and the exact SVDs of the subsets at the _SEED_SUBSETS
+    lowest of them (``_row_minimum_seeds``); those subsets do not reach the
+    kernel again for the denominator. A later stack takes its own seeds:
+    the least value of the stacks before it can lie far above its subsets'
+    values, and would then leave nearly all of them open. The C1 settling
+    floor falls with the least value found so far, so it and the threshold
+    are taken again whenever that value falls. The first block with a
+    dependent subset ends the check with (False, 0.0): once GLP fails, the
+    denominator is not used. A support with fewer than k codes fails both;
+    one with more than SUBSET_WORK_CAP k-subsets raises CapExceededError
+    before any subset is checked.
     """
     k = hypergraph.k
     by_count = {}
@@ -621,7 +602,7 @@ def _code_checks(mat, codes, hypergraph, index_sets, rank_tol):
         for block in plan.blocks:
             det = _block_determinants(columns, minors, plan.tails, block)
             seeds = None
-            if lowest == math.inf:
+            if block is plan.blocks[0]:
                 seeds = _row_minimum_seeds(det, block.valid)
                 lowest = _exact_lowest(
                     stack, _block_subsets(plan.tails, block, seeds, count)[1], lowest)
@@ -661,7 +642,8 @@ def _row_minimum_seeds(det, valid):
     # argmin along a row runs several times faster than min
     at = np.argmin(det, axis=1)
     rows = np.arange(len(det))
-    rows = _lowest_of(det[rows, at], rows)
+    if len(rows) > _SEED_SUBSETS:
+        rows = np.argpartition(det[rows, at], _SEED_SUBSETS - 1)[:_SEED_SUBSETS]
     return rows * width + at[rows]
 
 

@@ -27,9 +27,9 @@ import numpy as np
 from . import alignment, geometry
 from .codes import SparseCodeSet, _entry_failure
 from .constants import build_certificate
-from .errors import GenerationError, HypothesisError
-from .hypergraph import (_config_integer, as_integer, as_real, has_sip,
-                         hypergraph_from_config, regularity)
+from .errors import GenerationError
+from .hypergraph import (_config_integer, _require_regular_sip, as_integer, as_real,
+                         hypergraph_from_config)
 
 PERTURBATION_FAMILIES = ("dict_jitter", "scaled_permuted", "code_jitter")
 
@@ -72,7 +72,7 @@ def generate_instance(m, n, k, hypergraph, per_support_count, seed=None):
     Each draw is a standard normal dictionary, then one standard normal
     call for the code entries: ``per_support_count`` columns per edge, in
     edge order, each column's k entries in support order. The
-    hypergraph must have SIP and be regular, and ``per_support_count`` must
+    hypergraph must be regular and have SIP, and ``per_support_count`` must
     be at least k. A draw is accepted when its certificate reads
     ``lower_bound_ok``, ``spark_ok`` and ``glp_ok`` (not ``counts_ok``).
     Retries with fresh randomness up to GENERATE_MAX_RETRIES times, then
@@ -94,10 +94,7 @@ def _certified_instance(m, n, k, hypergraph, per_support_count, seed):
                          f"got {per_support_count}")
     if hypergraph.m != m or hypergraph.k != k:
         raise ValueError("hypergraph does not match the requested (m, k)")
-    if not has_sip(hypergraph):
-        raise HypothesisError("hypergraph lacks the singleton intersection property")
-    if regularity(hypergraph) is None:
-        raise HypothesisError("hypergraph is not regular")
+    _require_regular_sip(hypergraph)
     rng = np.random.default_rng(seed)
     supports = tuple(e for e in hypergraph.edges for _ in range(per_support_count))
     rows = np.subtract(supports, 1).ravel()

@@ -18,7 +18,7 @@ import numbers
 import operator
 from dataclasses import dataclass, field
 
-from .errors import CapExceededError
+from .errors import CapExceededError, HypothesisError
 
 # Guardrail on every enumeration of edges or of k-subsets.
 DEFAULT_EDGE_CAP = 1_000_000
@@ -165,6 +165,19 @@ def has_sip(hypergraph):
         if not containing or set(containing[0]).intersection(*containing[1:]) != {i}:
             return False
     return True
+
+
+def _require_regular_sip(hypergraph):
+    """The regularity r of a hypergraph that is regular and has the singleton
+    intersection property, the design that the generator and Lemma 4 need;
+    HypothesisError names the first of the two that fails, regularity
+    first."""
+    r = regularity(hypergraph)
+    if r is None:
+        raise HypothesisError("hypergraph is not regular")
+    if not has_sip(hypergraph):
+        raise HypothesisError("hypergraph lacks the singleton intersection property")
+    return r
 
 
 def pairwise_unions(hypergraph):

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .errors import CapExceededError, HypothesisError
-from .hypergraph import as_integer, has_sip, regularity
+from .errors import CapExceededError
+from .hypergraph import _require_regular_sip, as_integer
 
 # Lemma-3 trials drawn together, whose bases and xi DPs share stacked
 # factorizations; bounds the memory of a check whatever its trial count.
@@ -149,11 +149,7 @@ def validate_lemma4(hypergraph, m_bar):
     m_bar = as_integer(m_bar, "m_bar")
     if m_bar < 1:
         raise ValueError("m_bar must be a positive integer")
-    r = regularity(hypergraph)
-    if r is None:
-        raise HypothesisError("hypergraph is not regular")
-    if not has_sip(hypergraph):
-        raise HypothesisError("hypergraph lacks the singleton intersection property")
+    r = _require_regular_sip(hypergraph)
     if hypergraph.m > LEMMA4_MAX_M or m_bar > hypergraph.m + LEMMA4_MAX_EXTRA:
         raise CapExceededError(
             f"sizes (m={hypergraph.m}, m_bar={m_bar}) above the exhaustive-check cap"

@@ -369,6 +369,31 @@ def test_oversized_candidate_still_verifies():
     assert report.eq5_ok
 
 
+@pytest.mark.parametrize("m_bar, guaranteed", [(5, 3), (6, 2), (7, 1), (8, None),
+                                                (9, None)])
+def test_eq5_undecided_where_lemma4_guarantees_nothing(m_bar, guaranteed):
+    # Lemma 4 guarantees m_bar - r (m_bar - m) matched columns only while
+    # (r - 1) m_bar < m r: below m_bar = 8 here (m = 4, r = 2); from there
+    # on eq. (5) is left undecided over the whole matching
+    h = build_cyclic(4, 2)
+    a_mat, codes = generate_instance(4, 4, 2, h, 7, seed=0)
+    cert = build_certificate(a_mat, codes, h)
+    extra = np.random.default_rng(m_bar).standard_normal((4, m_bar - 4))
+    pad = np.zeros((m_bar - 4, codes.n_codes))
+    codes_bar = SparseCodeSet(m_bar, np.vstack([codes.codes, pad]), codes.supports,
+                              codes.k)
+    report = verify_theorem1(a_mat, codes, np.hstack([a_mat, extra]), codes_bar, cert,
+                             cert.eps_max_dictionary / 2)
+    assert report.m_bar == m_bar and report.m_bar_ok
+    assert report.guaranteed_columns == guaranteed
+    if guaranteed is None:
+        assert report.eq5_ok is None
+        assert report.matched_subset == (1, 2, 3, 4)
+    else:
+        assert report.eq5_ok is True
+        assert len(report.matched_subset) == guaranteed
+
+
 def test_zero_columns_unmatchable():
     a_mat = np.eye(3)
     b_mat = np.column_stack([np.zeros(3), a_mat[:, 0], a_mat[:, 1], a_mat[:, 2]])

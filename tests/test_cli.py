@@ -2,12 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from sparsecert import HypothesisError, constants, lemmas, serialize
+from sparsecert import HypothesisError, constants, lemmas, serialize, spark_polynomial
 from sparsecert.cli import main
 
-from oracles import power_node_codes
+from oracles import power_node_codes, workloads
 
 
 @pytest.fixture()
@@ -180,6 +181,49 @@ def test_certify_non_spark_dictionary_exit_zero(tmp_path, capsys):
     assert payload["eps_max_dictionary"] > 0
 
 
+def _certify_args(directory, mat, codes, hypergraph):
+    """``certify`` arguments for an instance written to ``directory``."""
+    payloads = {"dict": serialize.matrix_to_json_dict(mat),
+                "codes": serialize.code_set_to_json_dict(codes),
+                "hypergraph": serialize.hypergraph_to_json_dict(hypergraph)}
+    args = ["certify"]
+    for name, payload in payloads.items():
+        serialize.dump_json(payload, directory / f"{name}.json")
+        args += [f"--{name}", str(directory / f"{name}.json")]
+    return args
+
+
+def test_certify_data_poly_of_scattered_codes(tmp_path, capsys):
+    # one code per support: the 4 samples are independent, so the data
+    # matrix's spark polynomial is positive, and counts_ok fails, so the
+    # exit code is 1
+    mat, codes, h = workloads.gaussian_instance(np.random.default_rng(0), "cyclic",
+                                                4, 4, 2, 1)
+    args = _certify_args(tmp_path, mat, codes, h)
+    assert main(args + ["--data-poly"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    value = payload["diagnostics"]["data_spark_polynomial"]
+    assert value == spark_polynomial(mat @ codes.codes, 2)
+    assert value > 0.0
+    assert main(args) == 1
+    assert "diagnostics" not in json.loads(capsys.readouterr().out)
+
+
+def test_certify_data_poly_vanishes_on_generated_instance(tmp_path, capsys):
+    # 7 codes on each support: any 4 of one support's samples are dependent
+    out = tmp_path / "inst"
+    assert main(["generate", "--seed", "0", "--out", str(out)]) == 0
+    capsys.readouterr()
+    args = ["certify", "--dict", str(out / "dictionary.json"),
+            "--codes", str(out / "codes.json"),
+            "--hypergraph", str(out / "hypergraph.json")]
+    assert main(args + ["--data-poly"]) == 0
+    assert json.loads(capsys.readouterr().out)["diagnostics"] == {
+        "data_spark_polynomial": 0.0}
+    assert main(args) == 0
+    assert "diagnostics" not in json.loads(capsys.readouterr().out)
+
+
 def test_certify_deterministic_output(instance_dir, tmp_path):
     args = ["certify",
             "--dict", str(instance_dir / "dictionary.json"),
@@ -246,6 +290,42 @@ def test_experiment_csv(tmp_path, capsys):
     assert code == 0
     lines = out.read_text().strip().split("\n")
     assert lines[0] == serialize.EXPERIMENT_CSV_HEADER
+
+
+def _records_without_ms(path):
+    """The CSV rows at ``path`` without their ``ms`` cells."""
+    header, *rows = [line.split(",") for line in path.read_text().strip().split("\n")]
+    keep = [i for i, name in enumerate(header) if name != "ms"]
+    return [[row[i] for i in keep] for row in [header, *rows]]
+
+
+def test_experiment_seed_flag_overrides_the_config(tmp_path):
+    config = {"m": 4, "n": 4, "k": 2, "hypergraph": "cyclic",
+              "per_support_count": 7, "noise_grid": [1e-6, 1e-4],
+              "trials": 2, "family": "dict_jitter", "seed": 1}
+    cfg, seeded = tmp_path / "exp.json", tmp_path / "seeded.json"
+    cfg.write_text(json.dumps(config))
+    seeded.write_text(json.dumps(dict(config, seed=5)))
+    flag, expected, own = (tmp_path / f"{name}.csv"
+                           for name in ("flag", "expected", "own"))
+    assert main(["experiment", "--config", str(cfg), "--seed", "5",
+                 "--out", str(flag)]) == 0
+    assert main(["experiment", "--config", str(seeded), "--out", str(expected)]) == 0
+    assert main(["experiment", "--config", str(cfg), "--out", str(own)]) == 0
+    assert _records_without_ms(flag) == _records_without_ms(expected)
+    assert _records_without_ms(flag) != _records_without_ms(own)
+
+
+def test_generate_and_check_lemmas_refuse_a_design_alike(tmp_path, capsys):
+    # complete m=3, k=3 is the one edge (1, 2, 3): regular, without SIP
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({"hypergraph": "complete", "m": 3, "n": 3, "k": 3}))
+    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "inst")]) == 1
+    generated = capsys.readouterr().err
+    cfg.write_text(json.dumps({"lemma4": {"hypergraph": "complete", "m": 3, "k": 3}}))
+    assert main(["check-lemmas", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == generated == (
+        "check failed: hypergraph lacks the singleton intersection property\n")
 
 
 @pytest.mark.parametrize("change", [{"trials": 0}, {"trials": -3},

@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 from sparsecert import (
     GenerationError,
     Hypergraph,
+    HypothesisError,
     SparseCodeSet,
     build_certificate,
     build_complete,
     build_cyclic,
+    check_lemma4,
     generate_instance,
     pairwise_unions,
     restricted_lower_bound,
@@ -208,6 +210,26 @@ def test_generate_instance_refuses_fewer_codes_than_k(count, monkeypatch):
     monkeypatch.setattr(codes_module.np.random, "default_rng", no_draws)
     with pytest.raises(ValueError, match="per_support_count must be at least k=3"):
         generate_instance(6, 6, 3, build_cyclic(6, 3), count, seed=0)
+
+
+@pytest.mark.parametrize("m, edges, message", [
+    (4, [(1, 2), (1, 3), (1, 4), (2, 3), (3, 4)], "is not regular"),
+    (3, [(1, 2, 3)], "lacks the singleton intersection property"),
+    (4, [(1, 2), (2, 3), (3, 4)], "is not regular"),
+], ids=["sip_not_regular", "regular_without_sip", "neither"])
+def test_generator_and_lemma4_refuse_a_design_alike(m, edges, message, monkeypatch):
+    # one check for both, regularity first
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a generator was made")
+
+    monkeypatch.setattr(codes_module.np.random, "default_rng", no_draws)
+    h = Hypergraph(m, edges)
+    k = len(edges[0])
+    with pytest.raises(HypothesisError) as generated:
+        generate_instance(m, m, k, h, k + 1, seed=0)
+    with pytest.raises(HypothesisError) as lemma4:
+        check_lemma4(h, m + 1)
+    assert str(generated.value) == str(lemma4.value) == f"hypergraph {message}"
 
 
 def test_generate_instance_counts_take_integral_floats():
