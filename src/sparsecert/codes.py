@@ -15,12 +15,13 @@ order and stack size (``_screen_plan``): a block pairs a run of head
 indices with one slice of a list of (k-1)-subset tails, and at k = 3 it
 groups the triples on their middle index, so that nearly every grid entry
 is a subset. Each subset's |det| comes from its head column against the
-minors of its tail, computed once per support, in one matmul per block
-(``_tail_minors``, ``_block_determinants``; LU from k = 4). In each stack
-the exact SVDs of the first block's lowest row minima seed the least value,
-and from then on one comparison per grid entry settles a subset for both
-checks on its own, in every block: its raw |det| against its support's
-threshold (``_settling_threshold``). The others get their full floors
+minors of its tail, in one matmul per block (``_block_determinants``); the
+minors come from one recursive Laplace expansion at every k, once per
+stack (``_tail_minors``). In each stack the exact SVDs of the first
+block's lowest row minima seed the least value, and from then on one
+comparison per grid entry settles a subset for both checks on its own, in
+every block: its raw |det| against its support's threshold
+(``_settling_threshold``). The others get their full floors
 (``_hadamard_floor``, then ``_sigma_floor`` and ``_c1_floor``), and only
 the subsets that those leave open reach the kernel, so the results equal
 those of one exact SVD per subset.
@@ -40,6 +41,7 @@ clears it.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -51,13 +53,15 @@ from .errors import CapExceededError
 from .hypergraph import normalize_support
 
 # Guardrail on the k-subsets of one support's codes. The subsets are
-# streamed, so it bounds the work, not the memory; cyclic m=10, k=3 at 241
-# codes (2,303,960) fits.
+# streamed; cyclic m=10, k=3 at 241 codes (2,303,960) fits.
 SUBSET_WORK_CAP = 10_000_000
 # Grid entries per block of the subset stream, over all stacked supports. A
 # block pairs a run of head indices with one slice of the tail list, so
-# its determinant grid holds at most this many doubles (256 KB); from k = 4
-# the gathered k x k blocks take k^2 times that.
+# its determinant grid holds at most this many doubles (256 KB). The tail
+# minors that a stack's blocks share take S k C(N, k-1) doubles for S
+# supports of N codes, which SUBSET_WORK_CAP bounds per support through
+# C(N, k-1) = C(N, k) k / (N - k + 1): 42 MB on cyclic m=7, k=4 at 106
+# codes.
 SCREEN_ROWS = 1 << 15
 # Relative and absolute slack of the k-subset determinant screen: it covers
 # the rounding of the screen's own arithmetic and LAPACK's SVD error bound
@@ -289,76 +293,80 @@ def _block_subsets(tails, block, at, count):
 def _head_columns(units):
     """The (..., N, k) stack of the unit columns of a (..., k, N) stack as
     rows, with their j-th entries times (-1)^j: the head columns of the
-    Laplace expansion against ``_tail_minors``. The LU path takes them as
-    they are: flipping the signs of whole columns of a k x k block keeps
-    |det|, and partial pivoting then makes the same choices and rounds the
-    same magnitudes, so |det| comes out bit for bit."""
+    Laplace expansion against ``_tail_minors``."""
     return np.swapaxes(units, -1, -2) * (-1.0) ** np.arange(units.shape[-2])
 
 
 def _tail_minors(units, tails):
-    """The minors of every tail's columns against which a head column's
-    Laplace expansion gives |det|, (..., k, T).
+    """The determinants of every tail's w columns on each w-subset of the k
+    rows of an (S, k, N) stack of unit columns, (C(k, w), S, T) for a
+    (T, w) list of tails: the row sets in reverse lexicographic order, each
+    set's minors together. At w = k - 1 set j is the one without row j,
+    and its minor is the one against which a head column's entry j enters
+    the Laplace expansion of |det|.
 
-    ``units`` is a (..., k, N) stack of unit columns. A k-subset {h} | tail
-    has |det| = |sum_j (-1)^j units[j, h] minors[j, tail]|: at k = 1 the
-    minor is 1, at k = 2 the tail's entries b_1 and b_0, and at k = 3 the
-    2 x 2 minors of the tail's two columns. From k = 4 there are none: the
-    LU determinant gathers each block's tail columns instead.
+    A minor on rows R expands along the tail's last column c against the
+    minors of the rest on R less one row,
+    sum_p (-1)^(w-1-p) M(R - R_p) c[R_p], summed from p = w - 1 down. The
+    empty minor is 1 and level 1 holds the column's entries, so k = 2
+    gives b_1, b_0 and k = 3 the 2 x 2 minors b_p c_q - b_q c_p. Where the
+    rest has two or more columns, its minors are taken once per run of
+    tails that share it, as lexicographic tails do; the last column is
+    gathered one row at a time, so that the top level's minors are the
+    largest array.
     """
-    k = units.shape[-2]
-    if k == 1:
-        return np.ones(units.shape[:-2] + (1, len(tails)))
-    b = units[..., tails[:, 0]]
-    if k == 2:
-        return b[..., ::-1, :]
-    if k == 3:
-        c = units[..., tails[:, 1]]
-        return np.stack([b[..., 1, :] * c[..., 2, :] - b[..., 2, :] * c[..., 1, :],
-                         b[..., 0, :] * c[..., 2, :] - b[..., 2, :] * c[..., 0, :],
-                         b[..., 0, :] * c[..., 1, :] - b[..., 1, :] * c[..., 0, :]],
-                        axis=-2)
-    return None
+    k, width = units.shape[1], tails.shape[1]
+    if not width:
+        return np.ones((1, len(units), len(tails)))
+    if width == 1:
+        return np.take(units.transpose(1, 0, 2), tails[:, 0], axis=-1)[::-1]
+    rest, which = tails[:, :-1], slice(None)
+    if width > 2:
+        changed = np.any(rest[1:] != rest[:-1], axis=1)
+        rest, which = rest[np.append(True, changed)], np.append(0, np.cumsum(changed))
+    lower = _tail_minors(units, rest)
+    below = list(itertools.combinations(range(k), width - 1))[::-1]
+    sets = list(itertools.combinations(range(k), width))[::-1]
+    minors = np.empty((len(sets), len(units), len(tails)))
+    for r in range(k - 1, -1, -1):
+        entry = np.take(units[:, r], tails[:, -1], axis=-1)
+        for i, rows in enumerate(sets):
+            if r in rows:
+                p = rows.index(r)
+                term = lower[below.index(rows[:p] + rows[p + 1:])][:, which]
+                if p == width - 1:
+                    np.multiply(term, entry, out=minors[i])
+                else:
+                    (np.subtract, np.add)[(width - p) % 2](minors[i], term * entry,
+                                                           out=minors[i])
+    return minors
 
 
-def _block_determinants(columns, minors, tails, block):
+def _block_determinants(columns, minors, block):
     """|det| of each k-subset's block of unit columns, as a
-    (..., rows, width) grid over ``block`` of a ``_ScreenPlan``.
+    (..., rows, width) grid over ``block`` of a ``_ScreenPlan``: the Laplace
+    expansion sum_j (-1)^j a_j M_j of the head column a against the tail's
+    ``minors`` (``_tail_minors``), one stacked matmul of the sign-alternated
+    head columns (``_head_columns``, (..., rows, k)) against the minors
+    (..., k, width). A head that comes last is a cyclic shift of the
+    columns at k = 3, which keeps |det|.
 
-    ``columns`` (``_head_columns``) hold unit columns, so each determinant
-    is a Hadamard ratio in [0, 1] and every entry is in [-1, 1]. For k <= 3
-    it is the Laplace expansion sum_j (-1)^j a_j M_j of the head column a
-    against the tail's ``minors`` (``_tail_minors``), one stacked matmul of
-    the sign-alternated head columns (..., rows, k) against the minors
-    (..., k, width); a head that comes last is a cyclic shift of the
-    columns at k = 3, which keeps |det|. BLAS may sum the k products in any
-    order, fused or not; any such inner product is within
-    gamma_k sum_j |a_j| |M_j| of its exact value, with unit roundoff eps/2
-    (Higham 2002, Sec. 3.1). On unit columns
-    sum_j |a_j| |M_j| <= ||a|| ||M|| <= 1, since the squares of the 2 x 2
-    minors of two unit columns sum to at most 1 (Cauchy-Binet), and the
-    rounding of the minors themselves (two products and a subtraction each)
-    adds at most gamma_2 sum_{p != q} |b_p| |c_q| <= k gamma_2. So the
-    forward error is at most about gamma_k + k gamma_2: none at k = 1,
-    where the product with the minor 1 is exact and |u_0| comes out bit for
-    bit, about 1 eps at k = 2, whose minors are entries, and some 5 eps at
-    k = 3. From k = 4 (``minors`` None) one batched LU determinant covers
-    the block's k x k blocks, gathered with the subset's columns as rows,
-    with backward error k^3 (k+1) 2^k eps (partial pivoting, growth at most
-    2^(k-1); Higham 2002, Thm 9.3); ``_hadamard_floor`` allows for both.
-    NaN blocks give NaN. Grid entries outside the block's ``valid`` mask
-    are not subsets and mean nothing.
+    On unit columns each determinant is a Hadamard ratio in [0, 1], and so
+    is each minor (Hadamard's inequality). A minor of w columns, like the
+    determinant at w = k, is a sum of w products of a unit column's entries
+    with minors of w - 1 columns; BLAS may sum the determinant's in any
+    order, fused or not, and any such sum is within gamma_w of the sum of
+    the products' magnitudes, with unit roundoff eps/2 (Higham 2002,
+    Sec. 3.1). By Cauchy-Schwarz over the column's w entries, the largest
+    error E_w of a minor of w columns then obeys E_1 = 0 and
+    E_w <= sqrt(w) (E_(w-1) + gamma_w (1 + E_(w-1))): none at k = 1, where
+    the product with the minor 1 is exact and |u_0| comes out bit for bit,
+    and about 1, 5, 14 and 37 eps at k = 2 to 5, well inside
+    ``_hadamard_floor``'s absolute term. NaN columns give NaN. Grid entries
+    outside the block's ``valid`` mask are not subsets and mean nothing.
     """
-    head = columns[..., block.heads, :]
-    if minors is not None:
-        det = head @ minors[..., block.cut]
-        return np.abs(det, out=det)
-    k = columns.shape[-1]
-    blocks = np.empty(head.shape[:-1] + (block.cut.stop - block.cut.start, k, k))
-    blocks[..., 0, :] = head[..., :, None, :]
-    blocks[..., 1:, :] = columns[..., None, tails[block.cut], :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.abs(np.linalg.det(blocks))
+    det = columns[..., block.heads, :] @ minors[..., block.cut]
+    return np.abs(det, out=det)
 
 
 def _absolute_error(k):
@@ -372,10 +380,11 @@ def _hadamard_floor(det, k):
     |det| (``_block_determinants``): det (1 - SCREEN_SLACK) less the
     absolute term k^3 (k+1) 2^k eps, one rounded operation at a time.
 
-    That term, 4, 96 and 864 eps at k = 1, 2, 3, covers the LU backward
-    error and the forward error of the closed forms, with room for the few
-    eps by which a stored unit column's entries can exceed 1, and the
-    relative slack covers the determinant's rounding. NaN gives NaN.
+    That term, 4, 96, 864, 5,120 and 24,000 eps at k = 1 to 5, covers the
+    forward error of the Laplace expansion, about 1, 5, 14 and 37 eps at
+    k = 2 to 5 (``_block_determinants``), with room for the few eps by
+    which a stored unit column's entries can exceed 1, and the relative
+    slack covers the determinant's rounding. NaN gives NaN.
     """
     return det * (1.0 - SCREEN_SLACK) - _absolute_error(k)
 
@@ -410,11 +419,8 @@ def _sigma_floor(hadamard, norms, subsets):
     (Hong & Pan 1992, on the column-normalised M_T), less SCREEN_SLACK
     relative for the rounding of this product.
     """
-    k = subsets.shape[1]
-    least = norms[subsets[:, 0]]
-    for j in range(1, k):
-        least = np.minimum(least, norms[subsets[:, j]])
-    return hadamard * _sigma_scale(k) * least
+    least = functools.reduce(np.minimum, norms[subsets.T])
+    return hadamard * _sigma_scale(subsets.shape[1]) * least
 
 
 def _sigma_scale(k):
@@ -516,9 +522,7 @@ def _settling(stack, k, rank_tol):
 
     scale = _sigma_scale(k)
     factors = least(stack.weights)[:, None] * stack.spectrum
-    product = factors[:, 0]
-    for j in range(1, k):
-        product = product * factors[:, j]
+    product = functools.reduce(np.multiply, factors.T)
     glp = _settling_floor((rank_tol + SCREEN_SLACK) * stack.smax,
                                   [scale, least(stack.norms)])
     return glp, [product, scale, least(stack.product_norms)]
@@ -597,10 +601,10 @@ def _code_checks(mat, codes, hypergraph, index_sets, rank_tol):
         glp_settle, c1_factors = _settling(stack, k, rank_tol)
         plan = _screen_plan(count, k, len(edges), SCREEN_ROWS)
         columns = _head_columns(stack.units)
-        minors = _tail_minors(stack.units, plan.tails)
+        minors = _tail_minors(stack.units, plan.tails).transpose(1, 0, 2)
         target = None
         for block in plan.blocks:
-            det = _block_determinants(columns, minors, plan.tails, block)
+            det = _block_determinants(columns, minors, block)
             seeds = None
             if block is plan.blocks[0]:
                 seeds = _row_minimum_seeds(det, block.valid)

@@ -394,6 +394,43 @@ def test_eq5_undecided_where_lemma4_guarantees_nothing(m_bar, guaranteed):
         assert len(report.matched_subset) == guaranteed
 
 
+def test_eq5_fails_when_fewer_columns_match_than_lemma4_guarantees():
+    # the candidate's column 4 is zero, so only three sources can be
+    # matched where Lemma 4 guarantees four (m_bar = m): eq. (5) fails over
+    # the three, however small their errors, while eq. (6) holds on codes
+    # whose row 4 is zero as well
+    h = build_cyclic(4, 2)
+    a_mat, codes = generate_instance(4, 4, 2, h, 7, seed=0)
+    cert = build_certificate(a_mat, codes, h)
+    x = codes.codes.copy()
+    x[3] = 0.0
+    zeroed = SparseCodeSet(4, x, codes.supports, codes.k)
+    b_mat = a_mat.copy()
+    b_mat[:, 3] = 0.0
+    report = verify_theorem1(a_mat, zeroed, b_mat, zeroed, cert,
+                             cert.eps_max_dictionary / 2)
+    assert report.guaranteed_columns == 4
+    assert report.alignment.unmatched_source == (4,)
+    assert report.matched_subset == (1, 2, 3)
+    assert report.max_column_error == 0.0
+    assert report.eq5_ok is False
+    assert report.eq6_ok is True
+
+
+def test_alignment_refuses_different_signal_dimensions():
+    with pytest.raises(ValueError, match="different signal dimensions"):
+        align_dictionaries(np.eye(3), np.eye(4))
+
+
+def test_verify_refuses_different_sample_counts():
+    h = build_cyclic(4, 2)
+    a_mat, codes = generate_instance(4, 4, 2, h, 7, seed=0)
+    cert = build_certificate(a_mat, codes, h)
+    fewer = SparseCodeSet(4, codes.codes[:, 1:], codes.supports[1:], codes.k)
+    with pytest.raises(ValueError, match="different sample counts"):
+        verify_theorem1(a_mat, codes, a_mat, fewer, cert, cert.eps_max_dictionary / 2)
+
+
 def test_zero_columns_unmatchable():
     a_mat = np.eye(3)
     b_mat = np.column_stack([np.zeros(3), a_mat[:, 0], a_mat[:, 1], a_mat[:, 2]])

@@ -553,6 +553,23 @@ _EXPERIMENT = {"m": 4, "n": 4, "k": 2, "hypergraph": "cyclic", "per_support_coun
                "noise_grid": [1e-8], "trials": 1, "family": "dict_jitter", "seed": 0}
 
 
+def _run_changed(instance_dir, command, name, change):
+    """The exit code of ``command`` on the instance, once ``change`` has
+    rewritten its file ``name`` (a config file, made when absent)."""
+    path = instance_dir / name
+    path.write_text(json.dumps(change(json.loads(path.read_text())
+                                      if path.exists() else None)))
+    if command == "certify":
+        args = ["--dict", str(instance_dir / "dictionary.json"),
+                "--codes", str(instance_dir / "codes.json"),
+                "--hypergraph", str(instance_dir / "hypergraph.json")]
+    else:
+        args = ["--config", str(path)]
+    if command == "generate":
+        args += ["--out", str(instance_dir / "generated")]
+    return main([command, *args])
+
+
 @pytest.mark.parametrize("command, name, change", [
     ("certify", "dictionary.json", lambda old: [1.0, 2.0]),
     ("certify", "hypergraph.json", lambda old: dict(old, edges=[1, 2])),
@@ -564,15 +581,29 @@ _EXPERIMENT = {"m": 4, "n": 4, "k": 2, "hypergraph": "cyclic", "per_support_coun
         "grid_number"])
 def test_malformed_input_files_exit_2(instance_dir, capsys, command, name, change):
     # each used to raise TypeError or AttributeError out of main: exit 1
-    path = instance_dir / name
-    path.write_text(json.dumps(change(json.loads(path.read_text())
-                                      if path.exists() else None)))
-    if command == "certify":
-        args = ["--dict", str(instance_dir / "dictionary.json"),
-                "--codes", str(instance_dir / "codes.json"),
-                "--hypergraph", str(instance_dir / "hypergraph.json")]
-    else:
-        args = ["--config", str(path)]
-    assert main([command, *args]) == 2
+    assert _run_changed(instance_dir, command, name, change) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, name, change, message", [
+    ("experiment", "config.json", lambda old: dict(_EXPERIMENT, hypergraph="ring"),
+     "unknown hypergraph kind 'ring'"),
+    ("generate", "config.json", lambda old: {"hypergraph": "ring"},
+     "unknown hypergraph kind 'ring'"),
+    ("check-lemmas", "config.json", lambda old: {"lemma4": {"hypergraph": "ring"}},
+     "unknown hypergraph kind 'ring'"),
+    ("experiment", "config.json", lambda old: dict(_EXPERIMENT, trials=10001),
+     "trials above cap 10000"),
+    ("experiment", "config.json", lambda old: dict(_EXPERIMENT, family="shuffle"),
+     "unknown perturbation family 'shuffle'"),
+    ("certify", "dictionary.json", lambda old: dict(old, data=old["data"][:-1]),
+     "matrix payload has wrong length"),
+    ("check-lemmas", "config.json", lambda old: {"lemma3": {"max_subspaces": 1}},
+     "need at least two subspaces per collection"),
+], ids=["experiment_ring", "generate_ring", "check_lemmas_ring", "trials_cap",
+        "unknown_family", "short_dictionary", "one_subspace"])
+def test_typed_refusals_exit_2(instance_dir, capsys, command, name, change, message):
+    assert _run_changed(instance_dir, command, name, change) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (instance_dir / "generated").exists()

@@ -220,8 +220,8 @@ def test_few_code_check_subsets_reach_the_kernel(name, seed, monkeypatch):
         assert 0 < sum(map(len, rows)) <= 64 * stacks
 
 
-@pytest.mark.parametrize("m, k, count", [(4, 1, 5), (5, 2, 12), (6, 4, 14)],
-                         ids=["k1", "k2", "k4"])
+@pytest.mark.parametrize("m, k, count", [(4, 1, 5), (5, 2, 12), (6, 4, 14), (6, 5, 9)],
+                         ids=["k1", "k2", "k4", "k5"])
 def test_uniform_sizes_bit_identical(m, k, count):
     for seed in (0, 1606, 7):
         screened, reference = _both(*_gaussian(seed, m, k, count))
@@ -396,11 +396,11 @@ def _block_hadamard_floors(units, budget=codes_module.SCREEN_ROWS):
     supports, k, count = units.shape
     plan = codes_module._screen_plan(count, k, supports, budget)
     columns = codes_module._head_columns(units)
-    minors = codes_module._tail_minors(units, plan.tails)
+    minors = codes_module._tail_minors(units, plan.tails).transpose(1, 0, 2)
     floors, subsets = [], []
     for block in plan.blocks:
         at, listed = _block_entries(plan, block, count)
-        det = codes_module._block_determinants(columns, minors, plan.tails, block)
+        det = codes_module._block_determinants(columns, minors, block)
         floors.append(codes_module._hadamard_floor(det.reshape(supports, -1)[:, at], k))
         subsets.append(listed)
     subsets = np.concatenate(subsets)
@@ -459,7 +459,7 @@ def test_hadamard_floor_below_exact_determinant(k):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_hadamard_floor_sound_on_arbitrary_unit_columns(data):
-    k = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(1, 5))
     count = data.draw(st.integers(k, 6))
     x = np.array(data.draw(st.lists(
         st.floats(-1.0, 1.0, allow_nan=False), min_size=k * count,
@@ -468,11 +468,14 @@ def test_hadamard_floor_sound_on_arbitrary_unit_columns(data):
     _assert_floor_sound(geometry.unit_columns(x)[0][None])
 
 
-def test_closed_form_determinants_skip_lu(monkeypatch):
+def test_no_k_calls_lu_determinants(monkeypatch):
+    # every k takes the Laplace expansion against the recursive tail minors
     mat, codes, h = _pool("certify_k3", 0)[0]
     expected = workloads.certificate_record(build_certificate(mat, codes, h))
     rng = np.random.default_rng(8)
-    vectors = {k: rng.standard_normal((k, 9)) for k in (1, 2, 3, 4)}
+    vectors = {k: rng.standard_normal((k, 9)) for k in (1, 2, 3, 4, 5)}
+    planted = vectors[5].copy()
+    planted[:, 8] = planted[:, 0] - 2.0 * planted[:, 3] + planted[:, 6]
 
     def refuse(*args, **kwargs):
         raise AssertionError("np.linalg.det called")
@@ -480,10 +483,46 @@ def test_closed_form_determinants_skip_lu(monkeypatch):
     monkeypatch.setattr(np.linalg, "det", refuse)
     record = workloads.certificate_record(build_certificate(mat, codes, h))
     assert record == expected
-    for k in (1, 2, 3):
+    for k in (1, 2, 3, 4, 5):
         assert _one_support_glp(vectors[k])
-    with pytest.raises(AssertionError, match="det called"):
-        _one_support_glp(vectors[4])
+    assert not _one_support_glp(planted)
+
+
+def _closed_form_minors(units, tails):
+    """The tail minors as the screen took them in closed form for k <= 3,
+    (S, k, T)."""
+    k = units.shape[-2]
+    if k == 1:
+        return np.ones(units.shape[:-2] + (1, len(tails)))
+    b = units[..., tails[:, 0]]
+    if k == 2:
+        return b[..., ::-1, :]
+    c = units[..., tails[:, 1]]
+    return np.stack([b[..., 1, :] * c[..., 2, :] - b[..., 2, :] * c[..., 1, :],
+                     b[..., 0, :] * c[..., 2, :] - b[..., 2, :] * c[..., 0, :],
+                     b[..., 0, :] * c[..., 1, :] - b[..., 1, :] * c[..., 0, :]],
+                    axis=-2)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_tail_minors_bit_identical_to_closed_forms(k):
+    # every bit, NaN payloads included: zero columns give NaN units, and
+    # columns scaled by 1e150 and 1e-150 stay in range through the products
+    rng = np.random.default_rng(70 + k)
+    for supports, count in ((1, k), (1, 23), (3, 39), (2, 17)):
+        x = rng.standard_normal((supports, k, count))
+        picks = rng.permutation(count)
+        x[:, :, picks[:max(1, count // 8)]] = 0.0
+        x[:, :, picks[count // 8:count // 3]] *= 1e150
+        x[:, :, picks[count // 3:count // 2]] *= -1e-150
+        units = geometry.unit_columns(x)[0]
+        tails = codes_module._screen_plan(count, k, supports, 64).tails
+        minors = codes_module._tail_minors(units, tails).transpose(1, 0, 2)
+        closed = _closed_form_minors(units, tails)
+        # at k = 1 the minor is 1 whatever the column
+        assert k == 1 or np.isnan(closed).any()
+        assert np.array_equal(np.ascontiguousarray(minors).view(np.int64),
+                              np.ascontiguousarray(closed).view(np.int64)), count
 
 
 def _same_bits(a, b):
@@ -513,12 +552,17 @@ def _two_supports(k, count, seed):
     return codes_module._stack(rng.standard_normal((m + 1, m)), codes, edges, index_sets)
 
 
-# The block determinants against the closed form: the matmul sums the
-# Laplace expansion in its own order, so at k = 2 and 3 they may differ by
-# the two forward error bounds together (about 2 + 1 eps at k = 2 and
-# 15 + 5 eps at k = 3, on unit columns); at k = 1 the product with the minor
-# 1 is exact, and from k = 4 both take the same LU.
-_CLOSED_FORM_EPS = {2: 8, 3: 32}
+# The block determinants against the index-array reference: the matmul sums
+# the Laplace expansion in its own order, so at k = 2 and 3 they may differ
+# from the reference's closed forms by the two forward error bounds together
+# (about 2 + 1 eps at k = 2 and 15 + 5 eps at k = 3, on unit columns). At
+# k = 4 the reference is an LU determinant: the expansion is within about
+# 14 eps of the exact value (``codes._block_determinants``), and the LU's
+# forward error on unit columns, gamma_4 sum |L| |U| against cofactors of
+# at most 1, is a few tens of eps while its pivot growth stays near 1; the
+# largest gap seen here is 1 eps. At k = 1 the product with the minor 1 is
+# exact, and the floors agree bit for bit.
+_CLOSED_FORM_EPS = {2: 8, 3: 32, 4: 64}
 
 
 @pytest.mark.parametrize("budget", [codes_module.SCREEN_ROWS, 37],
@@ -552,8 +596,9 @@ def test_block_floors_bit_identical_to_index_arrays(k, budget):
             assert _same_bits(hadamard, closed), count
 
 
-@pytest.mark.parametrize("m, k, count", [(4, 1, 50), (5, 2, 30), (6, 3, 25), (6, 4, 12)],
-                         ids=["k1", "k2", "k3", "k4"])
+@pytest.mark.parametrize("m, k, count", [(4, 1, 50), (5, 2, 30), (6, 3, 25), (6, 4, 12),
+                                         (6, 5, 10)],
+                         ids=["k1", "k2", "k3", "k4", "k5"])
 def test_small_blocks_bit_identical(m, k, count, monkeypatch):
     # tiny blocks: rows split into blocks of tails, masks in most blocks
     monkeypatch.setattr(codes_module, "SCREEN_ROWS", 53)
@@ -853,7 +898,7 @@ def test_folded_threshold_settles_only_what_the_floor_settles(data):
     # settling floor: the raw value clears the folded threshold only where
     # the floor taken from it, fl(fl(|det| (1 - SCREEN_SLACK)) - term),
     # exceeds the settling floor; a NaN never clears it
-    k = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(1, 5))
     floor = np.float64(data.draw(_MAGNITUDES))
     threshold = codes_module._settling_threshold(np.array([floor]), k)[0]
     absolute = k ** 3 * (k + 1) * 2.0 ** k * np.finfo(float).eps
@@ -906,13 +951,13 @@ def test_settled_subsets_clear_their_full_floors(seed):
         assert np.all(glp_settle < math.inf) and np.all(c1_settle < math.inf)
         plan = codes_module._screen_plan(count, k, 1, 1000)
         columns = codes_module._head_columns(stack.units)
-        minors = codes_module._tail_minors(stack.units, plan.tails)
+        minors = codes_module._tail_minors(stack.units, plan.tails).transpose(1, 0, 2)
         glp_threshold = codes_module._settling_threshold(glp_settle, k)
         c1_threshold = codes_module._settling_threshold(c1_settle, k)
         settled = 0
         for block in plan.blocks:
             flat, listed = _block_entries(plan, block, count)
-            det = codes_module._block_determinants(columns, minors, plan.tails, block)
+            det = codes_module._block_determinants(columns, minors, block)
             for s, grid in enumerate(det):
                 subsets = listed + s * count
                 raw = grid.ravel()[flat]
