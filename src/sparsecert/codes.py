@@ -11,12 +11,12 @@ linear position (GLP), X_T independent against the top singular value of
 X_S, and the C1 denominator, the least sigma_min(A X_T). Both come from one
 screen. The supports with equal code counts are stacked side by side
 (``_Stack``) and walk one stream of blocks, laid out once per code count,
-order and stack size (``_screen_plan``): a block pairs a run of head
-indices with one slice of a list of (k-1)-subset tails, and at k = 3 it
-groups the triples on their middle index, so that nearly every grid entry
-is a subset. Each subset's |det| comes from its head column against the
-minors of its tail, in one matmul per block (``_block_determinants``); the
-minors come from one recursive Laplace expansion at every k, once per
+order and stack size (``_screen_plan``) by one rule at every k: a subset is
+a head index and a (k-1)-subset tail, each tail admits a nested range of
+heads, and a block pairs a run of tails with every head that the run's
+widest tail admits. Each subset's |det| comes from its head column against
+the minors of its tail, in one matmul per block (``_block_determinants``);
+the minors come from one recursive Laplace expansion at every k, once per
 stack (``_tail_minors``). In each stack the exact SVDs of the first
 block's lowest row minima seed the least value, and from then on one
 comparison per grid entry settles a subset for both checks on its own, in
@@ -40,6 +40,7 @@ clears it.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -56,7 +57,7 @@ from .hypergraph import normalize_support
 # streamed; cyclic m=10, k=3 at 241 codes (2,303,960) fits.
 SUBSET_WORK_CAP = 10_000_000
 # Grid entries per block of the subset stream, over all stacked supports. A
-# block pairs a run of head indices with one slice of the tail list, so
+# block pairs a range of head indices with one slice of the tail list, so
 # its determinant grid holds at most this many doubles (256 KB). The tail
 # minors that a stack's blocks share take S k C(N, k-1) doubles for S
 # supports of N codes, which SUBSET_WORK_CAP bounds per support through
@@ -166,20 +167,13 @@ class _ScreenPlan(NamedTuple):
     every caller shares them.
 
     ``tails`` is a (T, k-1) list of (k-1)-subsets of range(count), and the
-    ``blocks`` (``_Block``) cover every k-subset exactly once. At k = 1 the
-    one tail is empty. For k = 2 and from k = 4 the tails are in
-    lexicographic order and a block pairs a run of least indices with a
-    suffix of them. At k = 3 a subset i < j < l is grouped on its middle
-    index j (``_middle_blocks``).
+    ``blocks`` (``_Block``) cover every k-subset exactly once. Each tail
+    admits a nested range of heads, and a block pairs a run of tails with
+    every head that the run's last, widest tail admits.
     """
 
     tails: np.ndarray
     blocks: tuple
-
-
-# Grid entries that are not subsets, at most this fraction of a k = 3
-# block's subsets.
-_MIDDLE_WASTE = 1 / 8
 
 
 @functools.lru_cache(maxsize=8)
@@ -187,93 +181,58 @@ def _screen_plan(count, k, supports, rows):
     """The ``_ScreenPlan`` of the k-subsets of ``count`` codes, for a stack
     of ``supports`` supports whose blocks hold at most ``rows`` grid entries
     over the stack (``SCREEN_ROWS``, passed so that the cache key holds it).
-    Outside k = 3 a block takes a run of consecutive least indices, each
-    against the tails whose entries all exceed it; a row whose tails alone
-    exceed its share is split into blocks of tails. Needs 1 <= k <= count.
+    Needs 1 <= k <= count.
+
+    The tail list comes in segments, each in order of widening head range:
+    a tail admits the heads below its least index, the first ``width`` of
+    range(count), or in a ``head_last`` segment the heads above its greatest
+    index, the last ``width``. At k = 1 the one tail is empty and admits
+    every head. At k = 3 the pairs inside the lower half, range(count // 2),
+    take the heads above them and the pairs inside the upper half the heads
+    below them, so the tail minors cover about half of all C(count, 2)
+    pairs. Each segment is laid out from its widest tail down: a block takes
+    the widest tail not yet placed and the tails before it while its grid
+    fits the share of ``rows``; a tail whose heads alone exceed the share is
+    cut into blocks of heads. So the first block has the most rows, a block
+    holds at most the share, every grid row holds a subset, and a run whose
+    tails share one head range needs no mask. A run of widest width s holds
+    at most share / s tails, each at least as wide as the next run's widest
+    s', so it holds at most share (1 - s'/s) entries that are not subsets;
+    over a segment these add up to at most share ln(widest / narrowest).
     """
-    budget = max(rows // supports, 1)
-    if k == 3:
-        tails, blocks = _middle_blocks(count, budget)
+    if k == 1:
+        segments = [(np.zeros((1, 0), dtype=np.intp), np.array([count]), False)]
+    elif k == 3:
+        half = count // 2
+        # the pairs of range(half) by descending greater entry
+        low = half - 1 - np.column_stack(np.triu_indices(half, 1))[:, ::-1]
+        high = np.column_stack(np.triu_indices(count - half, 1)) + half
+        segments = [(low, count - 1 - low[:, 1], True), (high, high[:, 0], False)]
     else:
-        if k == 1:
-            tails = np.zeros((1, 0), dtype=np.intp)
-            start = np.zeros(count, dtype=np.intp)
-        else:
-            tails = geometry.k_subsets(count, k - 1, cap=math.inf)
-            start = np.searchsorted(tails[:, 0], np.arange(count), side="right")
-        n_tails = len(tails)
-        last = int(np.searchsorted(start, n_tails))
-        blocks, s = [], 0
-        while s < last:
-            lo = int(start[s])
-            width = n_tails - lo
-            if width > budget:
-                blocks += [_Block(slice(s, s + 1), slice(c, min(c + budget, n_tails)),
-                                  None, False)
-                           for c in range(lo, n_tails, budget)]
-                s += 1
-                continue
-            e = min(s + budget // width, last)
-            valid = None if e == s + 1 else np.arange(lo, n_tails) >= start[s:e, None]
-            blocks.append(_Block(slice(s, e), slice(lo, n_tails), valid, False))
-            s = e
+        tails = geometry.k_subsets(count, k - 1, cap=math.inf)
+        segments = [(tails, tails[:, 0], False)]
+    share = max(rows // supports, 1)
+    blocks, offset = [], 0
+    for part, widths, head_last in segments:
+        sizes = widths.tolist()
+        e, lo = len(sizes), bisect.bisect_right(sizes, 0)
+        while e > lo:
+            size = sizes[e - 1]
+            first = count - size if head_last else 0
+            c = max(e - max(share // size, 1), lo)
+            valid = None
+            if sizes[c] < size:
+                index = np.arange(size)[:, None]
+                valid = (index >= size - widths[c:e]) if head_last else index < widths[c:e]
+            for h in range(first, first + size, share):
+                blocks.append(_Block(slice(h, min(h + share, first + size)),
+                                     slice(offset + c, offset + e), valid, head_last))
+            e = c
+        offset += len(sizes)
+    tails = np.concatenate([part for part, _, _ in segments])
     for array in (tails, *(b.valid for b in blocks if b.valid is not None)):
         array.flags.writeable = False
     return _ScreenPlan(tails, tuple(blocks))
-
-
-def _middle_blocks(count, budget):
-    """The tails and blocks of the k = 3 plan, grouped on the middle index.
-
-    The triples i < j < l with one middle j fill a j x (count-1-j) grid
-    exactly: the heads l > j against the pairs (i, j), or the heads i < j
-    against the pairs (j, l). Below the middle ``half`` the heads come last,
-    against the pairs of range(half) in colexicographic order (grouped on
-    their greater index); from ``half`` on they come first, against the
-    pairs of range(half, count) in lexicographic order (grouped on their
-    lesser one). A block takes a run of middles against the heads that any
-    of them needs, and grows while it holds at most ``budget`` entries and
-    at most _MIDDLE_WASTE of them are not subsets; a middle whose grid alone
-    exceeds the budget is split into blocks of pairs.
-    """
-    half = count // 2
-    low = np.column_stack(np.triu_indices(half, 1))
-    low = low[np.lexsort((low[:, 0], low[:, 1]))]
-    high = np.column_stack(np.triu_indices(count - half, 1)) + half
-    tails = np.concatenate([low, high])
-    # per middle j, the positions of its pairs start at first[j], and the
-    # triples of the middles before j number before[j]
-    middles = np.arange(count)
-    first = np.concatenate([[0], np.cumsum(np.minimum(middles, count - 1 - middles))])
-    before = np.concatenate([[0], np.cumsum(middles * (count - 1 - middles))])
-
-    def heads(s, e):
-        return slice(0, e - 1) if s >= half else slice(s + 1, count)
-
-    def grid(s, e):
-        rows = heads(s, e)
-        return int(first[e] - first[s]) * (rows.stop - rows.start)
-
-    blocks, s = [], 1
-    while s < count - 1:
-        e = s + 1
-        limit = count - 1 if s >= half else half
-        while (e < limit and grid(s, e + 1) <= budget
-               and grid(s, e + 1) <= (1 + _MIDDLE_WASTE) * (before[e + 1] - before[s])):
-            e += 1
-        rows, last = heads(s, e), s >= half
-        lo, hi = int(first[s]), int(first[e])
-        if grid(s, e) > budget:
-            step = max(budget // (rows.stop - rows.start), 1)
-            blocks += [_Block(rows, slice(c, min(c + step, hi)), None, not last)
-                       for c in range(lo, hi, step)]
-        else:
-            index = np.arange(rows.start, rows.stop)[:, None]
-            valid = index < tails[lo:hi, 0] if last else index > tails[lo:hi, 1]
-            blocks.append(_Block(rows, slice(lo, hi), None if valid.all() else valid,
-                                 not last))
-        s = e
-    return tails, blocks
 
 
 def _block_subsets(tails, block, at, count):

@@ -175,19 +175,17 @@ def edge_min_singular_values(mat, edges):
 
     ``edges`` is an (E, w) array of 0-based column indices. Width zero and
     widths above the row count are rank deficient by shape and give zeros.
-    A stack of matrices (..., n, m) gives a (..., E) array from one stacked
-    SVD, each value the same as from its matrix alone.
     """
     mat = np.ascontiguousarray(mat, dtype=np.float64)
     edges = np.asarray(edges, dtype=np.intp)
     if edges.ndim != 2:
         raise ValueError("edges must be an (E, w) index array")
-    n_rows, n_cols = mat.shape[-2:]
+    n_rows, n_cols = mat.shape
     if edges.size and (edges.min() < 0 or edges.max() >= n_cols):
         raise ValueError("edge index out of range for the given matrix")
     if not 0 < edges.shape[1] <= n_rows:
-        return np.zeros(mat.shape[:-2] + (len(edges),))
-    return np.linalg.svd(np.moveaxis(mat[..., edges], -3, -2), compute_uv=False)[..., -1]
+        return np.zeros(len(edges))
+    return np.linalg.svd(mat[:, edges].transpose(1, 0, 2), compute_uv=False)[:, -1]
 
 
 def _column_table(families):
@@ -211,11 +209,10 @@ def _column_table(families):
 def _table_bounds(mat, table):
     """Per family of a ``_column_table``, the least smallest singular value
     of its column sets over the square root of their width, from one kernel
-    call per width. A stack of matrices (..., n, m) gives, per family, the
-    nested list of the bound of each matrix."""
+    call per width."""
     values = np.concatenate([edge_min_singular_values(mat, sets) / np.sqrt(width)
-                             for width, sets in table[0].items()], axis=-1)
-    return [np.min(values[..., rows], axis=-1).tolist() for rows in table[1]]
+                             for width, sets in table[0].items()])
+    return [float(np.min(values[rows])) for rows in table[1]]
 
 
 def restricted_lower_bound(mat, hypergraph):

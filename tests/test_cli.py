@@ -405,6 +405,20 @@ def test_check_lemmas_exit_zero(tmp_path, capsys):
     assert payload["injective_map_counting"]["types"] == 22
 
 
+def test_check_lemmas_m_bar_below_m_exits_0(tmp_path, capsys):
+    # m_bar < m admits no map, which is the lemma's first claim, not a failure
+    cfg = tmp_path / "lemmas.json"
+    cfg.write_text(json.dumps({
+        "lemma3": {"trials": 5, "ambient_dim": 6, "max_subspaces": 3, "seed": 4},
+        "lemma4": {"hypergraph": "cyclic", "m": 4, "k": 2, "m_bar": 3},
+    }))
+    assert main(["check-lemmas", "--config", str(cfg)]) == 0
+    report = json.loads(capsys.readouterr().out)["injective_map_counting"]
+    assert (report["m"], report["m_bar"]) == (4, 3)
+    assert (report["admissible_maps"], report["verified_maps"], report["types"]) == (0, 0, 0)
+    assert report["counterexamples"] == []
+
+
 def test_check_lemmas_bad_m_bar_exits_2(tmp_path, capsys):
     cfg = tmp_path / "lemmas.json"
     cfg.write_text(json.dumps({

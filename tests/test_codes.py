@@ -179,6 +179,19 @@ def test_synthesize_refuses_bad_eta(eta):
         synthesize_dataset(mat, codes, eta, seed=0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: synthesize_dataset(
+        np.eye(5), generate_instance(4, 4, 2, build_cyclic(4, 2), 7, seed=0)[1], 0.0),
+     "dictionary columns and code rows differ"),
+    (lambda: SparseCodeSet(4, np.zeros((3, 2)), ((1,), (2,)), 1),
+     "codes must be an (m, N) array"),
+], ids=["synthesize_other_m", "code_rows_other_m"])
+def test_codes_refuse_mismatched_shapes(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert type(exc.value) is ValueError and str(exc.value) == message
+
+
 def test_synthesize_deterministic():
     h = build_cyclic(4, 2)
     mat, codes = generate_instance(4, 4, 2, h, 7, seed=7)

@@ -348,6 +348,33 @@ def test_certificate_rejects_bad_rank_tol_before_any_check(rank_tol, monkeypatch
         build_certificate(mat, codes, h, rank_tol=rank_tol)
 
 
+def _cyclic4_instance():
+    return generate_instance(4, 4, 2, build_cyclic(4, 2), 7, seed=0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: build_certificate(*_cyclic4_instance(), Hypergraph(4, [(1, 2), (2, 3, 4)])),
+     HypothesisError, "hypergraph must be uniform"),
+    (lambda: build_certificate(
+        _cyclic4_instance()[0],
+        generate_instance(5, 5, 2, build_cyclic(5, 2), 9, seed=0)[1], build_cyclic(4, 2)),
+     ValueError, "codes live in the wrong ambient dimension"),
+    (lambda: build_certificate(np.ones((4, 5)), _cyclic4_instance()[1], build_cyclic(4, 2)),
+     ValueError, "hypergraph vertices must index dictionary columns"),
+    (lambda: compute_C2(np.ones((4, 5)), build_cyclic(4, 2)),
+     ValueError, "hypergraph vertices must index dictionary columns"),
+    (lambda: sample_size_cor1(4, 3, build_cyclic(4, 2)),
+     ValueError, "hypergraph is not k-uniform for the given k"),
+    (lambda: sample_size_cor1(5, 2, build_cyclic(4, 2)),
+     ValueError, "hypergraph vertex count differs from m"),
+], ids=["non_uniform", "codes_of_other_m", "dictionary_of_other_m", "c2_of_other_m",
+        "cor1_other_k", "cor1_other_m"])
+def test_constants_refuse_mismatched_inputs(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message
+
+
 def test_certificate_without_c1_is_not_ok(monkeypatch):
     def refuse(*args, **kwargs):
         raise HypothesisError("degenerate")

@@ -147,6 +147,19 @@ def test_verifier_and_records_read_one_slack(monkeypatch, family):
     assert [r.pass6 for r in records if r.pass6 is not None] == [False] * len(code_tier)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: generate_instance(5, 5, 2, build_cyclic(4, 2), 7),
+     "hypergraph does not match the requested (m, k)"),
+    (lambda: perturb_instance(*generate_instance(4, 4, 2, build_cyclic(4, 2), 7, seed=0),
+                              "shuffle", 0.1, np.random.default_rng(0)),
+     "unknown perturbation family 'shuffle'"),
+], ids=["generate_other_m", "unknown_family"])
+def test_experiment_refuses_mismatched_requests(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert type(exc.value) is ValueError and str(exc.value) == message
+
+
 def test_run_experiment_rejects_oversize():
     cfg = dict(m=40, n=40, k=2, hypergraph="cyclic", per_support_count=7,
                noise_grid=[1e-3], trials=1, family="dict_jitter", seed=0)

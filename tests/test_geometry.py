@@ -418,6 +418,25 @@ def test_span_intersection_identity_random():
 # xi
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: geometry.k_subsets(3, 4), ValueError, "need 1 <= k <= count, got k=4, count=3"),
+    (lambda: geometry.k_subsets(30, 15),
+     CapExceededError, "155117520 15-subsets exceed cap 1000000"),
+    (lambda: spark_polynomial(np.eye(4), 0), ValueError, "sparsity level must be positive"),
+    (lambda: intersect([Subspace(3, np.eye(3)[:, :1]), Subspace(4, np.eye(4)[:, :1])]),
+     ValueError, "ambient dimensions differ"),
+    (lambda: friedrichs_angle(Subspace(3, np.eye(3)[:, :1]), Subspace(4, np.eye(4)[:, :1])),
+     ValueError, "ambient dimensions differ"),
+    (lambda: xi([Subspace(3, np.eye(3)[:, :1]), Subspace(3, np.zeros((3, 0)))]),
+     ValueError, "collection contains the zero subspace"),
+], ids=["k_subsets_k_above_count", "k_subsets_cap", "spark_k_zero", "intersect_ambients",
+        "angle_ambients", "xi_zero_subspace"])
+def test_geometry_refuses_bad_arguments(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message
+
+
 @pytest.mark.parametrize("rank_tol", [math.nan, math.inf, 0.0, -1.0])
 def test_xi_intersect_and_angle_reject_bad_rank_tol(rank_tol):
     # three 3-dim spans in R^6 sharing the first direction: NaN or -1 used to
@@ -786,7 +805,8 @@ def test_angle_with_zero_subspace_is_exactly_right():
     (np.array([[1.0, 0.0], [0.0, np.inf], [0.0, 0.0]]), "non-finite"),
     (np.eye(4)[:, :2], "must be an \\(ambient, dim\\) array"),
     (np.eye(3)[:, 0], "must be an \\(ambient, dim\\) array"),
-], ids=["oblique", "nan", "inf", "rows", "vector"])
+    (np.eye(4)[:3], "^dimension exceeds ambient dimension$"),
+], ids=["oblique", "nan", "inf", "rows", "vector", "wide"])
 def test_subspace_keeps_every_check(bad, message):
     with pytest.raises(ValueError, match=message):
         Subspace(3, bad)

@@ -109,6 +109,16 @@ def test_grid_9():
     assert has_sip(h)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: Hypergraph(0, []), "vertex count must be positive"),
+    (lambda: build_complete(3, 4), "need 1 <= k <= m, got k=4, m=3"),
+], ids=["no_vertices", "complete_k_above_m"])
+def test_hypergraphs_refuse_bad_sizes(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert type(exc.value) is ValueError and str(exc.value) == message
+
+
 def test_grid_rejects_non_square():
     with pytest.raises(ValueError):
         build_grid(3)

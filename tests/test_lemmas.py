@@ -99,9 +99,14 @@ def test_lemma4_enumeration_matches_naive():
 
 
 def test_lemma4_no_admissible_maps_for_small_target():
-    # the counting conclusion m_bar >= m shows up as an empty admissible set
-    report = check_lemma4(build_cyclic(4, 2), 3)
-    assert report.admissible == 0
+    # the lemma's first claim, m_bar >= m, checked by the enumeration at
+    # every smaller m_bar: no map is admissible, so none fails
+    for h in (build_cyclic(4, 2), build_cyclic(5, 2), build_complete(4, 2),
+              build_cyclic(5, 3), build_cyclic(6, 3)):
+        for m_bar in range(1, h.m):
+            report = check_lemma4(h, m_bar)
+            assert (report.admissible, report.verified, report.types) == (0, 0, 0)
+            assert report.counterexamples == [] and report.ok
 
 
 def test_lemma4_cap():

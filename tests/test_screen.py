@@ -444,15 +444,16 @@ def test_hadamard_floor_below_exact_determinant(k):
         subsets = geometry.k_subsets(8, k).tolist()
         assert _block_hadamard_floors(units)[0, subsets.index(repeated)] < 0
     # three stacked supports in blocks of 40 grid entries per support, so
-    # that short rows share masked multi-row blocks; zero columns, and
-    # columns scaled by 1e110 and -1e110
+    # that from k = 2 runs of tails of unequal widths share masked blocks
+    # (at k = 1 every grid entry is a subset); zero columns, and columns
+    # scaled by 1e110 and -1e110
     x = rng.standard_normal((3, k, 10))
     x[0, :, 3] = 0.0
     x[1, :, [2, 7]] *= 1e110
     x[2, :, 5] *= -1e110
     x[2, :, 0] = 0.0
     plan = codes_module._screen_plan(10, k, 3, 120)
-    assert any(block.valid is not None for block in plan.blocks)
+    assert any(block.valid is not None for block in plan.blocks) == (k >= 2)
     _assert_floor_sound(geometry.unit_columns(x)[0], budget=120)
 
 
@@ -674,26 +675,80 @@ def test_stacked_glp_matches_each_matrix(k):
     assert verdicts == [False, True, False]
 
 
+def _grid_subsets(plan, block, count):
+    """Whether each entry of a block's (rows, width) grid is a k-subset: its
+    head differs from every tail entry and lies on the side of them that
+    ``head_last`` names."""
+    rows = block.heads.stop - block.heads.start
+    width = block.cut.stop - block.cut.start
+    listed = codes_module._block_subsets(plan.tails, block, np.arange(rows * width),
+                                         count)[1]
+    return np.all(np.diff(listed, axis=1) > 0, axis=1).reshape(rows, width)
+
+
+def _waste_bound(count, k, share):
+    """share ln(widest / narrowest) per segment of the tail list: the most
+    grid entries per support that are not subsets under the block rule."""
+    def bound(widths):
+        widths = widths[widths > 0]
+        return share * math.log(widths.max() / widths.min()) if len(widths) else 0.0
+    if k == 1:
+        return 0.0
+    if k == 3:
+        half = count // 2
+        return (bound(count - 1 - np.arange(1, half))
+                + bound(np.arange(half, count - 1)))
+    return bound(geometry.k_subsets(count, k - 1, cap=math.inf)[:, 0])
+
+
+def _assert_plan_follows_rule(count, k, supports, budget):
+    """Each subset in exactly one block of the plan, with its indices in
+    increasing order; no block's grid exceeds its share of the budget;
+    every grid row holds a subset; the mask is None exactly when every
+    entry is a subset; the first block has the most rows; and the entries
+    that are not subsets stay within the rule's bound. Returns whether a
+    tail's heads were cut into several blocks."""
+    plan = codes_module._screen_plan(count, k, supports, budget)
+    share = max(budget // supports, 1)
+    listed, entries = [], 0
+    for block in plan.blocks:
+        rows = block.heads.stop - block.heads.start
+        width = block.cut.stop - block.cut.start
+        assert 0 < rows * width <= share
+        subsets = _grid_subsets(plan, block, count)
+        assert subsets.any(axis=1).all()
+        if block.valid is None:
+            assert subsets.all()
+        else:
+            assert block.valid.dtype == bool and not subsets.all()
+            assert np.array_equal(block.valid, subsets)
+        listed.append(_block_entries(plan, block, count)[1])
+        entries += rows * width
+    listed = np.concatenate(listed)
+    assert np.all(np.diff(listed, axis=1) > 0)
+    assert (sorted(map(tuple, listed.tolist()))
+            == list(map(tuple, geometry.k_subsets(count, k).tolist())))
+    heads = [b.heads.stop - b.heads.start for b in plan.blocks]
+    assert heads[0] == max(heads)
+    assert entries - math.comb(count, k) <= _waste_bound(count, k, share)
+    cuts = [(b.cut.start, b.cut.stop) for b in plan.blocks]
+    return len(set(cuts)) < len(cuts)
+
+
 def test_block_layout_covers_every_subset_once():
-    # each subset once, with its indices in increasing order, and no more
-    # than the budget in a block; every grid row holds a subset
-    for k in (1, 2, 3, 4):
-        for count in range(k, 15):
-            for budget in (1, 5, 64, 8192):
-                plan = codes_module._screen_plan(count, k, 1, budget)
-                listed = []
-                for block in plan.blocks:
-                    rows = block.heads.stop - block.heads.start
-                    width = block.cut.stop - block.cut.start
-                    assert rows * width <= budget or rows == 1 or width == 1
-                    if block.valid is not None:
-                        assert block.valid.shape == (rows, width)
-                        assert block.valid.any(axis=1).all()
-                    listed.append(_block_entries(plan, block, count)[1])
-                listed = np.concatenate(listed)
-                assert np.all(np.diff(listed, axis=1) > 0)
-                assert (sorted(map(tuple, listed.tolist()))
-                        == list(map(tuple, geometry.k_subsets(count, k).tolist())))
+    # counts from k to 40, stacks of 1, 3 and 7 supports, and budgets down
+    # to one entry, so that head ranges are cut; every plan up to 14 codes
+    # is checked, and above that plans of more than 30,000 subsets or
+    # thousands of blocks are left out
+    for k in (1, 2, 3, 4, 5):
+        split = []
+        for count, supports, budget in itertools.product(
+                [*range(k, 15), 17, 24, 31, 40], (1, 3, 7),
+                (1, 5, 21, 64, 300, 8192, codes_module.SCREEN_ROWS)):
+            subsets = math.comb(count, k)
+            if count <= 14 or subsets <= min(30_000, 200 * max(budget // supports, 1)):
+                split.append(_assert_plan_follows_rule(count, k, supports, budget))
+        assert any(split) and not all(split)
 
 
 def _grid_entries_per_certificate(name, seed, monkeypatch):
@@ -718,12 +773,14 @@ def _grid_entries_per_certificate(name, seed, monkeypatch):
 
 def test_k3_grid_holds_few_entries_beyond_its_subsets(monkeypatch):
     # 6 supports x C(41, 3) = 63,960 subsets per certify_k3 certificate,
-    # in 71,172 grid entries: grouped on the middle index, where grouped on
-    # the least one the grid held 96,324
+    # in 82,080 grid entries over 4 blocks: 13,680 per support, against the
+    # block rule's bound of C(41, 3) + 5,461 (ln(39/21) + ln(39/20)) =
+    # 17,686 for the two halves' widths 21-39 and 20-39 at a share of
+    # 5,461 entries per support
     subsets = 6 * math.comb(41, 3)
     counts = _grid_entries_per_certificate("certify_k3", 0, monkeypatch)
-    assert counts == [71_172, 71_172]
-    assert max(counts) <= 1.15 * subsets
+    assert counts == [82_080, 82_080]
+    assert max(counts) <= subsets + 6 * _waste_bound(41, 3, codes_module.SCREEN_ROWS // 6)
 
 
 def _block_of(plan, count, subset):
