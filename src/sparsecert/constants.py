@@ -265,9 +265,12 @@ def sample_size_cor1(m, k, hypergraph):
 class StabilityCertificate:
     """Computed constants, thresholds, and hypothesis flags for an instance.
 
-    ``eps_max_codes`` is present only when the spark condition holds; the
-    code-recovery tier of the guarantee needs it. ``required_per_support`` is
-    the per-edge code count the sufficient-sample bound asks for.
+    The thresholds ``eps_max_*`` are present only where ``hypotheses_ok``
+    holds, since only there are they a guarantee; ``C1`` and ``C2`` are
+    reported whenever they can be computed. ``eps_max_codes`` further needs
+    the spark condition; the code-recovery tier of the guarantee needs it.
+    ``required_per_support`` is the per-edge code count the sufficient-sample
+    bound asks for.
     """
 
     m: int
@@ -298,8 +301,14 @@ class StabilityCertificate:
         A certificate without ``C1`` has no recovery threshold, so it is not
         ok even when every flag is. The spark flag only gates the code tier.
         """
-        return (self.sip_ok and self.regular_ok and self.lower_bound_ok
-                and self.glp_ok and self.counts_ok and self.C1 is not None)
+        return not _false_hypotheses(self) and self.C1 is not None
+
+
+def _false_hypotheses(certificate):
+    """The dictionary-recovery hypothesis flags of a certificate that read
+    false; any one of them withholds the recovery thresholds."""
+    return [flag for flag in ("sip_ok", "regular_ok", "lower_bound_ok", "glp_ok",
+                              "counts_ok") if not getattr(certificate, flag)]
 
 
 def build_certificate(dictionary, codes, hypergraph,
@@ -309,8 +318,9 @@ def build_certificate(dictionary, codes, hypergraph,
     Never raises on failed hypotheses: flags record what failed and the
     constants that remain computable are still reported (C1/C2 are None when
     their own preconditions break; C2's, edge spans that meet only in their
-    shared columns, holds wherever lower_bound_ok does). L2, L2k and L2H
-    come from one kernel call per column-set width (``_bound_plan``), and
+    shared columns, holds wherever lower_bound_ok does). The thresholds
+    eps_max_* are None unless every dictionary hypothesis holds. L2, L2k and
+    L2H come from one kernel call per column-set width (``_bound_plan``), and
     ``compute_C2`` is called once. GLP and the C1 denominator share one
     exhaustive, screened k-subset stream per support code count
     (``codes._code_checks``).
@@ -358,16 +368,14 @@ def build_certificate(dictionary, codes, hypergraph,
     glp_ok, denominator = _code_checks(mat, codes, hypergraph, index_sets, rank_tol)
     c1 = None if c2 is None else _c1(c2, glp_ok, denominator)
 
-    eps_dict = l2 / c1 if c1 else None
-    eps_codes = l2k / c1 if (c1 and spark_ok) else None
     max_l1 = float(np.max(codes.l1_norms())) if codes.n_codes else 0.0
 
-    return StabilityCertificate(
+    cert = StabilityCertificate(
         m=m, n=n, k=k, r=r,
         L2=l2, L2k=l2k, L2H=l2h,
         C2=c2, C1=c1,
-        eps_max_dictionary=eps_dict,
-        eps_max_codes=eps_codes,
+        eps_max_dictionary=None,
+        eps_max_codes=None,
         max_code_l1=max_l1,
         support_counts=support_counts,
         required_per_support=required,
@@ -378,3 +386,9 @@ def build_certificate(dictionary, codes, hypergraph,
         spark_ok=spark_ok,
         counts_ok=counts_ok,
     )
+    # a threshold is a guarantee only where the dictionary hypotheses hold
+    if c1 and not _false_hypotheses(cert):
+        cert.eps_max_dictionary = l2 / c1
+        if spark_ok:
+            cert.eps_max_codes = l2k / c1
+    return cert

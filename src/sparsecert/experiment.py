@@ -278,34 +278,38 @@ def run_experiment(config):
         residuals = alignment._residual_norms(mat, codes.codes, candidates, xbars)
         realized = np.max(residuals, axis=1).tolist()
         keep = [level for level, eps in enumerate(realized) if not eps >= threshold]
-        reports = []
+        kept_eps = [realized[level] for level in keep]
+        sweep = None
         if keep:
-            reports = alignment._verify_sweep(
+            sweep = alignment._verify_sweep(
                 mat, codes, _kept(candidates, keep), _kept(xbars, keep), cert,
-                [realized[level] for level in keep], residuals[keep])
+                kept_eps, residuals[keep])
         # the levels before a failed draw are verified first, as one
         # perturb-and-verify call per level would have done
         if error is not None:
             raise error
         elapsed_ms = (time.perf_counter() - start) * 1e3
-        for report in reports:
-            max_code_err = bound6 = None
-            if report.code_tier_active:
-                max_code_err = float(np.max(report.code_errors))
-                bound6 = float(np.max(report.code_bounds))
-            records.append(ExperimentRecord(
-                seed=seed,
-                eps=report.eps,
-                max_col_err=report.max_column_error,
-                bound5=report.bound5,
-                max_code_err=max_code_err,
-                bound6=bound6,
-                pass5=bool(report.eq5_ok),
-                pass6=report.eq6_ok,
-                ms=elapsed_ms / len(reports),
-            ))
+        if sweep is not None:
+            records.extend(_records(seed, kept_eps, sweep, elapsed_ms / len(keep)))
     records.sort(key=lambda r: (r.seed, r.eps))
     return records, summarize(records)
+
+
+def _records(seed, eps, sweep, ms):
+    """The records of one trial's verified levels, read off its sweep."""
+    code_tier = sweep.code_tier.tolist()
+    max_code_err = sweep.code_errors.max(axis=1).tolist()
+    bound6 = sweep.code_bounds.max(axis=1).tolist()
+    pass5 = [False] * len(eps) if sweep.eq5 is None else sweep.eq5.tolist()
+    return [
+        ExperimentRecord(seed=seed, eps=level_eps, max_col_err=max_col_err, bound5=bound5,
+                         max_code_err=code_err if active else None,
+                         bound6=code_bound if active else None, pass5=passed,
+                         pass6=eq6 if active else None, ms=ms)
+        for level_eps, max_col_err, bound5, active, code_err, code_bound, passed, eq6
+        in zip(eps, sweep.max_col_err.tolist(), sweep.bound5.tolist(), code_tier,
+               max_code_err, bound6, pass5, sweep.eq6.tolist())
+    ]
 
 
 def summarize(records):

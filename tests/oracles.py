@@ -1,8 +1,10 @@
 """Fixtures and reference checks that the tests share and the package does not
-export: the benchmark's workload module, the power-node code family, spans of
+export: the benchmark's workload module, the power-node code family,
+Gaussian codes drawn edge by edge, spans of
 dictionary columns, a point's distance to a subspace, the certificate's spark
-verdict on a bare matrix, and the brute-force admissibility check of one
-Lemma-4 edge map."""
+verdict on a bare matrix, the brute-force admissibility check of one
+Lemma-4 edge map, and candidate stacks with planted ties for the sweep
+verifier."""
 
 import importlib.util
 import itertools
@@ -35,6 +37,18 @@ def power_node_codes(supports, count, gammas, m):
             codes[row, block * count:(block + 1) * count] = float(g) ** powers
     return SparseCodeSet(m, codes, tuple(s for s in supports for _ in range(count)),
                          max(map(len, supports)))
+
+
+def edge_codes(rng, hypergraph, count):
+    """``count`` Gaussian codes on every edge, drawn edge by edge: one
+    standard_normal call of the edge's size by ``count`` per edge."""
+    blocks, supports = [], []
+    for edge in hypergraph.edges:
+        block = np.zeros((hypergraph.m, count))
+        block[[v - 1 for v in edge]] = rng.standard_normal((len(edge), count))
+        blocks.append(block)
+        supports += [edge] * count
+    return SparseCodeSet(hypergraph.m, np.hstack(blocks), tuple(supports), hypergraph.k)
 
 
 def column_span(mat, support, rank_tol=geometry.DEFAULT_RANK_TOL):
@@ -75,3 +89,46 @@ def is_admissible_map(hypergraph, images):
             if len(images_meet) > len(edges_meet):
                 return False
     return True
+
+
+# the kinds of candidate level that ``planted_candidates`` draws
+PLANTED = ("orbit", "tie", "zeroed", "exact", "integer")
+
+
+def planted_candidates(rng, a_mat, m_bar, kinds):
+    """A stack of n x m_bar candidates for ``a_mat``, one level per kind.
+
+    An orbit level scales and permutes the dictionary's columns (Gaussian
+    columns where m_bar > m) and adds noise whose size differs by column,
+    so one column sets the bottleneck; "tie" then copies the bottleneck
+    column, or the least noisy one, onto another (an exact tie at the
+    threshold or below it), "zeroed" zeroes some columns, and "exact" adds
+    no noise at power-of-two scales (every matched cost exactly 0). An
+    integer level has entries in -2..2, so its costs tie often. Returns the
+    stack and, per level and target, the source column (-1 for none) and
+    the scale it carries.
+    """
+    n, m = a_mat.shape
+    stack = np.empty((len(kinds), n, m_bar))
+    sources = np.full((len(kinds), m_bar), -1)
+    diags = np.ones((len(kinds), m_bar))
+    for level, kind in enumerate(kinds):
+        if kind == "integer":
+            stack[level] = rng.integers(-2, 3, (n, m_bar))
+            continue
+        perm = rng.permutation(max(m, m_bar))[:m_bar]
+        diag = rng.choice([-2.0, -1.0, 0.5, 1.0, 4.0], m_bar)
+        junk = rng.standard_normal((n, m_bar))
+        cand = np.where(perm < m, a_mat[:, np.minimum(perm, m - 1)], junk) * diag
+        sizes = 10.0 ** rng.uniform(-12, -3, m_bar)
+        if kind != "exact":
+            cand = cand + sizes * rng.standard_normal((n, m_bar))
+        if kind == "tie" and m_bar > 1:
+            copied = int(np.argmax(sizes) if rng.random() < 0.5 else np.argmin(sizes))
+            cand[:, (copied + int(rng.integers(1, m_bar))) % m_bar] = cand[:, copied]
+        if kind == "zeroed":
+            cand[:, rng.random(m_bar) < 0.4] = 0.0
+        stack[level] = cand
+        sources[level] = np.where(perm < m, perm, -1)
+        diags[level] = diag
+    return stack, sources, diags

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,9 +17,12 @@ from sparsecert import (
     generate_instance,
     verify_theorem1,
 )
-from sparsecert import geometry
+from sparsecert import alignment, geometry
 from sparsecert.alignment import AlignmentResult, _augment, _l1_errors, _pair_costs
 from sparsecert.constants import build_certificate
+from sparsecert.hypergraph import Hypergraph
+
+from oracles import PLANTED, edge_codes, planted_candidates
 
 
 # The per-pair alignment that the stacked costs and the one-matching
@@ -225,6 +229,92 @@ def test_pair_costs_of_a_stack_equal_each_level_alone(kind):
                 assert np.array_equal(got[level], want[0])
         for got, want in zip(stacked, _reference_pair_costs(a_mat, levels[0])):
             assert np.array_equal(got[0], want)
+
+
+def planted_dictionary(rng):
+    """A dictionary of one to six columns, Gaussian or in -2..2, with a
+    repeated column at times."""
+    m, n = int(rng.integers(1, 7)), int(rng.integers(1, 8))
+    if rng.random() < 0.7:
+        a_mat = rng.standard_normal((n, m))
+    else:
+        a_mat = rng.integers(-2, 3, (n, m)).astype(float)
+    if m > 1 and rng.random() < 0.2:
+        a_mat[:, -1] = a_mat[:, 0]
+    return a_mat
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_read_off_targets_equal_the_kuhn_search(monkeypatch, seed):
+    # every level of a stack gets the targets that Kuhn's search gives it
+    # alone, whether read off the costs or searched; a failing level stops
+    # the stack with the search's error
+    searched = []
+    match = alignment._match
+
+    def counted(costs, usable):
+        searched.append(True)
+        return match(costs, usable)
+
+    rng = np.random.default_rng(seed)
+    read_off, failures, relations = 0, 0, set()
+    for _ in range(150):
+        a_mat = planted_dictionary(rng)
+        m = a_mat.shape[1]
+        m_bar = int(rng.choice([1, max(m - 1, 1), m, m + 1, m + 2]))
+        relations.add(int(np.sign(m_bar - m)))
+        kinds = rng.choice(PLANTED, int(rng.integers(1, 6)))
+        costs, _, usable = _pair_costs(a_mat, planted_candidates(rng, a_mat, m_bar, kinds)[0])
+        with monkeypatch.context() as patch:
+            patch.setattr(alignment, "_match", counted)
+            target, failed = alignment._targets(costs, usable)
+        for level in range(len(kinds)):
+            try:
+                expected = match(costs[level], usable[level])
+            except ValueError as exc:
+                assert failed[0] == level and str(failed[1]) == str(exc)
+                assert np.all(target[level:] == -1)
+                failures += 1
+                break
+            assert target[level].tolist() == expected
+        else:
+            assert failed is None
+        read_off += len(kinds) - len(searched)
+        searched.clear()
+    assert read_off and failures and relations == {-1, 0, 1}
+
+
+def test_targets_search_only_where_the_threshold_graph_is_ambiguous(monkeypatch):
+    # three unit sources, four targets; theta is the largest cheapest cost
+    e1, e2, e3 = np.eye(3)
+    base = [e1, e2, e3 + 0.1 * e1]
+    levels = {
+        "simple": base + [e1 + e2 + e3],
+        "tie at theta": base + [e3 + 0.1 * e1],
+        "tie below theta": base + [e2],
+        # source 1's second target costs 0.45, below theta = 0.67, and the
+        # extraction takes it: the row argmins are not the matching
+        "second below theta": [e1 + 0.5 * e3, e1 + 0.1 * e2, e2 + 0.9 * e3, e3 + 0.5 * e2],
+        "shared cheapest": [e1 + 2 * e3, e2 + 2 * e3, e3, e1 + e2],
+        "zero column": [e1, 0 * e1, e3 + 0.1 * e1, e2],
+    }
+    stack = np.stack([np.column_stack(columns) for columns in levels.values()])
+    costs, _, usable = _pair_costs(np.eye(3), stack)
+    searched = []
+    match = alignment._match
+
+    def counted(costs, usable):
+        searched.append(len(searched))
+        return match(costs, usable)
+
+    monkeypatch.setattr(alignment, "_match", counted)
+    target, failed = alignment._targets(costs, usable)
+    assert failed is None and len(searched) == 4
+    for level in range(len(stack)):
+        assert target[level].tolist() == match(costs[level], usable[level])
+    assert target.tolist() == [[0, 1, 2], [0, 1, 2], [0, 1, 2], [0, 2, 3], [0, 1, 2],
+                               [0, 3, 2]]
+    assert np.argmin(costs[3], axis=1).tolist() == [1, 2, 3]
 
 
 @pytest.mark.parametrize("scale", [1e150, 1e-150, 1e155, 1e-170, 1e200, 1e-200,
@@ -622,6 +712,37 @@ def test_verify_refuses_non_finite_eps(eps):
     cert = build_certificate(a_mat, codes, h)
     with pytest.raises(ValueError, match="eps must be finite"):
         verify_theorem1(a_mat, codes, a_mat, codes, cert, eps)
+
+
+def test_refactorization_without_sip_is_refused():
+    # vertices 1, 2 and 5, 6 of this design are never apart (no SIP), so
+    # mixing columns 1, 2 and columns 5, 6 of A by M, and the matching code
+    # rows by M^-1, keeps every support and the data: an exact second
+    # factorization whose aligned columns lie 0.8 away. Against the
+    # threshold L2 / C1 that the certificate used to carry, eq. (5) reads
+    # false; the certificate carries no threshold, and the check refuses
+    h = Hypergraph(6, [(1, 2, 3), (1, 2, 4), (3, 5, 6), (4, 5, 6)])
+    rng = np.random.default_rng(0)
+    a_mat = rng.standard_normal((6, 6))
+    codes = edge_codes(rng, h, 41)
+    mix = np.array([[1.0, 0.7], [0.3, 1.0]])
+    b_mat, x = a_mat.copy(), codes.codes.copy()
+    for pair in ([0, 1], [4, 5]):
+        b_mat[:, pair] = a_mat[:, pair] @ mix
+        x[pair] = np.linalg.solve(mix, codes.codes[pair])
+    codes_bar = SparseCodeSet(6, x, codes.supports, 3)
+    residual = float(np.max(np.linalg.norm(a_mat @ codes.codes - b_mat @ x, axis=0)))
+    assert residual < 1e-14
+    cert = build_certificate(a_mat, codes, h)
+    assert not cert.sip_ok and cert.C1 is not None and cert.eps_max_dictionary is None
+    assert cert.regular_ok and cert.lower_bound_ok and cert.glp_ok and cert.counts_ok
+    unproven = SimpleNamespace(**dict(vars(cert), eps_max_dictionary=cert.L2 / cert.C1,
+                                      eps_max_codes=cert.L2k / cert.C1))
+    report = verify_theorem1(a_mat, codes, b_mat, codes_bar, unproven, residual)
+    assert report.eq5_ok is False and report.max_column_error > 0.5
+    with pytest.raises(HypothesisError) as exc:
+        verify_theorem1(a_mat, codes, b_mat, codes_bar, cert, residual)
+    assert str(exc.value) == "certificate withholds its thresholds: sip_ok false"
 
 
 def necessity_instance(m):

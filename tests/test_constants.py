@@ -25,13 +25,14 @@ from sparsecert import (
     restricted_lower_bound,
     sample_size_cor1,
     support_index_sets,
+    verify_theorem1,
     xi,
 )
 from sparsecert import constants, geometry
 from sparsecert import codes as codes_module
 from sparsecert.hypergraph import Hypergraph, regularity
 
-from oracles import column_span, power_node_codes, workloads
+from oracles import column_span, edge_codes, power_node_codes, workloads
 
 
 def singleton_codes(coefficients):
@@ -427,6 +428,50 @@ def test_certificate_counts_flag():
     cert = build_certificate(np.eye(4), power_node_codes(h.edges, 3, (0.8, 1.2), m=4), h)
     assert not cert.counts_ok
     assert cert.required_per_support == 7
+
+
+DICTIONARY_HYPOTHESES = ("sip_ok", "regular_ok", "lower_bound_ok", "glp_ok", "counts_ok")
+
+
+def one_false_hypothesis(flag):
+    """(dictionary, codes, hypergraph) whose certificate reads ``flag``
+    false and every other dictionary hypothesis true."""
+    rng = np.random.default_rng(0)
+    if flag == "sip_ok":
+        # vertices 1, 2 and 5, 6 are never apart
+        h = Hypergraph(6, [(1, 2, 3), (1, 2, 4), (3, 5, 6), (4, 5, 6)])
+        return rng.standard_normal((6, 6)), edge_codes(rng, h, 41), h
+    if flag == "regular_ok":
+        h = Hypergraph(4, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)])
+        return rng.standard_normal((4, 4)), edge_codes(rng, h, 7), h
+    h = build_cyclic(4, 2)
+    mat = rng.standard_normal((4, 4))
+    if flag == "lower_bound_ok":
+        # a column short enough that L2H falls below rank_tol * smax, long
+        # enough that every span keeps its rank
+        mat[:, 3] *= 5e-9
+    codes = edge_codes(rng, h, 5 if flag == "counts_ok" else 7)
+    if flag == "glp_ok":
+        x = codes.codes.copy()
+        x[:, 1] = x[:, 0]
+        codes = SparseCodeSet(4, x, codes.supports, 2)
+    return mat, codes, h
+
+
+@pytest.mark.parametrize("flag", DICTIONARY_HYPOTHESES)
+def test_a_false_hypothesis_withholds_the_thresholds(flag):
+    # C1 and C2 stay reported where they exist (the false SIP, lower bound
+    # and counts here), but no threshold is a guarantee, so none is given,
+    # and verify_theorem1 refuses, naming the flag
+    mat, codes, h = one_false_hypothesis(flag)
+    cert = build_certificate(mat, codes, h)
+    assert [f for f in DICTIONARY_HYPOTHESES if not getattr(cert, f)] == [flag]
+    assert (cert.C1 is not None) == (flag in ("sip_ok", "lower_bound_ok", "counts_ok"))
+    assert cert.eps_max_dictionary is None and cert.eps_max_codes is None
+    assert not cert.hypotheses_ok
+    with pytest.raises(HypothesisError) as exc:
+        verify_theorem1(mat, codes, mat, codes, cert, 1e-12)
+    assert str(exc.value) == f"certificate withholds its thresholds: {flag} false"
 
 
 # one k-subset index array: bit identity with the separate enumerations

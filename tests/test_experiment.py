@@ -41,7 +41,7 @@ from sparsecert.experiment import (
 )
 from sparsecert.hypergraph import hypergraph_from_config, normalize_support
 
-from oracles import workloads
+from oracles import PLANTED, planted_candidates, workloads
 
 
 @pytest.fixture(scope="module")
@@ -129,22 +129,24 @@ def test_run_experiment_passes_and_sorted():
 def test_verifier_and_records_read_one_slack(monkeypatch, family):
     # at a slack of -1 no achieved error of these sweeps is within its
     # bound, so every inequality fails wherever it is decided
-    reports = []
+    sweeps = []
     sweep = alignment._verify_sweep
 
     def recorded(*args, **kwargs):
         found = sweep(*args, **kwargs)
-        reports.extend(found)
+        sweeps.append(found)
         return found
 
     monkeypatch.setattr(alignment, "_verify_sweep", recorded)
     monkeypatch.setattr(alignment, "BOUND_SLACK", -1.0)
     records, _ = run_experiment(dict(workloads.TRIAL_CONFIG, seed=0, family=family))
-    assert len(records) == len(reports) > 0
-    assert [r.eq5_ok for r in reports] == [r.pass5 for r in records] == [False] * len(records)
-    code_tier = [r for r in reports if r.code_tier_active]
-    assert code_tier and not any(r.eq6_ok for r in code_tier)
-    assert [r.pass6 for r in records if r.pass6 is not None] == [False] * len(code_tier)
+    eq5 = [ok for found in sweeps for ok in found.eq5.tolist()]
+    assert len(records) == len(eq5) > 0
+    assert eq5 == [r.pass5 for r in records] == [False] * len(records)
+    eq6 = [ok for found in sweeps
+           for ok, active in zip(found.eq6.tolist(), found.code_tier.tolist()) if active]
+    assert eq6 and not any(eq6)
+    assert [r.pass6 for r in records if r.pass6 is not None] == [False] * len(eq6)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -556,6 +558,27 @@ def test_sweep_makes_no_svd(monkeypatch, family):
     assert svds == []
 
 
+@pytest.mark.parametrize("seed", [0, 1606])
+@pytest.mark.parametrize("family", PERTURBATION_FAMILIES)
+def test_trial_sweeps_read_every_matching_off_the_costs(monkeypatch, family, seed):
+    # every level of a benchmark trial has one cheapest target per source
+    # below the threshold, so no level runs Kuhn's search; the augmenting
+    # paths alone would not show a return to per-level search, since that
+    # search reaches these matchings by direct joins
+    calls = []
+
+    def refused(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} was called")
+        return call
+
+    monkeypatch.setattr(alignment, "_match", refused("_match"))
+    monkeypatch.setattr(alignment, "_augment", refused("_augment"))
+    records, _ = run_experiment(dict(workloads.TRIAL_CONFIG, seed=seed, family=family))
+    assert records and calls == []
+
+
 def test_jitter_draw_is_the_per_column_stream():
     # supports of every size from 0 to k, in no particular order
     x = np.zeros((4, 5))
@@ -694,6 +717,117 @@ def _verify_outcomes(*args):
             return type(exc), str(exc)
 
     return outcome(verify_theorem1), outcome(_reference_verify_theorem1)
+
+
+def _dense_codes(m, x):
+    """A code set whose every column is supported on its nonzero rows."""
+    return SparseCodeSet(m, x, tuple(tuple(np.flatnonzero(col) + 1) for col in x.T), m)
+
+
+def _sweep_case(rng):
+    """A random sweep and the arguments of each of its levels alone: a
+    dictionary, integer codes, candidates of every planted kind (m_bar at,
+    above or below m), their codes (mapped through the orbit where there is
+    one), one candidate or one code matrix for all levels at times, a
+    certificate, and residual levels of which a few fail a check."""
+    m, n, count = int(rng.integers(1, 5)), int(rng.integers(2, 6)), 4
+    m_bar = int(rng.choice([1, max(m - 1, 1), m, m + 1]))
+    a_mat = rng.standard_normal((n, m))
+    if m > 1 and rng.random() < 0.2:
+        a_mat[:, -1] = a_mat[:, 0]
+    x = rng.integers(-2, 3, (m, count)).astype(float)
+    kinds = rng.choice(PLANTED, int(rng.integers(1, 6)))
+    candidates, sources, diags = planted_candidates(rng, a_mat, m_bar, kinds)
+    xbars = rng.integers(-2, 3, (len(kinds), m_bar, count)).astype(float)
+    mapped = sources >= 0
+    xbars[mapped] = x[sources[mapped]] / diags[mapped][:, None]
+    layout = rng.integers(3)
+    if layout == 1:
+        candidates = candidates[:1]
+    elif layout == 2:
+        xbars = xbars[:1]
+    level_args = []
+    worsts = []
+    for level in range(len(kinds)):
+        candidate = candidates[min(level, len(candidates) - 1)]
+        xbar = xbars[min(level, len(xbars) - 1)]
+        worsts.append(float(np.max(np.linalg.norm(a_mat @ x - candidate @ xbar, axis=0))))
+        level_args.append((candidate, _dense_codes(m_bar, xbar)))
+    threshold = 2 * max(worsts) + 1.0
+    c1 = 10.0 ** rng.uniform(-1, 3)
+    certificate = SimpleNamespace(
+        C1=c1, eps_max_dictionary=threshold, r=int(rng.integers(1, 4)), spark_ok=True,
+        eps_max_codes=None if rng.random() < 0.2 else threshold * rng.random(),
+        L2k=c1 * threshold * rng.uniform(0.5, 2.0), k=1)
+    eps = []
+    for worst in worsts:
+        fate = rng.random()
+        if fate < 0.05:
+            eps.append(math.nan)
+        elif fate < 0.1 and worst > 0:
+            eps.append(worst / 2)
+        elif fate < 0.15:
+            eps.append(threshold * 1.5)
+        else:
+            eps.append(worst * float(rng.choice([1.0, 1.5])))
+    return (a_mat, _dense_codes(m, x), candidates, xbars, certificate, eps), level_args
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sweep_equals_verify_theorem1_level_by_level(seed):
+    # the sweep raises what the first failing level raises alone, and up to
+    # that level its reports are verify_theorem1's and the per-level
+    # reference's (Kuhn's search, eq. (5) in Python, the code tier code by
+    # code), the aligned 2k-bound aside
+    rng = np.random.default_rng(seed)
+    raised, compared, code_tier = set(), 0, 0
+    for _ in range(100):
+        (a_mat, codes, candidates, xbars, cert, eps), level_args = _sweep_case(rng)
+        outcomes = []
+        for (candidate, codes_bar), level_eps in zip(level_args, eps):
+            new, reference = _verify_outcomes(a_mat, codes, candidate, codes_bar, cert,
+                                              level_eps)
+            assert new == reference
+            outcomes.append(reference)
+        stop = next((i for i, o in enumerate(outcomes) if isinstance(o, tuple)), len(eps))
+        if stop < len(eps):
+            with pytest.raises((ValueError, HypothesisError, ThresholdError)) as exc:
+                alignment._verify_sweep(a_mat, codes, candidates, xbars, cert, eps)
+            assert (type(exc.value), str(exc.value)) == outcomes[stop]
+            raised.add(outcomes[stop][1].split()[0])
+        if stop == 0:
+            continue
+        sweep = alignment._verify_sweep(a_mat, codes, experiment._kept(candidates, slice(stop)),
+                                        experiment._kept(xbars, slice(stop)), cert, eps[:stop])
+        for level in range(stop):
+            report = alignment._report(sweep, level, eps[level], cert, a_mat.shape[1],
+                                       candidates.shape[2])
+            expected = dict(outcomes[level], l2k_aligned=None, l2k_floor=None, l2k_ok=None)
+            assert _report_fields(report) == expected
+            compared += 1
+            code_tier += report.code_tier_active
+    assert compared > 150 and code_tier > 50
+    assert {"candidate", "eps", "sample"} <= raised
+
+
+def test_sweep_raise_order_across_levels():
+    # a later level's check before the matching waits behind an earlier
+    # level's failing matching, and a zero scale behind nothing later
+    a_mat = np.eye(2)
+    codes = SparseCodeSet(2, np.zeros((2, 3)), ((1,), (2,), (1, 2)), 2)
+    cert = SimpleNamespace(C1=1.0, eps_max_dictionary=1.0, r=1, spark_ok=True,
+                           eps_max_codes=1.0, L2k=1.0, k=1)
+    good, zero_scale, empty = np.eye(2), np.array([[0.0, 0.0], [1.0, 1.0]]), np.zeros((2, 2))
+    cases = [
+        ([good, empty, good], [0.5, 0.5, 2.0], "candidate dictionary has no nonzero columns"),
+        ([good, zero_scale, empty], [0.5, 0.5, 0.5], "matched column 1 has zero scale"),
+        ([good, good, zero_scale], [0.5, 1.5, 0.5], "eps 1.5 is not below"),
+    ]
+    for levels, eps, message in cases:
+        with pytest.raises((ValueError, ThresholdError)) as exc:
+            alignment._verify_sweep(a_mat, codes, np.stack(levels), codes.codes[None],
+                                    cert, eps)
+        assert str(exc.value).startswith(message)
 
 
 def test_oversized_candidates_match_reference(instance):
